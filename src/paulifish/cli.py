@@ -15,6 +15,8 @@ import argparse
 import sys
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import correlations, mc, protocol, qfi, verify
 from .linop import DimensionError
 
@@ -39,52 +41,43 @@ def sweep_rows(
 ) -> list[str]:
     """One CSV row per grid point, channel-strength-major then polarization.
 
-    Polarization endpoints use the closed-form limits: at r=0 the gain
-    column holds the vanishing-polarization limit (both Fisher informations
-    are zero), at r=1 the pure-state limit with the correlation columns
-    left empty.
+    Each strength's polarization vector is evaluated in one call per
+    column: one j-sum for H_corr and gain, and for n = 2 the closed-form
+    discord and partial-transpose eigenvalue. Polarization endpoints use
+    the closed-form limits: at r=0 the gain column holds the
+    vanishing-polarization limit (both Fisher informations are zero), at
+    r=1 the pure-state limit with the correlation columns left empty.
     """
+    rs = np.array(list(rs), dtype=float)
+    inner = (rs > 0.0) & (rs < 1.0)
+    zero, one, below_one = rs == 0.0, rs == 1.0, rs < 1.0
+    heads = [f"{n},{m},{_fmt(r)}," for r in rs.tolist()]
+    tails = [",,"] * len(rs)
     rows = []
-    rs = list(rs)
     for lam in lams:
-        for r in rs:
-            if r == 0.0:
-                h_ind = 0.0
-                h_corr = 0.0
-                g = protocol.gain_limit_r0(n, m, lam)
-            elif r == 1.0:
-                h_ind = qfi.qfi_independent_opt(1.0, lam, m)
-                g = protocol.gain_limit_r1(m, lam)
-                h_corr = g * h_ind
-            else:
-                point = protocol.ProtocolPoint(n, m, r, lam)
-                h_ind = qfi.qfi_independent_opt(r, lam, m)
-                h_corr = protocol.qfi_correlated(point)
-                g = protocol.gain(point)
-            if n == 2 and r < 1.0:
-                disc = _fmt(correlations.discord_protocol(r, lam, m).Q)
-                sep, min_eig = correlations.is_separable_ppt(
-                    correlations.rho_final_two_qubit(r, lam, m)
-                )
-                sep_s, eig_s = ("true" if sep else "false"), _fmt(min_eig)
-            else:
-                disc = eig_s = sep_s = ""
-            rows.append(
-                ",".join(
-                    [
-                        str(n),
-                        str(m),
-                        _fmt(r),
-                        _fmt(lam),
-                        _fmt(h_ind),
-                        _fmt(h_corr),
-                        _fmt(g),
-                        disc,
-                        eig_s,
-                        sep_s,
-                    ]
-                )
+        h_ind = qfi.qfi_independent_opt(rs, lam, m)
+        h_corr = np.zeros(len(rs))
+        g = np.empty(len(rs))
+        if inner.any():
+            h_corr[inner], g[inner] = protocol.qfi_and_gain(n, m, rs[inner], lam)
+        if zero.any():
+            g[zero] = protocol.gain_limit_r0(n, m, lam)
+        if one.any():
+            g[one] = protocol.gain_limit_r1(m, lam)
+            h_corr[one] = g[one] * h_ind[one]
+        if n == 2 and below_one.any():
+            disc = correlations.discord_protocol(rs[below_one], lam, m).Q
+            sep, min_eig = correlations.ppt_closed_form(rs[below_one], lam, m)
+            diag = iter(
+                f"{d:.12g},{e:.12g},{'true' if s else 'false'}"
+                for d, e, s in zip(disc.tolist(), min_eig.tolist(), sep.tolist())
             )
+            tails = [next(diag) if b else ",," for b in below_one.tolist()]
+        lam_s = _fmt(lam)
+        for head, hi, hc, gg, tail in zip(
+            heads, h_ind.tolist(), h_corr.tolist(), g.tolist(), tails
+        ):
+            rows.append(f"{head}{lam_s},{hi:.12g},{hc:.12g},{gg:.12g},{tail}")
     return rows
 
 

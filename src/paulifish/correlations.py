@@ -21,9 +21,11 @@ PPT_TOL = 1e-10
 BELL_RESIDUAL_TOL = 1e-10
 
 
-def _xlog2(v: float) -> float:
-    # 0 log2 0 := 0
-    return v * math.log2(v) if v > 0.0 else 0.0
+def _xlog2(v) -> np.ndarray:
+    # 0 log2 0 := 0, elementwise
+    v = np.asarray(v, dtype=float)
+    pos = v > 0.0
+    return np.where(pos, v * np.log2(np.where(pos, v, 1.0)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,29 @@ def separability_threshold(m: int, lam: float) -> float:
     return math.sqrt(mu * mu + 1.0) - mu
 
 
+def ppt_closed_form(r, lam: float, m: int, tol: float = PPT_TOL):
+    """Closed-form PPT test of the post-channel two-qubit state.
+
+    The partial transpose's minimum eigenvalue is (1 - r^2 - 2 r |mu|)/4
+    with mu = (1-2 lam)**m; its zero is separability_threshold(m, lam).
+    Returns (verdict, minimum eigenvalue) like is_separable_ppt, as arrays
+    when r is one. For two qubits PPT is exact (Peres; Horodecki).
+    """
+    if m < 1:
+        raise ValueError(f"invocation count must be >= 1, got {m}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
+    r = np.asarray(r, dtype=float)
+    ok = (r >= 0.0) & (r < 1.0)
+    if not ok.all():
+        raise ValueError(f"polarization must lie in [0, 1), got {r[~ok].flat[0]}")
+    mu = abs((1.0 - 2.0 * lam) ** m)
+    min_eig = ((1.0 - r) * (1.0 + r) - 2.0 * r * mu) / 4.0
+    if min_eig.ndim == 0:
+        return bool(min_eig >= -tol), float(min_eig)
+    return min_eig >= -tol, min_eig
+
+
 _PAULIS = None
 
 
@@ -146,58 +171,64 @@ def bell_diagonalize(rho: np.ndarray) -> BellDiagonalCoeffs:
     )
 
 
-def _clamped(v: float) -> float:
-    if v < -1e-10:
-        raise ValueError(f"spectral combination {v} is negative: invalid state")
-    return max(v, 0.0)
+def _scalar_or_array(v: np.ndarray):
+    return float(v) if v.ndim == 0 else v
 
 
-def _discord_from(lambdas: tuple[float, ...], c: float) -> float:
-    q = 0.25 * sum(_xlog2(v) for v in lambdas)
-    q -= 0.5 * ((1.0 - c) * (math.log2(1.0 - c) if c < 1.0 else 0.0))
-    q -= 0.5 * (1.0 + c) * math.log2(1.0 + c)
-    if q < -1e-9:
-        raise ValueError(f"discord came out negative ({q}): invalid coefficients")
-    return max(q, 0.0)
+def _clamped(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if (v < -1e-10).any():
+        raise ValueError(f"spectral combination {v.min()} is negative: invalid state")
+    return np.maximum(v, 0.0)
+
+
+def _report(lambdas: np.ndarray, c: np.ndarray) -> DiscordReport:
+    """Discord from the four spectral combinations (stacked on axis 0) and c:
+    Q = (1/4) sum xlog2(lambda) - (1/2) xlog2(1-c) - (1/2) xlog2(1+c)."""
+    q = 0.25 * _xlog2(lambdas).sum(axis=0)
+    q -= 0.5 * _xlog2(1.0 - c)
+    q -= 0.5 * (1.0 + c) * np.log2(1.0 + c)
+    if (q < -1e-9).any():
+        raise ValueError(f"discord came out negative ({q.min()}): invalid coefficients")
+    return DiscordReport(
+        Q=_scalar_or_array(np.maximum(q, 0.0)),
+        c=_scalar_or_array(c),
+        lambdas=tuple(_scalar_or_array(v) for v in lambdas),
+    )
 
 
 def discord_xstate(coeffs: BellDiagonalCoeffs) -> DiscordReport:
     """Discord of a Bell-diagonal state from its generic closed form."""
     c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
-    lambdas = (
-        _clamped(1.0 - c1 - c2 - c3),
-        _clamped(1.0 - c1 + c2 + c3),
-        _clamped(1.0 + c1 - c2 + c3),
-        _clamped(1.0 + c1 + c2 - c3),
+    lambdas = _clamped(
+        [1.0 - c1 - c2 - c3, 1.0 - c1 + c2 + c3, 1.0 + c1 - c2 + c3, 1.0 + c1 + c2 - c3]
     )
-    c = max(abs(c1), abs(c2), abs(c3))
-    return DiscordReport(Q=_discord_from(lambdas, c), c=c, lambdas=lambdas)
+    return _report(lambdas, np.asarray(max(abs(c1), abs(c2), abs(c3)), dtype=float))
 
 
-def discord_rmu(r: float, mu: float) -> DiscordReport:
+def discord_rmu(r, mu) -> DiscordReport:
     """Discord of the protocol state with off-diagonal scale mu.
 
     Flipping the sign of mu leaves the discord unchanged, so |mu| is used
     throughout. The spectral combinations are
     1 - r^2 (twice), 1 +- 2 r |mu| + r^2, and c = max(r^2, r |mu|).
+    r and mu broadcast; the report holds floats for scalar inputs and
+    arrays otherwise.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"polarization must lie in [0, 1), got {r}")
-    if abs(mu) > 1.0 + 1e-12:
-        raise ValueError(f"off-diagonal scale must lie in [-1, 1], got {mu}")
-    am = abs(mu)
-    lambdas = (
-        _clamped(1.0 - r * r),
-        _clamped(1.0 + 2.0 * r * am + r * r),
-        _clamped(1.0 - 2.0 * r * am + r * r),
-        _clamped(1.0 - r * r),
-    )
-    c = max(r * r, r * am)
-    return DiscordReport(Q=_discord_from(lambdas, c), c=c, lambdas=lambdas)
+    r, am = np.broadcast_arrays(np.asarray(r, dtype=float), np.abs(np.asarray(mu, dtype=float)))
+    ok_r, bad_mu = (r >= 0.0) & (r < 1.0), ~(am <= 1.0 + 1e-12)
+    if not ok_r.all():
+        raise ValueError(f"polarization must lie in [0, 1), got {r[~ok_r].flat[0]}")
+    if bad_mu.any():
+        raise ValueError(f"off-diagonal scale must lie in [-1, 1], got {am[bad_mu].flat[0]}")
+    r2, cross = r * r, 2.0 * r * am
+    lambdas = _clamped([1.0 - r2, 1.0 + cross + r2, 1.0 - cross + r2, 1.0 - r2])
+    return _report(lambdas, np.maximum(r2, r * am))
 
 
-def discord_protocol(r: float, lam: float, m: int) -> DiscordReport:
-    """Discord of the two-qubit post-channel state at (r, lam, m)."""
+def discord_protocol(r, lam: float, m: int) -> DiscordReport:
+    """Discord of the two-qubit post-channel state at (r, lam, m); r may be
+    an array."""
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
     if not 0.0 <= lam <= 1.0:
@@ -210,4 +241,4 @@ def discord_prep(r: float) -> float:
     (1+r)/2 log2(1+r) + (1-r)/2 log2(1-r), increasing in r."""
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"polarization must lie in [0, 1], got {r}")
-    return 0.5 * (_xlog2(1.0 + r) + _xlog2(1.0 - r))
+    return float(0.5 * (_xlog2(1.0 + r) + _xlog2(1.0 - r)))

@@ -7,17 +7,32 @@ two-qubit gain, the channel-strength threshold for an n-fold gain, and the
 map from dephasing time to channel strength.
 
 The lam dependence enters only through nu = (1-2 lam)**2. By convention
-nu**(m-1) is 1 when m = 1 even at lam = 1/2 (continuity), which Python's
-0.0**0 == 1.0 already provides.
+nu**(m-1) is 1 when m = 1 even at lam = 1/2 (continuity).
+
+The Fisher information and the gain share one j-sum over bit-complement
+weight pairs. It is evaluated once, in the log domain and broadcast over
+(j, r, lam), by ``_log_qfi_gain``; ``qfi_correlated``, ``gain``,
+``gain_min``, ``gain_max`` and the grid form ``qfi_and_gain`` wrap it. A
+true value that is nonzero but outside the float64 range raises ValueError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 #: Largest qubit count for the analytic path (float binomials stay accurate).
 ANALYTIC_N_CAP = 64
+
+_LOG2 = math.log(2.0)
+_LOG4 = math.log(4.0)
+#: Logs of the smallest normal and the largest finite float64.
+_LOG_TINY = math.log(sys.float_info.min)
+_LOG_HUGE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -83,78 +98,127 @@ def _validate_nm(n: int, m: int) -> None:
         raise ValueError(f"invocations m={m} must lie in 1..{n}")
 
 
+@functools.lru_cache(maxsize=None)
+def _j_tables(n: int, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-index columns of the j-sum, |n-2j|, min(j, n-j) and log C(n, j),
+    shaped to broadcast against ndim-dimensional (r, lam) arrays."""
+    j = np.arange(n + 1)
+    log_binom = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in j]
+    shape = (n + 1,) + (1,) * ndim
+    tables = (np.abs(n - 2 * j), np.minimum(j, n - j), np.array(log_binom))
+    for t in tables:
+        t.flags.writeable = False  # shared by every caller through the cache
+    return tuple(t.reshape(shape) for t in tables)
+
+
+def _log_qfi_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Natural logs of the correlated Fisher information and of the gain,
+    broadcast over r and lam, from one log-domain j-sum; -inf is an exact 0.
+
+    With t = atanh r, the larger weight of pair j is
+    M = (1-r^2)^min(j,n-j) (1+r)^|n-2j| and the pair's ratio is
+    e = exp(-2 |n-2j| t), so diff = M (1-e) and total = M (1+e). The
+    j-term diff^2 total / (total^2 - nu^m diff^2) becomes
+    M (1-e)^2 (1+e) / [(1+e)^2 (1-nu^m) + 4 e nu^m], a sum of
+    nonnegative pieces. 1-e, 1-nu^m and 1-nu r^2 are formed without
+    cancellation (expm1, log1p, and (1-r)(1+r) + 4 lam(1-lam) r^2).
+    """
+    r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
+    k, lo, log_binom = _j_tables(n, max(r.ndim, lam.ndim))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log1p_r, log1m_r = np.log1p(r), np.log1p(-r)
+        log_pure = log1m_r + log1p_r  # log(1 - r^2)
+        two_kt = k * (log1p_r - log1m_r)  # 2 |n-2j| atanh(r)
+        log_nu = 2.0 * np.log1p(-2.0 * np.minimum(lam, 1.0 - lam))  # -inf at lam = 1/2
+        log_q = np.log(-np.expm1(m * log_nu))  # log(1 - nu^m)
+        log_t = np.log1p(np.exp(-two_kt))  # log(total / M)
+        log_den = np.logaddexp(2.0 * log_t + log_q, _LOG4 + m * log_nu - two_kt)
+        terms = (
+            log_binom
+            + lo * log_pure
+            + k * log1p_r
+            + 2.0 * np.log(-np.expm1(-two_kt))
+            + log_t
+            - log_den
+        )
+        top = terms.max(axis=0)
+        top = np.where(np.isfinite(top), top, 0.0)
+        log_s = top + np.log(np.exp(terms - top).sum(axis=0))
+        # nu^(m-1) is 1 at m = 1, even at lam = 1/2
+        log_pre = math.log(m) + ((m - 1) * log_nu if m > 1 else 0.0) + log_s
+        log_h = log_pre + math.log(m) - (n - 1) * _LOG2
+        log_r = np.log(r)
+        log_decay = np.logaddexp(log_pure, np.log(4.0 * lam * (1.0 - lam)) + 2.0 * log_r)
+        log_g = log_pre + log_decay - (n + 1) * _LOG2 - 2.0 * log_r
+    return log_h, log_g
+
+
+def _exp_checked(log_v: np.ndarray, what: str) -> np.ndarray:
+    """exp of a log-domain result; a nonzero value outside the normal float64
+    range raises instead of coming back as 0, a subnormal or inf."""
+    log_v = np.asarray(log_v)
+    bad = (log_v != -math.inf) & ~((log_v >= _LOG_TINY) & (log_v <= _LOG_HUGE))
+    if bad.any():
+        exponent = float(log_v[bad].flat[0]) / math.log(10.0)
+        raise ValueError(f"{what} is about 1e{exponent:+.0f}, outside the float64 range")
+    return np.exp(log_v)
+
+
+def qfi_and_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Correlated Fisher information and gain on a grid: r in (0, 1) and lam
+    in [0, 1] broadcast against each other, one j-sum for both."""
+    _validate_nm(n, m)
+    r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
+    ok_r, ok_lam = (r > 0.0) & (r < 1.0), (lam >= 0.0) & (lam <= 1.0)
+    if not ok_r.all():
+        raise ValueError(f"polarization must lie in (0, 1), got {r[~ok_r].flat[0]}")
+    if not ok_lam.all():
+        raise ValueError(f"channel strength must lie in [0, 1], got {lam[~ok_lam].flat[0]}")
+    log_h, log_g = _log_qfi_gain(n, m, r, lam)
+    return _exp_checked(log_h, "Fisher information"), _exp_checked(log_g, "gain")
+
+
 def qfi_correlated(p: ProtocolPoint) -> float:
     """Fisher information of the correlated protocol.
 
         H = m^2 nu^(m-1) / 2^(n-1)
             * sum_j C(n,j) diff_j^2 total_j / (total_j^2 - nu^m diff_j^2)
 
-    The denominator is evaluated as
-    total^2 (1 - nu^m) + 4 nu^m (1-r^2)^n, exact by the WeightPair identity
-    and stable as r -> 1.
+    Zero at r = 0 and, for m >= 2, at lam = 1/2.
     """
-    nu = (1.0 - 2.0 * p.lam) ** 2
-    numul = nu**p.m
-    pure_gap = 4.0 * (1.0 - p.r * p.r) ** p.n
-    s = 0.0
-    for j in range(p.n + 1):
-        w = weight_pair(p.n, j, p.r)
-        den = w.total * w.total * (1.0 - numul) + numul * pure_gap
-        s += _binom(p.n, j) * w.diff * w.diff * w.total / den
-    return p.m * p.m * nu ** (p.m - 1) / 2.0 ** (p.n - 1) * s
+    log_h, _ = _log_qfi_gain(p.n, p.m, p.r, p.lam)
+    return float(_exp_checked(log_h, "Fisher information"))
 
 
 def gain(p: ProtocolPoint) -> float:
     """Ratio of the correlated-protocol Fisher information to the best
-    independent one at equal (n, m, r, lam); undefined at r = 0."""
+    independent one at equal (n, m, r, lam); undefined at r = 0.
+
+        G = m nu^(m-1) (1 - nu r^2) / (2^(n+1) r^2) * (the same j-sum)
+    """
     if p.r == 0.0:
         raise ValueError("gain is undefined at r = 0; use gain_limit_r0")
-    nu = (1.0 - 2.0 * p.lam) ** 2
-    numul = nu**p.m
-    pure_gap = 4.0 * (1.0 - p.r * p.r) ** p.n
-    s = 0.0
-    for j in range(p.n + 1):
-        w = weight_pair(p.n, j, p.r)
-        den = w.total * w.total * (1.0 - numul) + numul * pure_gap
-        s += _binom(p.n, j) * w.diff * w.diff * w.total / den
-    return (
-        p.m
-        * nu ** (p.m - 1)
-        * (1.0 - nu * p.r * p.r)
-        / (2.0 ** (p.n + 1) * p.r * p.r)
-        * s
-    )
+    _, log_g = _log_qfi_gain(p.n, p.m, p.r, p.lam)
+    return float(_exp_checked(log_g, "gain"))
 
 
 def gain_min(n: int, m: int, r: float) -> float:
-    """Worst-case gain over lam, attained at lam = 1/2: a closed sum for one
+    """Worst-case gain over lam, the gain at lam = 1/2: a closed sum for one
     invocation, zero otherwise."""
     _validate_nm(n, m)
     if r == 0.0:
         raise ValueError("gain is undefined at r = 0; use gain_limit_r0")
     if not 0.0 < r < 1.0:
         raise ValueError(f"polarization must lie in (0, 1), got {r}")
-    if m != 1:
-        return 0.0
-    s = 0.0
-    for j in range(n + 1):
-        w = weight_pair(n, j, r)
-        s += _binom(n, j) * w.diff * w.diff / w.total
-    return s / (2.0 ** (n + 1) * r * r)
+    return gain(ProtocolPoint(n, m, r, 0.5))
 
 
 def gain_max(n: int, m: int, r: float) -> float:
-    """Best-case gain over lam (the lam -> 0 or 1 limit)."""
+    """Best-case gain over lam, the gain at lam = 0 (equal to lam = 1)."""
     _validate_nm(n, m)
     if not 0.0 < r < 1.0:
         raise ValueError(f"polarization must lie in (0, 1), got {r}")
-    pure_gap = 4.0 * (1.0 - r * r) ** n
-    s = 0.0
-    for j in range(n + 1):
-        w = weight_pair(n, j, r)
-        # (1 - diff^2/total^2) == pure_gap / total^2
-        s += _binom(n, j) * w.diff * w.diff * w.total * (1.0 - r * r) / pure_gap
-    return m * s / (2.0 ** (n + 1) * r * r)
+    return gain(ProtocolPoint(n, m, r, 0.0))
 
 
 def gain_limit_r0(n: int, m: int, lam: float) -> float:

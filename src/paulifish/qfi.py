@@ -164,15 +164,21 @@ def qfi_single_use(v, lam: float) -> float:
     return num / den
 
 
-def qfi_independent_opt(r: float, lam: float, m: int) -> float:
-    """Best independent-use Fisher information, 4 r^2 m / (1 - (1-2 lam)^2 r^2)."""
+def qfi_independent_opt(r, lam: float, m: int):
+    """Best independent-use Fisher information, 4 r^2 m / (1 - (1-2 lam)^2 r^2).
+
+    r may be an array (a float comes back for a scalar r).
+    """
     lam = _check_lambda(lam)
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"polarization must lie in [0, 1], got {r}")
+    r = np.asarray(r, dtype=float)
+    ok = (r >= 0.0) & (r <= 1.0)
+    if not ok.all():
+        raise ValueError(f"polarization must lie in [0, 1], got {r[~ok].flat[0]}")
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
-    _reject_pure_corner(r, lam)
-    return 4.0 * r * r * m / (1.0 - (1.0 - 2.0 * lam) ** 2 * r * r)
+    _reject_pure_corner(r.max(initial=0.0), lam)
+    h = 4.0 * r * r * m / (1.0 - (1.0 - 2.0 * lam) ** 2 * r * r)
+    return float(h) if h.ndim == 0 else h
 
 
 def qfi_upper_bound(lam: float, m: int) -> float:

@@ -31,6 +31,11 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
+def _mesh(n: int, m: int, lams: list[float], rs: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (H, gain) on the lams x rs grid, one kernel call."""
+    return protocol.qfi_and_gain(n, m, np.array(rs), np.array(lams)[:, None])
+
+
 def suite_oracle(n_max: int = 5) -> SuiteResult:
     """Closed-form Fisher information vs the eigendecomposition route."""
     worst = 0.0
@@ -38,12 +43,12 @@ def suite_oracle(n_max: int = 5) -> SuiteResult:
     rs = [round(0.1 * k, 10) for k in range(1, 10)]
     for n in range(2, n_max + 1):
         for m in range(1, n + 1):
-            for lam in lams:
-                for r in rs:
+            h_closed = _mesh(n, m, lams, rs)[0].tolist()
+            for lam, row in zip(lams, h_closed):
+                for r, h in zip(rs, row):
                     rho, drho = channels.correlated_state(n, r, lam, m)
                     h_oracle = qfi.sld_eig(rho, drho).H
-                    h_closed = protocol.qfi_correlated(protocol.ProtocolPoint(n, m, r, lam))
-                    worst = max(worst, _rel_err(h_oracle, h_closed))
+                    worst = max(worst, _rel_err(h_oracle, h))
     return SuiteResult("oracle", worst < 1e-8, worst, f"n<= {n_max}, tol 1e-8")
 
 
@@ -54,12 +59,11 @@ def suite_bounds(n_max: int = 5) -> SuiteResult:
     rs = [round(0.1 * k, 10) for k in range(1, 10)]
     for n in range(2, n_max + 1):
         for m in range(1, n + 1):
-            for lam in lams:
+            h_closed = _mesh(n, m, lams, rs)[0]
+            for lam, h in zip(lams, h_closed):
                 bound = qfi.qfi_upper_bound(lam, m)
-                for r in rs:
-                    h = protocol.qfi_correlated(protocol.ProtocolPoint(n, m, r, lam))
-                    h_ind = qfi.qfi_independent_opt(r, lam, m)
-                    worst = max(worst, h - bound, h_ind - bound)
+                h_ind = qfi.qfi_independent_opt(rs, lam, m)
+                worst = max(worst, float(np.max(h)) - bound, float(np.max(h_ind)) - bound)
     pure_err = 0.0
     for m in (1, 2, 3):
         for lam in lams:
@@ -77,23 +81,23 @@ def suite_weight_inequalities(n_max: int = 8) -> SuiteResult:
     worst = 0.0  # most negative margin observed, as a positive number
     rs = [round(0.02 * k, 10) for k in range(1, 50)]
     for n in range(2, n_max + 1):
-        for r in rs:
-            total_sum = 0.0
+        # sum_j C(n,j) diff^2/total is 2^(n+1) r^2 times the gain at lam = 1/2, m = 1
+        half_gain = protocol.qfi_and_gain(n, 1, np.array(rs), 0.5)[1].tolist()
+        for r, g in zip(rs, half_gain):
             for j in range(n + 1):
                 w = protocol.weight_pair(n, j, r)
                 if 2 * j != n:
                     margin = (w.diff / w.total) ** 2 - r * r
                     worst = max(worst, -margin)
                 worst = max(worst, 2.0 * (1.0 - r * r) ** (n - 1) - w.total)
-                total_sum += protocol._binom(n, j) * w.diff**2 / w.total
+            total_sum = 2.0 ** (n + 1) * r * r * g
             worst = max(worst, 2.0 ** (n + 1) * r * r - total_sum)
     floor_margin = math.inf
-    lams = [round(0.01 * k, 10) for k in range(0, 101)]
+    lams = np.array([round(0.01 * k, 10) for k in range(0, 101)])
     for n in range(2, n_max + 1):
         for r in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
-            for lam in lams:
-                g = protocol.gain(protocol.ProtocolPoint(n, 1, r, lam))
-                floor_margin = min(floor_margin, g - 1.0)
+            g = protocol.qfi_and_gain(n, 1, r, lams)[1]
+            floor_margin = min(floor_margin, float(np.min(g)) - 1.0)
     ok = worst <= 1e-12 and floor_margin > 0.0
     return SuiteResult(
         "weight-inequalities",
@@ -107,38 +111,26 @@ def suite_discord(step: float = 1e-4) -> SuiteResult:
     """Monotonicity of discord in both arguments, sign symmetry, and route
     equivalence between the generic and protocol closed forms."""
     grid = [round(0.05 * k, 10) for k in range(1, 20)]
+    r_col, mu_row = np.array(grid)[:, None], np.array(grid)
     worst_mono = 0.0
-    for r in grid:
-        for mu in grid:
-            up = correlations.discord_rmu(r, mu + step).Q
-            down = correlations.discord_rmu(r, mu - step).Q
-            worst_mono = max(worst_mono, down - up)
-            up = correlations.discord_rmu(r + step, mu).Q
-            down = correlations.discord_rmu(r - step, mu).Q
-            worst_mono = max(worst_mono, down - up)
+    for dr, dmu in ((0.0, step), (step, 0.0)):
+        up = correlations.discord_rmu(r_col + dr, mu_row + dmu).Q
+        down = correlations.discord_rmu(r_col - dr, mu_row - dmu).Q
+        worst_mono = max(worst_mono, float(np.max(down - up)))
     worst_sym = 0.0
     worst_route = 0.0
-    for r in grid:
-        for lam in (0.0, 0.1, 0.3, 0.5, 0.7, 0.95, 1.0):
-            for m in (1, 2, 3):
-                mu = (1.0 - 2.0 * lam) ** m
-                worst_sym = max(
-                    worst_sym,
-                    abs(
-                        correlations.discord_rmu(r, mu).Q
-                        - correlations.discord_rmu(r, -mu).Q
-                    ),
-                )
+    rs = np.array(grid)
+    for lam in (0.0, 0.1, 0.3, 0.5, 0.7, 0.95, 1.0):
+        for m in (1, 2, 3):
+            mu = (1.0 - 2.0 * lam) ** m
+            sym = correlations.discord_rmu(rs, mu).Q - correlations.discord_rmu(rs, -mu).Q
+            worst_sym = max(worst_sym, float(np.max(np.abs(sym))))
+            q_closed = correlations.discord_protocol(rs, lam, m).Q.tolist()
+            for r, q in zip(grid, q_closed):
                 coeffs = correlations.bell_diagonalize(
                     correlations.rho_final_two_qubit(r, lam, m)
                 )
-                worst_route = max(
-                    worst_route,
-                    abs(
-                        correlations.discord_xstate(coeffs).Q
-                        - correlations.discord_protocol(r, lam, m).Q
-                    ),
-                )
+                worst_route = max(worst_route, abs(correlations.discord_xstate(coeffs).Q - q))
     ok = worst_mono <= 0.0 and worst_sym < 1e-12 and worst_route < 1e-10
     return SuiteResult(
         "discord",
@@ -178,38 +170,47 @@ def suite_stationary() -> SuiteResult:
 
 
 def suite_separability() -> SuiteResult:
-    """PPT verdict flips across the closed-form threshold, and separable
-    points with gain above 1 exist."""
+    """PPT verdict flips across the closed-form threshold, separable points
+    with gain above 1 exist, and the closed-form partial-transpose
+    eigenvalue and verdict match the dense route at every dense point."""
     margin = 1e-6
     worst = 0.0
+    worst_route = 0.0
     found_separable_gain = False
     lams = [round(0.1 * k, 10) for k in range(0, 11)]
+
+    def dense_separable(r: float, lam: float, m: int) -> bool:
+        nonlocal worst_route
+        sep, min_eig = correlations.is_separable_ppt(
+            correlations.rho_final_two_qubit(r, lam, m)
+        )
+        sep_closed, min_eig_closed = correlations.ppt_closed_form(r, lam, m)
+        worst_route = max(worst_route, abs(min_eig - min_eig_closed))
+        if sep != sep_closed:
+            worst_route = math.inf
+        return sep
+
     for m in (1, 2, 3):
         for lam in lams:
             thr = correlations.separability_threshold(m, lam)
             if thr - margin > 0.0:
-                sep, _ = correlations.is_separable_ppt(
-                    correlations.rho_final_two_qubit(thr - margin, lam, m)
-                )
-                if not sep:
+                if not dense_separable(thr - margin, lam, m):
                     worst = max(worst, margin)
             if thr + margin < 1.0:
-                sep, _ = correlations.is_separable_ppt(
-                    correlations.rho_final_two_qubit(thr + margin, lam, m)
-                )
-                if sep:
+                if dense_separable(thr + margin, lam, m):
                     worst = max(worst, margin)
             if 0.0 < thr - margin and 0.0 < lam < 1.0 and m <= 2:
                 r = thr - margin
                 g = protocol.gain(protocol.ProtocolPoint(2, m, r, lam))
-                sep, _ = correlations.is_separable_ppt(
-                    correlations.rho_final_two_qubit(r, lam, m)
-                )
-                if sep and g > 1.0:
+                if dense_separable(r, lam, m) and g > 1.0:
                     found_separable_gain = True
-    ok = worst == 0.0 and found_separable_gain
+    ok = worst == 0.0 and found_separable_gain and worst_route < 1e-14
     return SuiteResult(
-        "separability", ok, worst, f"flip margin 1e-6, separable-with-gain {found_separable_gain}"
+        "separability",
+        ok,
+        max(worst, worst_route),
+        f"flip margin 1e-6, separable-with-gain {found_separable_gain}, "
+        f"routes {worst_route:.2e}",
     )
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from paulifish import channels, linop, qfi
@@ -25,3 +27,34 @@ def block_route_sld(n, r, lam, m):
         )
         rhos.append(linop.embed_two_level(a, b.x, big_n - b.x, 2**n))
     return qfi.sld_block_sum(parts, rhos=rhos)
+
+
+def mp_correlated_reference(n, r, ms, lams, dps=80):
+    """Correlated Fisher information and gain from the defining j-sum in
+    mpmath, as {(m, lam): (H, gain)} for one (n, r).
+
+    The sum is taken term by term in its textbook form,
+    C(n,j) diff^2 total / (total^2 - nu^m diff^2). Its denominator cancels
+    about n log10(1/(1-r^2)) digits as r -> 1, so the working precision is
+    raised by that much to keep dps digits in the result.
+    """
+    import mpmath
+
+    extra = int(n * -math.log10((1.0 - r) * (1.0 + r))) + n
+    out = {}
+    with mpmath.workdps(dps + extra):
+        r_ = mpmath.mpf(r)
+        pairs = []
+        for j in range(n + 1):
+            a = (1 + r_) ** j * (1 - r_) ** (n - j)
+            b = (1 + r_) ** (n - j) * (1 - r_) ** j
+            pairs.append((mpmath.binomial(n, j), a - b, a + b))
+        for m in ms:
+            for lam in lams:
+                nu = (1 - 2 * mpmath.mpf(lam)) ** 2
+                s = sum(c * d**2 * t / (t**2 - nu**m * d**2) for c, d, t in pairs)
+                pre = m * nu ** (m - 1)
+                h = m * pre * s / mpmath.mpf(2) ** (n - 1)
+                g = pre * (1 - nu * r_**2) * s / (mpmath.mpf(2) ** (n + 1) * r_**2)
+                out[m, lam] = (+h, +g)
+    return out

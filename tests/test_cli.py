@@ -55,6 +55,33 @@ class TestQfiCommand:
         assert float(fields["gain"]) == pytest.approx(protocol.gain(point), rel=1e-10)
 
 
+    def test_near_pure_many_qubits_matches_reference(self, capsys):
+        # (1-r)**n and (1-r**2)**n underflow here; the log-domain kernel does not
+        from conftest import mp_correlated_reference
+
+        n, m, r, lam = 40, 1, 0.999999999, 0.1
+        code, out, err = run_cli(
+            ["qfi", "--n", str(n), "--m", str(m), "--r", str(r), "--lambda", str(lam)],
+            capsys,
+        )
+        assert code == 0, err
+        fields = parse_fields(out.strip())
+        h_ref, g_ref = mp_correlated_reference(n, r, [m], [lam])[m, lam]
+        assert float(fields["H_corr"]) == pytest.approx(float(h_ref), rel=1e-10)
+        assert float(fields["gain"]) == pytest.approx(float(g_ref), rel=1e-10)
+        assert float(fields["H_ind"]) == pytest.approx(float(h_ref / g_ref), rel=1e-10)
+
+    def test_unrepresentable_value_exits_2(self, capsys):
+        # the true H_corr and gain are about 1e-462 and 1e-464, below the float64 range
+        code, out, err = run_cli(
+            ["qfi", "--n", "64", "--m", "64", "--r", "0.5", "--lambda", "0.4999"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "float64 range" in err
+        assert "Traceback" not in err
+
+
 class TestSweepCommand:
     def test_header_order_and_shape(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.csv"
@@ -135,6 +162,35 @@ class TestSweepCommand:
                 assert row["discord"] == ""
                 assert row["min_pt_eig"] == ""
                 assert row["separable"] == ""
+
+    def test_two_qubit_sweep_builds_no_dense_state(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense route used in a sweep")
+
+        for name in ("is_separable_ppt", "rho_final_two_qubit", "bell_diagonalize"):
+            monkeypatch.setattr(correlations, name, forbidden)
+        for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        out_path = tmp_path / "pair.csv"
+        code, _, err = run_cli(["sweep", "--n", "2", "--m", "2", "--out", str(out_path)], capsys)
+        assert code == 0, err
+        assert len(out_path.read_text().splitlines()) == 1 + 19 * 21
+
+    def test_half_strength_repeats_give_exact_zeros(self, tmp_path, capsys):
+        out_path = tmp_path / "half.csv"
+        code, _, _ = run_cli(
+            ["sweep", "--n", "2", "--m", "2", "--lambda-min", "0.5", "--lambda-max", "0.5",
+             "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0
+        with open(out_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 21
+        for row in rows:
+            assert row["gain"] == "0"
+            if 0.0 < float(row["r"]) < 1.0:
+                assert row["H_corr"] == "0"
 
     def test_degenerate_range_writes_header_only(self, tmp_path, capsys):
         out_path = tmp_path / "empty.csv"

@@ -119,6 +119,46 @@ class TestSeparability:
             correlations.is_separable_ppt(np.eye(4))
 
 
+class TestClosedFormPpt:
+    R_GRID = np.round(np.arange(0.0, 1.0, 0.01), 10)  # 0 .. 0.99
+    LAM_GRID = np.round(np.linspace(0.0, 1.0, 21), 10)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_dense_route(self, m):
+        for lam in self.LAM_GRID:
+            sep, min_eig = correlations.ppt_closed_form(self.R_GRID, lam, m)
+            for r, s, e in zip(self.R_GRID, sep, min_eig):
+                sep_dense, eig_dense = correlations.is_separable_ppt(
+                    correlations.rho_final_two_qubit(r, lam, m)
+                )
+                assert e == pytest.approx(eig_dense, abs=1e-14), (r, lam, m)
+                assert s == sep_dense, (r, lam, m)
+
+    def test_scalar_call_returns_plain_values(self):
+        sep, min_eig = correlations.ppt_closed_form(0.5, 0.2, 1)
+        assert sep is True and isinstance(min_eig, float)
+        assert min_eig == pytest.approx((1 - 0.25 - 2 * 0.5 * 0.6) / 4, abs=1e-16)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_zero_crossing_is_the_threshold(self, m):
+        for lam in self.LAM_GRID:
+            thr = correlations.separability_threshold(m, lam)
+            if thr >= 1.0:  # lam = 1/2: separable for every r < 1
+                continue
+            assert correlations.ppt_closed_form(thr, lam, m)[1] == pytest.approx(0.0, abs=1e-16)
+            below = correlations.ppt_closed_form(np.nextafter(thr, 0.0) - 1e-12, lam, m)[1]
+            above = correlations.ppt_closed_form(thr + 1e-12, lam, m)[1]
+            assert below > 0.0 > above
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="polarization"):
+            correlations.ppt_closed_form(np.array([0.5, 1.0]), 0.2, 1)
+        with pytest.raises(ValueError, match="strength"):
+            correlations.ppt_closed_form(0.5, 1.2, 1)
+        with pytest.raises(ValueError, match="invocation"):
+            correlations.ppt_closed_form(0.5, 0.2, 0)
+
+
 class TestBellDiagonalization:
     def test_unpolarized_gives_zero_coefficients(self):
         coeffs = correlations.bell_diagonalize(np.eye(4) / 4)
@@ -208,6 +248,46 @@ class TestDiscordClosedForms:
         assert correlations.discord_prep(1.0) == pytest.approx(1.0)
         grid = [correlations.discord_prep(r) for r in np.linspace(0.0, 1.0, 41)]
         assert all(b > a for a, b in zip(grid, grid[1:]))
+
+
+class TestBroadcastDiscord:
+    GRID = [round(0.05 * k, 10) for k in range(1, 20)]  # the verify discord grid
+
+    def test_array_call_equals_scalar_calls(self):
+        r_col, mu_row = np.array(self.GRID)[:, None], np.array(self.GRID)
+        for mu_shift in (0.0, 1e-4, -1e-4):
+            rep = correlations.discord_rmu(r_col, mu_row + mu_shift)
+            assert rep.Q.shape == (19, 19)
+            for a, r in enumerate(self.GRID):
+                for b, mu in enumerate(self.GRID):
+                    one = correlations.discord_rmu(r, mu + mu_shift)
+                    assert isinstance(one.Q, float)
+                    assert rep.Q[a, b] == pytest.approx(one.Q, rel=1e-15, abs=1e-17)
+                    assert rep.c[a, b] == one.c
+                    for v, w in zip(rep.lambdas, one.lambdas):
+                        assert v[a, b] == w
+
+    def test_protocol_form_broadcasts_in_polarization(self):
+        rs = np.array(self.GRID)
+        for lam in (0.0, 0.1, 0.3, 0.5, 0.7, 0.95, 1.0):
+            for m in (1, 2, 3):
+                q = correlations.discord_protocol(rs, lam, m).Q
+                for r, qa in zip(self.GRID, q):
+                    assert qa == pytest.approx(
+                        correlations.discord_protocol(r, lam, m).Q, rel=1e-15, abs=1e-17
+                    )
+
+    def test_negative_combination_still_raises(self):
+        with pytest.raises(ValueError, match="negative"):
+            correlations.discord_xstate(correlations.BellDiagonalCoeffs(0.9, 0.9, 0.9))
+        # for valid (r, mu) every combination is >= 0, so the array check is
+        # exercised directly: one bad element rejects the whole call
+        with pytest.raises(ValueError, match="-0.001 is negative"):
+            correlations._clamped(np.array([[0.5, 0.2], [-1e-3, 0.0]]))
+        with pytest.raises(ValueError, match="polarization"):
+            correlations.discord_rmu(np.array([0.5, 1.5]), 0.3)
+        with pytest.raises(ValueError, match="off-diagonal"):
+            correlations.discord_rmu(0.5, np.array([0.3, -1.1]))
 
 
 class TestDiscordGainInterplay:

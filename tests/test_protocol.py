@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -116,6 +117,78 @@ class TestGain:
                 for lam in np.arange(0.0, 1.005, 0.01):
                     g = protocol.gain(protocol.ProtocolPoint(n, 1, r, lam))
                     assert g > 1.0
+
+
+class TestHighPrecisionReference:
+    """The kernel against the defining j-sum at 80 digits, over the whole
+    accepted domain: tiny and near-pure polarizations, strengths at and
+    next to 0, 1/2 and 1, and n up to the analytic cap."""
+
+    RS = (1e-12, 1e-6, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 1e-9)
+    LAMS = (0.0, 1e-12, 1e-3, 0.3, 0.5 - 1e-4, 0.5 + 1e-4, 0.7, 1 - 1e-9)
+    TINY, HUGE = sys.float_info.min, sys.float_info.max
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 40, 64])
+    def test_relative_error_or_range_error(self, n):
+        from conftest import mp_correlated_reference
+
+        ms = sorted({1, 2, min(3, n), n})
+        checked = raised = 0
+        for r in self.RS:
+            ref = mp_correlated_reference(n, r, ms, self.LAMS)
+            for (m, lam), (h, g) in ref.items():
+                point = protocol.ProtocolPoint(n, m, r, lam)
+                for fn, want in ((protocol.qfi_correlated, h), (protocol.gain, g)):
+                    if want != 0 and not self.TINY <= abs(want) <= self.HUGE:
+                        with pytest.raises(ValueError, match="float64 range"):
+                            fn(point)
+                        raised += 1
+                        continue
+                    got = fn(point)
+                    assert abs(got - want) <= 1e-10 * abs(want), (fn.__name__, m, r, lam, got)
+                    checked += 1
+        assert checked > 0
+        # only the largest n takes (1-2 lam)^(2m-2) out of range near lam = 1/2
+        assert (raised > 0) == (n >= 40)
+
+    def test_grid_form_matches_scalar_wrappers(self):
+        rs = np.array([1e-9, 0.05, 0.5, 0.95, 0.99])
+        lams = np.array([0.0, 0.2, 0.5, 0.8, 1.0])[:, None]
+        for n, m in [(2, 1), (3, 2), (6, 6), (64, 1)]:
+            h, g = protocol.qfi_and_gain(n, m, rs, lams)
+            assert h.shape == g.shape == (5, 5)
+            for a, lam in enumerate(lams[:, 0]):
+                for b, r in enumerate(rs):
+                    point = protocol.ProtocolPoint(n, m, float(r), float(lam))
+                    assert h[a, b] == pytest.approx(protocol.qfi_correlated(point), rel=1e-14)
+                    assert g[a, b] == pytest.approx(protocol.gain(point), rel=1e-14)
+
+    def test_grid_form_validates(self):
+        with pytest.raises(ValueError, match="polarization"):
+            protocol.qfi_and_gain(2, 1, np.array([0.0, 0.5]), 0.3)
+        with pytest.raises(ValueError, match="strength"):
+            protocol.qfi_and_gain(2, 1, 0.5, np.array([0.3, 1.5]))
+        with pytest.raises(ValueError, match="1..2"):
+            protocol.qfi_and_gain(2, 3, 0.5, 0.3)
+
+    def test_subnormal_result_raises(self):
+        # true H ~ 2e-314 and gain ~ 3e-316: representable only as subnormals
+        from conftest import mp_correlated_reference
+
+        h, g = mp_correlated_reference(64, 0.5, [64], [0.4985])[64, 0.4985]
+        assert 0 < g < h < self.TINY
+        point = protocol.ProtocolPoint(64, 64, 0.5, 0.4985)
+        for fn in (protocol.qfi_correlated, protocol.gain):
+            with pytest.raises(ValueError, match="float64 range"):
+                fn(point)
+
+    def test_exact_zeros_stay_zero(self):
+        for n in (2, 5, 64):
+            assert protocol.qfi_correlated(protocol.ProtocolPoint(n, 1, 0.0, 0.3)) == 0.0
+            assert protocol.qfi_correlated(protocol.ProtocolPoint(n, 2, 0.4, 0.5)) == 0.0
+            assert protocol.gain(protocol.ProtocolPoint(n, n, 0.4, 0.5)) == 0.0
+            # one invocation keeps nu^(m-1) = 1 at lam = 1/2
+            assert protocol.gain(protocol.ProtocolPoint(n, 1, 0.4, 0.5)) > 1.0
 
 
 class TestGainExtremes:

@@ -209,6 +209,17 @@ class TestSingleUseClosedForms:
         assert qfi.qfi_independent_opt(0.0, 0.3, 5) == 0.0
         assert qfi.qfi_independent_opt(0.5, 0.5, 3) == pytest.approx(3.0, rel=1e-12)
 
+    def test_independent_optimum_broadcasts_in_polarization(self):
+        rs = np.linspace(0.0, 1.0, 21)
+        for lam in (0.1, 0.5, 0.9):
+            h = qfi.qfi_independent_opt(rs, lam, 3)
+            assert h.shape == rs.shape
+            assert h.tolist() == [qfi.qfi_independent_opt(r, lam, 3) for r in rs.tolist()]
+        with pytest.raises(ValueError, match="pure"):
+            qfi.qfi_independent_opt(rs, 0.0, 1)
+        with pytest.raises(ValueError, match="polarization"):
+            qfi.qfi_independent_opt(np.array([0.5, 1.5]), 0.3, 1)
+
     def test_independent_optimum_is_m_times_single_use(self):
         for r in (0.2, 0.6, 0.9):
             for lam in (0.1, 0.4, 0.8):
