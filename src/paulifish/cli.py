@@ -69,7 +69,7 @@ def sweep_rows(
             disc = correlations.discord_protocol(rs[below_one], lam, m).Q
             sep, min_eig = correlations.ppt_closed_form(rs[below_one], lam, m)
             diag = iter(
-                f"{d:.12g},{e:.12g},{'true' if s else 'false'}"
+                f"{_fmt(d)},{_fmt(e)},{'true' if s else 'false'}"
                 for d, e, s in zip(disc.tolist(), min_eig.tolist(), sep.tolist())
             )
             tails = [next(diag) if b else ",," for b in below_one.tolist()]
@@ -77,7 +77,7 @@ def sweep_rows(
         for head, hi, hc, gg, tail in zip(
             heads, h_ind.tolist(), h_corr.tolist(), g.tolist(), tails
         ):
-            rows.append(f"{head}{lam_s},{hi:.12g},{hc:.12g},{gg:.12g},{tail}")
+            rows.append(f"{head}{lam_s},{_fmt(hi)},{_fmt(hc)},{_fmt(gg)},{tail}")
     return rows
 
 

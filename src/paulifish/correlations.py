@@ -93,13 +93,14 @@ def separability_threshold(m: int, lam: float) -> float:
     return math.sqrt(mu * mu + 1.0) - mu
 
 
-def ppt_closed_form(r, lam: float, m: int, tol: float = PPT_TOL):
+def ppt_closed_form(r, lam: float, m: int):
     """Closed-form PPT test of the post-channel two-qubit state.
 
     The partial transpose's minimum eigenvalue is (1 - r^2 - 2 r |mu|)/4
     with mu = (1-2 lam)**m; its zero is separability_threshold(m, lam).
-    Returns (verdict, minimum eigenvalue) like is_separable_ppt, as arrays
-    when r is one. For two qubits PPT is exact (Peres; Horodecki).
+    Returns (verdict against PPT_TOL, minimum eigenvalue) like
+    is_separable_ppt, as arrays when r is one. For two qubits PPT is exact
+    (Peres; Horodecki).
     """
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
@@ -111,9 +112,7 @@ def ppt_closed_form(r, lam: float, m: int, tol: float = PPT_TOL):
         raise ValueError(f"polarization must lie in [0, 1), got {r[~ok].flat[0]}")
     mu = abs((1.0 - 2.0 * lam) ** m)
     min_eig = ((1.0 - r) * (1.0 + r) - 2.0 * r * mu) / 4.0
-    if min_eig.ndim == 0:
-        return bool(min_eig >= -tol), float(min_eig)
-    return min_eig >= -tol, min_eig
+    return linop.scalar_or_array(min_eig >= -PPT_TOL), linop.scalar_or_array(min_eig)
 
 
 _PAULIS = None
@@ -171,10 +170,6 @@ def bell_diagonalize(rho: np.ndarray) -> BellDiagonalCoeffs:
     )
 
 
-def _scalar_or_array(v: np.ndarray):
-    return float(v) if v.ndim == 0 else v
-
-
 def _clamped(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if (v < -1e-10).any():
@@ -191,9 +186,9 @@ def _report(lambdas: np.ndarray, c: np.ndarray) -> DiscordReport:
     if (q < -1e-9).any():
         raise ValueError(f"discord came out negative ({q.min()}): invalid coefficients")
     return DiscordReport(
-        Q=_scalar_or_array(np.maximum(q, 0.0)),
-        c=_scalar_or_array(c),
-        lambdas=tuple(_scalar_or_array(v) for v in lambdas),
+        Q=linop.scalar_or_array(np.maximum(q, 0.0)),
+        c=linop.scalar_or_array(c),
+        lambdas=tuple(linop.scalar_or_array(v) for v in lambdas),
     )
 
 

@@ -26,6 +26,12 @@ class DimensionError(ValueError):
     """Operator shape is not a power-of-two square within the dense cap."""
 
 
+def scalar_or_array(v: np.ndarray):
+    """A Python scalar for a 0-d array, the array itself otherwise: the
+    return convention of the functions that broadcast over their inputs."""
+    return v.item() if v.ndim == 0 else v
+
+
 def _as_operator(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -12,13 +12,14 @@ nu**(m-1) is 1 when m = 1 even at lam = 1/2 (continuity).
 The Fisher information and the gain share one j-sum over bit-complement
 weight pairs. It is evaluated once, in the log domain and broadcast over
 (j, r, lam), by ``_log_qfi_gain``; ``qfi_correlated``, ``gain``,
-``gain_min``, ``gain_max`` and the grid form ``qfi_and_gain`` wrap it. A
-true value that is nonzero but outside the float64 range raises ValueError.
+``gain_min``, ``gain_max`` and the grid form ``qfi_and_gain`` wrap it. In
+the scalar wrappers a true value that is nonzero but outside the normal
+float64 range raises ValueError; the grid form returns it as the plain
+exponential (a subnormal or 0).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -98,19 +99,6 @@ def _validate_nm(n: int, m: int) -> None:
         raise ValueError(f"invocations m={m} must lie in 1..{n}")
 
 
-@functools.lru_cache(maxsize=None)
-def _j_tables(n: int, ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-index columns of the j-sum, |n-2j|, min(j, n-j) and log C(n, j),
-    shaped to broadcast against ndim-dimensional (r, lam) arrays."""
-    j = np.arange(n + 1)
-    log_binom = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in j]
-    shape = (n + 1,) + (1,) * ndim
-    tables = (np.abs(n - 2 * j), np.minimum(j, n - j), np.array(log_binom))
-    for t in tables:
-        t.flags.writeable = False  # shared by every caller through the cache
-    return tuple(t.reshape(shape) for t in tables)
-
-
 def _log_qfi_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
     """Natural logs of the correlated Fisher information and of the gain,
     broadcast over r and lam, from one log-domain j-sum; -inf is an exact 0.
@@ -124,7 +112,12 @@ def _log_qfi_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
     cancellation (expm1, log1p, and (1-r)(1+r) + 4 lam(1-lam) r^2).
     """
     r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
-    k, lo, log_binom = _j_tables(n, max(r.ndim, lam.ndim))
+    # per-index columns |n-2j|, min(j, n-j) and log C(n, j), broadcast against (r, lam)
+    j = np.arange(n + 1).reshape((n + 1,) + (1,) * max(r.ndim, lam.ndim))
+    k, lo = np.abs(n - 2 * j), np.minimum(j, n - j)
+    log_binom = np.array(
+        [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1)]
+    ).reshape(j.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         log1p_r, log1m_r = np.log1p(r), np.log1p(-r)
         log_pure = log1m_r + log1p_r  # log(1 - r^2)
@@ -166,7 +159,12 @@ def _exp_checked(log_v: np.ndarray, what: str) -> np.ndarray:
 
 def qfi_and_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
     """Correlated Fisher information and gain on a grid: r in (0, 1) and lam
-    in [0, 1] broadcast against each other, one j-sum for both."""
+    in [0, 1] broadcast against each other, one j-sum for both.
+
+    Unlike the scalar wrappers, a value below the normal float64 range comes
+    back as a subnormal or 0 instead of raising, so one such cell does not
+    discard a whole grid.
+    """
     _validate_nm(n, m)
     r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
     ok_r, ok_lam = (r > 0.0) & (r < 1.0), (lam >= 0.0) & (lam <= 1.0)
@@ -175,7 +173,7 @@ def qfi_and_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
     if not ok_lam.all():
         raise ValueError(f"channel strength must lie in [0, 1], got {lam[~ok_lam].flat[0]}")
     log_h, log_g = _log_qfi_gain(n, m, r, lam)
-    return _exp_checked(log_h, "Fisher information"), _exp_checked(log_g, "gain")
+    return np.exp(log_h), np.exp(log_g)
 
 
 def qfi_correlated(p: ProtocolPoint) -> float:

@@ -178,7 +178,7 @@ def qfi_independent_opt(r, lam: float, m: int):
         raise ValueError(f"invocation count must be >= 1, got {m}")
     _reject_pure_corner(r.max(initial=0.0), lam)
     h = 4.0 * r * r * m / (1.0 - (1.0 - 2.0 * lam) ** 2 * r * r)
-    return float(h) if h.ndim == 0 else h
+    return linop.scalar_or_array(h)
 
 
 def qfi_upper_bound(lam: float, m: int) -> float:

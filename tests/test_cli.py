@@ -192,6 +192,37 @@ class TestSweepCommand:
             if 0.0 < float(row["r"]) < 1.0:
                 assert row["H_corr"] == "0"
 
+    def test_sweep_keeps_cells_below_float64_range(self, tmp_path, capsys):
+        # near lam = 1/2 at n = m = 64 the true H_corr and gain fall below the
+        # normal float64 range; the sweep writes them (0 or subnormal) and goes on
+        from conftest import mp_correlated_reference
+
+        out_path = tmp_path / "deep.csv"
+        code, _, err = run_cli(
+            ["sweep", "--n", "64", "--m", "64", "--lambda-min", "0.498",
+             "--lambda-max", "0.5", "--lambda-step", "0.001", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 0, err
+        with open(out_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * 21
+        tiny = np.finfo(float).tiny
+        below = 0
+        for row in rows:
+            r, lam = float(row["r"]), float(row["lambda"])
+            if not 0.0 < r < 1.0:
+                continue
+            h_ref, g_ref = mp_correlated_reference(64, r, [64], [lam])[64, lam]
+            for col, want in (("H_corr", h_ref), ("gain", g_ref)):
+                got = float(row[col])
+                if want < tiny:
+                    assert 0.0 <= got < tiny, (col, r, lam, got)
+                    below += 1
+                else:
+                    assert got == pytest.approx(float(want), rel=1e-10), (col, r, lam)
+        assert below > 0
+
     def test_degenerate_range_writes_header_only(self, tmp_path, capsys):
         out_path = tmp_path / "empty.csv"
         code, _, _ = run_cli(
