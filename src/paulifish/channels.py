@@ -3,7 +3,8 @@
 Covers the channel map rho -> (1-lam) rho + lam s_n rho s_n, its two-qubit
 coin-toss dilation, the preparatory unitary (pairwise controlled-Z then a
 Hadamard on every qubit), and the splitting of the prepared state into
-two-dimensional blocks spanned by |x> and |N-x|.
+two-dimensional blocks spanned by |x> and |N-x>, either as ``BlockPair``
+records or, broadcast over (r, lam) grids, as stacked 2x2 arrays.
 """
 
 from __future__ import annotations
@@ -101,10 +102,14 @@ def extended_channel_state(rho_channel: np.ndarray, lam: float) -> np.ndarray:
 # Preparatory unitary
 
 
+def _popcount(x: np.ndarray, n: int) -> np.ndarray:
+    """Number of set bits among the n lowest bits of each entry of x."""
+    return sum((x >> k) & 1 for k in range(n))
+
+
 def _pair_phases(n: int) -> np.ndarray:
     # (-1)**s with s = number of bit pairs both set = C(popcount, 2)
-    d = 2**n
-    pc = np.array([bin(z).count("1") for z in range(d)])
+    pc = _popcount(np.arange(2**n), n)
     return np.where((pc * (pc - 1) // 2) % 2, -1.0, 1.0)
 
 
@@ -124,14 +129,30 @@ def preparation_unitary(n: int) -> np.ndarray:
 # Block decomposition of the prepared and post-channel states
 
 
-def bitstring_weight(x: int, n: int, r: float) -> float:
-    """Probability weight (1+r)**j (1-r)**(n-j) / 2**n, j = zero bits of x."""
-    if not 0 <= x <= 2**n - 1:
-        raise ValueError(f"x={x} out of range for {n} qubits")
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"polarization must lie in [0, 1), got {r}")
-    j = n - bin(x).count("1")
-    return (1.0 + r) ** j * (1.0 - r) ** (n - j) / 2**n
+def bitstring_weight(x, n: int, r):
+    """Probability weight (1+r)**j (1-r)**(n-j) / 2**n, j = zero bits of x.
+
+    x and r broadcast against each other (a float comes back for scalars).
+    """
+    x, r = np.asarray(x), np.asarray(r, dtype=float)
+    bad_x = (x < 0) | (x > 2**n - 1)
+    if bad_x.any():
+        raise ValueError(f"x={x[bad_x].flat[0]} out of range for {n} qubits")
+    ok_r = (r >= 0.0) & (r < 1.0)
+    if not ok_r.all():
+        raise ValueError(f"polarization must lie in [0, 1), got {r[~ok_r].flat[0]}")
+    j = n - _popcount(x, n)
+    return linop.scalar_or_array((1.0 + r) ** j * (1.0 - r) ** (n - j) / 2**n)
+
+
+def _block_weights(n: int, r) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal weights (f(x) +- f(N-x))/2 of the blocks
+    x = 0 .. 2^(n-1)-1, on a trailing axis after the shape of r."""
+    x = np.arange(2 ** (n - 1))
+    r = np.asarray(r, dtype=float)[..., None, None]
+    f = bitstring_weight(np.stack([x, 2**n - 1 - x]), n, r)
+    fx, fnx = f[..., 0, :], f[..., 1, :]
+    return (fx + fnx) / 2, (fx - fnx) / 2
 
 
 @dataclass(frozen=True)
@@ -157,12 +178,10 @@ def prepared_state_blocks(n: int, r: float) -> list[BlockPair]:
         raise ValueError(f"preparation needs at least 2 qubits, got {n}")
     if not 0.0 <= r < 1.0:
         raise ValueError(f"polarization must lie in [0, 1), got {r}")
-    big_n = 2**n - 1
-    blocks = []
-    for x in range((big_n - 1) // 2 + 1):
-        fx, fnx = bitstring_weight(x, n, r), bitstring_weight(big_n - x, n, r)
-        blocks.append(BlockPair(x, (fx + fnx) / 2, (fx - fnx) / 2, 1.0))
-    return blocks
+    diag, off = _block_weights(n, r)
+    return [
+        BlockPair(x, d, o, 1.0) for x, (d, o) in enumerate(zip(diag.tolist(), off.tolist()))
+    ]
 
 
 def _blocks_n(blocks: Sequence[BlockPair]) -> int:
@@ -205,22 +224,55 @@ def blocks_to_dense(blocks: Sequence[BlockPair]) -> np.ndarray:
     return out
 
 
-def correlated_state(
-    n: int, r: float, lam: float, m: int
-) -> tuple[np.ndarray, np.ndarray]:
+def correlated_blocks(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Post-channel state of the correlated protocol and its lam-derivative,
+    block by block, without the dense matrix.
+
+    r and lam broadcast against each other; both returned arrays have shape
+    broadcast(r, lam) + (2^(n-1), 2, 2). In the basis (|x>, |N-x>) block x is
+
+        rho_x  = [[d, i o s], [-i o s, d]],    s  = (1-2 lam)**m
+        drho_x = [[0, i o s'], [-i o s', 0]],  s' = -2m (1-2 lam)**(m-1)
+
+    with the weights d, o of prepared_state_blocks. Only the off-diagonals
+    depend on lam.
+    """
+    if n < 2:
+        raise ValueError(f"preparation needs at least 2 qubits, got {n}")
+    if not 1 <= m <= n:
+        raise ValueError(f"invocation count m={m} must lie in 1..{n}")
+    lam = np.asarray(lam, dtype=float)
+    ok = (lam >= 0.0) & (lam <= 1.0)
+    if not ok.all():
+        raise ValueError(f"channel strength must lie in [0, 1], got {lam[~ok].flat[0]}")
+    r, lam = np.broadcast_arrays(np.asarray(r, dtype=float), lam)
+    diag, off = _block_weights(n, r)
+    c = 1.0 - 2.0 * lam[..., None]
+    scale, dscale = c**m, -2.0 * m * c ** (m - 1)
+    rho = np.zeros(diag.shape + (2, 2), dtype=complex)
+    drho = np.zeros_like(rho)
+    rho[..., 0, 0] = rho[..., 1, 1] = diag
+    rho[..., 0, 1] = 1j * off * scale
+    rho[..., 1, 0] = -rho[..., 0, 1]
+    drho[..., 0, 1] = 1j * off * dscale
+    drho[..., 1, 0] = -drho[..., 0, 1]
+    return rho, drho
+
+
+def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Dense post-channel state of the correlated protocol and its derivative.
 
-    Returns (rho, drho/dlam). Only the off-diagonals depend on lam, through
-    (1-2 lam)**m, whose derivative is -2m (1-2 lam)**(m-1).
+    Returns (rho, drho/dlam): the correlated_blocks scattered onto the basis
+    pairs (x, N-x). Grids of r and lam add leading axes, as there.
     """
-    blocks = prepared_state_blocks(n, r)
-    rho = blocks_to_dense(post_channel_blocks(blocks, lam, m))
-    dscale = -2.0 * m * (1.0 - 2.0 * lam) ** (m - 1)
-    d = 2**n
-    big_n = d - 1
-    drho = np.zeros((d, d), dtype=complex)
-    for b in blocks:
-        off = 1j * b.offdiag_weight * dscale
-        drho[b.x, big_n - b.x] += off
-        drho[big_n - b.x, b.x] -= off
-    return rho, drho
+    if 2**n > DIM_CAP:
+        raise linop.DimensionError(f"2**{n} exceeds the dense cap {DIM_CAP}")
+    x = np.arange(2 ** (n - 1))
+    pair = np.stack([x, 2**n - 1 - x], axis=-1)
+    rows, cols = pair[:, :, None], pair[:, None, :]
+    dense = []
+    for blocks in correlated_blocks(n, r, lam, m):
+        out = np.zeros(blocks.shape[:-3] + (2**n, 2**n), dtype=complex)
+        out[..., rows, cols] = blocks
+        dense.append(out)
+    return dense[0], dense[1]

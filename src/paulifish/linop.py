@@ -1,6 +1,7 @@
 """Dense complex operator algebra on registers of qubits.
 
-Operators are plain ``numpy`` arrays of shape ``(d, d)`` with ``d = 2**k``.
+Operators are plain ``numpy`` arrays of shape ``(d, d)`` with ``d = 2**k``;
+``dagger`` and ``hermitian_eig`` also take stacks of shape ``(..., d, d)``.
 Qubits are numbered 1..n with qubit 1 the least significant bit of the
 basis index, so ``tensor([a, b])`` places ``b`` on qubit 1.
 """
@@ -32,11 +33,12 @@ def scalar_or_array(v: np.ndarray):
     return v.item() if v.ndim == 0 else v
 
 
-def _as_operator(a) -> np.ndarray:
+def _as_operators(a) -> np.ndarray:
+    """A stack of operators, shape (..., d, d) with d a power of two within the cap."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    d = a.shape[0]
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected square matrices, got shape {a.shape}")
+    d = a.shape[-1]
     if d < 2 or d & (d - 1):
         raise DimensionError(f"dimension {d} is not a power of two >= 2")
     if d > DIM_CAP:
@@ -46,13 +48,21 @@ def _as_operator(a) -> np.ndarray:
     return a
 
 
+def _as_operator(a) -> np.ndarray:
+    a = _as_operators(a)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    return a
+
+
 def num_qubits(a: np.ndarray) -> int:
     """Number of qubits an operator acts on."""
     return int(_as_operator(a).shape[0]).bit_length() - 1
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(a).T)
+    """Conjugate transpose of an operator, or of each operator in a stack."""
+    return np.conj(np.swapaxes(np.asarray(a), -1, -2))
 
 
 def frobenius_max(a: np.ndarray) -> float:
@@ -245,10 +255,10 @@ def embed_two_level(op2: np.ndarray, i: int, j: int, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator, or of a stack of them.
 
-    ``eigenvalues`` is ascending; ``eigenvectors[:, k]`` belongs to
-    ``eigenvalues[k]`` and the columns are orthonormal.
+    ``eigenvalues[..., :]`` is ascending; ``eigenvectors[..., :, k]`` belongs
+    to ``eigenvalues[..., k]`` and the columns are orthonormal.
     """
 
     eigenvalues: np.ndarray
@@ -256,15 +266,16 @@ class Spectrum:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
+        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
 
 def hermitian_eig(a: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:
     """Eigendecompose a Hermitian operator, symmetrizing (A + A†)/2 first.
 
-    Raises if the anti-Hermitian part exceeds ``tol``.
+    ``a`` may be a stack (..., d, d); one batched solve covers all of it.
+    Raises if the anti-Hermitian part of any operator exceeds ``tol``.
     """
-    a = _as_operator(a)
+    a = _as_operators(a)
     dev = frobenius_max(a - dagger(a))
     if dev > tol:
         raise ValueError(f"operator is not Hermitian: max |A - A†| = {dev:.3e}")

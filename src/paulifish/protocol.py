@@ -229,7 +229,12 @@ def gain_limit_r0(n: int, m: int, lam: float) -> float:
 
 
 def gain_limit_r1(m: int, lam: float) -> float:
-    """Pure-state limit of the gain; identically 1 for one invocation."""
+    """Pure-state limit of the gain, m nu^(m-1) (1-nu) / (1-nu^m);
+    identically 1 for one invocation.
+
+    1-nu = 4 lam(1-lam) and 1-nu^m = -expm1(2m log1p(-2 min(lam, 1-lam)))
+    are formed without cancellation as lam -> 0 or 1.
+    """
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
     if not 0.0 <= lam <= 1.0:
@@ -240,8 +245,9 @@ def gain_limit_r1(m: int, lam: float) -> float:
         raise ValueError(
             "pure-state limit with lam in {0, 1} is outside the formula's domain"
         )
-    nu = (1.0 - 2.0 * lam) ** 2
-    return m * nu ** (m - 1) * (1.0 - nu) / (1.0 - nu**m)
+    a = min(lam, 1.0 - lam)
+    one_minus_nu_m = -math.expm1(2.0 * m * math.log1p(-2.0 * a)) if a < 0.5 else 1.0
+    return m * (1.0 - 2.0 * a) ** (2 * m - 2) * 4.0 * lam * (1.0 - lam) / one_minus_nu_m
 
 
 def gain_two_qubit(m: int, r: float, lam: float) -> float:

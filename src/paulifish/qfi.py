@@ -25,10 +25,11 @@ SUPPORT_TOL = linop.EIGENVALUE_ZERO_CUTOFF
 
 @dataclass(frozen=True)
 class SldResult:
-    """A score operator L and the Fisher information H = Tr(drho L)."""
+    """A score operator L and the Fisher information H = Tr(drho L); for a
+    stack of operators, one of each per operator."""
 
     L: np.ndarray
-    H: float
+    H: float | np.ndarray
 
 
 def _real_trace(a: np.ndarray) -> float:
@@ -100,9 +101,15 @@ def sld_eig(
     Pairs with p_i + p_j <= tol contribute nothing; if the derivative has
     weight above sqrt(tol) between two such null directions the Fisher
     information is ill-defined and this raises.
+
+    rho and drho may be stacks (..., d, d): one batched eigensolve covers
+    them, L keeps their shape and H is an array over the leading axes (a
+    float for a single operator).
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
+    if rho.shape != drho.shape:
+        raise ValueError(f"rho {rho.shape} and drho {drho.shape} differ in shape")
     dev = linop.frobenius_max(drho - linop.dagger(drho))
     if dev > 1e-9:
         raise ValueError(f"drho is not Hermitian: max deviation {dev:.3e}")
@@ -110,7 +117,7 @@ def sld_eig(
     p = spec.eigenvalues
     v = spec.eigenvectors
     m = linop.dagger(v) @ drho @ v
-    psum = p[:, None] + p[None, :]
+    psum = p[..., :, None] + p[..., None, :]
     included = psum > tol
     bad = ~included & (np.abs(m) > math.sqrt(tol))
     if np.any(bad):
@@ -121,8 +128,8 @@ def sld_eig(
         )
     l_eig = np.zeros_like(m)
     l_eig[included] = 2.0 * m[included] / psum[included]
-    h = float(np.sum(2.0 * np.abs(m[included]) ** 2 / psum[included]))
-    return SldResult(L=v @ l_eig @ linop.dagger(v), H=h)
+    h = np.sum((l_eig * m.conj()).real, axis=(-2, -1))
+    return SldResult(L=v @ l_eig @ linop.dagger(v), H=linop.scalar_or_array(h))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +174,9 @@ def qfi_single_use(v, lam: float) -> float:
 def qfi_independent_opt(r, lam: float, m: int):
     """Best independent-use Fisher information, 4 r^2 m / (1 - (1-2 lam)^2 r^2).
 
-    r may be an array (a float comes back for a scalar r).
+    The denominator is taken as (1-r)(1+r) + 4 lam(1-lam) r^2, which does
+    not cancel as r -> 1. r may be an array (a float comes back for a
+    scalar r).
     """
     lam = _check_lambda(lam)
     r = np.asarray(r, dtype=float)
@@ -177,7 +186,7 @@ def qfi_independent_opt(r, lam: float, m: int):
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
     _reject_pure_corner(r.max(initial=0.0), lam)
-    h = 4.0 * r * r * m / (1.0 - (1.0 - 2.0 * lam) ** 2 * r * r)
+    h = 4.0 * r * r * m / ((1.0 - r) * (1.0 + r) + 4.0 * lam * (1.0 - lam) * r * r)
     return linop.scalar_or_array(h)
 
 

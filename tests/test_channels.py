@@ -293,3 +293,51 @@ class TestBlocks:
         plus, _ = channels.correlated_state(n, r, lam + h, m)
         minus, _ = channels.correlated_state(n, r, lam - h, m)
         assert linop.frobenius_max(drho - (plus - minus) / (2 * h)) < 1e-6
+
+    def test_correlated_blocks_match_block_records(self):
+        n, m = 4, 3
+        rs, lams = np.array([0.0, 0.3, 0.8]), np.array([0.0, 0.2, 0.5, 1.0])[:, None]
+        rho, drho = channels.correlated_blocks(n, rs, lams, m)
+        assert rho.shape == drho.shape == (4, 3, 8, 2, 2)
+        for i, lam in enumerate(lams.ravel().tolist()):
+            for k, r in enumerate(rs.tolist()):
+                blocks = channels.post_channel_blocks(
+                    channels.prepared_state_blocks(n, r), lam, m
+                )
+                dscale = -2.0 * m * (1.0 - 2.0 * lam) ** (m - 1)
+                for b in blocks:
+                    off = 1j * b.offdiag_weight * b.offdiag_scale
+                    doff = 1j * b.offdiag_weight * dscale
+                    np.testing.assert_allclose(
+                        rho[i, k, b.x], [[b.diag_weight, off], [-off, b.diag_weight]],
+                        rtol=0.0, atol=1e-16,
+                    )
+                    np.testing.assert_allclose(
+                        drho[i, k, b.x], [[0.0, doff], [-doff, 0.0]], rtol=0.0, atol=1e-15
+                    )
+
+    def test_correlated_state_grid_matches_points(self):
+        rs, lams = np.array([0.1, 0.6]), np.array([0.3, 0.7])[:, None]
+        rho, drho = channels.correlated_state(3, rs, lams, 2)
+        assert rho.shape == drho.shape == (2, 2, 8, 8)
+        for i, lam in enumerate(lams.ravel().tolist()):
+            for k, r in enumerate(rs.tolist()):
+                one_rho, one_drho = channels.correlated_state(3, r, lam, 2)
+                np.testing.assert_array_equal(rho[i, k], one_rho)
+                np.testing.assert_array_equal(drho[i, k], one_drho)
+                dense = channels.blocks_to_dense(
+                    channels.post_channel_blocks(channels.prepared_state_blocks(3, r), lam, 2)
+                )
+                assert linop.frobenius_max(one_rho - dense) < 1e-16
+
+    def test_correlated_blocks_reject_bad_arguments(self):
+        with pytest.raises(ValueError, match="qubits"):
+            channels.correlated_blocks(1, 0.5, 0.2, 1)
+        with pytest.raises(ValueError, match="invocation"):
+            channels.correlated_blocks(3, 0.5, 0.2, 4)
+        with pytest.raises(ValueError, match="strength"):
+            channels.correlated_blocks(3, 0.5, np.array([0.2, 1.2]), 1)
+        with pytest.raises(ValueError, match="polarization"):
+            channels.correlated_blocks(3, np.array([0.5, 1.0]), 0.2, 1)
+        with pytest.raises(linop.DimensionError):
+            channels.correlated_state(13, 0.5, 0.2, 1)

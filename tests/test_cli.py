@@ -1,9 +1,10 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
-from paulifish import cli, correlations, mc, protocol, qfi
+from paulifish import channels, cli, correlations, mc, protocol, qfi
 
 
 def run_cli(args, capsys):
@@ -267,6 +268,55 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--suite", "oracle", "--n-max", "3"], capsys)
         assert code == 0
         assert out.startswith("PASS oracle")
+
+    @pytest.mark.parametrize("suite", [["--suite", "oracle"], []])
+    def test_eight_qubits_without_large_eigensolves(self, suite, monkeypatch, capsys):
+        # dense states only up to n = 4, so no eigensolve beyond 16 x 16
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+
+            def guarded(a, *args, _real=real, **kwargs):
+                assert np.shape(a)[-1] <= 16, np.shape(a)
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, guarded)
+        code, out, _ = run_cli(["verify", *suite, "--n-max", "8"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == (1 if suite else len(cli.verify.SUITES))
+        assert all(l.startswith("PASS") for l in lines)
+        assert "PASS oracle" in out and "(n<= 8, tol 1e-8)" in out
+
+    @pytest.mark.parametrize("n_max", ["1", "0", "-3", "13"])
+    def test_n_max_outside_range_exits_2_before_any_suite(self, n_max, capsys):
+        code, out, err = run_cli(["verify", "--n-max", n_max], capsys)
+        assert code == 2
+        assert out == ""
+        assert "2..12" in err
+
+    @pytest.mark.parametrize("route", ["closed", "blocks", "dense"])
+    def test_oracle_fails_on_a_scaled_route(self, route, monkeypatch, capsys):
+        # scale one route by 1 + 1e-7, past the suite's 1e-8 tolerance
+        if route == "closed":
+            real = protocol.qfi_and_gain
+
+            def scaled(*args):
+                h, g = real(*args)
+                return h * (1.0 + 1e-7), g
+
+            monkeypatch.setattr(protocol, "qfi_and_gain", scaled)
+        else:
+            name = "correlated_blocks" if route == "blocks" else "correlated_state"
+            real = getattr(channels, name)
+
+            def scaled(*args):
+                rho, drho = real(*args)
+                return rho, drho * math.sqrt(1.0 + 1e-7)
+
+            monkeypatch.setattr(channels, name, scaled)
+        code, out, _ = run_cli(["verify", "--suite", "oracle", "--n-max", "4"], capsys)
+        assert code == 1
+        assert out.startswith("FAIL oracle")
 
 
 class TestMcCommand:

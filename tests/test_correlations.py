@@ -189,6 +189,20 @@ class TestBellDiagonalization:
         with pytest.raises(ValueError, match="Bell-diagonal"):
             correlations.bell_diagonalize(rho)
 
+    @pytest.mark.parametrize(
+        "perturbation",
+        [
+            np.kron(np.diag([1.0, -1.0]), np.eye(2)) * 1e-3,  # a local Z term
+            np.kron(linop.sigma_x(), linop.sigma_z()) * 1e-3,  # an XZ correlation
+            np.eye(4) * 1e-3,  # the trace
+        ],
+    )
+    def test_each_residual_term_is_checked(self, perturbation):
+        rho = correlations.rho_final_two_qubit(0.5, 0.2, 1)
+        correlations.bell_diagonalize(rho)
+        with pytest.raises(ValueError, match="Bell-diagonal"):
+            correlations.bell_diagonalize(rho + perturbation)
+
 
 class TestDiscordClosedForms:
     def test_zero_coefficients_give_zero(self):

@@ -212,6 +212,26 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="not Hermitian"):
             linop.hermitian_eig(a)
 
+    def test_stack_matches_one_solve_per_operator(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([[random_hermitian(rng, 4) for _ in range(3)] for _ in range(2)])
+        spec = linop.hermitian_eig(stack)
+        assert spec.eigenvalues.shape == (2, 3, 4)
+        assert spec.eigenvectors.shape == (2, 3, 4, 4)
+        assert linop.frobenius_max(spec.reconstruct() - stack) < 1e-10
+        for i in range(2):
+            for k in range(3):
+                one = linop.hermitian_eig(stack[i, k])
+                np.testing.assert_allclose(spec.eigenvalues[i, k], one.eigenvalues, atol=1e-13)
+
+    def test_non_hermitian_member_of_a_stack_rejected(self):
+        stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
+        stack[1, 0, 1] = 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linop.hermitian_eig(stack)
+        with pytest.raises(linop.DimensionError):
+            linop.hermitian_eig(np.zeros((2, 3, 3)))
+
 
 class TestHelpers:
     def test_qubit_swap_commutes_qubits(self):

@@ -256,6 +256,19 @@ class TestGainLimits:
             g = protocol.gain(protocol.ProtocolPoint(n, m, 1.0 - 1e-6, lam))
             assert protocol.gain_limit_r1(m, lam) == pytest.approx(g, rel=1e-4)
 
+    def test_pure_limit_against_mpmath(self):
+        import mpmath
+
+        lams = [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9]
+        lams += [1.0 - lam for lam in lams[:4]]
+        with mpmath.workdps(60):
+            for m in (2, 3, 8):
+                for lam in lams:
+                    nu = (1 - 2 * mpmath.mpf(lam)) ** 2
+                    ref = m * nu ** (m - 1) * (1 - nu) / (1 - nu**m)
+                    got = protocol.gain_limit_r1(m, lam)
+                    assert abs(got - ref) <= 1e-13 * ref, (m, lam)
+
     def test_pure_limit_rejects_degenerate_corner(self):
         with pytest.raises(ValueError):
             protocol.gain_limit_r1(2, 0.0)

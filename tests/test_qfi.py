@@ -104,6 +104,34 @@ class TestSldEig:
         with pytest.raises(ValueError, match="Hermitian"):
             qfi.sld_eig(np.eye(2) / 2, bad)
 
+    def test_stack_matches_one_solve_per_operator(self):
+        rho, drho = channels.correlated_state(3, np.array([0.2, 0.5, 0.9]), 0.3, 2)
+        res = qfi.sld_eig(rho, drho)
+        assert res.L.shape == rho.shape and res.H.shape == (3,)
+        for k in range(3):
+            one = qfi.sld_eig(rho[k], drho[k])
+            assert res.H[k] == pytest.approx(one.H, rel=1e-14)
+            assert linop.frobenius_max(res.L[k] - one.L) < 1e-12
+            residual = drho[k] - (res.L[k] @ rho[k] + rho[k] @ res.L[k]) / 2
+            assert linop.frobenius_max(residual) < 1e-8
+
+    def test_ill_defined_member_of_a_stack_rejected(self):
+        good_rho, good_drho = np.eye(4) / 4, np.diag([0.1, -0.1, 0.0, 0.0])
+        bad_rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        bad_drho = np.zeros((4, 4), dtype=complex)
+        bad_drho[2, 3] = bad_drho[3, 2] = 0.5  # lives entirely outside the support
+        with pytest.raises(ValueError, match="ill-defined"):
+            qfi.sld_eig(np.stack([good_rho, bad_rho]), np.stack([good_drho, bad_drho]))
+        with pytest.raises(ValueError, match="ill-defined"):
+            qfi.sld_eig(
+                np.stack([good_rho[:2, :2], bad_rho[2:, 2:]]),
+                np.stack([good_drho[:2, :2], bad_drho[2:, 2:]]),
+            )
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            qfi.sld_eig(np.eye(4) / 4, np.zeros((2, 4, 4)))
+
 
 class TestSldBlockSum:
     def test_single_block_passthrough(self):
@@ -220,6 +248,18 @@ class TestSingleUseClosedForms:
         with pytest.raises(ValueError, match="polarization"):
             qfi.qfi_independent_opt(np.array([0.5, 1.5]), 0.3, 1)
 
+    def test_independent_optimum_against_mpmath(self):
+        import mpmath
+
+        with mpmath.workdps(60):
+            for r in (1.0 - 1e-9, 0.5):
+                for lam in (0.0, 1e-12, 0.3):
+                    for m in (1, 3):
+                        r_, lam_ = mpmath.mpf(r), mpmath.mpf(lam)
+                        ref = 4 * r_**2 * m / (1 - (1 - 2 * lam_) ** 2 * r_**2)
+                        got = qfi.qfi_independent_opt(r, lam, m)
+                        assert abs(got - ref) / ref <= 1e-13, (r, lam, m)
+
     def test_independent_optimum_is_m_times_single_use(self):
         for r in (0.2, 0.6, 0.9):
             for lam in (0.1, 0.4, 0.8):
@@ -259,6 +299,21 @@ class TestRouteEquivalence:
                     h_blocks = block_route_sld(n, r, lam, m).H
                     assert h_eig == pytest.approx(h_closed, rel=1e-8, abs=1e-12)
                     assert h_blocks == pytest.approx(h_closed, rel=1e-8, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_block_oracle_matches_dense_on_oracle_grid(self, n):
+        # the grid and batching of verify's oracle suite, against a dense
+        # eigensolve per point
+        grid = np.round(0.1 * np.arange(1, 10), 10)
+        r, lam = grid, grid[:, None]
+        for m in range(1, n + 1):
+            h_blocks = qfi.sld_eig(*channels.correlated_blocks(n, r, lam, m)).H.sum(axis=-1)
+            h_dense = qfi.sld_eig(*channels.correlated_state(n, r, lam, m)).H
+            np.testing.assert_allclose(h_dense, h_blocks, rtol=1e-12, atol=0.0)
+            for i, lam_i in enumerate(grid.tolist()):
+                for k, r_k in enumerate(grid.tolist()):
+                    h_point = qfi.sld_eig(*channels.correlated_state(n, r_k, lam_i, m)).H
+                    assert abs(h_point - h_blocks[i, k]) <= 1e-12 * h_point
 
     def test_analytic_derivative_matches_finite_difference(self):
         h = 1e-6
