@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 I/O or verification failure, 2 domain error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Iterable, Sequence
 
@@ -128,10 +129,11 @@ def _cmd_mc(args) -> int:
     )
     result = mc.run_experiment(cfg)
     if args.out:
+        body = "".join(
+            f"{t},{_fmt(est)}\n" for t, est in enumerate(result.estimates.tolist())
+        )
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("trial,lambda_hat\n")
-            for t, est in enumerate(result.estimates):
-                fh.write(f"{t},{_fmt(est)}\n")
+            fh.write("trial,lambda_hat\n" + body)
     ratio = result.sample_variance / result.crb
     print(
         f"mean={_fmt(result.mean)} variance={_fmt(result.sample_variance)} "
@@ -212,10 +214,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout: say nothing, and send the interpreter's
+        # final flush of what is still buffered to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

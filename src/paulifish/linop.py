@@ -133,32 +133,6 @@ def coin_toss(lam: float) -> np.ndarray:
     return np.array([[s, -c], [c, s]], dtype=complex)
 
 
-_GATES = {
-    "x": sigma_x,
-    "y": sigma_y,
-    "z": sigma_z,
-    "hadamard": hadamard,
-    "h": hadamard,
-    "cz": controlled_z,
-    "swap": swap,
-}
-
-
-def gate(kind: str, lam: float | None = None) -> np.ndarray:
-    """Build a named gate; ``kind='coin_toss'`` takes the parameter ``lam``."""
-    if kind == "coin_toss":
-        if lam is None:
-            raise ValueError("coin_toss requires lam")
-        return coin_toss(lam)
-    try:
-        builder = _GATES[kind]
-    except KeyError:
-        raise ValueError(f"unknown gate kind {kind!r}") from None
-    if lam is not None:
-        raise ValueError(f"gate {kind!r} takes no parameter")
-    return builder()
-
-
 def qubit_swap(n: int, i: int, j: int) -> np.ndarray:
     """Permutation matrix exchanging qubits i and j of an n-qubit register."""
     if not (1 <= i <= n and 1 <= j <= n):

@@ -16,6 +16,17 @@ import numpy as np
 
 from . import channels, linop
 
+# Trial t's substream is SeedSequence(seed).spawn(trials)[t]. Its spawn key
+# (t,) is one uint32 word while t < 2**32, the only case _trial_keys mixes.
+MAX_TRIALS = 2**32
+
+# SeedSequence hash constants (numpy/random/bit_generator.pyx; NEP 19 keeps
+# this hash stable across numpy releases).
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -37,6 +48,10 @@ class ExperimentConfig:
             raise ValueError(f"invocations per run must be >= 1, got {self.m}")
         if self.trials < 1 or self.shots_per_trial < 1:
             raise ValueError("trials and shots_per_trial must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be <= 2**32, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -108,28 +123,64 @@ def classical_fisher(p: Sequence[float], dp: Sequence[float]) -> float:
     return total
 
 
+def _trial_keys(seed: int, trials: int) -> np.ndarray:
+    """Philox keys of every trial substream, shape (trials, 2), uint64.
+
+    Row t equals ``SeedSequence(seed).spawn(trials)[t].generate_state(2,
+    np.uint64)``. Every child shares the root's pool before its spawn key
+    is mixed in, so the key word t is mixed into that pool and the output
+    hash applied as uint32 vectors over all t at once. Array arithmetic
+    wraps modulo 2**32 like the C hash; scalar products are taken in Python
+    ints so no numpy scalar overflows.
+    """
+    root = np.random.SeedSequence(seed)
+    words = max(1, -(-int(seed).bit_length() // 32))
+    # The root's hash took 4 + 12 steps over its first four words, 4 per further word.
+    hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) & _MASK32
+    t = np.arange(trials, dtype=np.uint32)
+    pool = []
+    for word in root.pool.tolist():
+        value = t ^ hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value *= hash_a
+        value ^= value >> 16
+        mixed = (_MIX_MULT_L * word & _MASK32) - _MIX_MULT_R * value
+        pool.append(mixed ^ (mixed >> 16))
+    hash_b = _INIT_B
+    state = np.empty((trials, 4), dtype=np.uint32)
+    for i, word in enumerate(pool):
+        value = word ^ hash_b
+        hash_b = hash_b * _MULT_B & _MASK32
+        value *= hash_b
+        state[:, i] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Simulate the full experiment; deterministic in cfg.seed.
 
-    Trials use independent spawned substreams of a counter-based generator,
-    so their order (or any parallel schedule) cannot change the result.
+    Trial t draws from the Philox substream SeedSequence(seed).spawn(trials)[t]:
+    one generator is reset to that substream's initial state (its key, a
+    zero counter, an empty buffer) before each draw, so the trial order (or
+    any parallel schedule) cannot change the result.
     """
     p_plus, _ = outcome_probs(cfg.r, cfg.lambda_true)
     fisher = classical_fisher(
         outcome_probs(cfg.r, cfg.lambda_true), outcome_prob_derivs(cfg.r, cfg.lambda_true)
     )
     draws = cfg.shots_per_trial * cfg.m
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-    estimates = np.empty(cfg.trials)
-    n_clamped = 0
-    for t in range(cfg.trials):
-        rng = np.random.Generator(np.random.Philox(streams[t]))
-        p_hat = rng.binomial(draws, p_plus) / draws
-        est = 0.5 * (1.0 - (2.0 * p_hat - 1.0) / cfg.r)
-        if est < 0.0 or est > 1.0:
-            n_clamped += 1
-            est = min(max(est, 0.0), 1.0)
-        estimates[t] = est
+    keys = _trial_keys(cfg.seed, cfg.trials)
+    bitgen = np.random.Philox(key=keys[0])
+    rng = np.random.Generator(bitgen)
+    initial = bitgen.state
+    p_hat = np.empty(cfg.trials)
+    for t, key in enumerate(keys):
+        initial["state"]["key"] = key
+        bitgen.state = initial
+        p_hat[t] = rng.binomial(draws, p_plus) / draws
+    raw = 0.5 * (1.0 - (2.0 * p_hat - 1.0) / cfg.r)
+    n_clamped = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
+    estimates = np.clip(raw, 0.0, 1.0)
     var = float(np.var(estimates, ddof=1)) if cfg.trials > 1 else 0.0
     crb = math.inf if fisher == 0.0 else 1.0 / (draws * fisher)
     return ExperimentResult(

@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -351,6 +354,26 @@ class TestMcCommand:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    README_ARGS = ["mc", "--r", "0.8", "--lambda", "0.3", "--shots", "100000", "--seed", "7"]
+
+    def test_readme_example_prints_pinned_line(self, capsys):
+        code, out, err = run_cli([*self.README_ARGS, "--trials", "200"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (
+            "mean=0.299820375 variance=3.54644678078e-06 crb=3.50625e-06 "
+            "ratio=1.0114643225 fisher=2.85204991087 clamped=0\n"
+        )
+
+    def test_twenty_thousand_trial_csv_digest_is_pinned(self, tmp_path, capsys):
+        out_path = tmp_path / "trials.csv"
+        code, _, _ = run_cli(
+            [*self.README_ARGS, "--trials", "20000", "--out", str(out_path)], capsys
+        )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "9bc1cd39f2bb3ee723f7962dda00d53161d79604096d50d6a8436f6949ecece3"
+        )
+
     def test_symmetric_point_mean(self, capsys):
         code, out, _ = run_cli(
             ["mc", "--r", "0.5", "--lambda", "0.5", "--shots", "10000",
@@ -363,3 +386,50 @@ class TestMcCommand:
     def test_domain_error_exits_2(self, capsys):
         code, _, _ = run_cli(["mc", "--r", "0", "--lambda", "0.3"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "option, value", [("--seed", "-1"), ("--trials", str(2**32 + 1))]
+    )
+    def test_out_of_range_stream_argument_exits_2_naming_it(self, option, value, capsys):
+        code, out, err = run_cli(["mc", "--r", "0.5", "--lambda", "0.3", option, value], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {option[2:]} must be")
+
+
+class TestClosedStdout:
+    class ClosedPipe:
+        """A stdout whose reader has gone: unbuffered it fails on write,
+        buffered only on flush."""
+
+        def __init__(self, fd, buffered):
+            self.fd, self.buffered = fd, buffered
+
+        def write(self, text):
+            if not self.buffered:
+                raise BrokenPipeError(32, "Broken pipe")
+            return len(text)
+
+        def flush(self):
+            if self.buffered:
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["qfi", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "0.3"],
+            ["verify", "--suite", "oracle", "--n-max", "3"],
+            ["mc", "--r", "0.8", "--lambda", "0.3", "--trials", "5"],
+        ],
+    )
+    def test_closed_stdout_exits_1_silently(self, args, buffered, tmp_path, capsys):
+        with open(tmp_path / "stdout", "w") as fh:
+            with contextlib.redirect_stdout(self.ClosedPipe(fh.fileno(), buffered)):
+                code = cli.main(args)
+            # later flushes of the stream go to the null device
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", "")

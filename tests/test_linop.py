@@ -42,16 +42,6 @@ class TestGates:
         with pytest.raises(ValueError):
             linop.coin_toss(1.1)
 
-    def test_gate_dispatcher(self):
-        np.testing.assert_array_equal(linop.gate("cz"), linop.controlled_z())
-        np.testing.assert_array_equal(
-            linop.gate("coin_toss", 0.3), linop.coin_toss(0.3)
-        )
-        with pytest.raises(ValueError):
-            linop.gate("toffoli")
-        with pytest.raises(ValueError):
-            linop.gate("coin_toss")
-
     def test_cz_truth_table(self):
         cz = linop.controlled_z()
         for x in range(4):

@@ -140,3 +140,86 @@ class TestRunExperiment:
             mc.ExperimentConfig(r=0.5, lambda_true=0.0)
         with pytest.raises(ValueError):
             mc.ExperimentConfig(r=0.5, lambda_true=0.3, trials=0)
+        with pytest.raises(ValueError, match="seed"):
+            mc.ExperimentConfig(r=0.5, lambda_true=0.3, seed=-1)
+        with pytest.raises(ValueError, match="trials"):
+            mc.ExperimentConfig(r=0.5, lambda_true=0.3, trials=2**32 + 1)
+        mc.ExperimentConfig(r=0.5, lambda_true=0.3, trials=2**32)
+
+
+def reference_run(cfg):
+    """The per-trial route: one spawned child, Philox and Generator per trial."""
+    p_plus, _ = mc.outcome_probs(cfg.r, cfg.lambda_true)
+    draws = cfg.shots_per_trial * cfg.m
+    estimates = np.empty(cfg.trials)
+    n_clamped = 0
+    for t, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.trials)):
+        rng = np.random.Generator(np.random.Philox(child))
+        est = 0.5 * (1.0 - (2.0 * (rng.binomial(draws, p_plus) / draws) - 1.0) / cfg.r)
+        if est < 0.0 or est > 1.0:
+            n_clamped += 1
+            est = min(max(est, 0.0), 1.0)
+        estimates[t] = est
+    return estimates, n_clamped
+
+
+# 1, 2, 4, 5 and 7 entropy words; past four words the root hash runs longer.
+WIDE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128 + 3, 2**200 + 11]
+
+
+@pytest.mark.filterwarnings("error")
+class TestTrialSubstreams:
+    @pytest.mark.parametrize("trials", [1, 300])
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_trial_keys_match_spawned_children(self, seed, trials):
+        keys = mc._trial_keys(seed, trials)
+        assert keys.dtype == np.uint64 and keys.shape == (trials, 2)
+        children = np.random.SeedSequence(seed).spawn(trials)
+        np.testing.assert_array_equal(
+            keys, [c.generate_state(2, np.uint64) for c in children]
+        )
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**128 + 1])
+    def test_draws_match_one_generator_per_spawned_child(self, seed):
+        cfg = mc.ExperimentConfig(
+            r=0.8, lambda_true=0.3, m=2, trials=400, shots_per_trial=500, seed=seed
+        )
+        estimates, n_clamped = reference_run(cfg)
+        res = mc.run_experiment(cfg)
+        np.testing.assert_array_equal(res.estimates, estimates)
+        assert res.n_clamped == n_clamped == 0
+
+    def test_clamped_draws_match_one_generator_per_spawned_child(self):
+        # four shots at r = 1/2 put estimates exactly on 0 and 1 as well as past them
+        cfg = mc.ExperimentConfig(
+            r=0.5, lambda_true=0.5, trials=300, shots_per_trial=4, seed=5
+        )
+        estimates, n_clamped = reference_run(cfg)
+        res = mc.run_experiment(cfg)
+        np.testing.assert_array_equal(res.estimates, estimates)
+        assert res.n_clamped == n_clamped > 0
+
+    def test_no_generator_per_trial(self, monkeypatch):
+        built = {"Philox": 0, "Generator": 0}
+
+        class Philox(np.random.Philox):
+            def __init__(self, *args, **kwargs):
+                built["Philox"] += 1
+                super().__init__(*args, **kwargs)
+
+        class Generator(np.random.Generator):
+            def __init__(self, *args, **kwargs):
+                built["Generator"] += 1
+                super().__init__(*args, **kwargs)
+
+        class SeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                raise AssertionError("spawned a child per trial")
+
+        monkeypatch.setattr(np.random, "Philox", Philox)
+        monkeypatch.setattr(np.random, "Generator", Generator)
+        monkeypatch.setattr(np.random, "SeedSequence", SeedSequence)
+        mc.run_experiment(
+            mc.ExperimentConfig(r=0.8, lambda_true=0.3, trials=50, shots_per_trial=100)
+        )
+        assert built == {"Philox": 1, "Generator": 1}
