@@ -2,14 +2,14 @@
 
 Covers the channel map rho -> (1-lam) rho + lam s_n rho s_n, its two-qubit
 coin-toss dilation, the preparatory unitary (pairwise controlled-Z then a
-Hadamard on every qubit), and the splitting of the prepared state into
-two-dimensional blocks spanned by |x> and |N-x>, either as ``BlockPair``
-records or, broadcast over (r, lam) grids, as stacked 2x2 arrays.
+Hadamard on every qubit), and the splitting of the prepared and
+post-channel states into two-dimensional blocks spanned by |x> and |N-x>,
+stacked as 2x2 arrays and broadcast over (r, lam) grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -155,72 +155,24 @@ def _block_weights(n: int, r) -> tuple[np.ndarray, np.ndarray]:
     return (fx + fnx) / 2, (fx - fnx) / 2
 
 
-@dataclass(frozen=True)
-class BlockPair:
-    """Weights of the 2-dimensional block spanned by |x> and |N-x>.
-
-    The block matrix is
-        diag_weight (|x><x| + |N-x><N-x|)
-        + i offdiag_weight offdiag_scale (|x><N-x| - |N-x><x|)
-    with offdiag_scale = 1 before the channel and (1-2 lam)**m after it.
-    """
-
-    x: int
-    diag_weight: float
-    offdiag_weight: float
-    offdiag_scale: float = 1.0
+def _block_stack(diag, off, scale) -> np.ndarray:
+    """Stacked 2x2 blocks [[diag, i off scale], [-i off scale, diag]] in the
+    basis (|x>, |N-x>), one per entry of off."""
+    out = np.zeros(np.shape(off) + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = diag
+    out[..., 0, 1] = 1j * off * scale
+    out[..., 1, 0] = -out[..., 0, 1]
+    return out
 
 
-def prepared_state_blocks(n: int, r: float) -> list[BlockPair]:
-    """Blocks of the preparation unitary conjugating n identical
-    y-polarized qubits."""
-    if n < 2:
-        raise ValueError(f"preparation needs at least 2 qubits, got {n}")
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"polarization must lie in [0, 1), got {r}")
-    diag, off = _block_weights(n, r)
-    return [
-        BlockPair(x, d, o, 1.0) for x, (d, o) in enumerate(zip(diag.tolist(), off.tolist()))
-    ]
-
-
-def _blocks_n(blocks: Sequence[BlockPair]) -> int:
-    n = len(blocks).bit_length()
-    if len(blocks) != 2 ** (n - 1):
-        raise ValueError(f"{len(blocks)} blocks is not a power of two")
-    return n
-
-
-def post_channel_blocks(
-    blocks: Sequence[BlockPair], lam: float, m: int
-) -> list[BlockPair]:
-    """Scale each off-diagonal by (1-2 lam)**m; diagonal weights are untouched.
-
-    The channel acts on the m least significant qubits; since |x> and |N-x>
-    differ in every bit, each invocation contributes one factor (1-2 lam).
-    """
-    n = _blocks_n(blocks)
-    if not 1 <= m <= n:
-        raise ValueError(f"invocation count m={m} must lie in 1..{n}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
-    scale = (1.0 - 2.0 * lam) ** m
-    return [replace(b, offdiag_scale=b.offdiag_scale * scale) for b in blocks]
-
-
-def blocks_to_dense(blocks: Sequence[BlockPair]) -> np.ndarray:
-    """Assemble block weights into the dense density matrix."""
-    n = _blocks_n(blocks)
-    d = 2**n
-    big_n = d - 1
-    out = np.zeros((d, d), dtype=complex)
-    for b in blocks:
-        x, nx = b.x, big_n - b.x
-        out[x, x] += b.diag_weight
-        out[nx, nx] += b.diag_weight
-        off = 1j * b.offdiag_weight * b.offdiag_scale
-        out[x, nx] += off
-        out[nx, x] -= off
+def _scatter(blocks: np.ndarray) -> np.ndarray:
+    """Dense matrices of a (..., 2^(n-1), 2, 2) block stack: block x lands
+    on the basis pair (x, N-x), N = 2^n - 1."""
+    half = blocks.shape[-3]
+    x = np.arange(half)
+    pair = np.stack([x, 2 * half - 1 - x], axis=-1)
+    out = np.zeros(blocks.shape[:-3] + (2 * half, 2 * half), dtype=complex)
+    out[..., pair[:, :, None], pair[:, None, :]] = blocks
     return out
 
 
@@ -234,8 +186,9 @@ def correlated_blocks(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
         rho_x  = [[d, i o s], [-i o s, d]],    s  = (1-2 lam)**m
         drho_x = [[0, i o s'], [-i o s', 0]],  s' = -2m (1-2 lam)**(m-1)
 
-    with the weights d, o of prepared_state_blocks. Only the off-diagonals
-    depend on lam.
+    with d, o = (f(x) +- f(N-x))/2 for f = bitstring_weight. Only the
+    off-diagonals depend on lam: |x> and |N-x> differ in every bit, so each
+    channel use scales them by (1-2 lam).
     """
     if n < 2:
         raise ValueError(f"preparation needs at least 2 qubits, got {n}")
@@ -248,15 +201,7 @@ def correlated_blocks(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
     r, lam = np.broadcast_arrays(np.asarray(r, dtype=float), lam)
     diag, off = _block_weights(n, r)
     c = 1.0 - 2.0 * lam[..., None]
-    scale, dscale = c**m, -2.0 * m * c ** (m - 1)
-    rho = np.zeros(diag.shape + (2, 2), dtype=complex)
-    drho = np.zeros_like(rho)
-    rho[..., 0, 0] = rho[..., 1, 1] = diag
-    rho[..., 0, 1] = 1j * off * scale
-    rho[..., 1, 0] = -rho[..., 0, 1]
-    drho[..., 0, 1] = 1j * off * dscale
-    drho[..., 1, 0] = -drho[..., 0, 1]
-    return rho, drho
+    return _block_stack(diag, off, c**m), _block_stack(0.0, off, -2.0 * m * c ** (m - 1))
 
 
 def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -267,12 +212,5 @@ def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if 2**n > DIM_CAP:
         raise linop.DimensionError(f"2**{n} exceeds the dense cap {DIM_CAP}")
-    x = np.arange(2 ** (n - 1))
-    pair = np.stack([x, 2**n - 1 - x], axis=-1)
-    rows, cols = pair[:, :, None], pair[:, None, :]
-    dense = []
-    for blocks in correlated_blocks(n, r, lam, m):
-        out = np.zeros(blocks.shape[:-3] + (2**n, 2**n), dtype=complex)
-        out[..., rows, cols] = blocks
-        dense.append(out)
-    return dense[0], dense[1]
+    rho, drho = correlated_blocks(n, r, lam, m)
+    return _scatter(rho), _scatter(drho)

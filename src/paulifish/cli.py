@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 I/O or verification failure, 2 domain error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Iterable, Sequence
@@ -23,18 +24,30 @@ from .linop import DimensionError
 
 CSV_HEADER = "n,m,r,lambda,H_ind,H_corr,gain,discord,min_pt_eig,separable"
 
+#: Most rows one sweep may write; larger grids are rejected before allocation.
+MAX_SWEEP_ROWS = 10**7
+
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
+def _grid_size(lo: float, hi: float, step: float) -> int:
+    """Number of points lo, lo + step, ... up to hi; checked before any allocation."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
     if step <= 0.0:
         raise ValueError(f"grid step must be > 0, got {step}")
     if hi < lo:
-        return []
-    count = int((hi - lo) / step + 1e-9) + 1
-    return [lo + k * step for k in range(count)]
+        return 0
+    span = (hi - lo) / step + 1e-9
+    if not span < MAX_SWEEP_ROWS:
+        raise ValueError(f"grid step {step} gives more than {MAX_SWEEP_ROWS} points")
+    return int(span) + 1
+
+
+def _grid(lo: float, hi: float, step: float) -> list[float]:
+    return [lo + k * step for k in range(_grid_size(lo, hi, step))]
 
 
 def sweep_rows(
@@ -96,9 +109,12 @@ def _cmd_qfi(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    lams = _grid(args.lambda_min, args.lambda_max, args.lambda_step)
-    rs = _grid(args.r_min, args.r_max, args.r_step)
-    rows = sweep_rows(args.n, args.m, lams, rs)
+    lam_axis = (args.lambda_min, args.lambda_max, args.lambda_step)
+    r_axis = (args.r_min, args.r_max, args.r_step)
+    size = _grid_size(*lam_axis) * _grid_size(*r_axis)
+    if size > MAX_SWEEP_ROWS:
+        raise ValueError(f"the grid has {size} rows, more than {MAX_SWEEP_ROWS}")
+    rows = sweep_rows(args.n, args.m, _grid(*lam_axis), _grid(*r_axis))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in rows:

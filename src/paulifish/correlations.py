@@ -8,7 +8,7 @@ polarization threshold, and quantum discord through the Bell-diagonal
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,21 +50,16 @@ class DiscordReport:
 def rho_final_two_qubit(r: float, lam: float, m: int) -> np.ndarray:
     """Dense two-qubit state with off-diagonal scale (1-2 lam)**m.
 
-    For m <= 2 this is exactly the post-channel block reconstruction; larger
-    m extends the same matrix family, which the correlation diagnostics
-    treat for any invocation count.
+    For m <= 2 this is the post-channel state of channels.correlated_state;
+    larger m extends the same matrix family, which the correlation
+    diagnostics treat for any invocation count.
     """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"polarization must lie in [0, 1), got {r}")
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
-    scale = (1.0 - 2.0 * lam) ** m
-    blocks = [
-        replace(b, offdiag_scale=scale) for b in channels.prepared_state_blocks(2, r)
-    ]
-    return channels.blocks_to_dense(blocks)
+    diag, off = channels._block_weights(2, r)  # checks r
+    return channels._scatter(channels._block_stack(diag, off, (1.0 - 2.0 * lam) ** m))
 
 
 def is_separable_ppt(rho: np.ndarray, tol: float = PPT_TOL) -> tuple[bool, float]:

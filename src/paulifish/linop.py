@@ -116,12 +116,6 @@ def controlled_z() -> np.ndarray:
     return np.diag([1, 1, 1, -1]).astype(complex)
 
 
-def swap() -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = m[1, 2] = m[2, 1] = 1
-    return m
-
-
 def coin_toss(lam: float) -> np.ndarray:
     """Rotation with columns (sqrt(lam), sqrt(1-lam)) and (-sqrt(1-lam), sqrt(lam)).
 
@@ -131,21 +125,6 @@ def coin_toss(lam: float) -> np.ndarray:
         raise ValueError(f"coin-toss parameter must lie in [0, 1], got {lam}")
     s, c = np.sqrt(lam), np.sqrt(1.0 - lam)
     return np.array([[s, -c], [c, s]], dtype=complex)
-
-
-def qubit_swap(n: int, i: int, j: int) -> np.ndarray:
-    """Permutation matrix exchanging qubits i and j of an n-qubit register."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"qubit indices {i}, {j} out of range 1..{n}")
-    d = 2**n
-    m = np.zeros((d, d), dtype=complex)
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    for x in range(d):
-        y = x
-        if ((x >> (i - 1)) ^ (x >> (j - 1))) & 1:
-            y = x ^ bi ^ bj
-        m[y, x] = 1.0
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +216,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ dagger(v)
 
 
 def hermitian_eig(a: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:

@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise ValueError(f"invocations per run must be >= 1, got {self.m}")
         if self.trials < 1 or self.shots_per_trial < 1:
             raise ValueError("trials and shots_per_trial must be >= 1")
+        if self.shots_per_trial * self.m > 2**63 - 1:  # the binomial count is an int64
+            raise ValueError("shots_per_trial * m must be <= 2**63 - 1")
         if self.trials > MAX_TRIALS:
             raise ValueError(f"trials must be <= 2**32, got {self.trials}")
         if self.seed < 0:

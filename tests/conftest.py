@@ -7,26 +7,49 @@ from paulifish import channels, linop, qfi
 
 def block_route_sld(n, r, lam, m):
     """Score operator of the correlated protocol state assembled piecewise:
-    a closed 2x2 solve per two-level block, embedded and summed.
+    a closed 2x2 solve per two-level block of channels.correlated_blocks,
+    embedded and summed.
 
-    Built from primitives only, so it is an independent route against the
+    Uses no eigensolver, so it is an independent route against the
     closed-form and eigendecomposition paths.
     """
-    blocks = channels.post_channel_blocks(channels.prepared_state_blocks(n, r), lam, m)
-    dscale = -2.0 * m * (1.0 - 2.0 * lam) ** (m - 1)
+    rho, drho = channels.correlated_blocks(n, r, lam, m)
     big_n = 2**n - 1
     parts, rhos = [], []
-    for b in blocks:
-        off = 1j * b.offdiag_weight * b.offdiag_scale
-        doff = 1j * b.offdiag_weight * dscale
-        a = np.array([[b.diag_weight, off], [-off, b.diag_weight]])
-        da = np.array([[0.0, doff], [-doff, 0.0]])
+    for x, (a, da) in enumerate(zip(rho, drho)):
         res = qfi.sld_2x2(a, da)
         parts.append(
-            qfi.SldResult(L=linop.embed_two_level(res.L, b.x, big_n - b.x, 2**n), H=res.H)
+            qfi.SldResult(L=linop.embed_two_level(res.L, x, big_n - x, 2**n), H=res.H)
         )
-        rhos.append(linop.embed_two_level(a, b.x, big_n - b.x, 2**n))
+        rhos.append(linop.embed_two_level(a, x, big_n - x, 2**n))
     return qfi.sld_block_sum(parts, rhos=rhos)
+
+
+def swap():
+    """Two-qubit SWAP gate."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = m[3, 3] = m[1, 2] = m[2, 1] = 1
+    return m
+
+
+def qubit_swap(n, i, j):
+    """Permutation matrix exchanging qubits i and j of an n-qubit register
+    (qubit 1 is the least significant bit)."""
+    d = 2**n
+    m = np.zeros((d, d), dtype=complex)
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    for x in range(d):
+        y = x
+        if ((x >> (i - 1)) ^ (x >> (j - 1))) & 1:
+            y = x ^ bi ^ bj
+        m[y, x] = 1.0
+    return m
+
+
+def reconstruct(spec):
+    """The operator (or stack) a linop.Spectrum decomposes, V diag(w) V†."""
+    v = spec.eigenvectors
+    return (v * spec.eigenvalues[..., None, :]) @ linop.dagger(v)
 
 
 def mp_correlated_reference(n, r, ms, lams, dps=80):

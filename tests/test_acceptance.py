@@ -97,7 +97,7 @@ def test_criterion_05_weight_and_gain_inequalities():
                     violations += 1
                 if w.total < 2.0 * (1.0 - r * r) ** (n - 1) - 1e-12:
                     violations += 1
-                weighted_sum += protocol._binom(n, j) * w.diff**2 / w.total
+                weighted_sum += math.comb(n, j) * w.diff**2 / w.total
             if weighted_sum < 2.0 ** (n + 1) * r * r - 1e-9:
                 violations += 1
             for lam in [round(0.05 * k, 10) for k in range(0, 21)]:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import qubit_swap
 from paulifish import channels, linop
 
 
@@ -169,7 +170,7 @@ class TestPreparationUnitary:
     def test_swap_symmetry(self):
         u = channels.preparation_unitary(3)
         for i, j in [(1, 2), (1, 3), (2, 3)]:
-            s = linop.qubit_swap(3, i, j)
+            s = qubit_swap(3, i, j)
             assert linop.frobenius_max(s @ u - u @ s) < 1e-12
 
     def test_single_qubit_rejected(self):
@@ -202,26 +203,27 @@ class TestBitstringWeight:
 
 class TestBlocks:
     def test_unpolarized_blocks_are_diagonal_uniform(self):
-        for b in channels.prepared_state_blocks(3, 0.0):
-            assert b.offdiag_weight == 0.0
-            assert abs(b.diag_weight - 1 / 8) < 1e-15
-            assert b.offdiag_scale == 1.0
+        rho, _ = channels.correlated_blocks(3, 0.0, 0.3, 1)
+        np.testing.assert_array_equal(rho, np.broadcast_to(np.eye(2) / 8, rho.shape))
 
     def test_hand_block_weights(self):
-        blocks = channels.prepared_state_blocks(2, 0.5)
-        assert abs(blocks[0].diag_weight - 0.3125) < 1e-15
-        assert abs(blocks[0].offdiag_weight - 0.25) < 1e-15
-        assert blocks[1].offdiag_weight == 0.0
+        rho, _ = channels.correlated_blocks(2, 0.5, 0.0, 1)
+        np.testing.assert_allclose(
+            rho[0], [[0.3125, 0.25j], [-0.25j, 0.3125]], rtol=0.0, atol=1e-15
+        )
+        assert rho[1, 0, 1] == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dense_reconstruction_matches_conjugation(self, n):
+        # the paper's direct sum: U rho^(x)n U† is block diagonal on (|x>, |N-x>)
         rng = np.random.default_rng(n)
         r = rng.uniform(0.05, 0.95)
         u = channels.preparation_unitary(n)
         rho_i = linop.tensor([channels.bloch_state((0, r, 0))] * n)
         direct = u @ rho_i @ linop.dagger(u)
-        dense = channels.blocks_to_dense(channels.prepared_state_blocks(n, r))
-        assert linop.frobenius_max(dense - direct) < 1e-10
+        for m in range(1, n + 1):
+            dense, _ = channels.correlated_state(n, r, 0.0, m)
+            assert linop.frobenius_max(dense - direct) < 1e-10
 
     @staticmethod
     def _block_matrix(x, n, r):
@@ -236,7 +238,7 @@ class TestBlocks:
 
     def test_block_supports_are_mutually_orthogonal(self):
         n, r = 3, 0.4
-        mats = [self._block_matrix(b.x, n, r) for b in channels.prepared_state_blocks(n, r)]
+        mats = [self._block_matrix(x, n, r) for x in range(2 ** (n - 1))]
         for i in range(len(mats)):
             for j in range(i + 1, len(mats)):
                 assert linop.frobenius_max(mats[i] @ mats[j]) < 1e-14
@@ -254,20 +256,19 @@ class TestBlocks:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_block_weight_invariants(self, n):
         rng = np.random.default_rng(17 + n)
-        for r in rng.uniform(0.0, 0.999, size=5):
-            blocks = channels.prepared_state_blocks(n, r)
-            assert all(b.diag_weight >= abs(b.offdiag_weight) >= 0.0 for b in blocks)
-            assert sum(2 * b.diag_weight for b in blocks) == pytest.approx(1.0, abs=1e-12)
+        rho, _ = channels.correlated_blocks(n, rng.uniform(0.0, 0.999, size=5), 0.0, 1)
+        diag, off = rho[..., 0, 0].real, rho[..., 0, 1].imag
+        assert np.all(diag >= np.abs(off))
+        np.testing.assert_allclose(2 * diag.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_post_channel_zero_strength_is_noop(self):
-        blocks = channels.prepared_state_blocks(3, 0.4)
-        assert channels.post_channel_blocks(blocks, 0.0, 2) == blocks
+        prepared, _ = channels.correlated_blocks(3, 0.4, 0.0, 1)
+        for m in (2, 3):
+            np.testing.assert_array_equal(channels.correlated_blocks(3, 0.4, 0.0, m)[0], prepared)
 
     def test_post_channel_half_strength_kills_offdiagonals(self):
-        blocks = channels.post_channel_blocks(
-            channels.prepared_state_blocks(3, 0.4), 0.5, 2
-        )
-        assert all(b.offdiag_scale == 0.0 for b in blocks)
+        rho, _ = channels.correlated_blocks(3, 0.4, 0.5, 2)
+        assert np.all(rho[..., 0, 1] == 0.0) and np.all(rho[..., 1, 0] == 0.0)
 
     def test_post_channel_dense_matches_direct_channel(self):
         n, m, lam, r = 3, 2, 0.2, 0.4
@@ -277,14 +278,12 @@ class TestBlocks:
         direct = channels.apply_pauli_channel(
             prep, channels.ChannelSpec("z", lam, m), list(range(1, m + 1))
         )
-        dense = channels.blocks_to_dense(
-            channels.post_channel_blocks(channels.prepared_state_blocks(n, r), lam, m)
-        )
+        dense, _ = channels.correlated_state(n, r, lam, m)
         assert linop.frobenius_max(dense - direct) < 1e-10
 
     def test_too_many_invocations_rejected(self):
-        with pytest.raises(ValueError):
-            channels.post_channel_blocks(channels.prepared_state_blocks(2, 0.3), 0.1, 3)
+        with pytest.raises(ValueError, match="invocation"):
+            channels.correlated_blocks(2, 0.3, 0.1, 3)
 
     def test_correlated_state_derivative_matches_finite_difference(self):
         n, m, r, lam = 3, 2, 0.35, 0.27
@@ -294,26 +293,26 @@ class TestBlocks:
         minus, _ = channels.correlated_state(n, r, lam - h, m)
         assert linop.frobenius_max(drho - (plus - minus) / (2 * h)) < 1e-6
 
-    def test_correlated_blocks_match_block_records(self):
+    def test_correlated_blocks_match_bitstring_weights(self):
         n, m = 4, 3
         rs, lams = np.array([0.0, 0.3, 0.8]), np.array([0.0, 0.2, 0.5, 1.0])[:, None]
         rho, drho = channels.correlated_blocks(n, rs, lams, m)
         assert rho.shape == drho.shape == (4, 3, 8, 2, 2)
         for i, lam in enumerate(lams.ravel().tolist()):
             for k, r in enumerate(rs.tolist()):
-                blocks = channels.post_channel_blocks(
-                    channels.prepared_state_blocks(n, r), lam, m
-                )
+                scale = (1.0 - 2.0 * lam) ** m
                 dscale = -2.0 * m * (1.0 - 2.0 * lam) ** (m - 1)
-                for b in blocks:
-                    off = 1j * b.offdiag_weight * b.offdiag_scale
-                    doff = 1j * b.offdiag_weight * dscale
+                for x in range(2 ** (n - 1)):
+                    fx = channels.bitstring_weight(x, n, r)
+                    fnx = channels.bitstring_weight(2**n - 1 - x, n, r)
+                    d, o = (fx + fnx) / 2, (fx - fnx) / 2
                     np.testing.assert_allclose(
-                        rho[i, k, b.x], [[b.diag_weight, off], [-off, b.diag_weight]],
+                        rho[i, k, x], [[d, 1j * o * scale], [-1j * o * scale, d]],
                         rtol=0.0, atol=1e-16,
                     )
                     np.testing.assert_allclose(
-                        drho[i, k, b.x], [[0.0, doff], [-doff, 0.0]], rtol=0.0, atol=1e-15
+                        drho[i, k, x], [[0.0, 1j * o * dscale], [-1j * o * dscale, 0.0]],
+                        rtol=0.0, atol=1e-15,
                     )
 
     def test_correlated_state_grid_matches_points(self):
@@ -325,10 +324,6 @@ class TestBlocks:
                 one_rho, one_drho = channels.correlated_state(3, r, lam, 2)
                 np.testing.assert_array_equal(rho[i, k], one_rho)
                 np.testing.assert_array_equal(drho[i, k], one_drho)
-                dense = channels.blocks_to_dense(
-                    channels.post_channel_blocks(channels.prepared_state_blocks(3, r), lam, 2)
-                )
-                assert linop.frobenius_max(one_rho - dense) < 1e-16
 
     def test_correlated_blocks_reject_bad_arguments(self):
         with pytest.raises(ValueError, match="qubits"):

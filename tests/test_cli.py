@@ -396,6 +396,39 @@ class TestMcCommand:
         assert err.startswith(f"error: {option[2:]} must be")
 
 
+class TestRejectedArguments:
+    """Arguments outside the supported range exit 2 with a message and no
+    traceback, before any grid or trial key is built."""
+
+    MC = ["mc", "--r", "0.8", "--lambda", "0.3", "--trials", "2"]
+
+    @pytest.mark.parametrize(
+        "args, hint",
+        [
+            (["sweep", "--lambda-max", "inf"], "finite"),
+            (["sweep", "--r-step", "nan"], "finite"),
+            (["sweep", "--lambda-step", "1e-300"], f"more than {cli.MAX_SWEEP_ROWS}"),
+            (["sweep", "--lambda-step", "1e-4", "--r-step", "1e-4"], "90019001 rows"),
+            (MC + ["--shots", "10000000000000000000"], "2**63 - 1"),
+            (MC + ["--shots", str(2**62), "--m", "2"], "2**63 - 1"),
+        ],
+    )
+    def test_exits_2_before_allocating(self, args, hint, tmp_path, monkeypatch, capsys):
+        def refuse(*_):
+            raise AssertionError("built before the arguments were checked")
+
+        monkeypatch.setattr(cli, "_grid", refuse)
+        monkeypatch.setattr(mc, "_trial_keys", refuse)
+        out_path = tmp_path / "x.csv"
+        if args[0] == "sweep":
+            args = args + ["--out", str(out_path)]
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and hint in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
+
 class TestClosedStdout:
     class ClosedPipe:
         """A stdout whose reader has gone: unbuffered it fails on write,

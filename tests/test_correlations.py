@@ -29,7 +29,8 @@ class TestFinalState:
 
     def test_zero_strength_equals_prepared_state(self):
         r = 0.6
-        prep = channels.blocks_to_dense(channels.prepared_state_blocks(2, r))
+        u = channels.preparation_unitary(2)
+        prep = u @ linop.tensor([channels.bloch_state((0, r, 0))] * 2) @ linop.dagger(u)
         np.testing.assert_allclose(
             correlations.rho_final_two_qubit(r, 0.0, 2), prep, atol=1e-14
         )
@@ -39,14 +40,11 @@ class TestFinalState:
             correlations.rho_final_two_qubit(0.0, 0.3, 1), np.eye(4) / 4, atol=1e-15
         )
 
-    def test_matches_post_channel_blocks(self):
-        r, lam, m = 0.45, 0.15, 2
-        dense = channels.blocks_to_dense(
-            channels.post_channel_blocks(channels.prepared_state_blocks(2, r), lam, m)
-        )
-        np.testing.assert_allclose(
-            correlations.rho_final_two_qubit(r, lam, m), dense, atol=1e-12
-        )
+    def test_matches_correlated_state(self):
+        r, lam = 0.45, 0.15
+        for m in (1, 2):
+            dense, _ = channels.correlated_state(2, r, lam, m)
+            np.testing.assert_array_equal(correlations.rho_final_two_qubit(r, lam, m), dense)
 
     def test_pure_polarization_rejected(self):
         with pytest.raises(ValueError):

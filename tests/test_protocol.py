@@ -389,7 +389,7 @@ class TestWeightInequalities:
         for n in range(2, 9):
             for r in np.arange(0.02, 1.0, 0.02):
                 total = sum(
-                    protocol._binom(n, j)
+                    math.comb(n, j)
                     * protocol.weight_pair(n, j, r).diff ** 2
                     / protocol.weight_pair(n, j, r).total
                     for j in range(n + 1)

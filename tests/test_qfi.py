@@ -142,34 +142,10 @@ class TestSldBlockSum:
         assert combined.H == part.H
 
     def test_two_orthogonal_blocks_reproduce_protocol_information(self):
+        from conftest import block_route_sld
+
         n, m, r, lam = 2, 1, 0.45, 0.3
-        blocks = channels.post_channel_blocks(
-            channels.prepared_state_blocks(n, r), lam, m
-        )
-        dscale = -2.0 * m * (1 - 2 * lam) ** (m - 1)
-        big_n = 2**n - 1
-        parts, rhos = [], []
-        for b in blocks:
-            a = np.array(
-                [
-                    [b.diag_weight, 1j * b.offdiag_weight * b.offdiag_scale],
-                    [-1j * b.offdiag_weight * b.offdiag_scale, b.diag_weight],
-                ]
-            )
-            da = np.array(
-                [
-                    [0, 1j * b.offdiag_weight * dscale],
-                    [-1j * b.offdiag_weight * dscale, 0],
-                ]
-            )
-            res = qfi.sld_2x2(a, da)
-            parts.append(
-                qfi.SldResult(
-                    L=linop.embed_two_level(res.L, b.x, big_n - b.x, 2**n), H=res.H
-                )
-            )
-            rhos.append(linop.embed_two_level(a, b.x, big_n - b.x, 2**n))
-        combined = qfi.sld_block_sum(parts, rhos=rhos)
+        combined = block_route_sld(n, r, lam, m)
         expected = protocol.qfi_correlated(protocol.ProtocolPoint(n, m, r, lam))
         assert combined.H == pytest.approx(expected, rel=1e-10)
         # and the summed score operator satisfies the defining relation
