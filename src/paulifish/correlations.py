@@ -88,24 +88,33 @@ def separability_threshold(m: int, lam: float) -> float:
     return math.sqrt(mu * mu + 1.0) - mu
 
 
-def ppt_closed_form(r, lam: float, m: int):
+def _off_diagonal_scale(lam, m: int):
+    """mu = (1-2 lam)**m for each lam, a float for a scalar lam; every lam
+    must lie in [0, 1]. Taken through the C library's pow, element by
+    element, so an array gives the same bits as scalar calls."""
+    if m < 1:
+        raise ValueError(f"invocation count must be >= 1, got {m}")
+    lam = np.asarray(lam, dtype=float)
+    ok = (lam >= 0.0) & (lam <= 1.0)
+    if not ok.all():
+        raise ValueError(f"channel strength must lie in [0, 1], got {lam[~ok].flat[0]}")
+    return linop._elementwise(lambda x: (1.0 - 2.0 * x) ** m, lam)
+
+
+def ppt_closed_form(r, lam, m: int):
     """Closed-form PPT test of the post-channel two-qubit state.
 
     The partial transpose's minimum eigenvalue is (1 - r^2 - 2 r |mu|)/4
     with mu = (1-2 lam)**m; its zero is separability_threshold(m, lam).
     Returns (verdict against PPT_TOL, minimum eigenvalue) like
-    is_separable_ppt, as arrays when r is one. For two qubits PPT is exact
-    (Peres; Horodecki).
+    is_separable_ppt, as arrays when r or lam is one; r and lam broadcast.
+    For two qubits PPT is exact (Peres; Horodecki).
     """
-    if m < 1:
-        raise ValueError(f"invocation count must be >= 1, got {m}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
+    mu = np.abs(_off_diagonal_scale(lam, m))
     r = np.asarray(r, dtype=float)
     ok = (r >= 0.0) & (r < 1.0)
     if not ok.all():
         raise ValueError(f"polarization must lie in [0, 1), got {r[~ok].flat[0]}")
-    mu = abs((1.0 - 2.0 * lam) ** m)
     min_eig = ((1.0 - r) * (1.0 + r) - 2.0 * r * mu) / 4.0
     return linop.scalar_or_array(min_eig >= -PPT_TOL), linop.scalar_or_array(min_eig)
 
@@ -209,14 +218,10 @@ def discord_rmu(r, mu) -> DiscordReport:
     return _report(lambdas, np.maximum(r2, r * am))
 
 
-def discord_protocol(r, lam: float, m: int) -> DiscordReport:
-    """Discord of the two-qubit post-channel state at (r, lam, m); r may be
-    an array."""
-    if m < 1:
-        raise ValueError(f"invocation count must be >= 1, got {m}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
-    return discord_rmu(r, (1.0 - 2.0 * lam) ** m)
+def discord_protocol(r, lam, m: int) -> DiscordReport:
+    """Discord of the two-qubit post-channel state at (r, lam, m); r and lam
+    may be arrays that broadcast against each other."""
+    return discord_rmu(r, _off_diagonal_scale(lam, m))
 
 
 def discord_prep(r: float) -> float:

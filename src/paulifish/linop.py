@@ -33,6 +33,17 @@ def scalar_or_array(v: np.ndarray):
     return v.item() if v.ndim == 0 else v
 
 
+def _elementwise(f, v):
+    """f of each element of v taken as a Python float, in v's shape (a float
+    for a scalar). For closed forms whose scalar value is pinned to the last
+    bit: numpy's vector pow, log1p and expm1 may round differently from the
+    C library's."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0:
+        return f(v.item())
+    return np.array([f(x) for x in v.ravel().tolist()]).reshape(v.shape)
+
+
 def _as_operators(a) -> np.ndarray:
     """A stack of operators, shape (..., d, d) with d a power of two within the cap."""
     a = np.asarray(a, dtype=complex)

@@ -18,7 +18,9 @@ from . import channels, linop
 
 # Trial t's substream is SeedSequence(seed).spawn(trials)[t]. Its spawn key
 # (t,) is one uint32 word while t < 2**32, the only case _trial_keys mixes.
-MAX_TRIALS = 2**32
+# The bound itself is set by memory: _trial_keys holds several uint32 words
+# per trial at once, about 730 MiB above the interpreter at 10**7 trials.
+MAX_TRIALS = 10**7
 
 # SeedSequence hash constants (numpy/random/bit_generator.pyx; NEP 19 keeps
 # this hash stable across numpy releases).
@@ -51,7 +53,7 @@ class ExperimentConfig:
         if self.shots_per_trial * self.m > 2**63 - 1:  # the binomial count is an int64
             raise ValueError("shots_per_trial * m must be <= 2**63 - 1")
         if self.trials > MAX_TRIALS:
-            raise ValueError(f"trials must be <= 2**32, got {self.trials}")
+            raise ValueError(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -170,6 +172,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     fisher = classical_fisher(
         outcome_probs(cfg.r, cfg.lambda_true), outcome_prob_derivs(cfg.r, cfg.lambda_true)
     )
+    if math.isinf(fisher):
+        # only where rounding leaves an outcome probability at exactly 0
+        raise ValueError(
+            f"an outcome probability rounds to 0 at r={cfg.r}, lambda={cfg.lambda_true}: "
+            "the Fisher information is infinite and the Cramér-Rao bound 0"
+        )
     draws = cfg.shots_per_trial * cfg.m
     keys = _trial_keys(cfg.seed, cfg.trials)
     bitgen = np.random.Philox(key=keys[0])

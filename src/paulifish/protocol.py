@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linop
+
 #: Largest qubit count for the analytic path: the j-sum kernel is checked
 #: against an 80-digit reference up to this n.
 ANALYTIC_N_CAP = 64
@@ -89,6 +91,15 @@ def _validate_nm(n: int, m: int) -> None:
         raise ValueError(f"n={n} must lie in 2..{ANALYTIC_N_CAP}")
     if not 1 <= m <= n:
         raise ValueError(f"invocations m={m} must lie in 1..{n}")
+
+
+def _check_strength(lam) -> np.ndarray:
+    """lam as a float array; every element must lie in [0, 1]."""
+    lam = np.asarray(lam, dtype=float)
+    ok = (lam >= 0.0) & (lam <= 1.0)
+    if not ok.all():
+        raise ValueError(f"channel strength must lie in [0, 1], got {lam[~ok].flat[0]}")
+    return lam
 
 
 def _log_qfi_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -158,12 +169,11 @@ def qfi_and_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
     discard a whole grid.
     """
     _validate_nm(n, m)
-    r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
-    ok_r, ok_lam = (r > 0.0) & (r < 1.0), (lam >= 0.0) & (lam <= 1.0)
+    r = np.asarray(r, dtype=float)
+    ok_r = (r > 0.0) & (r < 1.0)
     if not ok_r.all():
         raise ValueError(f"polarization must lie in (0, 1), got {r[~ok_r].flat[0]}")
-    if not ok_lam.all():
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam[~ok_lam].flat[0]}")
+    lam = _check_strength(lam)
     log_h, log_g = _log_qfi_gain(n, m, r, lam)
     return np.exp(log_h), np.exp(log_g)
 
@@ -211,35 +221,39 @@ def gain_max(n: int, m: int, r: float) -> float:
     return gain(ProtocolPoint(n, m, r, 0.0))
 
 
-def gain_limit_r0(n: int, m: int, lam: float) -> float:
-    """Vanishing-polarization limit of the gain: m n (1-2 lam)**(2m-2)."""
+def gain_limit_r0(n: int, m: int, lam):
+    """Vanishing-polarization limit of the gain: m n (1-2 lam)**(2m-2).
+    lam may be an array (a float comes back for a scalar)."""
     _validate_nm(n, m)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
-    nu = (1.0 - 2.0 * lam) ** 2
-    return m * n * nu ** (m - 1)
+    return linop._elementwise(
+        lambda x: m * n * ((1.0 - 2.0 * x) ** 2) ** (m - 1), _check_strength(lam)
+    )
 
 
-def gain_limit_r1(m: int, lam: float) -> float:
+def gain_limit_r1(m: int, lam):
     """Pure-state limit of the gain, m nu^(m-1) (1-nu) / (1-nu^m);
-    identically 1 for one invocation.
+    identically 1 for one invocation. lam may be an array (a float comes
+    back for a scalar).
 
     1-nu = 4 lam(1-lam) and 1-nu^m = -expm1(2m log1p(-2 min(lam, 1-lam)))
     are formed without cancellation as lam -> 0 or 1.
     """
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
+    lam = _check_strength(lam)
     if m == 1:
-        return 1.0
-    if lam == 0.0 or lam == 1.0:
+        return linop.scalar_or_array(np.ones_like(lam))
+    if ((lam == 0.0) | (lam == 1.0)).any():
         raise ValueError(
             "pure-state limit with lam in {0, 1} is outside the formula's domain"
         )
-    a = min(lam, 1.0 - lam)
-    one_minus_nu_m = -math.expm1(2.0 * m * math.log1p(-2.0 * a)) if a < 0.5 else 1.0
-    return m * (1.0 - 2.0 * a) ** (2 * m - 2) * 4.0 * lam * (1.0 - lam) / one_minus_nu_m
+
+    def limit(x: float) -> float:
+        a = min(x, 1.0 - x)
+        one_minus_nu_m = -math.expm1(2.0 * m * math.log1p(-2.0 * a)) if a < 0.5 else 1.0
+        return m * (1.0 - 2.0 * a) ** (2 * m - 2) * 4.0 * x * (1.0 - x) / one_minus_nu_m
+
+    return linop._elementwise(limit, lam)
 
 
 def gain_two_qubit(m: int, r: float, lam: float) -> float:

@@ -136,14 +136,19 @@ def sld_eig(
 # Closed forms for the single-qubit channel
 
 
-def _check_lambda(lam: float) -> float:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
-    return float(lam)
+def _check_lambda(lam):
+    """lam as a float, or as an array if it is one; every element in [0, 1]."""
+    lam = np.asarray(lam, dtype=float)
+    ok = (lam >= 0.0) & (lam <= 1.0)
+    if not ok.all():
+        raise ValueError(f"channel strength must lie in [0, 1], got {lam[~ok].flat[0]}")
+    return linop.scalar_or_array(lam)
 
 
-def _reject_pure_corner(r: float, lam: float) -> None:
-    if (lam == 0.0 or lam == 1.0) and r >= 1.0 - 1e-12:
+def _reject_pure_corner(r, lam) -> None:
+    """Raise if any (r, lam) pair, broadcast, is a pure state with lam in {0, 1}."""
+    near_pure = np.asarray(r) >= 1.0 - 1e-12
+    if near_pure.any() and (near_pure & ((lam == 0.0) | (lam == 1.0))).any():
         raise ValueError(
             "pure state with lam in {0, 1} is outside the closed form's domain"
         )
@@ -171,12 +176,12 @@ def qfi_single_use(v, lam: float) -> float:
     return num / den
 
 
-def qfi_independent_opt(r, lam: float, m: int):
+def qfi_independent_opt(r, lam, m: int):
     """Best independent-use Fisher information, 4 r^2 m / (1 - (1-2 lam)^2 r^2).
 
     The denominator is taken as (1-r)(1+r) + 4 lam(1-lam) r^2, which does
-    not cancel as r -> 1. r may be an array (a float comes back for a
-    scalar r).
+    not cancel as r -> 1. r and lam may be arrays that broadcast against
+    each other (a float comes back when both are scalars).
     """
     lam = _check_lambda(lam)
     r = np.asarray(r, dtype=float)
@@ -185,7 +190,7 @@ def qfi_independent_opt(r, lam: float, m: int):
         raise ValueError(f"polarization must lie in [0, 1], got {r[~ok].flat[0]}")
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
-    _reject_pure_corner(r.max(initial=0.0), lam)
+    _reject_pure_corner(r, lam)
     h = 4.0 * r * r * m / ((1.0 - r) * (1.0 + r) + 4.0 * lam * (1.0 - lam) * r * r)
     return linop.scalar_or_array(h)
 

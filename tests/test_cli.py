@@ -1,11 +1,15 @@
 import contextlib
 import csv
 import hashlib
+import io
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paulifish import channels, cli, correlations, mc, protocol, qfi
 
@@ -257,6 +261,73 @@ class TestSweepCommand:
         assert code == 2
         assert "step" in err
 
+    BENCH_GRID = ["--lambda-min", "0.0005", "--lambda-max", "0.9995", "--lambda-step", "0.001"]
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (["--m", "1"], "f7488329330915def928a3e19c28f711bb7ac4ccf2e36e326c1bf2e7a6881b20"),
+            (["--m", "2"], "22b9fc51a529044460be58beb7db31af4f2e6f315c4eea9ba826f5cfcad23b92"),
+            (
+                ["--n", "2", "--m", "1", *BENCH_GRID],
+                "13d431ce57232754993bf43675151bdfabe5d25169282db3b6890801a10f6f6f",
+            ),
+            (
+                ["--n", "5", "--m", "3", *BENCH_GRID],
+                "9c0d0ecc5fd078f8d3cbfb9666dd2a42dd6417be377d9d5cd26755cfa78a8f59",
+            ),
+            (
+                ["--n", "64", "--m", "64", "--lambda-min", "0.498", "--lambda-max", "0.5",
+                 "--lambda-step", "0.001"],
+                "69469cbe9f4b97eec441482c82b970932981fbdb1d94cb20f2bf5b8cafc234d7",
+            ),
+            (
+                ["--n", "3", "--m", "2", "--lambda-min", "0", "--lambda-max", "1",
+                 "--lambda-step", "0.125", "--r-max", "0.95"],
+                "6efa95f7374e6e495196d9457a8e4ef62cfdcc54a8376d4fc0bdd62675cef29c",
+            ),
+        ],
+        ids=["default-m1", "default-m2", "bench-pair", "bench-multi", "deep-n64", "lambda-ends"],
+    )
+    def test_csv_digest_is_pinned(self, args, digest, tmp_path, capsys):
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(["sweep", *args, "--out", str(out_path)], capsys)
+        assert code == 0, err
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+    def test_cells_are_evaluated_in_blocks(self, tmp_path, capsys, monkeypatch):
+        # 21 polarizations give 1024 // 21 = 48 strengths per block:
+        # ceil(1000 / 48) = 21 calls per layer, none over 1024 cells
+        cells = {"qfi_and_gain": [], "discord_protocol": []}
+        # position of r in each signature; lam follows it
+        spied = ((protocol, "qfi_and_gain", 2), (correlations, "discord_protocol", 0))
+        for mod, name, at in spied:
+            real = getattr(mod, name)
+
+            def spy(*args, _real=real, _seen=cells[name], _at=at):
+                _seen.append(np.broadcast(*map(np.asarray, args[_at : _at + 2])).size)
+                return _real(*args)
+
+            monkeypatch.setattr(mod, name, spy)
+        out_path = tmp_path / "pair.csv"
+        code, _, err = run_cli(
+            ["sweep", "--n", "2", "--m", "1", *self.BENCH_GRID, "--out", str(out_path)], capsys
+        )
+        assert code == 0, err
+        for seen in cells.values():
+            assert len(seen) == 21
+            assert max(seen) <= 1024
+
+    def test_one_bad_row_fails_the_whole_sweep(self, tmp_path, capsys):
+        # the lam = 0 row meets r = 1, the pure corner outside the closed forms
+        out_path = tmp_path / "corner.csv"
+        code, out, err = run_cli(
+            ["sweep", "--lambda-min", "0", "--lambda-max", "1", "--out", str(out_path)], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "pure state" in err
+        assert not out_path.exists()
+
 
 class TestVerifyCommand:
     def test_full_run_passes(self, capsys):
@@ -411,6 +482,8 @@ class TestRejectedArguments:
             (["sweep", "--lambda-step", "1e-4", "--r-step", "1e-4"], "90019001 rows"),
             (MC + ["--shots", "10000000000000000000"], "2**63 - 1"),
             (MC + ["--shots", str(2**62), "--m", "2"], "2**63 - 1"),
+            (MC + ["--trials", str(10**7 + 1)], "trials must be <= 10000000"),
+            (["mc", "--r", "1", "--lambda", "1e-17"], "Fisher information is infinite"),
         ],
     )
     def test_exits_2_before_allocating(self, args, hint, tmp_path, monkeypatch, capsys):
@@ -466,3 +539,87 @@ class TestClosedStdout:
             assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", "")
+
+
+def _options(spec):
+    """Argument fragments: each option of spec present or absent, with a
+    value drawn from its strategy."""
+    return st.fixed_dictionaries({}, optional=spec).map(
+        lambda d: [tok for name, value in d.items() for tok in (f"--{name}", value)]
+    )
+
+
+_FLOATS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 - 1e-13, 5e-324, 1e-300, 1e308]),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+).map(repr)
+# steps of at least 0.1 over bounds within [-2, 2] keep a sweep within 41 x 41
+# rows; the other steps and bounds are rejected before a grid is built
+_STEPS = st.one_of(
+    st.floats(0.1, 4.0), st.sampled_from([0.0, -0.05, 1e-300, math.inf, math.nan])
+).map(repr)
+_INTS = st.one_of(st.integers(-3, 70), st.sampled_from([2**62, 2**63, 10**400])).map(str)
+_JUNK = st.sampled_from(["", "x", "1.5", "0x10", "--"])
+# output paths, placed in a fresh directory per run; the second cannot be opened
+_OUT = st.sampled_from(["out.csv", os.path.join("missing", "out.csv")]).map(
+    lambda name: os.path.join("<tmp>", name)
+)
+
+_ARGV = st.one_of(
+    _options({"n": _INTS, "m": _INTS, "r": _FLOATS, "lambda": _FLOATS | _JUNK}).map(
+        lambda a: ["qfi", *a]
+    ),
+    _options(
+        {
+            "n": _INTS | _JUNK,
+            "m": _INTS,
+            "lambda-min": _FLOATS,
+            "lambda-max": _FLOATS,
+            "lambda-step": _STEPS,
+            "r-min": _FLOATS,
+            "r-max": _FLOATS,
+            "r-step": _STEPS,
+            "out": _OUT,
+        }
+    ).map(lambda a: ["sweep", *a]),
+    # a drawn --n-max follows the default 4 and wins
+    _options(
+        {
+            "suite": st.sampled_from(sorted(cli.verify.SUITES) + ["nope"]),
+            "n-max": st.sampled_from(["-1", "0", "2", "3", "4", "13", "x"]),
+        }
+    ).map(lambda a: ["verify", "--n-max", "4", *a]),
+    _options(
+        {
+            "r": _FLOATS,
+            "lambda": _FLOATS,
+            "m": _INTS,
+            "shots": st.one_of(st.integers(-2, 10**6), st.sampled_from([2**62, 10**20])).map(str),
+            "trials": st.one_of(
+                st.integers(-2, 50), st.sampled_from([10**7 + 1, 2**32 + 1])
+            ).map(str),
+            "seed": st.one_of(st.integers(-2, 2**40), st.just(2**200)).map(str),
+            "out": _OUT,
+        }
+    ).map(lambda a: ["mc", *a]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(argv=_ARGV)
+@example(argv=["mc", "--r", "1", "--lambda", "1e-17", "--trials", "3"])
+@example(argv=["sweep", "--m", str(10**400), "--out", os.path.join("<tmp>", "out.csv")])
+def test_no_argument_vector_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.replace("<tmp>", tmp) for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue(), argv

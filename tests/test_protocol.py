@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from paulifish import channels, protocol, qfi
+from paulifish import channels, correlations, protocol, qfi
 
 
 class TestWeightPair:
@@ -395,3 +395,53 @@ class TestWeightInequalities:
                     for j in range(n + 1)
                 )
                 assert total >= 2.0 ** (n + 1) * r * r - 1e-9
+
+
+class TestStrengthBroadcast:
+    """The closed forms a sweep evaluates once per block take lam as an array
+    that broadcasts against r, and give the same bits as scalar calls."""
+
+    # each returns a tuple of outputs; r is ignored by the lam-only limits
+    FUNCTIONS = {
+        "qfi_independent_opt": lambda r, lam, m: (qfi.qfi_independent_opt(r, lam, m),),
+        "gain_limit_r0": lambda r, lam, m: (protocol.gain_limit_r0(3, m, lam),),
+        "gain_limit_r1": lambda r, lam, m: (protocol.gain_limit_r1(m, lam),),
+        "discord_protocol": lambda r, lam, m: (
+            (rep := correlations.discord_protocol(r, lam, m)).Q, rep.c, *rep.lambdas
+        ),
+        "ppt_closed_form": lambda r, lam, m: correlations.ppt_closed_form(r, lam, m),
+    }
+    LAMS = [0.0, 0.013, 0.25, 0.5, 0.61, 0.999, 1.0]
+    RS = [0.0, 0.1, 0.5, 0.8, 0.999]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_mesh_equals_scalar_calls(self, name, m):
+        fn = self.FUNCTIONS[name]
+        # the pure-state limit excludes lam in {0, 1} for repeated invocations
+        lams = self.LAMS if name != "gain_limit_r1" or m == 1 else self.LAMS[1:-1]
+        lam_col, r_row = np.array(lams)[:, None], np.array(self.RS)[None, :]
+        outs = fn(r_row, lam_col, m)
+        for i, lam in enumerate(lams):
+            for j, r in enumerate(self.RS):
+                for out, want in zip(outs, fn(r, lam, m)):
+                    assert type(want) in (float, bool)
+                    got = np.broadcast_to(out, (len(lams), len(self.RS)))[i, j]
+                    assert got == want, (name, m, lam, r)
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.5, math.nan])
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_out_of_range_strength_anywhere_raises(self, name, bad):
+        for at in range(3):
+            lam = np.array([0.2, 0.3, 0.4])
+            lam[at] = bad
+            with pytest.raises(ValueError, match=r"channel strength must lie in \[0, 1\]"):
+                self.FUNCTIONS[name](np.array([0.5]), lam[:, None], 2)
+
+    def test_pure_corner_anywhere_in_the_mesh_raises(self):
+        lam = np.array([0.3, 0.0, 0.6])[:, None]
+        with pytest.raises(ValueError, match="pure state"):
+            qfi.qfi_independent_opt(np.array([0.5, 1.0]), lam, 1)
+        with pytest.raises(ValueError, match="pure-state limit"):
+            protocol.gain_limit_r1(2, lam)
+        assert qfi.qfi_independent_opt(np.array([0.5, 1.0 - 1e-9]), lam, 1).shape == (3, 2)
