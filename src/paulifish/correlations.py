@@ -30,51 +30,54 @@ def _xlog2(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BellDiagonalCoeffs:
-    """Coefficients of (1/4)(I + c1 XX + c2 YY + c3 ZZ)."""
+    """Coefficients of (1/4)(I + c1 XX + c2 YY + c3 ZZ); floats for one
+    state, arrays over the leading axes for a stack."""
 
-    c1: float
-    c2: float
-    c3: float
+    c1: float | np.ndarray
+    c2: float | np.ndarray
+    c3: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class DiscordReport:
     """Quantum discord in bits, the dominant |c_j|, and the four spectral
-    combinations 1 -+ c1 -+ c2 -+ c3 (each with an odd number of minuses)."""
+    combinations 1 -+ c1 -+ c2 -+ c3 (each with an odd number of minuses);
+    floats for one state, arrays for a grid."""
 
-    Q: float
-    c: float
-    lambdas: tuple[float, float, float, float]
+    Q: float | np.ndarray
+    c: float | np.ndarray
+    lambdas: tuple
 
 
-def rho_final_two_qubit(r: float, lam: float, m: int) -> np.ndarray:
+def rho_final_two_qubit(r, lam, m: int) -> np.ndarray:
     """Dense two-qubit state with off-diagonal scale (1-2 lam)**m.
 
     For m <= 2 this is the post-channel state of channels.correlated_state;
     larger m extends the same matrix family, which the correlation
-    diagnostics treat for any invocation count.
+    diagnostics treat for any invocation count. r and lam broadcast; the
+    result has shape broadcast(r, lam) + (4, 4).
     """
-    if m < 1:
-        raise ValueError(f"invocation count must be >= 1, got {m}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
+    mu = _off_diagonal_scale(lam, m)  # checks m and lam
+    r, mu = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(mu))
     diag, off = channels._block_weights(2, r)  # checks r
-    return channels._scatter(channels._block_stack(diag, off, (1.0 - 2.0 * lam) ** m))
+    return channels._scatter(channels._block_stack(diag, off, mu[..., None]))
 
 
-def is_separable_ppt(rho: np.ndarray, tol: float = PPT_TOL) -> tuple[bool, float]:
+def is_separable_ppt(rho: np.ndarray, tol: float = PPT_TOL):
     """PPT test: separable iff the partial transpose stays positive.
 
-    Returns (verdict, minimum partial-transpose eigenvalue).
+    Returns (verdict, minimum partial-transpose eigenvalue): a bool and a
+    float for one state, arrays over the leading axes for a stack (..., 4, 4),
+    which one batched eigensolve covers.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("PPT separability test takes a two-qubit state")
-    if not linop.is_density_operator(rho, tol=1e-8):
+    if not np.all(linop.is_density_operator(rho, tol=1e-8)):
         raise ValueError("input is not a two-qubit density operator")
     pt = linop.partial_transpose(rho, [1])
-    min_eig = float(np.min(np.linalg.eigvalsh((pt + linop.dagger(pt)) / 2)))
-    return min_eig >= -tol, min_eig
+    min_eig = np.min(np.linalg.eigvalsh((pt + linop.dagger(pt)) / 2), axis=-1)
+    return linop.scalar_or_array(min_eig >= -tol), linop.scalar_or_array(min_eig)
 
 
 def separability_threshold(m: int, lam: float) -> float:
@@ -144,26 +147,29 @@ def bell_diagonalize(rho: np.ndarray) -> BellDiagonalCoeffs:
     qubit and extracts every two-qubit Pauli coefficient
     Tr[U rho U† (s_a x s_b)]/4 = Tr[rho frame[a, b]]/4 in one contraction.
     Raises if any coefficient outside the XX/YY/ZZ diagonal survives above
-    tolerance.
+    tolerance. rho may be a stack (..., 4, 4); the coefficients are then
+    arrays over its leading axes.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError("Bell diagonalization takes a two-qubit state")
-    coeffs = np.einsum("ij,abji->ab", rho, _BELL_FRAME) / 4.0
+    coeffs = np.einsum("...ij,abji->...ab", rho, _BELL_FRAME) / 4.0
+    diag = np.diagonal(coeffs, axis1=-2, axis2=-1)
     residual = max(
-        float(np.max(np.abs(coeffs[~np.eye(4, dtype=bool)]))),
-        float(np.max(np.abs(coeffs.diagonal()[1:].imag))),
-        abs(coeffs[0, 0] - 0.25),
+        float(np.max(np.abs(coeffs[..., ~np.eye(4, dtype=bool)]))),
+        float(np.max(np.abs(diag[..., 1:].imag))),
+        float(np.max(np.abs(diag[..., 0] - 0.25))),
     )
     if residual > BELL_RESIDUAL_TOL:
         raise ValueError(
             f"state is not Bell-diagonal after rotation (residual {residual:.3e})"
         )
     # state = (1/4)(I + sum c_j s_j x s_j), so c_j = Tr[rho (s_j x s_j)]
+    c = 4.0 * diag.real
     return BellDiagonalCoeffs(
-        c1=float(4.0 * coeffs[1, 1].real),
-        c2=float(4.0 * coeffs[2, 2].real),
-        c3=float(4.0 * coeffs[3, 3].real),
+        c1=linop.scalar_or_array(c[..., 1]),
+        c2=linop.scalar_or_array(c[..., 2]),
+        c3=linop.scalar_or_array(c[..., 3]),
     )
 
 
@@ -190,12 +196,15 @@ def _report(lambdas: np.ndarray, c: np.ndarray) -> DiscordReport:
 
 
 def discord_xstate(coeffs: BellDiagonalCoeffs) -> DiscordReport:
-    """Discord of a Bell-diagonal state from its generic closed form."""
-    c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
+    """Discord of a Bell-diagonal state from its generic closed form; the
+    coefficients may be arrays, which broadcast."""
+    c1, c2, c3 = np.broadcast_arrays(
+        *(np.asarray(c, dtype=float) for c in (coeffs.c1, coeffs.c2, coeffs.c3))
+    )
     lambdas = _clamped(
         [1.0 - c1 - c2 - c3, 1.0 - c1 + c2 + c3, 1.0 + c1 - c2 + c3, 1.0 + c1 + c2 - c3]
     )
-    return _report(lambdas, np.asarray(max(abs(c1), abs(c2), abs(c3)), dtype=float))
+    return _report(lambdas, np.maximum(np.maximum(np.abs(c1), np.abs(c2)), np.abs(c3)))
 
 
 def discord_rmu(r, mu) -> DiscordReport:

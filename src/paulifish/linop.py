@@ -1,7 +1,8 @@
 """Dense complex operator algebra on registers of qubits.
 
 Operators are plain ``numpy`` arrays of shape ``(d, d)`` with ``d = 2**k``;
-``dagger`` and ``hermitian_eig`` also take stacks of shape ``(..., d, d)``.
+``dagger``, ``is_density_operator``, ``partial_transpose`` and
+``hermitian_eig`` also take stacks of shape ``(..., d, d)``.
 Qubits are numbered 1..n with qubit 1 the least significant bit of the
 basis index, so ``tensor([a, b])`` places ``b`` on qubit 1.
 """
@@ -81,14 +82,14 @@ def frobenius_max(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
 
 
-def is_density_operator(a: np.ndarray, tol: float = 1e-9) -> bool:
-    """Hermitian, unit trace, and eigenvalues >= -tol."""
-    a = _as_operator(a)
-    if frobenius_max(a - dagger(a)) > tol:
-        return False
-    if abs(np.trace(a) - 1.0) > tol:
-        return False
-    return bool(np.min(np.linalg.eigvalsh((a + dagger(a)) / 2)) >= -tol)
+def is_density_operator(a: np.ndarray, tol: float = 1e-9):
+    """Hermitian, unit trace, and eigenvalues >= -tol: a bool for one
+    operator, a bool array over the leading axes of a stack (..., d, d)."""
+    a = _as_operators(a)
+    non_hermitian = np.max(np.abs(a - dagger(a)), axis=(-2, -1)) > tol
+    off_trace = np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0) > tol
+    positive = np.min(np.linalg.eigvalsh((a + dagger(a)) / 2), axis=-1) >= -tol
+    return scalar_or_array(~non_hermitian & ~off_trace & positive)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +191,14 @@ def partial_trace(a: np.ndarray, keep: Iterable[int]) -> np.ndarray:
 
 
 def partial_transpose(a: np.ndarray, subsystem: Iterable[int]) -> np.ndarray:
-    """Transpose the indices of the named qubits only."""
-    a = _as_operator(a)
-    n = num_qubits(a)
+    """Transpose the indices of the named qubits only, of an operator or of
+    each operator in a stack (..., d, d)."""
+    a = _as_operators(a)
+    lead, n = a.shape[:-2], a.shape[-1].bit_length() - 1
     qs = _check_qubit_set(subsystem, n)
-    t = a.reshape([2] * (2 * n))
+    t = a.reshape(lead + (2,) * (2 * n))
     for q in qs:
-        axis = n - q
+        axis = len(lead) + n - q
         t = np.swapaxes(t, axis, n + axis)
     return np.ascontiguousarray(t.reshape(a.shape))
 

@@ -18,8 +18,9 @@ from . import channels, linop
 
 # Trial t's substream is SeedSequence(seed).spawn(trials)[t]. Its spawn key
 # (t,) is one uint32 word while t < 2**32, the only case _trial_keys mixes.
-# The bound itself is set by memory: _trial_keys holds several uint32 words
-# per trial at once, about 730 MiB above the interpreter at 10**7 trials.
+# The bound itself is set by memory: _trial_keys holds the keys and three
+# uint32 words per trial at once, about 270 MiB above the interpreter at
+# 10**7 trials (153 MiB of it the keys).
 MAX_TRIALS = 10**7
 
 # SeedSequence hash constants (numpy/random/bit_generator.pyx; NEP 19 keeps
@@ -142,22 +143,25 @@ def _trial_keys(seed: int, trials: int) -> np.ndarray:
     # The root's hash took 4 + 12 steps over its first four words, 4 per further word.
     hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) & _MASK32
     t = np.arange(trials, dtype=np.uint32)
-    pool = []
-    for word in root.pool.tolist():
+    keys = np.empty((trials, 2), dtype="<u8")
+    state = keys.view("<u4")  # the four output words, low word of each key first
+    hash_b = _INIT_B
+    # Output word i reads only pool word i, so each pool word is mixed,
+    # hashed into the state and dropped before the next one is formed.
+    for i, word in enumerate(root.pool.tolist()):
         value = t ^ hash_a
         hash_a = hash_a * _MULT_A & _MASK32
         value *= hash_a
         value ^= value >> 16
-        mixed = (_MIX_MULT_L * word & _MASK32) - _MIX_MULT_R * value
-        pool.append(mixed ^ (mixed >> 16))
-    hash_b = _INIT_B
-    state = np.empty((trials, 4), dtype=np.uint32)
-    for i, word in enumerate(pool):
-        value = word ^ hash_b
+        value *= _MIX_MULT_R
+        np.subtract(_MIX_MULT_L * word & _MASK32, value, out=value)
+        value ^= value >> 16  # pool word i
+        value ^= hash_b
         hash_b = hash_b * _MULT_B & _MASK32
         value *= hash_b
-        state[:, i] = value ^ (value >> 16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+        value ^= value >> 16
+        state[:, i] = value
+    return keys.astype(np.uint64, copy=False)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -188,7 +192,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         initial["state"]["key"] = key
         bitgen.state = initial
         p_hat[t] = rng.binomial(draws, p_plus) / draws
-    raw = 0.5 * (1.0 - (2.0 * p_hat - 1.0) / cfg.r)
+    # a subnormal r overflows the quotient to +-inf, which the clamp handles
+    with np.errstate(over="ignore"):
+        raw = 0.5 * (1.0 - (2.0 * p_hat - 1.0) / cfg.r)
     n_clamped = int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
     estimates = np.clip(raw, 0.0, 1.0)
     var = float(np.var(estimates, ddof=1)) if cfg.trials > 1 else 0.0

@@ -69,20 +69,26 @@ class WeightPair:
     total = (1+r)**j (1-r)**(n-j) + (1+r)**(n-j) (1-r)**j
 
     diff changes sign under j -> n-j, total does not, and
-    diff**2 = total**2 - 4 (1-r**2)**n exactly.
+    diff**2 = total**2 - 4 (1-r**2)**n exactly. Floats for a scalar r,
+    arrays in r's shape otherwise.
     """
 
-    diff: float
-    total: float
+    diff: float | np.ndarray
+    total: float | np.ndarray
 
 
-def weight_pair(n: int, j: int, r: float) -> WeightPair:
+def weight_pair(n: int, j: int, r) -> WeightPair:
+    """The weight pair j of n qubits at polarization r, which may be an
+    array. The powers are taken per element through the C library's pow,
+    so an array gives the same bits as scalar calls."""
     if not 0 <= j <= n:
         raise ValueError(f"j={j} out of range 0..{n}")
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"polarization must lie in [0, 1), got {r}")
-    a = (1.0 + r) ** j * (1.0 - r) ** (n - j)
-    b = (1.0 + r) ** (n - j) * (1.0 - r) ** j
+    r = np.asarray(r, dtype=float)
+    ok = (r >= 0.0) & (r < 1.0)
+    if not ok.all():
+        raise ValueError(f"polarization must lie in [0, 1), got {r[~ok].flat[0]}")
+    a = linop._elementwise(lambda x: (1.0 + x) ** j * (1.0 - x) ** (n - j), r)
+    b = linop._elementwise(lambda x: (1.0 + x) ** (n - j) * (1.0 - x) ** j, r)
     return WeightPair(diff=a - b, total=a + b)
 
 

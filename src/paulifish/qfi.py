@@ -3,7 +3,8 @@
 The closed 2x2 route needs no eigensolve and branches on
 alpha = Tr(A^2) - (Tr A)^2; orthogonal-support pieces add; the
 eigendecomposition route is the general oracle
-L_ij = 2 <i|drho|j> / (p_i + p_j).
+L_ij = 2 <i|drho|j> / (p_i + p_j), with fisher_eig its Fisher information
+alone.
 """
 
 from __future__ import annotations
@@ -93,18 +94,16 @@ def sld_block_sum(
     return SldResult(L=sum(ls), H=sum(hs))
 
 
-def sld_eig(
-    rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL
-) -> SldResult:
-    """General score operator from the eigendecomposition of rho.
+def _eigen_frame(
+    rho: np.ndarray, drho: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenbasis V of rho, the score operator l in that basis and the
+    Fisher information H, the shared body of sld_eig and fisher_eig.
 
-    Pairs with p_i + p_j <= tol contribute nothing; if the derivative has
-    weight above sqrt(tol) between two such null directions the Fisher
-    information is ill-defined and this raises.
-
-    rho and drho may be stacks (..., d, d): one batched eigensolve covers
-    them, L keeps their shape and H is an array over the leading axes (a
-    float for a single operator).
+    l_ij = 2 <i|drho|j> / (p_i + p_j) on pairs with p_i + p_j > tol and 0
+    elsewhere; derivative weight above sqrt(tol) between two null
+    directions raises. H = sum_ij Re(l_ij conj(<i|drho|j>)) is an array
+    over the leading axes of a stack.
     """
     rho = np.asarray(rho, dtype=complex)
     drho = np.asarray(drho, dtype=complex)
@@ -129,7 +128,35 @@ def sld_eig(
     l_eig = np.zeros_like(m)
     l_eig[included] = 2.0 * m[included] / psum[included]
     h = np.sum((l_eig * m.conj()).real, axis=(-2, -1))
+    return v, l_eig, h
+
+
+def sld_eig(
+    rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL
+) -> SldResult:
+    """General score operator from the eigendecomposition of rho.
+
+    Pairs with p_i + p_j <= tol contribute nothing; if the derivative has
+    weight above sqrt(tol) between two such null directions the Fisher
+    information is ill-defined and this raises.
+
+    rho and drho may be stacks (..., d, d): one batched eigensolve covers
+    them, L keeps their shape and H is an array over the leading axes (a
+    float for a single operator).
+    """
+    v, l_eig, h = _eigen_frame(rho, drho, tol)
     return SldResult(L=v @ l_eig @ linop.dagger(v), H=linop.scalar_or_array(h))
+
+
+def fisher_eig(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL):
+    """The Fisher information sld_eig(rho, drho, tol).H, bit for bit, without
+    rotating the score operator back out of the eigenbasis.
+
+    Takes the same stacks and raises the same errors as sld_eig; returns a
+    float for a single operator and an array over the leading axes of a
+    stack.
+    """
+    return linop.scalar_or_array(_eigen_frame(rho, drho, tol)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +222,11 @@ def qfi_independent_opt(r, lam, m: int):
     return linop.scalar_or_array(h)
 
 
-def qfi_upper_bound(lam: float, m: int) -> float:
-    """Absolute bound m / (lam (1-lam)); infinite at the interval endpoints."""
-    lam = _check_lambda(lam)
+def qfi_upper_bound(lam, m: int):
+    """Absolute bound m / (lam (1-lam)); infinite at the interval endpoints.
+    lam may be an array (a float comes back for a scalar)."""
+    lam = np.asarray(_check_lambda(lam))
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
-    if lam == 0.0 or lam == 1.0:
-        return math.inf
-    return m / (lam * (1.0 - lam))
+    with np.errstate(divide="ignore"):
+        return linop.scalar_or_array(m / (lam * (1.0 - lam)))

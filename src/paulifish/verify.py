@@ -5,6 +5,13 @@ closed-form Fisher information, analytic bounds, the weight-pair and gain
 inequalities, discord monotonicity, stationary polarizations, separability
 thresholds, preparation-unitary structure) and reports its worst observed
 error against a fixed tolerance.
+
+The suites evaluate their grids in vectorised calls, not point by point:
+the closed forms and the dense oracle routes (``qfi.fisher_eig``,
+``correlations.rho_final_two_qubit``, ``is_separable_ppt``,
+``bell_diagonalize``, ``discord_xstate``) take whole stacks, so each suite
+makes one call per grid, per (n, m) or per m. The worst error over a grid
+is the same number the point-by-point loop would find.
 """
 
 from __future__ import annotations
@@ -70,14 +77,14 @@ def suite_oracle(n_max: int = 5) -> SuiteResult:
     for n in _qubit_counts(n_max):
         for m in range(1, n + 1):
             h_closed = _mesh(n, m, lams, rs)[0]
-            h_blocks = qfi.sld_eig(*channels.correlated_blocks(n, r_grid, lam_grid, m)).H
+            h_blocks = qfi.fisher_eig(*channels.correlated_blocks(n, r_grid, lam_grid, m))
             h_oracle = h_blocks.sum(axis=-1)
             worst = max(worst, _rel_err(h_oracle, h_closed))
             if n <= DENSE_BRIDGE_N_MAX:
                 # one lam row of dense states at a time: the whole grid's
                 # stack would raise the peak memory of a run by about 3 MiB
                 for lam, h_row in zip(lam_grid, h_oracle):
-                    h_dense = qfi.sld_eig(*channels.correlated_state(n, r_grid, lam, m)).H
+                    h_dense = qfi.fisher_eig(*channels.correlated_state(n, r_grid, lam, m))
                     worst = max(worst, _rel_err(h_dense, h_row))
     return SuiteResult("oracle", worst < 1e-8, worst, f"n<= {n_max}, tol 1e-8")
 
@@ -87,18 +94,17 @@ def suite_bounds(n_max: int = 5) -> SuiteResult:
     worst = -math.inf
     lams = [round(0.1 * k, 10) for k in range(1, 10)]
     rs = [round(0.1 * k, 10) for k in range(1, 10)]
+    r_grid, lam_grid = np.array(rs), np.array(lams)[:, None]
     for n in _qubit_counts(n_max):
         for m in range(1, n + 1):
             h_closed = _mesh(n, m, lams, rs)[0]
-            for lam, h in zip(lams, h_closed):
-                bound = qfi.qfi_upper_bound(lam, m)
-                h_ind = qfi.qfi_independent_opt(rs, lam, m)
-                worst = max(worst, float(np.max(h)) - bound, float(np.max(h_ind)) - bound)
+            h_ind = qfi.qfi_independent_opt(r_grid, lam_grid, m)
+            bound = qfi.qfi_upper_bound(lam_grid, m)
+            worst = max(worst, float(np.max(h_closed - bound)), float(np.max(h_ind - bound)))
     pure_err = 0.0
     for m in (1, 2, 3):
-        for lam in lams:
-            h = qfi.qfi_independent_opt(1.0 - 1e-8, lam, m)
-            pure_err = max(pure_err, _rel_err(h, qfi.qfi_upper_bound(lam, m)))
+        h = qfi.qfi_independent_opt(1.0 - 1e-8, lam_grid, m)
+        pure_err = max(pure_err, _rel_err(h, qfi.qfi_upper_bound(lam_grid, m)))
     ok = worst <= 1e-8 and pure_err < 1e-4
     return SuiteResult(
         "bounds", ok, max(worst, 0.0) + pure_err, f"max excess {worst:.2e}, pure-limit rel {pure_err:.2e}"
@@ -109,25 +115,25 @@ def suite_weight_inequalities(n_max: int = 8) -> SuiteResult:
     """diff^2/total^2 >= r^2 off the middle index, total >= 2(1-r^2)^(n-1),
     the weighted sum >= 2^(n+1) r^2, and gain > 1 for single invocations."""
     worst = 0.0  # most negative margin observed, as a positive number
-    rs = [round(0.02 * k, 10) for k in range(1, 50)]
+    rs = np.array([round(0.02 * k, 10) for k in range(1, 50)])
+    r2 = rs * rs
     for n in range(2, n_max + 1):
+        floor = linop._elementwise(lambda x: 2.0 * (1.0 - x * x) ** (n - 1), rs)
+        for j in range(n + 1):
+            w = protocol.weight_pair(n, j, rs)
+            if 2 * j != n:
+                worst = max(worst, float(np.max(r2 - (w.diff / w.total) ** 2)))
+            worst = max(worst, float(np.max(floor - w.total)))
         # sum_j C(n,j) diff^2/total is 2^(n+1) r^2 times the gain at lam = 1/2, m = 1
-        half_gain = protocol.qfi_and_gain(n, 1, np.array(rs), 0.5)[1].tolist()
-        for r, g in zip(rs, half_gain):
-            for j in range(n + 1):
-                w = protocol.weight_pair(n, j, r)
-                if 2 * j != n:
-                    margin = (w.diff / w.total) ** 2 - r * r
-                    worst = max(worst, -margin)
-                worst = max(worst, 2.0 * (1.0 - r * r) ** (n - 1) - w.total)
-            total_sum = 2.0 ** (n + 1) * r * r * g
-            worst = max(worst, 2.0 ** (n + 1) * r * r - total_sum)
-    floor_margin = math.inf
+        half_gain = protocol.qfi_and_gain(n, 1, rs, 0.5)[1]
+        weighted = 2.0 ** (n + 1) * r2
+        worst = max(worst, float(np.max(weighted - weighted * half_gain)))
     lams = np.array([round(0.01 * k, 10) for k in range(0, 101)])
-    for n in range(2, n_max + 1):
-        for r in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
-            g = protocol.qfi_and_gain(n, 1, r, lams)[1]
-            floor_margin = min(floor_margin, float(np.min(g)) - 1.0)
+    floor_rs = np.array([0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98])[:, None]
+    floor_margin = min(
+        float(np.min(protocol.qfi_and_gain(n, 1, floor_rs, lams)[1])) - 1.0
+        for n in range(2, n_max + 1)
+    )
     ok = worst <= 1e-12 and floor_margin > 0.0
     return SuiteResult(
         "weight-inequalities",
@@ -150,17 +156,15 @@ def suite_discord(step: float = 1e-4) -> SuiteResult:
     worst_sym = 0.0
     worst_route = 0.0
     rs = np.array(grid)
-    for lam in (0.0, 0.1, 0.3, 0.5, 0.7, 0.95, 1.0):
-        for m in (1, 2, 3):
-            mu = (1.0 - 2.0 * lam) ** m
-            sym = correlations.discord_rmu(rs, mu).Q - correlations.discord_rmu(rs, -mu).Q
-            worst_sym = max(worst_sym, float(np.max(np.abs(sym))))
-            q_closed = correlations.discord_protocol(rs, lam, m).Q.tolist()
-            for r, q in zip(grid, q_closed):
-                coeffs = correlations.bell_diagonalize(
-                    correlations.rho_final_two_qubit(r, lam, m)
-                )
-                worst_route = max(worst_route, abs(correlations.discord_xstate(coeffs).Q - q))
+    lam_col = np.array([0.0, 0.1, 0.3, 0.5, 0.7, 0.95, 1.0])[:, None]
+    for m in (1, 2, 3):
+        mu = linop._elementwise(lambda x: (1.0 - 2.0 * x) ** m, lam_col)
+        sym = correlations.discord_rmu(rs, mu).Q - correlations.discord_rmu(rs, -mu).Q
+        worst_sym = max(worst_sym, float(np.max(np.abs(sym))))
+        q_closed = correlations.discord_protocol(rs, lam_col, m).Q
+        coeffs = correlations.bell_diagonalize(correlations.rho_final_two_qubit(rs, lam_col, m))
+        q_dense = correlations.discord_xstate(coeffs).Q
+        worst_route = max(worst_route, float(np.max(np.abs(q_dense - q_closed))))
     ok = worst_mono <= 0.0 and worst_sym < 1e-12 and worst_route < 1e-10
     return SuiteResult(
         "discord",
@@ -207,33 +211,25 @@ def suite_separability() -> SuiteResult:
     worst = 0.0
     worst_route = 0.0
     found_separable_gain = False
-    lams = [round(0.1 * k, 10) for k in range(0, 11)]
-
-    def dense_separable(r: float, lam: float, m: int) -> bool:
-        nonlocal worst_route
-        sep, min_eig = correlations.is_separable_ppt(
-            correlations.rho_final_two_qubit(r, lam, m)
-        )
-        sep_closed, min_eig_closed = correlations.ppt_closed_form(r, lam, m)
-        worst_route = max(worst_route, abs(min_eig - min_eig_closed))
-        if sep != sep_closed:
-            worst_route = math.inf
-        return sep
-
+    lams = np.array([round(0.1 * k, 10) for k in range(0, 11)])
     for m in (1, 2, 3):
-        for lam in lams:
-            thr = correlations.separability_threshold(m, lam)
-            if thr - margin > 0.0:
-                if not dense_separable(thr - margin, lam, m):
-                    worst = max(worst, margin)
-            if thr + margin < 1.0:
-                if dense_separable(thr + margin, lam, m):
-                    worst = max(worst, margin)
-            if 0.0 < thr - margin and 0.0 < lam < 1.0 and m <= 2:
-                r = thr - margin
-                g = protocol.gain(protocol.ProtocolPoint(2, m, r, lam))
-                if dense_separable(r, lam, m) and g > 1.0:
-                    found_separable_gain = True
+        thr = np.array([correlations.separability_threshold(m, lam) for lam in lams.tolist()])
+        below, above = thr - margin > 0.0, thr + margin < 1.0
+        # the points just below the threshold, expected separable, then those just above
+        r = np.concatenate([thr[below] - margin, thr[above] + margin])
+        lam = np.concatenate([lams[below], lams[above]])
+        expected = np.arange(r.size) < np.count_nonzero(below)
+        sep, min_eig = correlations.is_separable_ppt(correlations.rho_final_two_qubit(r, lam, m))
+        sep_closed, min_eig_closed = correlations.ppt_closed_form(r, lam, m)
+        worst_route = max(worst_route, float(np.max(np.abs(min_eig - min_eig_closed))))
+        if (sep != sep_closed).any():
+            worst_route = math.inf
+        if (sep != expected).any():
+            worst = margin
+        if m <= 2:
+            interior = expected & (lam > 0.0) & (lam < 1.0)
+            g = protocol.qfi_and_gain(2, m, r[interior], lam[interior])[1]
+            found_separable_gain |= bool((sep[interior] & (g > 1.0)).any())
     ok = worst == 0.0 and found_separable_gain and worst_route < 1e-14
     return SuiteResult(
         "separability",

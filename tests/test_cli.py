@@ -4,6 +4,8 @@ import hashlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import paulifish
 from paulifish import channels, cli, correlations, mc, protocol, qfi
 
 
@@ -457,6 +460,19 @@ class TestMcCommand:
     def test_domain_error_exits_2(self, capsys):
         code, _, _ = run_cli(["mc", "--r", "0", "--lambda", "0.3"], capsys)
         assert code == 2
+
+    def test_subnormal_polarization_leaves_stderr_empty(self):
+        # the estimator's quotient overflows to +-inf and is clamped; numpy's
+        # overflow warning must not reach the user, so run a real process
+        src = os.path.dirname(os.path.dirname(paulifish.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "paulifish.cli",
+             "mc", "--r", "5e-324", "--lambda", "0.3", "--trials", "3"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "mean=0 variance=0 crb=inf ratio=0 fisher=0 clamped=3\n"
 
     @pytest.mark.parametrize(
         "option, value", [("--seed", "-1"), ("--trials", str(2**32 + 1))]

@@ -302,6 +302,77 @@ class TestBroadcastDiscord:
             correlations.discord_rmu(0.5, np.array([0.3, -1.1]))
 
 
+class TestStackedDenseRoutes:
+    """The dense oracle routes take stacks; each element of a stacked call
+    equals the scalar call (exactly, or within 1e-15 where an eigensolve or
+    a contraction sums in its own order)."""
+
+    RS = np.array([0.05, 0.3, 0.5, 0.77, 0.95])
+    LAMS = np.array([0.0, 0.1, 0.5, 0.7, 1.0])[:, None]
+
+    def points(self):
+        for i, lam in enumerate(self.LAMS[:, 0].tolist()):
+            for j, r in enumerate(self.RS.tolist()):
+                yield (i, j), r, lam
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_final_state(self, m):
+        rho = correlations.rho_final_two_qubit(self.RS, self.LAMS, m)
+        assert rho.shape == (5, 5, 4, 4)
+        for idx, r, lam in self.points():
+            assert np.array_equal(rho[idx], correlations.rho_final_two_qubit(r, lam, m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bell_coefficients_and_discord(self, m):
+        coeffs = correlations.bell_diagonalize(
+            correlations.rho_final_two_qubit(self.RS, self.LAMS, m)
+        )
+        rep = correlations.discord_xstate(coeffs)
+        assert rep.Q.shape == coeffs.c1.shape == (5, 5)
+        for idx, r, lam in self.points():
+            one = correlations.bell_diagonalize(correlations.rho_final_two_qubit(r, lam, m))
+            assert type(one.c1) is float
+            got = (coeffs.c1[idx], coeffs.c2[idx], coeffs.c3[idx])
+            assert np.allclose(got, (one.c1, one.c2, one.c3), rtol=0.0, atol=1e-15)
+            # the closed form on the same coefficients is elementwise: exact
+            same = correlations.discord_xstate(correlations.BellDiagonalCoeffs(*map(float, got)))
+            assert (rep.Q[idx], rep.c[idx]) == (same.Q, same.c)
+            assert tuple(v[idx] for v in rep.lambdas) == same.lambdas
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_ppt_verdict_and_eigenvalue(self, m):
+        sep, min_eig = correlations.is_separable_ppt(
+            correlations.rho_final_two_qubit(self.RS, self.LAMS, m)
+        )
+        assert sep.dtype == bool and sep.shape == min_eig.shape == (5, 5)
+        assert sep.any() and not sep.all()
+        for idx, r, lam in self.points():
+            one_sep, one_eig = correlations.is_separable_ppt(
+                correlations.rho_final_two_qubit(r, lam, m)
+            )
+            assert type(one_sep) is bool and type(one_eig) is float
+            assert sep[idx] == one_sep
+            assert abs(min_eig[idx] - one_eig) <= 1e-15
+
+    def test_one_bad_member_rejects_the_stack(self):
+        rho = correlations.rho_final_two_qubit(self.RS, 0.3, 1)
+        not_a_state = rho.copy()
+        not_a_state[2] *= 2.0
+        with pytest.raises(ValueError, match="not a two-qubit density operator"):
+            correlations.is_separable_ppt(not_a_state)
+        rotated = rho.copy()
+        rotated[3, 0, 1] = rotated[3, 1, 0] = 0.1
+        with pytest.raises(ValueError, match="not Bell-diagonal"):
+            correlations.bell_diagonalize(rotated)
+        with pytest.raises(ValueError, match="channel strength"):
+            correlations.rho_final_two_qubit(0.5, np.array([0.2, 1.5]), 1)
+        with pytest.raises(ValueError, match="polarization"):
+            correlations.rho_final_two_qubit(np.array([0.5, 1.0]), 0.2, 1)
+        for fn in (correlations.is_separable_ppt, correlations.bell_diagonalize):
+            with pytest.raises(ValueError, match="two-qubit state"):
+                fn(np.eye(8)[None] / 8)
+
+
 class TestDiscordGainInterplay:
     def test_discord_increases_in_both_arguments(self):
         h = 1e-4

@@ -171,6 +171,16 @@ class TestPartialTranspose:
         expected[1, 2], expected[2, 1] = 1j * c, -1j * c
         np.testing.assert_allclose(pt, expected, atol=0.0)
 
+    @pytest.mark.parametrize("subsystem", [[1], [2], [1, 3], [1, 2, 3]])
+    def test_stack_equals_one_call_per_operator(self, subsystem):
+        rng = np.random.default_rng(10)
+        stack = np.array([[random_hermitian(rng, 8) for _ in range(3)] for _ in range(2)])
+        pt = linop.partial_transpose(stack, subsystem)
+        assert pt.shape == stack.shape
+        for i in range(2):
+            for k in range(3):
+                assert np.array_equal(pt[i, k], linop.partial_transpose(stack[i, k], subsystem))
+
 
 class TestHermitianEig:
     def test_pauli_z_spectrum(self):
@@ -242,3 +252,14 @@ class TestHelpers:
         assert linop.is_density_operator(np.eye(2) / 2)
         assert not linop.is_density_operator(np.eye(2))
         assert not linop.is_density_operator(np.diag([1.5, -0.5]))
+
+    def test_density_operator_predicate_on_a_stack(self):
+        skew = np.eye(2, dtype=complex) / 2
+        skew[0, 1] = 1e-6  # not Hermitian
+        members = [np.eye(2) / 2, np.eye(2), np.diag([1.5, -0.5]), skew, np.diag([0.3, 0.7])]
+        verdicts = linop.is_density_operator(np.array([members, members[::-1]]))
+        assert verdicts.dtype == bool and verdicts.shape == (2, 5)
+        for row, ops in zip(verdicts, (members, members[::-1])):
+            for got, op in zip(row, ops):
+                want = linop.is_density_operator(op)
+                assert type(want) is bool and got == want

@@ -39,6 +39,23 @@ class TestWeightPair:
                         w.total**2 - 4 * (1 - r * r) ** n, rel=1e-12
                     )
 
+    def test_array_equals_scalar_calls(self):
+        rs = np.array([[0.0, 0.02, 0.37], [0.5, 0.9, 0.999]])
+        for n in (2, 5, 8):
+            for j in range(n + 1):
+                w = protocol.weight_pair(n, j, rs)
+                assert w.diff.shape == w.total.shape == rs.shape
+                for idx, r in np.ndenumerate(rs):
+                    one = protocol.weight_pair(n, j, float(r))
+                    assert type(one.diff) is float and type(one.total) is float
+                    assert (w.diff[idx], w.total[idx]) == (one.diff, one.total)
+
+    def test_bad_polarization_anywhere_raises(self):
+        with pytest.raises(ValueError, match=r"polarization must lie in \[0, 1\), got 1.0"):
+            protocol.weight_pair(3, 1, np.array([0.2, 1.0, 0.4]))
+        with pytest.raises(ValueError, match="out of range"):
+            protocol.weight_pair(3, 4, np.array([0.2]))
+
 
 class TestCorrelatedInformation:
     def test_vanishes_at_half_strength_with_repeats(self):
@@ -398,8 +415,9 @@ class TestWeightInequalities:
 
 
 class TestStrengthBroadcast:
-    """The closed forms a sweep evaluates once per block take lam as an array
-    that broadcasts against r, and give the same bits as scalar calls."""
+    """The closed forms a sweep or a verify suite evaluates once per block take
+    lam as an array that broadcasts against r, and give the same bits as
+    scalar calls."""
 
     # each returns a tuple of outputs; r is ignored by the lam-only limits
     FUNCTIONS = {
@@ -410,6 +428,7 @@ class TestStrengthBroadcast:
             (rep := correlations.discord_protocol(r, lam, m)).Q, rep.c, *rep.lambdas
         ),
         "ppt_closed_form": lambda r, lam, m: correlations.ppt_closed_form(r, lam, m),
+        "qfi_upper_bound": lambda r, lam, m: (qfi.qfi_upper_bound(lam, m),),
     }
     LAMS = [0.0, 0.013, 0.25, 0.5, 0.61, 0.999, 1.0]
     RS = [0.0, 0.1, 0.5, 0.8, 0.999]

@@ -115,6 +115,41 @@ class TestSldEig:
             residual = drho[k] - (res.L[k] @ rho[k] + rho[k] @ res.L[k]) / 2
             assert linop.frobenius_max(residual) < 1e-8
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_fisher_eig_is_the_sld_information_bit_for_bit(self, shape):
+        rs = np.linspace(0.1, 0.9, int(np.prod(shape))).reshape(shape)
+        for route in (channels.correlated_state, channels.correlated_blocks):
+            rho, drho = route(3, rs, 0.3, 2)
+            h = qfi.fisher_eig(rho, drho)
+            want = qfi.sld_eig(rho, drho).H
+            if route is channels.correlated_state and shape == ():
+                assert type(h) is float
+            assert np.array_equal(h, want)
+
+    NULL_RHO = np.diag([1.0, 0.0, 0.0, 0.0])
+    NULL_DRHO = np.pad([[0.0, 0.5], [0.5, 0.0]], ((2, 0), (2, 0)))  # outside the support
+
+    @pytest.mark.parametrize(
+        "rho, drho, match",
+        [
+            (np.eye(2) / 2, np.array([[0.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
+            (NULL_RHO, NULL_DRHO, "ill-defined"),
+            (
+                np.stack([np.eye(4) / 4, NULL_RHO]),
+                np.stack([np.zeros((4, 4)), NULL_DRHO]),
+                "ill-defined",
+            ),
+            (np.eye(2) / 2, np.zeros((4, 4)), "differ in shape"),
+        ],
+    )
+    def test_fisher_eig_raises_as_sld_eig_does(self, rho, drho, match):
+        messages = []
+        for oracle in (qfi.sld_eig, qfi.fisher_eig):
+            with pytest.raises(ValueError, match=match) as err:
+                oracle(rho, drho)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
     def test_ill_defined_member_of_a_stack_rejected(self):
         good_rho, good_drho = np.eye(4) / 4, np.diag([0.1, -0.1, 0.0, 0.0])
         bad_rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
