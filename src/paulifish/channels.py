@@ -134,13 +134,11 @@ def bitstring_weight(x, n: int, r):
 
     x and r broadcast against each other (a float comes back for scalars).
     """
-    x, r = np.asarray(x), np.asarray(r, dtype=float)
+    x = np.asarray(x)
     bad_x = (x < 0) | (x > 2**n - 1)
     if bad_x.any():
         raise ValueError(f"x={x[bad_x].flat[0]} out of range for {n} qubits")
-    ok_r = (r >= 0.0) & (r < 1.0)
-    if not ok_r.all():
-        raise ValueError(f"polarization must lie in [0, 1), got {r[~ok_r].flat[0]}")
+    r = linop.check_unit_interval(r, "polarization", "[0, 1)")
     j = n - _popcount(x, n)
     return linop.scalar_or_array((1.0 + r) ** j * (1.0 - r) ** (n - j) / 2**n)
 
@@ -194,10 +192,7 @@ def correlated_blocks(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"preparation needs at least 2 qubits, got {n}")
     if not 1 <= m <= n:
         raise ValueError(f"invocation count m={m} must lie in 1..{n}")
-    lam = np.asarray(lam, dtype=float)
-    ok = (lam >= 0.0) & (lam <= 1.0)
-    if not ok.all():
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam[~ok].flat[0]}")
+    lam = linop.check_unit_interval(lam, "channel strength")
     r, lam = np.broadcast_arrays(np.asarray(r, dtype=float), lam)
     diag, off = _block_weights(n, r)
     c = 1.0 - 2.0 * lam[..., None]

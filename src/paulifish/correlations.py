@@ -97,10 +97,7 @@ def _off_diagonal_scale(lam, m: int):
     element, so an array gives the same bits as scalar calls."""
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
-    lam = np.asarray(lam, dtype=float)
-    ok = (lam >= 0.0) & (lam <= 1.0)
-    if not ok.all():
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam[~ok].flat[0]}")
+    lam = linop.check_unit_interval(lam, "channel strength")
     return linop._elementwise(lambda x: (1.0 - 2.0 * x) ** m, lam)
 
 
@@ -114,10 +111,7 @@ def ppt_closed_form(r, lam, m: int):
     For two qubits PPT is exact (Peres; Horodecki).
     """
     mu = np.abs(_off_diagonal_scale(lam, m))
-    r = np.asarray(r, dtype=float)
-    ok = (r >= 0.0) & (r < 1.0)
-    if not ok.all():
-        raise ValueError(f"polarization must lie in [0, 1), got {r[~ok].flat[0]}")
+    r = linop.check_unit_interval(r, "polarization", "[0, 1)")
     min_eig = ((1.0 - r) * (1.0 + r) - 2.0 * r * mu) / 4.0
     return linop.scalar_or_array(min_eig >= -PPT_TOL), linop.scalar_or_array(min_eig)
 
@@ -217,9 +211,8 @@ def discord_rmu(r, mu) -> DiscordReport:
     arrays otherwise.
     """
     r, am = np.broadcast_arrays(np.asarray(r, dtype=float), np.abs(np.asarray(mu, dtype=float)))
-    ok_r, bad_mu = (r >= 0.0) & (r < 1.0), ~(am <= 1.0 + 1e-12)
-    if not ok_r.all():
-        raise ValueError(f"polarization must lie in [0, 1), got {r[~ok_r].flat[0]}")
+    linop.check_unit_interval(r, "polarization", "[0, 1)")
+    bad_mu = ~(am <= 1.0 + 1e-12)
     if bad_mu.any():
         raise ValueError(f"off-diagonal scale must lie in [-1, 1], got {am[bad_mu].flat[0]}")
     r2, cross = r * r, 2.0 * r * am

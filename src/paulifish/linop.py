@@ -34,6 +34,19 @@ def scalar_or_array(v: np.ndarray):
     return v.item() if v.ndim == 0 else v
 
 
+def check_unit_interval(v, what: str, interval: str = "[0, 1]") -> np.ndarray:
+    """v as a float array, every element inside the unit interval with the
+    ends that ``interval`` writes out: "[0, 1]", "[0, 1)" or "(0, 1)".
+    Otherwise raises, naming ``what`` and the first element outside it."""
+    v = np.asarray(v, dtype=float)
+    ok = (v >= 0.0 if interval[0] == "[" else v > 0.0) & (
+        v <= 1.0 if interval[-1] == "]" else v < 1.0
+    )
+    if not ok.all():
+        raise ValueError(f"{what} must lie in {interval}, got {v[~ok].flat[0]}")
+    return v
+
+
 def _elementwise(f, v):
     """f of each element of v taken as a Python float, in v's shape (a float
     for a scalar). For closed forms whose scalar value is pinned to the last

@@ -83,10 +83,7 @@ def weight_pair(n: int, j: int, r) -> WeightPair:
     so an array gives the same bits as scalar calls."""
     if not 0 <= j <= n:
         raise ValueError(f"j={j} out of range 0..{n}")
-    r = np.asarray(r, dtype=float)
-    ok = (r >= 0.0) & (r < 1.0)
-    if not ok.all():
-        raise ValueError(f"polarization must lie in [0, 1), got {r[~ok].flat[0]}")
+    r = linop.check_unit_interval(r, "polarization", "[0, 1)")
     a = linop._elementwise(lambda x: (1.0 + x) ** j * (1.0 - x) ** (n - j), r)
     b = linop._elementwise(lambda x: (1.0 + x) ** (n - j) * (1.0 - x) ** j, r)
     return WeightPair(diff=a - b, total=a + b)
@@ -97,15 +94,6 @@ def _validate_nm(n: int, m: int) -> None:
         raise ValueError(f"n={n} must lie in 2..{ANALYTIC_N_CAP}")
     if not 1 <= m <= n:
         raise ValueError(f"invocations m={m} must lie in 1..{n}")
-
-
-def _check_strength(lam) -> np.ndarray:
-    """lam as a float array; every element must lie in [0, 1]."""
-    lam = np.asarray(lam, dtype=float)
-    ok = (lam >= 0.0) & (lam <= 1.0)
-    if not ok.all():
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam[~ok].flat[0]}")
-    return lam
 
 
 def _log_qfi_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -175,11 +163,8 @@ def qfi_and_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
     discard a whole grid.
     """
     _validate_nm(n, m)
-    r = np.asarray(r, dtype=float)
-    ok_r = (r > 0.0) & (r < 1.0)
-    if not ok_r.all():
-        raise ValueError(f"polarization must lie in (0, 1), got {r[~ok_r].flat[0]}")
-    lam = _check_strength(lam)
+    r = linop.check_unit_interval(r, "polarization", "(0, 1)")
+    lam = linop.check_unit_interval(lam, "channel strength")
     log_h, log_g = _log_qfi_gain(n, m, r, lam)
     return np.exp(log_h), np.exp(log_g)
 
@@ -231,9 +216,8 @@ def gain_limit_r0(n: int, m: int, lam):
     """Vanishing-polarization limit of the gain: m n (1-2 lam)**(2m-2).
     lam may be an array (a float comes back for a scalar)."""
     _validate_nm(n, m)
-    return linop._elementwise(
-        lambda x: m * n * ((1.0 - 2.0 * x) ** 2) ** (m - 1), _check_strength(lam)
-    )
+    lam = linop.check_unit_interval(lam, "channel strength")
+    return linop._elementwise(lambda x: m * n * ((1.0 - 2.0 * x) ** 2) ** (m - 1), lam)
 
 
 def gain_limit_r1(m: int, lam):
@@ -246,7 +230,7 @@ def gain_limit_r1(m: int, lam):
     """
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
-    lam = _check_strength(lam)
+    lam = linop.check_unit_interval(lam, "channel strength")
     if m == 1:
         return linop.scalar_or_array(np.ones_like(lam))
     if ((lam == 0.0) | (lam == 1.0)).any():

@@ -148,15 +148,15 @@ def sld_eig(
     return SldResult(L=v @ l_eig @ linop.dagger(v), H=linop.scalar_or_array(h))
 
 
-def fisher_eig(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL):
-    """The Fisher information sld_eig(rho, drho, tol).H, bit for bit, without
+def fisher_eig(rho: np.ndarray, drho: np.ndarray):
+    """The Fisher information sld_eig(rho, drho).H, bit for bit, without
     rotating the score operator back out of the eigenbasis.
 
     Takes the same stacks and raises the same errors as sld_eig; returns a
     float for a single operator and an array over the leading axes of a
     stack.
     """
-    return linop.scalar_or_array(_eigen_frame(rho, drho, tol)[2])
+    return linop.scalar_or_array(_eigen_frame(rho, drho, SUPPORT_TOL)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +165,7 @@ def fisher_eig(rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL):
 
 def _check_lambda(lam):
     """lam as a float, or as an array if it is one; every element in [0, 1]."""
-    lam = np.asarray(lam, dtype=float)
-    ok = (lam >= 0.0) & (lam <= 1.0)
-    if not ok.all():
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam[~ok].flat[0]}")
-    return linop.scalar_or_array(lam)
+    return linop.scalar_or_array(linop.check_unit_interval(lam, "channel strength"))
 
 
 def _reject_pure_corner(r, lam) -> None:
@@ -211,10 +207,7 @@ def qfi_independent_opt(r, lam, m: int):
     each other (a float comes back when both are scalars).
     """
     lam = _check_lambda(lam)
-    r = np.asarray(r, dtype=float)
-    ok = (r >= 0.0) & (r <= 1.0)
-    if not ok.all():
-        raise ValueError(f"polarization must lie in [0, 1], got {r[~ok].flat[0]}")
+    r = linop.check_unit_interval(r, "polarization")
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
     _reject_pure_corner(r, lam)
@@ -225,8 +218,9 @@ def qfi_independent_opt(r, lam, m: int):
 def qfi_upper_bound(lam, m: int):
     """Absolute bound m / (lam (1-lam)); infinite at the interval endpoints.
     lam may be an array (a float comes back for a scalar)."""
-    lam = np.asarray(_check_lambda(lam))
+    lam = linop.check_unit_interval(lam, "channel strength")
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
-    with np.errstate(divide="ignore"):
+    # lam = 0 or 1 divides by zero and a subnormal lam overflows: both give inf
+    with np.errstate(divide="ignore", over="ignore"):
         return linop.scalar_or_array(m / (lam * (1.0 - lam)))

@@ -158,7 +158,7 @@ def suite_discord(step: float = 1e-4) -> SuiteResult:
     rs = np.array(grid)
     lam_col = np.array([0.0, 0.1, 0.3, 0.5, 0.7, 0.95, 1.0])[:, None]
     for m in (1, 2, 3):
-        mu = linop._elementwise(lambda x: (1.0 - 2.0 * x) ** m, lam_col)
+        mu = correlations._off_diagonal_scale(lam_col, m)
         sym = correlations.discord_rmu(rs, mu).Q - correlations.discord_rmu(rs, -mu).Q
         worst_sym = max(worst_sym, float(np.max(np.abs(sym))))
         q_closed = correlations.discord_protocol(rs, lam_col, m).Q

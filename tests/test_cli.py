@@ -4,16 +4,14 @@ import hashlib
 import io
 import math
 import os
-import subprocess
-import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import paulifish
 from paulifish import channels, cli, correlations, mc, protocol, qfi
 
 
@@ -21,6 +19,15 @@ def run_cli(args, capsys):
     code = cli.main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_recording_warnings(args, capsys):
+    """run_cli, plus every warning raised during the run (numpy's floating
+    point warnings reach a user's stderr through the warnings module)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(args, capsys)
+    return code, out, err, [str(w.message) for w in caught]
 
 
 def parse_fields(line):
@@ -43,6 +50,14 @@ class TestQfiCommand:
         )
         assert code == 2
         assert "[0, 1]" in err
+
+    def test_subnormal_strength_warns_nothing(self, capsys):
+        # m / (lam (1-lam)) overflows to an infinite bound below lam of about 5.6e-309
+        code, out, err, caught = run_cli_recording_warnings(
+            ["qfi", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "1e-310"], capsys
+        )
+        assert (code, err, caught) == (0, "", [])
+        assert parse_fields(out.strip())["bound"] == "inf"
 
     def test_too_many_invocations_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -461,18 +476,14 @@ class TestMcCommand:
         code, _, _ = run_cli(["mc", "--r", "0", "--lambda", "0.3"], capsys)
         assert code == 2
 
-    def test_subnormal_polarization_leaves_stderr_empty(self):
+    def test_subnormal_polarization_warns_nothing(self, capsys):
         # the estimator's quotient overflows to +-inf and is clamped; numpy's
-        # overflow warning must not reach the user, so run a real process
-        src = os.path.dirname(os.path.dirname(paulifish.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "paulifish.cli",
-             "mc", "--r", "5e-324", "--lambda", "0.3", "--trials", "3"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src},
+        # overflow warning would reach the user's stderr
+        code, out, err, caught = run_cli_recording_warnings(
+            ["mc", "--r", "5e-324", "--lambda", "0.3", "--trials", "3"], capsys
         )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout == "mean=0 variance=0 crb=inf ratio=0 fisher=0 clamped=3\n"
+        assert (code, err, caught) == (0, "", [])
+        assert out == "mean=0 variance=0 crb=inf ratio=0 fisher=0 clamped=3\n"
 
     @pytest.mark.parametrize(
         "option, value", [("--seed", "-1"), ("--trials", str(2**32 + 1))]

@@ -263,3 +263,21 @@ class TestHelpers:
             for got, op in zip(row, ops):
                 want = linop.is_density_operator(op)
                 assert type(want) is bool and got == want
+
+    @pytest.mark.parametrize(
+        "interval, inside, outside",
+        [
+            ("[0, 1]", [0.0, 0.5, 1.0], [-1e-300, 1.5, np.nan]),
+            ("[0, 1)", [0.0, 0.5], [1.0, -0.1, np.inf]),
+            ("(0, 1)", [5e-324, 0.5], [0.0, 1.0, np.nan]),
+        ],
+    )
+    def test_unit_interval_check_names_the_first_element_outside(
+        self, interval, inside, outside
+    ):
+        got = linop.check_unit_interval(np.array(inside), "polarization", interval)
+        assert got.dtype == float and np.array_equal(got, inside)
+        for bad in outside:
+            with pytest.raises(ValueError) as err:
+                linop.check_unit_interval([[inside[-1], bad, outside[0]]], "polarization", interval)
+            assert str(err.value) == f"polarization must lie in {interval}, got {bad}"

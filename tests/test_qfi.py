@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,14 @@ class TestSingleUseClosedForms:
         assert qfi.qfi_upper_bound(0.25, 2) == pytest.approx(32.0 / 3.0)
         assert qfi.qfi_upper_bound(0.0, 1) == np.inf
         assert qfi.qfi_upper_bound(1.0, 3) == np.inf
+
+    def test_upper_bound_overflow_is_silent(self):
+        # m / (lam (1-lam)) overflows to inf below lam of about 5.6e-309 m
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qfi.qfi_upper_bound(1e-310, 1) == np.inf
+            bound = qfi.qfi_upper_bound(np.array([0.0, 1e-310, 0.5]), 2)
+        np.testing.assert_array_equal(bound, [np.inf, np.inf, 8.0])
 
     def test_upper_bound_dominates_computed_information(self):
         for lam in np.arange(0.05, 0.96, 0.1):
