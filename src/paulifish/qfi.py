@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,15 +62,11 @@ def sld_2x2(a: np.ndarray, da: np.ndarray) -> SldResult:
     return SldResult(L=L, H=_real_trace(da @ L))
 
 
-def sld_block_sum(
-    parts: Sequence[SldResult | tuple],
-    rhos: Optional[Sequence[np.ndarray]] = None,
-) -> SldResult:
+def sld_block_sum(parts: Sequence[SldResult | tuple]) -> SldResult:
     """Combine score operators of orthogonal-support pieces: L and H both add.
 
     Each part is an SldResult (or (L, H) pair) already embedded in the full
-    space. Passing the pieces' density blocks as ``rhos`` turns on a pairwise
-    support-orthogonality check.
+    space; the caller guarantees that the pieces' supports are orthogonal.
     """
     if not parts:
         raise ValueError("sld_block_sum needs at least one part")
@@ -82,15 +78,6 @@ def sld_block_sum(
     shape = ls[0].shape
     if any(l.shape != shape for l in ls):
         raise ValueError("score operators have mismatched dimensions")
-    if rhos is not None:
-        for i in range(len(rhos)):
-            for j in range(i + 1, len(rhos)):
-                overlap = linop.frobenius_max(rhos[i] @ rhos[j])
-                if overlap > 1e-10:
-                    raise ValueError(
-                        f"blocks {i} and {j} are not support-orthogonal "
-                        f"(max overlap {overlap:.3e})"
-                    )
     return SldResult(L=sum(ls), H=sum(hs))
 
 

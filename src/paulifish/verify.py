@@ -6,6 +6,10 @@ inequalities, discord monotonicity, stationary polarizations, separability
 thresholds, preparation-unitary structure) and reports its worst observed
 error against a fixed tolerance.
 
+The suites are the single statement of these invariants: each grid,
+tolerance and comparison is written here and nowhere else. The acceptance
+tests run the suites through ``run_suites`` and assert that they pass.
+
 The suites evaluate their grids in vectorised calls, not point by point:
 the closed forms and the dense oracle routes (``qfi.fisher_eig``,
 ``correlations.rho_final_two_qubit``, ``is_separable_ppt``,
@@ -49,16 +53,15 @@ N_MAX_CAP = linop.DIM_CAP.bit_length() - 1
 DENSE_BRIDGE_N_MAX = 4
 
 
+#: The lam and r values 0.1..0.9 of the oracle and bounds grids.
+_TENTHS = [round(0.1 * k, 10) for k in range(1, 10)]
+
+
 def _qubit_counts(n_max: int) -> range:
     """Qubit counts 2..n_max of the oracle and bounds suites."""
     if not 2 <= n_max <= N_MAX_CAP:
         raise ValueError(f"n_max must lie in 2..{N_MAX_CAP}, got {n_max}")
     return range(2, n_max + 1)
-
-
-def _mesh(n: int, m: int, lams: list[float], rs: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (H, gain) on the lams x rs grid, one kernel call."""
-    return protocol.qfi_and_gain(n, m, np.array(rs), np.array(lams)[:, None])
 
 
 def suite_oracle(n_max: int = 5) -> SuiteResult:
@@ -71,12 +74,10 @@ def suite_oracle(n_max: int = 5) -> SuiteResult:
     checks them against the blocks.
     """
     worst = 0.0
-    lams = [round(0.1 * k, 10) for k in range(1, 10)]
-    rs = [round(0.1 * k, 10) for k in range(1, 10)]
-    r_grid, lam_grid = np.array(rs), np.array(lams)[:, None]
+    r_grid, lam_grid = np.array(_TENTHS), np.array(_TENTHS)[:, None]
     for n in _qubit_counts(n_max):
         for m in range(1, n + 1):
-            h_closed = _mesh(n, m, lams, rs)[0]
+            h_closed = protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0]
             h_blocks = qfi.fisher_eig(*channels.correlated_blocks(n, r_grid, lam_grid, m))
             h_oracle = h_blocks.sum(axis=-1)
             worst = max(worst, _rel_err(h_oracle, h_closed))
@@ -92,12 +93,10 @@ def suite_oracle(n_max: int = 5) -> SuiteResult:
 def suite_bounds(n_max: int = 5) -> SuiteResult:
     """H <= m/(lam(1-lam)) everywhere; pure limit approaches the bound."""
     worst = -math.inf
-    lams = [round(0.1 * k, 10) for k in range(1, 10)]
-    rs = [round(0.1 * k, 10) for k in range(1, 10)]
-    r_grid, lam_grid = np.array(rs), np.array(lams)[:, None]
+    r_grid, lam_grid = np.array(_TENTHS), np.array(_TENTHS)[:, None]
     for n in _qubit_counts(n_max):
         for m in range(1, n + 1):
-            h_closed = _mesh(n, m, lams, rs)[0]
+            h_closed = protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0]
             h_ind = qfi.qfi_independent_opt(r_grid, lam_grid, m)
             bound = qfi.qfi_upper_bound(lam_grid, m)
             worst = max(worst, float(np.max(h_closed - bound)), float(np.max(h_ind - bound)))
@@ -117,23 +116,20 @@ def suite_weight_inequalities(n_max: int = 8) -> SuiteResult:
     worst = 0.0  # most negative margin observed, as a positive number
     rs = np.array([round(0.02 * k, 10) for k in range(1, 50)])
     r2 = rs * rs
+    lams = np.array([round(0.01 * k, 10) for k in range(0, 101)])[:, None]
+    floor_margin = math.inf
     for n in range(2, n_max + 1):
         floor = linop._elementwise(lambda x: 2.0 * (1.0 - x * x) ** (n - 1), rs)
+        weighted = 0.0
         for j in range(n + 1):
             w = protocol.weight_pair(n, j, rs)
             if 2 * j != n:
                 worst = max(worst, float(np.max(r2 - (w.diff / w.total) ** 2)))
             worst = max(worst, float(np.max(floor - w.total)))
-        # sum_j C(n,j) diff^2/total is 2^(n+1) r^2 times the gain at lam = 1/2, m = 1
-        half_gain = protocol.qfi_and_gain(n, 1, rs, 0.5)[1]
-        weighted = 2.0 ** (n + 1) * r2
-        worst = max(worst, float(np.max(weighted - weighted * half_gain)))
-    lams = np.array([round(0.01 * k, 10) for k in range(0, 101)])
-    floor_rs = np.array([0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98])[:, None]
-    floor_margin = min(
-        float(np.min(protocol.qfi_and_gain(n, 1, floor_rs, lams)[1])) - 1.0
-        for n in range(2, n_max + 1)
-    )
+            weighted += math.comb(n, j) * w.diff**2 / w.total
+        worst = max(worst, float(np.max(2.0 ** (n + 1) * r2 - weighted)))
+        gain = protocol.qfi_and_gain(n, 1, rs, lams)[1]
+        floor_margin = min(floor_margin, float(np.min(gain)) - 1.0)
     ok = worst <= 1e-12 and floor_margin > 0.0
     return SuiteResult(
         "weight-inequalities",
@@ -144,19 +140,22 @@ def suite_weight_inequalities(n_max: int = 8) -> SuiteResult:
 
 
 def suite_discord(step: float = 1e-4) -> SuiteResult:
-    """Monotonicity of discord in both arguments, sign symmetry, and route
-    equivalence between the generic and protocol closed forms."""
+    """Strict monotonicity of discord in both arguments, sign symmetry, route
+    equivalence between the generic and protocol closed forms, and no
+    discord at half strength where the single-use gain still exceeds 1."""
     grid = [round(0.05 * k, 10) for k in range(1, 20)]
     r_col, mu_row = np.array(grid)[:, None], np.array(grid)
-    worst_mono = 0.0
+    worst_mono = -math.inf
     for dr, dmu in ((0.0, step), (step, 0.0)):
         up = correlations.discord_rmu(r_col + dr, mu_row + dmu).Q
         down = correlations.discord_rmu(r_col - dr, mu_row - dmu).Q
         worst_mono = max(worst_mono, float(np.max(down - up)))
     worst_sym = 0.0
     worst_route = 0.0
+    worst_half = 0.0
     rs = np.array(grid)
-    lam_col = np.array([0.0, 0.1, 0.3, 0.5, 0.7, 0.95, 1.0])[:, None]
+    lams = sorted([round(0.1 * k, 10) for k in range(0, 11)] + [0.95])
+    lam_col = np.array(lams)[:, None]
     for m in (1, 2, 3):
         mu = correlations._off_diagonal_scale(lam_col, m)
         sym = correlations.discord_rmu(rs, mu).Q - correlations.discord_rmu(rs, -mu).Q
@@ -165,12 +164,21 @@ def suite_discord(step: float = 1e-4) -> SuiteResult:
         coeffs = correlations.bell_diagonalize(correlations.rho_final_two_qubit(rs, lam_col, m))
         q_dense = correlations.discord_xstate(coeffs).Q
         worst_route = max(worst_route, float(np.max(np.abs(q_dense - q_closed))))
-    ok = worst_mono <= 0.0 and worst_sym < 1e-12 and worst_route < 1e-10
+        worst_half = max(worst_half, float(np.max(np.abs(q_closed[lams.index(0.5)]))))
+    half_gain_excess = float(np.min(protocol.qfi_and_gain(2, 1, rs, 0.5)[1])) - 1.0
+    ok = (
+        worst_mono < 0.0
+        and worst_sym < 1e-12
+        and worst_route < 1e-10
+        and worst_half <= 1e-12
+        and half_gain_excess > 0.0
+    )
     return SuiteResult(
         "discord",
         ok,
-        max(worst_mono, worst_sym, worst_route),
-        f"mono {worst_mono:.2e}, sym {worst_sym:.2e}, routes {worst_route:.2e}",
+        max(worst_mono, worst_sym, worst_route, worst_half),
+        f"mono {worst_mono:.2e}, sym {worst_sym:.2e}, routes {worst_route:.2e}, "
+        f"half-strength Q {worst_half:.2e} with gain excess {half_gain_excess:.2e}",
     )
 
 
@@ -194,9 +202,10 @@ def suite_stationary() -> SuiteResult:
             return SuiteResult("stationary", False, math.inf, f"no root at m={m}, lam={lam}")
         best = min(roots, key=lambda r: abs(r - expected))
         worst_val = max(worst_val, abs(best - expected))
-        g_plus = protocol.gain(protocol.ProtocolPoint(2, m, best + h, lam))
-        g_minus = protocol.gain(protocol.ProtocolPoint(2, m, best - h, lam))
-        worst_grad = max(worst_grad, abs(g_plus - g_minus) / (2 * h))
+        for root in roots:
+            g_plus = protocol.gain(protocol.ProtocolPoint(2, m, root + h, lam))
+            g_minus = protocol.gain(protocol.ProtocolPoint(2, m, root - h, lam))
+            worst_grad = max(worst_grad, abs(g_plus - g_minus) / (2 * h))
     ok = worst_val <= 0.005 and worst_grad < 1e-5
     return SuiteResult(
         "stationary", ok, worst_val, f"root dev {worst_val:.4f}, |dG/dr| {worst_grad:.2e}"

@@ -15,14 +15,16 @@ def block_route_sld(n, r, lam, m):
     """
     rho, drho = channels.correlated_blocks(n, r, lam, m)
     big_n = 2**n - 1
-    parts, rhos = [], []
+    # the blocks have orthogonal supports: their (x, N-x) index pairs are disjoint
+    levels = [i for x in range(len(rho)) for i in (x, big_n - x)]
+    assert len(set(levels)) == len(levels), levels
+    parts = []
     for x, (a, da) in enumerate(zip(rho, drho)):
         res = qfi.sld_2x2(a, da)
         parts.append(
             qfi.SldResult(L=linop.embed_two_level(res.L, x, big_n - x, 2**n), H=res.H)
         )
-        rhos.append(linop.embed_two_level(a, x, big_n - x, 2**n))
-    return qfi.sld_block_sum(parts, rhos=rhos)
+    return qfi.sld_block_sum(parts)
 
 
 def swap():

@@ -149,17 +149,6 @@ class TestPreparationUnitary:
         expected[3] = (1 - 1j) / 2
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_rotated_basis_images_have_exactly_two_amplitudes(self, n):
-        u = channels.preparation_unitary(n)
-        big_n = 2**n - 1
-        for x in range(2**n):
-            out = u @ y_basis_string(x, n)
-            assert abs(out[x] - (1 + 1j) / 2) < 1e-12
-            assert abs(out[big_n - x] - (1 - 1j) / 2) < 1e-12
-            rest = np.delete(out, [x, big_n - x])
-            assert np.max(np.abs(rest)) < 1e-12
-
     def test_diagonal_overlap_is_constant(self):
         n = 2
         u = channels.preparation_unitary(n)

@@ -386,26 +386,17 @@ class TestVerifyCommand:
         assert out == ""
         assert "2..12" in err
 
-    @pytest.mark.parametrize("route", ["closed", "blocks", "dense"])
+    @pytest.mark.parametrize("route", ["blocks", "dense"])
     def test_oracle_fails_on_a_scaled_route(self, route, monkeypatch, capsys):
-        # scale one route by 1 + 1e-7, past the suite's 1e-8 tolerance
-        if route == "closed":
-            real = protocol.qfi_and_gain
+        # scale one oracle route by 1 + 1e-7, past the suite's 1e-8 tolerance
+        name = "correlated_blocks" if route == "blocks" else "correlated_state"
+        real = getattr(channels, name)
 
-            def scaled(*args):
-                h, g = real(*args)
-                return h * (1.0 + 1e-7), g
+        def scaled(*args):
+            rho, drho = real(*args)
+            return rho, drho * math.sqrt(1.0 + 1e-7)
 
-            monkeypatch.setattr(protocol, "qfi_and_gain", scaled)
-        else:
-            name = "correlated_blocks" if route == "blocks" else "correlated_state"
-            real = getattr(channels, name)
-
-            def scaled(*args):
-                rho, drho = real(*args)
-                return rho, drho * math.sqrt(1.0 + 1e-7)
-
-            monkeypatch.setattr(channels, name, scaled)
+        monkeypatch.setattr(channels, name, scaled)
         code, out, _ = run_cli(["verify", "--suite", "oracle", "--n-max", "4"], capsys)
         assert code == 1
         assert out.startswith("FAIL oracle")

@@ -84,34 +84,6 @@ class TestSeparability:
             math.sqrt(2.0) - 1.0, rel=1e-12
         )
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_verdict_flips_across_threshold(self, m):
-        margin = 1e-6
-        for lam in np.linspace(0.0, 1.0, 11):
-            thr = correlations.separability_threshold(m, lam)
-            if thr - margin > 0.0:
-                sep, _ = correlations.is_separable_ppt(
-                    correlations.rho_final_two_qubit(thr - margin, lam, m)
-                )
-                assert sep, f"below threshold must be separable (m={m}, lam={lam})"
-            if thr + margin < 1.0:
-                sep, _ = correlations.is_separable_ppt(
-                    correlations.rho_final_two_qubit(thr + margin, lam, m)
-                )
-                assert not sep, f"above threshold must be entangled (m={m}, lam={lam})"
-
-    def test_separable_points_with_gain_exist(self):
-        found = False
-        for lam in (0.1, 0.3, 0.45):
-            thr = correlations.separability_threshold(1, lam)
-            r = thr - 1e-3
-            sep, _ = correlations.is_separable_ppt(
-                correlations.rho_final_two_qubit(r, lam, 1)
-            )
-            g = protocol.gain(protocol.ProtocolPoint(2, 1, r, lam))
-            found |= sep and g > 1.0
-        assert found
-
     def test_non_state_rejected(self):
         with pytest.raises(ValueError):
             correlations.is_separable_ppt(np.eye(4))
@@ -123,14 +95,14 @@ class TestClosedFormPpt:
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_dense_route(self, m):
-        for lam in self.LAM_GRID:
-            sep, min_eig = correlations.ppt_closed_form(self.R_GRID, lam, m)
-            for r, s, e in zip(self.R_GRID, sep, min_eig):
-                sep_dense, eig_dense = correlations.is_separable_ppt(
-                    correlations.rho_final_two_qubit(r, lam, m)
-                )
-                assert e == pytest.approx(eig_dense, abs=1e-14), (r, lam, m)
-                assert s == sep_dense, (r, lam, m)
+        lam = self.LAM_GRID[:, None]
+        sep, min_eig = correlations.ppt_closed_form(self.R_GRID, lam, m)
+        sep_dense, eig_dense = correlations.is_separable_ppt(
+            correlations.rho_final_two_qubit(self.R_GRID, lam, m)
+        )
+        assert sep.shape == eig_dense.shape == (self.LAM_GRID.size, self.R_GRID.size)
+        np.testing.assert_allclose(min_eig, eig_dense, rtol=0.0, atol=1e-14)
+        np.testing.assert_array_equal(sep, sep_dense)
 
     def test_scalar_call_returns_plain_values(self):
         sep, min_eig = correlations.ppt_closed_form(0.5, 0.2, 1)
@@ -374,19 +346,6 @@ class TestStackedDenseRoutes:
 
 
 class TestDiscordGainInterplay:
-    def test_discord_increases_in_both_arguments(self):
-        h = 1e-4
-        for r in np.arange(0.05, 0.96, 0.05):
-            for mu in np.arange(0.05, 0.96, 0.05):
-                assert (
-                    correlations.discord_rmu(r, mu + h).Q
-                    > correlations.discord_rmu(r, mu - h).Q
-                )
-                assert (
-                    correlations.discord_rmu(r + h, mu).Q
-                    > correlations.discord_rmu(r - h, mu).Q
-                )
-
     def test_zero_discord_with_gain_above_one(self):
         for r in (0.2, 0.5, 0.8):
             assert correlations.discord_protocol(r, 0.5, 1).Q == 0.0

@@ -212,12 +212,6 @@ class TestSldBlockSum:
             drho += linop.tensor(factors)
         assert qfi.sld_eig(rho, drho).H == pytest.approx(m * h_single, rel=1e-9)
 
-    def test_non_orthogonal_blocks_flagged(self):
-        rho, drho = dephased_qubit_family(0.5, 0.3)
-        part = qfi.sld_2x2(rho, drho)
-        with pytest.raises(ValueError, match="orthogonal"):
-            qfi.sld_block_sum([part, part], rhos=[rho, rho])
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             qfi.sld_block_sum([(np.eye(2), 1.0), (np.eye(4), 1.0)])

@@ -1,12 +1,13 @@
-"""The batched verify suites still catch faults: one input of each suite is
-made slightly wrong, and the suite must report passed=False."""
+"""Every verify suite catches a fault: one input of each suite is made
+slightly wrong, just past the suite's tolerance, and the suite must report
+passed=False."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from paulifish import correlations, protocol, qfi, verify
+from paulifish import channels, correlations, protocol, qfi, verify
 
 
 def _discord_off_by_1e9(real):
@@ -43,17 +44,56 @@ def _independent_above_bound(real):
     return wrong
 
 
+def _total_weight_shrunk(real):
+    # the floor 2 (1-r^2)^(n-1) is met with equality at the middle index, so
+    # taking 2e-12 off the total puts it 4e-12 below, past the suite's 1e-12
+    def wrong(n, j, r):
+        w = real(n, j, r)
+        return dataclasses.replace(w, total=w.total * (1.0 - 2e-12))
+
+    return wrong
+
+
+def _roots_shifted(real):
+    # 3e-7 off a stationary point, |dG/dr| reaches 6.5e-5, past the suite's 1e-5
+    def wrong(m, lam):
+        return [root + 3e-7 for root in real(m, lam)]
+
+    return wrong
+
+
+def _unitary_scaled(real):
+    # u u^dagger - 1 is 4e-12, past the suite's 1e-12
+    def wrong(n):
+        return real(n) * (1.0 + 2e-12)
+
+    return wrong
+
+
+def _threshold_raised(real):
+    # 0.2 % stronger than the threshold, the gain falls 2.4e-2 below n, past
+    # the suite's 1e-2
+    def wrong(m):
+        return real(m) * 1.002
+
+    return wrong
+
+
 FAULTS = {
     "discord": (correlations, "discord_protocol", _discord_off_by_1e9),
     "separability": (correlations, "ppt_closed_form", _ppt_eigenvalue_shifted),
     "oracle": (protocol, "qfi_and_gain", _qfi_scaled),
     "bounds": (qfi, "qfi_independent_opt", _independent_above_bound),
+    "weight-inequalities": (protocol, "weight_pair", _total_weight_shrunk),
+    "stationary": (protocol, "stationary_polarizations", _roots_shifted),
+    "preparation": (channels, "preparation_unitary", _unitary_scaled),
+    "threshold-gain": (protocol, "lambda_threshold_gain_n", _threshold_raised),
 }
 
 
 def _run(suite):
-    fn = verify.SUITES[suite]
-    return fn(n_max=4) if suite in ("oracle", "bounds") else fn()
+    (result,) = verify.run_suites([suite], n_max=4)
+    return result
 
 
 @pytest.mark.parametrize("suite", sorted(FAULTS))
