@@ -1,6 +1,8 @@
-"""Every verify suite catches a fault: one input of each suite is made
-slightly wrong, just past the suite's tolerance, and the suite must report
-passed=False."""
+"""Every verify suite catches a fault: one input of a suite is made slightly
+wrong, just past the suite's tolerance, and the suite must report
+passed=False. Each comparison a suite makes has a fault of its own, keyed
+"suite/what breaks"; the case keyed by the bare suite name is the first
+fault of that suite."""
 
 import dataclasses
 
@@ -79,15 +81,187 @@ def _threshold_raised(real):
     return wrong
 
 
+def _discord_rounded(arg):
+    # one argument rounded to 3 decimals: discord is flat across the suite's
+    # +-1e-4 monotonicity step, and unchanged on its route grid, whose r and
+    # mu values have at most 3 decimals
+    def make_wrong(real):
+        def wrong(r, mu):
+            if arg == "r":
+                r = np.round(np.asarray(r, dtype=float), 3)
+            else:
+                mu = np.round(np.asarray(mu, dtype=float), 3)
+            return real(r, mu)
+
+        return wrong
+
+    return make_wrong
+
+
+def _discord_odd_in_mu(real):
+    # Q(r, mu) - Q(r, -mu) reaches 1e-11, past the suite's 1e-12; on the
+    # route grid the term stays under 5e-12, inside the routes' 1e-10
+    def wrong(r, mu):
+        rep = real(r, mu)
+        return dataclasses.replace(rep, Q=rep.Q + 5e-12 * np.asarray(mu, dtype=float))
+
+    return wrong
+
+
+def _dense_discord_off_by_2e10(real):
+    def wrong(coeffs):
+        rep = real(coeffs)
+        return dataclasses.replace(rep, Q=rep.Q + 2e-10)
+
+    return wrong
+
+
+def _half_strength_discord(real):
+    # 2e-12 of discord at lam = 1/2 only, past the suite's 1e-12 there and
+    # inside its 1e-10 between the routes
+    def wrong(r, lam, m):
+        rep = real(r, lam, m)
+        return dataclasses.replace(rep, Q=rep.Q + np.where(np.asarray(lam) == 0.5, 2e-12, 0.0))
+
+    return wrong
+
+
+def _gain_scaled(factor):
+    # the gain of qfi_and_gain times factor; the Fisher information is kept
+    def make_wrong(real):
+        def wrong(*args):
+            h, g = real(*args)
+            return h, g * factor
+
+        return wrong
+
+    return make_wrong
+
+
+def _point_gain_scaled(factor):
+    def make_wrong(real):
+        def wrong(p):
+            return real(p) * factor
+
+        return wrong
+
+    return make_wrong
+
+
+def _point_gain_tilted(real):
+    # a slope of 2e-5 in r at every root, past the suite's 1e-5
+    def wrong(p):
+        return real(p) + 2e-5 * p.r
+
+    return wrong
+
+
+def _diff_shrunk(real):
+    # |diff|/total = r exactly off the middle index at odd n, so taking 1e-11
+    # off diff puts the squared ratio 2e-11 r^2 below r^2, past the 1e-12
+    def wrong(n, j, r):
+        w = real(n, j, r)
+        return dataclasses.replace(w, diff=w.diff * (1.0 - 1e-11))
+
+    return wrong
+
+
+def _closed_above_bound(real):
+    def wrong(n, m, r, lam):
+        h, g = real(n, m, r, lam)
+        return np.broadcast_to(qfi.qfi_upper_bound(lam, m), np.shape(h)) * (1.0 + 1e-6), g
+
+    return wrong
+
+
+def _independent_scaled(factor):
+    def make_wrong(real):
+        def wrong(r, lam, m):
+            return real(r, lam, m) * factor
+
+        return wrong
+
+    return make_wrong
+
+
+def _no_roots(real):
+    def wrong(m, lam):
+        return []
+
+    return wrong
+
+
+def _extra_root(real):
+    # a near-duplicate 3e-7 above the last root, where |dG/dr| is 6.5e-5; the
+    # root nearest the reference value is unchanged
+    def wrong(m, lam):
+        roots = real(m, lam)
+        return roots + [roots[-1] + 3e-7]
+
+    return wrong
+
+
+def _threshold_shifted(real):
+    # 2e-6 down, twice the suite's 1e-6 flip margin (up would put r past 1
+    # where the threshold is 1)
+    def wrong(m, lam):
+        return real(m, lam) - 2e-6
+
+    return wrong
+
+
+def _dense_ppt_eigenvalue_shifted(real):
+    # 2e-14 off the dense route's minimum eigenvalue, past the suite's 1e-14
+    # between the routes; every verdict is unchanged
+    def wrong(rho, *args):
+        sep, min_eig = real(rho, *args)
+        return sep, min_eig - 2e-14
+
+    return wrong
+
+
+def _column_phase(real):
+    # a phase of 1.6e-11 on column 0 keeps the unitary unitary; at n = 2 the
+    # column's entries and each image's weight on it are 1/2, so every image
+    # moves by 4e-12, past the suite's 1e-12
+    def wrong(n):
+        u = real(n).copy()
+        u[:, 0] *= np.exp(1.6e-11j)
+        return u
+
+    return wrong
+
+
 FAULTS = {
     "discord": (correlations, "discord_protocol", _discord_off_by_1e9),
+    "discord/monotone-in-r": (correlations, "discord_rmu", _discord_rounded("r")),
+    "discord/monotone-in-mu": (correlations, "discord_rmu", _discord_rounded("mu")),
+    "discord/sign-symmetry": (correlations, "discord_rmu", _discord_odd_in_mu),
+    "discord/dense-route": (correlations, "discord_xstate", _dense_discord_off_by_2e10),
+    "discord/half-strength-discord": (correlations, "discord_protocol", _half_strength_discord),
+    # the minimum gain excess at lam = 1/2 is 5.1e-2
+    "discord/half-strength-gain": (protocol, "qfi_and_gain", _gain_scaled(0.95)),
     "separability": (correlations, "ppt_closed_form", _ppt_eigenvalue_shifted),
+    "separability/threshold": (correlations, "separability_threshold", _threshold_shifted),
+    "separability/dense-route": (correlations, "is_separable_ppt", _dense_ppt_eigenvalue_shifted),
     "oracle": (protocol, "qfi_and_gain", _qfi_scaled),
     "bounds": (qfi, "qfi_independent_opt", _independent_above_bound),
+    "bounds/closed-form": (protocol, "qfi_and_gain", _closed_above_bound),
+    # the pure limit sits 5.6e-8 from the bound; 2e-4 is past the suite's 1e-4
+    "bounds/pure-limit": (qfi, "qfi_independent_opt", _independent_scaled(1.0 - 2e-4)),
     "weight-inequalities": (protocol, "weight_pair", _total_weight_shrunk),
+    "weight-inequalities/ratio": (protocol, "weight_pair", _diff_shrunk),
+    # the minimum single-use gain excess is 2.02e-2
+    "weight-inequalities/gain-floor": (protocol, "qfi_and_gain", _gain_scaled(0.98)),
     "stationary": (protocol, "stationary_polarizations", _roots_shifted),
+    "stationary/no-root": (protocol, "stationary_polarizations", _no_roots),
+    "stationary/extra-root": (protocol, "stationary_polarizations", _extra_root),
+    "stationary/gain-slope": (protocol, "gain", _point_gain_tilted),
     "preparation": (channels, "preparation_unitary", _unitary_scaled),
+    "preparation/column-phase": (channels, "preparation_unitary", _column_phase),
     "threshold-gain": (protocol, "lambda_threshold_gain_n", _threshold_raised),
+    # 0.3 % low, the gain at m = 6 falls 1.8e-2 below 6, past the suite's 1e-2
+    "threshold-gain/gain": (protocol, "gain", _point_gain_scaled(0.997)),
 }
 
 
@@ -96,14 +270,15 @@ def _run(suite):
     return result
 
 
-@pytest.mark.parametrize("suite", sorted(FAULTS))
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
 def test_suite_passes_unpatched(suite):
     assert _run(suite).passed
 
 
-@pytest.mark.parametrize("suite", sorted(FAULTS))
-def test_suite_fails_on_a_slightly_wrong_input(suite, monkeypatch):
-    module, name, make_wrong = FAULTS[suite]
+@pytest.mark.parametrize("case", sorted(FAULTS))
+def test_suite_fails_on_a_slightly_wrong_input(case, monkeypatch):
+    suite = case.split("/")[0]
+    module, name, make_wrong = FAULTS[case]
     monkeypatch.setattr(module, name, make_wrong(getattr(module, name)))
     result = _run(suite)
     assert result.name == suite
