@@ -20,27 +20,24 @@ from .linop import DIM_CAP, tensor
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One Pauli channel: axis, strength ``lam``, and invocation count ``m``."""
+    """One Pauli channel: axis and strength ``lam``."""
 
     axis: str
     lam: float
-    m: int = 1
 
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"axis must be 'x', 'y' or 'z', got {self.axis!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"channel strength must lie in [0, 1], got {self.lam}")
-        if self.m < 1:
-            raise ValueError(f"invocation count must be >= 1, got {self.m}")
 
 
 def bloch_state(v) -> np.ndarray:
     """Single-qubit density operator (I + r.sigma)/2 for a Bloch vector r."""
     rx, ry, rz = (float(c) for c in v)
     norm = np.sqrt(rx * rx + ry * ry + rz * rz)
-    if norm > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+    if not norm <= 1.0 + 1e-12:  # NaN fails too
+        raise ValueError(f"Bloch vector norm must be <= 1, got {norm}")
     return 0.5 * (
         linop.identity()
         + rx * linop.sigma_x()
@@ -52,10 +49,8 @@ def bloch_state(v) -> np.ndarray:
 def apply_pauli_channel(
     rho: np.ndarray, spec: ChannelSpec, targets: Sequence[int]
 ) -> np.ndarray:
-    """Apply the channel once per listed target qubit.
-
-    ``len(targets)`` is the invocation count and must equal ``spec.m``.
-    """
+    """Apply the channel once per listed target qubit: ``len(targets)`` is
+    the invocation count."""
     rho = np.asarray(rho, dtype=complex)
     n = linop.num_qubits(rho)
     tgts = [int(t) for t in targets]
@@ -63,10 +58,6 @@ def apply_pauli_channel(
         raise ValueError(f"duplicate channel targets in {tgts}")
     if any(t < 1 or t > n for t in tgts):
         raise ValueError(f"channel targets {tgts} out of range 1..{n}")
-    if len(tgts) != spec.m:
-        raise ValueError(
-            f"spec counts m={spec.m} invocations but {len(tgts)} targets were given"
-        )
     s = linop.pauli(spec.axis)
     out = rho
     for t in tgts:

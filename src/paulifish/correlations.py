@@ -14,7 +14,7 @@ import numpy as np
 
 from . import channels, linop
 
-#: Default tolerance on the minimum partial-transpose eigenvalue.
+#: Tolerance on the minimum partial-transpose eigenvalue.
 PPT_TOL = 1e-10
 
 #: Residual allowed when forcing the state into Bell-diagonal form.
@@ -63,8 +63,9 @@ def rho_final_two_qubit(r, lam, m: int) -> np.ndarray:
     return channels._scatter(channels._block_stack(diag, off, mu[..., None]))
 
 
-def is_separable_ppt(rho: np.ndarray, tol: float = PPT_TOL):
-    """PPT test: separable iff the partial transpose stays positive.
+def is_separable_ppt(rho: np.ndarray):
+    """PPT test: separable iff the partial transpose stays positive, to
+    within PPT_TOL.
 
     Returns (verdict, minimum partial-transpose eigenvalue): a bool and a
     float for one state, arrays over the leading axes for a stack (..., 4, 4),
@@ -73,21 +74,17 @@ def is_separable_ppt(rho: np.ndarray, tol: float = PPT_TOL):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError("PPT separability test takes a two-qubit state")
-    if not np.all(linop.is_density_operator(rho, tol=1e-8)):
+    if not np.all(linop.is_density_operator(rho)):
         raise ValueError("input is not a two-qubit density operator")
     pt = linop.partial_transpose(rho, [1])
     min_eig = np.min(np.linalg.eigvalsh((pt + linop.dagger(pt)) / 2), axis=-1)
-    return linop.scalar_or_array(min_eig >= -tol), linop.scalar_or_array(min_eig)
+    return linop.scalar_or_array(min_eig >= -PPT_TOL), linop.scalar_or_array(min_eig)
 
 
 def separability_threshold(m: int, lam: float) -> float:
     """Polarization below which the post-channel two-qubit state is separable:
     sqrt(mu**2 + 1) - |mu| with mu = (1-2 lam)**m."""
-    if m < 1:
-        raise ValueError(f"invocation count must be >= 1, got {m}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
-    mu = abs((1.0 - 2.0 * lam) ** m)
+    mu = abs(_off_diagonal_scale(lam, m))  # checks m and lam
     return math.sqrt(mu * mu + 1.0) - mu
 
 

@@ -17,11 +17,8 @@ import numpy as np
 #: Hard cap on dense operator dimension (2**12); analytic paths go further.
 DIM_CAP = 2**12
 
-#: Hermiticity tolerance for eigensolves.
+#: Hermiticity tolerance for eigensolves and for the derivatives qfi takes.
 HERMITICITY_TOL = 1e-9
-
-#: Eigenvalues below this count as zero for support detection downstream.
-EIGENVALUE_ZERO_CUTOFF = 1e-12
 
 
 class DimensionError(ValueError):
@@ -95,10 +92,12 @@ def frobenius_max(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if np.asarray(a).size else 0.0
 
 
-def is_density_operator(a: np.ndarray, tol: float = 1e-9):
-    """Hermitian, unit trace, and eigenvalues >= -tol: a bool for one
-    operator, a bool array over the leading axes of a stack (..., d, d)."""
+def is_density_operator(a: np.ndarray):
+    """Hermitian and of unit trace to within 1e-8, eigenvalues >= -1e-8: a
+    bool for one operator, a bool array over the leading axes of a stack
+    (..., d, d)."""
     a = _as_operators(a)
+    tol = 1e-8
     non_hermitian = np.max(np.abs(a - dagger(a)), axis=(-2, -1)) > tol
     off_trace = np.abs(np.trace(a, axis1=-2, axis2=-1) - 1.0) > tol
     positive = np.min(np.linalg.eigvalsh((a + dagger(a)) / 2), axis=-1) >= -tol
@@ -109,8 +108,8 @@ def is_density_operator(a: np.ndarray, tol: float = 1e-9):
 # Gate builders
 
 
-def identity(n: int = 1) -> np.ndarray:
-    return np.eye(2**n, dtype=complex)
+def identity() -> np.ndarray:
+    return np.eye(2, dtype=complex)
 
 
 def sigma_x() -> np.ndarray:
@@ -216,18 +215,6 @@ def partial_transpose(a: np.ndarray, subsystem: Iterable[int]) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(a.shape))
 
 
-def embed_two_level(op2: np.ndarray, i: int, j: int, dim: int) -> np.ndarray:
-    """Scatter a 2x2 operator onto basis indices (i, j) of a dim-dim space."""
-    op2 = np.asarray(op2, dtype=complex)
-    if op2.shape != (2, 2):
-        raise DimensionError("embed_two_level expects a 2x2 operator")
-    if i == j or not (0 <= i < dim and 0 <= j < dim):
-        raise ValueError(f"invalid basis indices ({i}, {j}) for dim {dim}")
-    out = np.zeros((dim, dim), dtype=complex)
-    out[np.ix_([i, j], [i, j])] = op2
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Spectral decomposition
 
@@ -244,15 +231,15 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(a: np.ndarray, tol: float = HERMITICITY_TOL) -> Spectrum:
+def hermitian_eig(a: np.ndarray) -> Spectrum:
     """Eigendecompose a Hermitian operator, symmetrizing (A + A†)/2 first.
 
     ``a`` may be a stack (..., d, d); one batched solve covers all of it.
-    Raises if the anti-Hermitian part of any operator exceeds ``tol``.
+    Raises if the anti-Hermitian part of any operator exceeds HERMITICITY_TOL.
     """
     a = _as_operators(a)
     dev = frobenius_max(a - dagger(a))
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise ValueError(f"operator is not Hermitian: max |A - A†| = {dev:.3e}")
     w, v = np.linalg.eigh((a + dagger(a)) / 2)
     return Spectrum(eigenvalues=w, eigenvectors=v)

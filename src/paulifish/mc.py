@@ -81,7 +81,7 @@ def _measurement_ops() -> tuple[np.ndarray, np.ndarray]:
 def outcome_probs(r: float, lam: float) -> tuple[float, float]:
     """Born-rule probabilities of the +-y measurement after one channel use."""
     rho = channels.bloch_state((0.0, r, 0.0))
-    out = channels.apply_pauli_channel(rho, channels.ChannelSpec("z", lam, 1), [1])
+    out = channels.apply_pauli_channel(rho, channels.ChannelSpec("z", lam), [1])
     p_plus_op, p_minus_op = _measurement_ops()
     p_plus = float(np.trace(out @ p_plus_op).real)
     p_minus = float(np.trace(out @ p_minus_op).real)

@@ -49,16 +49,9 @@ class ProtocolPoint:
     lam: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"protocol needs n >= 2 qubits, got {self.n}")
-        if self.n > ANALYTIC_N_CAP:
-            raise ValueError(f"n={self.n} exceeds the analytic cap {ANALYTIC_N_CAP}")
-        if not 1 <= self.m <= self.n:
-            raise ValueError(f"invocations m={self.m} must lie in 1..{self.n}")
-        if not 0.0 <= self.r < 1.0:
-            raise ValueError(f"polarization must lie in [0, 1), got {self.r}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"channel strength must lie in [0, 1], got {self.lam}")
+        _validate_nm(self.n, self.m)
+        linop.check_unit_interval(self.r, "polarization", "[0, 1)")
+        linop.check_unit_interval(self.lam, "channel strength")
 
 
 @dataclass(frozen=True)
@@ -196,19 +189,11 @@ def gain(p: ProtocolPoint) -> float:
 def gain_min(n: int, m: int, r: float) -> float:
     """Worst-case gain over lam, the gain at lam = 1/2: a closed sum for one
     invocation, zero otherwise."""
-    _validate_nm(n, m)
-    if r == 0.0:
-        raise ValueError("gain is undefined at r = 0; use gain_limit_r0")
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"polarization must lie in (0, 1), got {r}")
     return gain(ProtocolPoint(n, m, r, 0.5))
 
 
 def gain_max(n: int, m: int, r: float) -> float:
     """Best-case gain over lam, the gain at lam = 0 (equal to lam = 1)."""
-    _validate_nm(n, m)
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"polarization must lie in (0, 1), got {r}")
     return gain(ProtocolPoint(n, m, r, 0.0))
 
 
@@ -318,8 +303,10 @@ def lambda_threshold_gain_n(m: int) -> float:
 
 def lambda_from_t2(t: float, t2: float) -> float:
     """Channel strength of dephasing for time t: (1 - exp(-t/T2))/2."""
-    if t < 0.0:
+    if not t >= 0.0:  # NaN fails the negated comparisons
         raise ValueError(f"time must be >= 0, got {t}")
-    if t2 <= 0.0:
+    if not t2 > 0.0:
         raise ValueError(f"dephasing time must be > 0, got {t2}")
+    if math.isinf(t) and math.isinf(t2):
+        raise ValueError("t / T2 is undefined for t = T2 = inf")
     return 0.5 * (1.0 - math.exp(-t / t2))

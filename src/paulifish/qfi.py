@@ -1,17 +1,15 @@
-"""Score operators and quantum Fisher information, by three routes.
+"""Score operators and quantum Fisher information, by two routes.
 
 The closed 2x2 route needs no eigensolve and branches on
-alpha = Tr(A^2) - (Tr A)^2; orthogonal-support pieces add; the
-eigendecomposition route is the general oracle
-L_ij = 2 <i|drho|j> / (p_i + p_j), with fisher_eig its Fisher information
-alone.
+alpha = Tr(A^2) - (Tr A)^2; the eigendecomposition route is the general
+oracle L_ij = 2 <i|drho|j> / (p_i + p_j), with fisher_eig its Fisher
+information alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -20,8 +18,8 @@ from . import linop
 #: Branch threshold for alpha = Tr(A^2) - (Tr A)^2 in the 2x2 route.
 ALPHA_TOL = 1e-12
 
-#: Default support cutoff on eigenvalue sums in the eigendecomposition route.
-SUPPORT_TOL = linop.EIGENVALUE_ZERO_CUTOFF
+#: Support cutoff on eigenvalue sums in the eigendecomposition route.
+SUPPORT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,34 +60,15 @@ def sld_2x2(a: np.ndarray, da: np.ndarray) -> SldResult:
     return SldResult(L=L, H=_real_trace(da @ L))
 
 
-def sld_block_sum(parts: Sequence[SldResult | tuple]) -> SldResult:
-    """Combine score operators of orthogonal-support pieces: L and H both add.
-
-    Each part is an SldResult (or (L, H) pair) already embedded in the full
-    space; the caller guarantees that the pieces' supports are orthogonal.
-    """
-    if not parts:
-        raise ValueError("sld_block_sum needs at least one part")
-    ls, hs = [], []
-    for p in parts:
-        l, h = (p.L, p.H) if isinstance(p, SldResult) else p
-        ls.append(np.asarray(l, dtype=complex))
-        hs.append(float(h))
-    shape = ls[0].shape
-    if any(l.shape != shape for l in ls):
-        raise ValueError("score operators have mismatched dimensions")
-    return SldResult(L=sum(ls), H=sum(hs))
-
-
 def _eigen_frame(
-    rho: np.ndarray, drho: np.ndarray, tol: float
+    rho: np.ndarray, drho: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenbasis V of rho, the score operator l in that basis and the
     Fisher information H, the shared body of sld_eig and fisher_eig.
 
-    l_ij = 2 <i|drho|j> / (p_i + p_j) on pairs with p_i + p_j > tol and 0
-    elsewhere; derivative weight above sqrt(tol) between two null
-    directions raises. H = sum_ij Re(l_ij conj(<i|drho|j>)) is an array
+    l_ij = 2 <i|drho|j> / (p_i + p_j) on pairs with p_i + p_j > SUPPORT_TOL
+    and 0 elsewhere; derivative weight above sqrt(SUPPORT_TOL) between two
+    null directions raises. H = sum_ij Re(l_ij conj(<i|drho|j>)) is an array
     over the leading axes of a stack.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -97,15 +76,15 @@ def _eigen_frame(
     if rho.shape != drho.shape:
         raise ValueError(f"rho {rho.shape} and drho {drho.shape} differ in shape")
     dev = linop.frobenius_max(drho - linop.dagger(drho))
-    if dev > 1e-9:
+    if dev > linop.HERMITICITY_TOL:
         raise ValueError(f"drho is not Hermitian: max deviation {dev:.3e}")
     spec = linop.hermitian_eig(rho)
     p = spec.eigenvalues
     v = spec.eigenvectors
     m = linop.dagger(v) @ drho @ v
     psum = p[..., :, None] + p[..., None, :]
-    included = psum > tol
-    bad = ~included & (np.abs(m) > math.sqrt(tol))
+    included = psum > SUPPORT_TOL
+    bad = ~included & (np.abs(m) > math.sqrt(SUPPORT_TOL))
     if np.any(bad):
         worst = float(np.max(np.abs(m[bad])))
         raise ValueError(
@@ -118,20 +97,18 @@ def _eigen_frame(
     return v, l_eig, h
 
 
-def sld_eig(
-    rho: np.ndarray, drho: np.ndarray, tol: float = SUPPORT_TOL
-) -> SldResult:
+def sld_eig(rho: np.ndarray, drho: np.ndarray) -> SldResult:
     """General score operator from the eigendecomposition of rho.
 
-    Pairs with p_i + p_j <= tol contribute nothing; if the derivative has
-    weight above sqrt(tol) between two such null directions the Fisher
-    information is ill-defined and this raises.
+    Pairs with p_i + p_j <= SUPPORT_TOL contribute nothing; if the
+    derivative has weight above sqrt(SUPPORT_TOL) between two such null
+    directions the Fisher information is ill-defined and this raises.
 
     rho and drho may be stacks (..., d, d): one batched eigensolve covers
     them, L keeps their shape and H is an array over the leading axes (a
     float for a single operator).
     """
-    v, l_eig, h = _eigen_frame(rho, drho, tol)
+    v, l_eig, h = _eigen_frame(rho, drho)
     return SldResult(L=v @ l_eig @ linop.dagger(v), H=linop.scalar_or_array(h))
 
 
@@ -143,7 +120,7 @@ def fisher_eig(rho: np.ndarray, drho: np.ndarray):
     float for a single operator and an array over the leading axes of a
     stack.
     """
-    return linop.scalar_or_array(_eigen_frame(rho, drho, SUPPORT_TOL)[2])
+    return linop.scalar_or_array(_eigen_frame(rho, drho)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +151,8 @@ def qfi_single_use(v, lam: float) -> float:
     lam = _check_lambda(lam)
     rx, ry, rz = (float(c) for c in v)
     r2 = rx * rx + ry * ry + rz * rz
-    if r2 > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector norm {math.sqrt(r2)} exceeds 1")
+    if not r2 <= 1.0 + 1e-12:  # NaN fails too
+        raise ValueError(f"Bloch vector norm must be <= 1, got {math.sqrt(r2)}")
     _reject_pure_corner(math.sqrt(r2), lam)
     num = 4.0 * (1.0 - rz * rz) * (r2 - rz * rz)
     if num <= 0.0:

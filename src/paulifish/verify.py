@@ -64,7 +64,7 @@ def _qubit_counts(n_max: int) -> range:
     return range(2, n_max + 1)
 
 
-def suite_oracle(n_max: int = 5) -> SuiteResult:
+def suite_oracle(n_max: int) -> SuiteResult:
     """Closed-form Fisher information vs the eigendecomposition route.
 
     The route solves every two-level block of the post-channel state, the
@@ -90,7 +90,7 @@ def suite_oracle(n_max: int = 5) -> SuiteResult:
     return SuiteResult("oracle", worst < 1e-8, worst, f"n<= {n_max}, tol 1e-8")
 
 
-def suite_bounds(n_max: int = 5) -> SuiteResult:
+def suite_bounds(n_max: int) -> SuiteResult:
     """H <= m/(lam(1-lam)) everywhere; pure limit approaches the bound."""
     worst = -math.inf
     r_grid, lam_grid = np.array(_TENTHS), np.array(_TENTHS)[:, None]
@@ -110,15 +110,16 @@ def suite_bounds(n_max: int = 5) -> SuiteResult:
     )
 
 
-def suite_weight_inequalities(n_max: int = 8) -> SuiteResult:
+def suite_weight_inequalities() -> SuiteResult:
     """diff^2/total^2 >= r^2 off the middle index, total >= 2(1-r^2)^(n-1),
-    the weighted sum >= 2^(n+1) r^2, and gain > 1 for single invocations."""
+    the weighted sum >= 2^(n+1) r^2, and gain > 1 for single invocations,
+    for n = 2..8."""
     worst = 0.0  # most negative margin observed, as a positive number
     rs = np.array([round(0.02 * k, 10) for k in range(1, 50)])
     r2 = rs * rs
     lams = np.array([round(0.01 * k, 10) for k in range(0, 101)])[:, None]
     floor_margin = math.inf
-    for n in range(2, n_max + 1):
+    for n in range(2, 9):
         floor = linop._elementwise(lambda x: 2.0 * (1.0 - x * x) ** (n - 1), rs)
         weighted = 0.0
         for j in range(n + 1):
@@ -139,13 +140,14 @@ def suite_weight_inequalities(n_max: int = 8) -> SuiteResult:
     )
 
 
-def suite_discord(step: float = 1e-4) -> SuiteResult:
+def suite_discord() -> SuiteResult:
     """Strict monotonicity of discord in both arguments, sign symmetry, route
     equivalence between the generic and protocol closed forms, and no
     discord at half strength where the single-use gain still exceeds 1."""
     grid = [round(0.05 * k, 10) for k in range(1, 20)]
     r_col, mu_row = np.array(grid)[:, None], np.array(grid)
     worst_mono = -math.inf
+    step = 1e-4
     for dr, dmu in ((0.0, step), (step, 0.0)):
         up = correlations.discord_rmu(r_col + dr, mu_row + dmu).Q
         down = correlations.discord_rmu(r_col - dr, mu_row - dmu).Q
@@ -295,9 +297,9 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 }
 
 
-def run_suites(names: list[str] | None = None, n_max: int = 5) -> list[SuiteResult]:
-    """Run the named suites (all by default); n_max, checked before any suite
-    runs, caps the qubit count of the oracle and bounds suites."""
+def run_suites(names: list[str] | None, n_max: int) -> list[SuiteResult]:
+    """Run the named suites, or all of them for None; n_max, checked before
+    any suite runs, caps the qubit count of the oracle and bounds suites."""
     _qubit_counts(n_max)
     selected = names or list(SUITES)
     out = []

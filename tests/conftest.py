@@ -7,24 +7,18 @@ from paulifish import channels, linop, qfi
 
 def block_route_sld(n, r, lam, m):
     """Score operator of the correlated protocol state assembled piecewise:
-    a closed 2x2 solve per two-level block of channels.correlated_blocks,
-    embedded and summed.
+    a closed 2x2 solve per two-level block of channels.correlated_blocks.
+    The blocks have orthogonal supports, so their score operators, scattered
+    onto their (x, N-x) pairs, and their Fisher informations add.
 
     Uses no eigensolver, so it is an independent route against the
     closed-form and eigendecomposition paths.
     """
     rho, drho = channels.correlated_blocks(n, r, lam, m)
-    big_n = 2**n - 1
-    # the blocks have orthogonal supports: their (x, N-x) index pairs are disjoint
-    levels = [i for x in range(len(rho)) for i in (x, big_n - x)]
-    assert len(set(levels)) == len(levels), levels
-    parts = []
-    for x, (a, da) in enumerate(zip(rho, drho)):
-        res = qfi.sld_2x2(a, da)
-        parts.append(
-            qfi.SldResult(L=linop.embed_two_level(res.L, x, big_n - x, 2**n), H=res.H)
-        )
-    return qfi.sld_block_sum(parts)
+    parts = [qfi.sld_2x2(a, da) for a, da in zip(rho, drho)]
+    return qfi.SldResult(
+        L=channels._scatter(np.array([p.L for p in parts])), H=sum(p.H for p in parts)
+    )
 
 
 def swap():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,9 +38,10 @@ class TestBlochState:
         evals = np.linalg.eigvalsh(channels.bloch_state((0, 0.5, 0)))
         np.testing.assert_allclose(evals, [0.25, 0.75], atol=1e-12)
 
-    def test_overlong_vector_rejected(self):
-        with pytest.raises(ValueError):
-            channels.bloch_state((1.0, 0.2, 0.0))
+    @pytest.mark.parametrize("v", [(1.0, 0.2, 0.0), (math.nan, 0.0, 0.0)])
+    def test_overlong_vector_rejected(self, v):
+        with pytest.raises(ValueError, match="Bloch vector norm"):
+            channels.bloch_state(v)
 
 
 class TestPauliChannel:
@@ -73,12 +76,7 @@ class TestPauliChannel:
     def test_duplicate_targets_rejected(self):
         rho = np.eye(4) / 4
         with pytest.raises(ValueError, match="duplicate"):
-            channels.apply_pauli_channel(rho, channels.ChannelSpec("z", 0.1, 2), [1, 1])
-
-    def test_target_count_must_match_invocation_count(self):
-        rho = np.eye(4) / 4
-        with pytest.raises(ValueError, match="invocations"):
-            channels.apply_pauli_channel(rho, channels.ChannelSpec("z", 0.1, 2), [1])
+            channels.apply_pauli_channel(rho, channels.ChannelSpec("z", 0.1), [1, 1])
 
     def test_x_axis_channel_acts_in_rotated_frame(self):
         r, lam = 0.6, 0.3
@@ -265,7 +263,7 @@ class TestBlocks:
         rho_i = linop.tensor([channels.bloch_state((0, r, 0))] * n)
         prep = u @ rho_i @ linop.dagger(u)
         direct = channels.apply_pauli_channel(
-            prep, channels.ChannelSpec("z", lam, m), list(range(1, m + 1))
+            prep, channels.ChannelSpec("z", lam), list(range(1, m + 1))
         )
         dense, _ = channels.correlated_state(n, r, lam, m)
         assert linop.frobenius_max(dense - direct) < 1e-10

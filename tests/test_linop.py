@@ -242,12 +242,6 @@ class TestHelpers:
         swapped = s13 @ linop.tensor([a, b, c]) @ linop.dagger(s13)
         np.testing.assert_allclose(swapped, linop.tensor([c, b, a]), atol=1e-12)
 
-    def test_embed_two_level(self):
-        block = np.array([[1.0, 2.0], [3.0, 4.0]])
-        full = linop.embed_two_level(block, 0, 3, 4)
-        assert full[0, 0] == 1 and full[0, 3] == 2 and full[3, 0] == 3 and full[3, 3] == 4
-        assert np.count_nonzero(full) == 4
-
     def test_density_operator_predicate(self):
         assert linop.is_density_operator(np.eye(2) / 2)
         assert not linop.is_density_operator(np.eye(2))

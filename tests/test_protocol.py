@@ -325,11 +325,13 @@ class TestThresholdAndDephasingMap:
         assert lam <= 0.10
         assert protocol.lambda_from_t2(1e9, 1.0) == pytest.approx(0.5, abs=1e-12)
 
-    def test_dephasing_map_validation(self):
+    @pytest.mark.parametrize(
+        "t, t2",
+        [(-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, math.inf)],
+    )
+    def test_dephasing_map_validation(self, t, t2):
         with pytest.raises(ValueError):
-            protocol.lambda_from_t2(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            protocol.lambda_from_t2(1.0, 0.0)
+            protocol.lambda_from_t2(t, t2)
 
 
 class TestWeightInequalities:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -170,14 +171,7 @@ class TestSldEig:
             qfi.sld_eig(np.eye(4) / 4, np.zeros((2, 4, 4)))
 
 
-class TestSldBlockSum:
-    def test_single_block_passthrough(self):
-        rho, drho = dephased_qubit_family(0.5, 0.3)
-        part = qfi.sld_2x2(rho, drho)
-        combined = qfi.sld_block_sum([part])
-        np.testing.assert_array_equal(combined.L, part.L)
-        assert combined.H == part.H
-
+class TestOrthogonalPiecesAdd:
     def test_two_orthogonal_blocks_reproduce_protocol_information(self):
         from conftest import block_route_sld
 
@@ -193,28 +187,22 @@ class TestSldBlockSum:
     def test_product_of_independent_qubits_adds_information(self):
         m, r, lam = 3, 0.5, 0.3
         single_rho, single_drho = dephased_qubit_family(r, lam)
-        h_single = qfi.sld_2x2(single_rho, single_drho).H
-        parts = []
+        single = qfi.sld_2x2(single_rho, single_drho)
         eye = np.eye(2, dtype=complex)
-        for k in range(m):
-            res = qfi.sld_2x2(single_rho, single_drho)
-            factors = [eye] * m
-            factors[k] = res.L
-            parts.append(qfi.SldResult(L=linop.tensor(factors), H=res.H))
-        combined = qfi.sld_block_sum(parts)
-        assert combined.H == pytest.approx(m * h_single, rel=1e-9)
-        # oracle: eigendecomposition route on the full product state
         rho = linop.tensor([single_rho] * m)
-        drho = np.zeros_like(rho)
+        drho, big_l = np.zeros_like(rho), np.zeros_like(rho)
         for k in range(m):
-            factors = [single_rho] * m
-            factors[k] = single_drho
+            factors, l_factors = [single_rho] * m, [eye] * m
+            factors[k], l_factors[k] = single_drho, single.L
             drho += linop.tensor(factors)
-        assert qfi.sld_eig(rho, drho).H == pytest.approx(m * h_single, rel=1e-9)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension"):
-            qfi.sld_block_sum([(np.eye(2), 1.0), (np.eye(4), 1.0)])
+            big_l += linop.tensor(l_factors)
+        # the summed score operator satisfies the defining relation and
+        # carries m times the single-qubit information
+        residual = drho - (big_l @ rho + rho @ big_l) / 2
+        assert linop.frobenius_max(residual) < 1e-12
+        assert float(np.trace(drho @ big_l).real) == pytest.approx(m * single.H, rel=1e-9)
+        # oracle: eigendecomposition route on the full product state
+        assert qfi.sld_eig(rho, drho).H == pytest.approx(m * single.H, rel=1e-9)
 
 
 class TestSingleUseClosedForms:
@@ -238,6 +226,11 @@ class TestSingleUseClosedForms:
     def test_pure_corner_rejected(self):
         with pytest.raises(ValueError, match="pure"):
             qfi.qfi_single_use((0, 1.0, 0), 0.0)
+
+    @pytest.mark.parametrize("v", [(0.0, 1.0, 0.2), (math.nan, 0.0, 0.0)])
+    def test_bad_bloch_vector_rejected(self, v):
+        with pytest.raises(ValueError, match="Bloch vector norm"):
+            qfi.qfi_single_use(v, 0.3)
 
     def test_independent_optimum_values(self):
         assert qfi.qfi_independent_opt(1.0, 0.25, 1) == pytest.approx(16.0 / 3.0)
@@ -301,19 +294,17 @@ class TestRouteEquivalence:
     def test_all_three_routes_agree(self, n):
         from conftest import block_route_sld
 
-        lams = [round(0.05 * k, 10) for k in range(1, 20)]
-        rs = [round(0.1 * k, 10) for k in range(1, 10)]
+        lams = np.array([round(0.05 * k, 10) for k in range(1, 20)])
+        rs = np.array([round(0.1 * k, 10) for k in range(1, 10)])
         for m in range(1, n + 1):
-            for lam in lams:
-                for r in rs:
-                    rho, drho = channels.correlated_state(n, r, lam, m)
-                    h_eig = qfi.sld_eig(rho, drho).H
-                    h_closed = protocol.qfi_correlated(
-                        protocol.ProtocolPoint(n, m, r, lam)
-                    )
+            # the dense and closed-form routes take the whole grid at once
+            h_eig = qfi.sld_eig(*channels.correlated_state(n, rs, lams[:, None], m)).H
+            h_closed = protocol.qfi_and_gain(n, m, rs, lams[:, None])[0]
+            for i, lam in enumerate(lams.tolist()):
+                for k, r in enumerate(rs.tolist()):
                     h_blocks = block_route_sld(n, r, lam, m).H
-                    assert h_eig == pytest.approx(h_closed, rel=1e-8, abs=1e-12)
-                    assert h_blocks == pytest.approx(h_closed, rel=1e-8, abs=1e-12)
+                    assert h_eig[i, k] == pytest.approx(h_closed[i, k], rel=1e-8, abs=1e-12)
+                    assert h_blocks == pytest.approx(h_closed[i, k], rel=1e-8, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_block_oracle_matches_dense_on_oracle_grid(self, n):
