@@ -1,10 +1,10 @@
 """Pauli-channel evolution and the correlated-state preparation.
 
-Covers the channel map rho -> (1-lam) rho + lam s_n rho s_n, its two-qubit
-coin-toss dilation, the preparatory unitary (pairwise controlled-Z then a
-Hadamard on every qubit), and the splitting of the prepared and
-post-channel states into two-dimensional blocks spanned by |x> and |N-x>,
-stacked as 2x2 arrays and broadcast over (r, lam) grids.
+Covers the channel map rho -> (1-lam) rho + lam s_n rho s_n, the
+preparatory unitary (pairwise controlled-Z then a Hadamard on every qubit),
+and the splitting of the prepared and post-channel states into
+two-dimensional blocks spanned by |x> and |N-x>, stacked as 2x2 arrays and
+broadcast over (r, lam) grids.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ class ChannelSpec:
     def __post_init__(self):
         if self.axis not in ("x", "y", "z"):
             raise ValueError(f"axis must be 'x', 'y' or 'z', got {self.axis!r}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"channel strength must lie in [0, 1], got {self.lam}")
+        linop.check_unit_interval(self.lam, "channel strength")
 
 
 def bloch_state(v) -> np.ndarray:
@@ -66,27 +65,6 @@ def apply_pauli_channel(
         p = tensor(factors)
         out = (1.0 - spec.lam) * out + spec.lam * (p @ out @ p)
     return out
-
-
-def extended_channel_state(rho_channel: np.ndarray, lam: float) -> np.ndarray:
-    """Two-qubit dilation of the phase-flip channel; ancilla is qubit 2.
-
-    The ancilla starts in |0>, passes the coin-toss rotation, and a
-    controlled-Z couples it to the channel qubit. The coin-toss is evaluated
-    at 1-lam so that the amplitude routed to |1> (which fires the Z) is
-    sqrt(lam): tracing out the ancilla then reproduces the channel at the
-    same lam.
-    """
-    rho_channel = np.asarray(rho_channel, dtype=complex)
-    if rho_channel.shape != (2, 2):
-        raise ValueError("extended channel takes a single-qubit state")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
-    anc = np.zeros((2, 2), dtype=complex)
-    anc[0, 0] = 1.0
-    joint = tensor([anc, rho_channel])
-    u = linop.controlled_z() @ tensor([linop.coin_toss(1.0 - lam), linop.identity()])
-    return u @ joint @ linop.dagger(u)
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def bell_diagonalize(rho: np.ndarray) -> BellDiagonalCoeffs:
     tolerance. rho may be a stack (..., 4, 4); the coefficients are then
     arrays over its leading axes.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = linop._as_operators(rho)
     if rho.shape[-2:] != (4, 4):
         raise ValueError("Bell diagonalization takes a two-qubit state")
     coeffs = np.einsum("...ij,abji->...ab", rho, _BELL_FRAME) / 4.0
@@ -223,9 +223,9 @@ def discord_protocol(r, lam, m: int) -> DiscordReport:
     return discord_rmu(r, _off_diagonal_scale(lam, m))
 
 
-def discord_prep(r: float) -> float:
+def discord_prep(r):
     """Discord of the prepared (pre-channel) state:
-    (1+r)/2 log2(1+r) + (1-r)/2 log2(1-r), increasing in r."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"polarization must lie in [0, 1], got {r}")
-    return float(0.5 * (_xlog2(1.0 + r) + _xlog2(1.0 - r)))
+    (1+r)/2 log2(1+r) + (1-r)/2 log2(1-r), increasing in r. r may be an
+    array (a float comes back for a scalar)."""
+    r = linop.check_unit_interval(r, "polarization")
+    return linop.scalar_or_array(0.5 * (_xlog2(1.0 + r) + _xlog2(1.0 - r)))

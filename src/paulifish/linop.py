@@ -56,7 +56,8 @@ def _elementwise(f, v):
 
 
 def _as_operators(a) -> np.ndarray:
-    """A stack of operators, shape (..., d, d) with d a power of two within the cap."""
+    """A stack of operators, shape (..., d, d) with d a power of two within
+    the cap and every entry finite."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected square matrices, got shape {a.shape}")
@@ -67,6 +68,8 @@ def _as_operators(a) -> np.ndarray:
         raise DimensionError(
             f"dimension {d} exceeds the dense cap {DIM_CAP}; use the analytic path"
         )
+    if not np.isfinite(a).all():
+        raise ValueError("operator has a non-finite entry")
     return a
 
 
@@ -136,23 +139,8 @@ def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
 
-def controlled_z() -> np.ndarray:
-    return np.diag([1, 1, 1, -1]).astype(complex)
-
-
-def coin_toss(lam: float) -> np.ndarray:
-    """Rotation with columns (sqrt(lam), sqrt(1-lam)) and (-sqrt(1-lam), sqrt(lam)).
-
-    coin_toss(1) is the identity; coin_toss(0) maps |0> to |1>.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"coin-toss parameter must lie in [0, 1], got {lam}")
-    s, c = np.sqrt(lam), np.sqrt(1.0 - lam)
-    return np.array([[s, -c], [c, s]], dtype=complex)
-
-
 # ---------------------------------------------------------------------------
-# Composition and reduction
+# Composition and partial transpose
 
 
 def tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -178,28 +166,6 @@ def _check_qubit_set(qubits: Iterable[int], n: int) -> list[int]:
     if qs[0] < 1 or qs[-1] > n:
         raise ValueError(f"qubit indices {qs} out of range 1..{n}")
     return qs
-
-
-def partial_trace(a: np.ndarray, keep: Iterable[int]) -> np.ndarray:
-    """Trace out every qubit not in ``keep``; kept qubits keep their order."""
-    a = _as_operator(a)
-    n = num_qubits(a)
-    keep_set = set(_check_qubit_set(keep, n))
-    t = a.reshape([2] * (2 * n))
-    # axis k holds qubit n-k for rows, axis n+k the same qubit for columns
-    row_idx = list(range(n))
-    col_idx = list(range(n, 2 * n))
-    out_rows, out_cols = [], []
-    for axis in range(n):
-        q = n - axis
-        if q in keep_set:
-            out_rows.append(row_idx[axis])
-            out_cols.append(col_idx[axis])
-        else:
-            col_idx[axis] = row_idx[axis]
-    res = np.einsum(t, row_idx + col_idx, out_rows + out_cols)
-    d = 2 ** len(keep_set)
-    return np.ascontiguousarray(res.reshape(d, d))
 
 
 def partial_transpose(a: np.ndarray, subsystem: Iterable[int]) -> np.ndarray:

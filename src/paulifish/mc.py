@@ -114,9 +114,9 @@ def classical_fisher(p: Sequence[float], dp: Sequence[float]) -> float:
     dp = [float(v) for v in dp]
     if len(p) != len(dp):
         raise ValueError("probability and derivative lists differ in length")
-    if abs(sum(p) - 1.0) > 1e-9:
+    if not abs(sum(p) - 1.0) <= 1e-9:  # a non-finite entry fails too
         raise ValueError(f"probabilities sum to {sum(p)}, not 1")
-    if abs(sum(dp)) > 1e-9:
+    if not abs(sum(dp)) <= 1e-9:
         raise ValueError(f"probability derivatives sum to {sum(dp)}, not 0")
     total = 0.0
     for pk, dpk in zip(p, dp):

@@ -231,22 +231,21 @@ def gain_limit_r1(m: int, lam):
     return linop._elementwise(limit, lam)
 
 
-def gain_two_qubit(m: int, r: float, lam: float) -> float:
+def gain_two_qubit(m: int, r, lam):
     """Two-qubit gain in fully reduced form:
 
         G = 2 m nu^(m-1) (1+r^2) (1 - nu r^2) / [(1+r^2)^2 - 4 r^2 nu^m]
 
-    Regular at r = 0, where it equals gain_limit_r0(n=2, m, lam).
+    Regular at r = 0, where it equals gain_limit_r0(n=2, m, lam). r and lam
+    may be arrays that broadcast against each other (a float comes back
+    when both are scalars).
     """
-    if m < 1:
-        raise ValueError(f"invocation count must be >= 1, got {m}")
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"polarization must lie in [0, 1), got {r}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
+    _validate_nm(2, m)
+    r = linop.check_unit_interval(r, "polarization", "[0, 1)")
+    lam = linop.check_unit_interval(lam, "channel strength")
     nu = (1.0 - 2.0 * lam) ** 2
     r2 = r * r
-    return (
+    return linop.scalar_or_array(
         2.0
         * m
         * nu ** (m - 1)
@@ -266,10 +265,8 @@ def stationary_polarizations(m: int, lam: float) -> list[float]:
 
     Real roots with u in (0, 1) are returned as r = sqrt(u), ascending.
     """
-    if m < 1:
-        raise ValueError(f"invocation count must be >= 1, got {m}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"channel strength must lie in [0, 1], got {lam}")
+    _validate_nm(2, m)
+    lam = float(linop.check_unit_interval(lam, "channel strength"))
     if lam == 0.5:
         raise ValueError("stationarity is degenerate at lam = 1/2")
     nu = (1.0 - 2.0 * lam) ** 2

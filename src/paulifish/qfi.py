@@ -1,9 +1,9 @@
-"""Score operators and quantum Fisher information, by two routes.
+"""Quantum Fisher information of a differentiable family of states.
 
-The closed 2x2 route needs no eigensolve and branches on
-alpha = Tr(A^2) - (Tr A)^2; the eigendecomposition route is the general
-oracle L_ij = 2 <i|drho|j> / (p_i + p_j), with fisher_eig its Fisher
-information alone.
+The oracle is fisher_eig, from the eigendecomposition of rho (Braunstein
+& Caves, PRL 72, 3439 (1994)). sld_2x2 is a second, eigensolve-free route
+for 2x2 operators that branches on alpha = Tr(A^2) - (Tr A)^2; the tests
+compare the two. The rest are closed forms for the single-qubit channel.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ SUPPORT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SldResult:
-    """A score operator L and the Fisher information H = Tr(drho L); for a
-    stack of operators, one of each per operator."""
+    """A score operator L and the Fisher information H = Tr(drho L)."""
 
     L: np.ndarray
-    H: float | np.ndarray
+    H: float
 
 
 def _real_trace(a: np.ndarray) -> float:
@@ -41,8 +40,7 @@ def sld_2x2(a: np.ndarray, da: np.ndarray) -> SldResult:
     ``da`` is the analytic parameter derivative of ``a``. Requires
     Tr(a) != 0; the alpha = 0 branch arises for pure states.
     """
-    a = np.asarray(a, dtype=complex)
-    da = np.asarray(da, dtype=complex)
+    a, da = linop._as_operators(a), linop._as_operators(da)
     if a.shape != (2, 2) or da.shape != (2, 2):
         raise ValueError("sld_2x2 expects 2x2 operators")
     tr = _real_trace(a)
@@ -60,19 +58,21 @@ def sld_2x2(a: np.ndarray, da: np.ndarray) -> SldResult:
     return SldResult(L=L, H=_real_trace(da @ L))
 
 
-def _eigen_frame(
-    rho: np.ndarray, drho: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenbasis V of rho, the score operator l in that basis and the
-    Fisher information H, the shared body of sld_eig and fisher_eig.
+def fisher_eig(rho: np.ndarray, drho: np.ndarray):
+    """Fisher information from the eigendecomposition rho = sum_i p_i |i><i|.
 
-    l_ij = 2 <i|drho|j> / (p_i + p_j) on pairs with p_i + p_j > SUPPORT_TOL
-    and 0 elsewhere; derivative weight above sqrt(SUPPORT_TOL) between two
-    null directions raises. H = sum_ij Re(l_ij conj(<i|drho|j>)) is an array
-    over the leading axes of a stack.
+    H = sum_ij Re(l_ij conj(<i|drho|j>)) with the score operator in the
+    eigenbasis l_ij = 2 <i|drho|j> / (p_i + p_j) on pairs with
+    p_i + p_j > SUPPORT_TOL and 0 elsewhere. Derivative weight above
+    sqrt(SUPPORT_TOL) between two such null directions makes the Fisher
+    information ill-defined, and this raises.
+
+    rho and drho may be stacks (..., d, d): one batched eigensolve covers
+    them. Returns a float for a single operator and an array over the
+    leading axes of a stack.
     """
     rho = np.asarray(rho, dtype=complex)
-    drho = np.asarray(drho, dtype=complex)
+    drho = linop._as_operators(drho)
     if rho.shape != drho.shape:
         raise ValueError(f"rho {rho.shape} and drho {drho.shape} differ in shape")
     dev = linop.frobenius_max(drho - linop.dagger(drho))
@@ -93,34 +93,7 @@ def _eigen_frame(
         )
     l_eig = np.zeros_like(m)
     l_eig[included] = 2.0 * m[included] / psum[included]
-    h = np.sum((l_eig * m.conj()).real, axis=(-2, -1))
-    return v, l_eig, h
-
-
-def sld_eig(rho: np.ndarray, drho: np.ndarray) -> SldResult:
-    """General score operator from the eigendecomposition of rho.
-
-    Pairs with p_i + p_j <= SUPPORT_TOL contribute nothing; if the
-    derivative has weight above sqrt(SUPPORT_TOL) between two such null
-    directions the Fisher information is ill-defined and this raises.
-
-    rho and drho may be stacks (..., d, d): one batched eigensolve covers
-    them, L keeps their shape and H is an array over the leading axes (a
-    float for a single operator).
-    """
-    v, l_eig, h = _eigen_frame(rho, drho)
-    return SldResult(L=v @ l_eig @ linop.dagger(v), H=linop.scalar_or_array(h))
-
-
-def fisher_eig(rho: np.ndarray, drho: np.ndarray):
-    """The Fisher information sld_eig(rho, drho).H, bit for bit, without
-    rotating the score operator back out of the eigenbasis.
-
-    Takes the same stacks and raises the same errors as sld_eig; returns a
-    float for a single operator and an array over the leading axes of a
-    stack.
-    """
-    return linop.scalar_or_array(_eigen_frame(rho, drho)[2])
+    return linop.scalar_or_array(np.sum((l_eig * m.conj()).real, axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------

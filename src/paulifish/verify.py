@@ -91,8 +91,14 @@ def suite_oracle(n_max: int) -> SuiteResult:
 
 
 def suite_bounds(n_max: int) -> SuiteResult:
-    """H <= m/(lam(1-lam)) everywhere; pure limit approaches the bound."""
-    worst = -math.inf
+    """H <= m/(lam(1-lam)) everywhere; pure limit approaches the bound; m
+    single uses at rz = 0 give the independent optimum."""
+    # single use at lam = 0.05..0.95 against the bound, and on its odd rows,
+    # the lam tenths, against the independent optimum
+    lams = [round(0.05 * k, 10) for k in range(1, 20)]
+    single = np.array([[qfi.qfi_single_use((0.0, r, 0.0), lam) for r in _TENTHS] for lam in lams])
+    worst = float(np.max(single - qfi.qfi_upper_bound(np.array(lams)[:, None], 1)))
+    single_err = 0.0
     r_grid, lam_grid = np.array(_TENTHS), np.array(_TENTHS)[:, None]
     for n in _qubit_counts(n_max):
         for m in range(1, n + 1):
@@ -100,13 +106,15 @@ def suite_bounds(n_max: int) -> SuiteResult:
             h_ind = qfi.qfi_independent_opt(r_grid, lam_grid, m)
             bound = qfi.qfi_upper_bound(lam_grid, m)
             worst = max(worst, float(np.max(h_closed - bound)), float(np.max(h_ind - bound)))
+            single_err = max(single_err, _rel_err(m * single[1::2], h_ind))
     pure_err = 0.0
     for m in (1, 2, 3):
         h = qfi.qfi_independent_opt(1.0 - 1e-8, lam_grid, m)
         pure_err = max(pure_err, _rel_err(h, qfi.qfi_upper_bound(lam_grid, m)))
-    ok = worst <= 1e-8 and pure_err < 1e-4
+    ok = worst <= 1e-8 and pure_err < 1e-4 and single_err < 1e-12
+    err = max(max(worst, 0.0) + pure_err, single_err)
     return SuiteResult(
-        "bounds", ok, max(worst, 0.0) + pure_err, f"max excess {worst:.2e}, pure-limit rel {pure_err:.2e}"
+        "bounds", ok, err, f"max excess {worst:.2e}, pure-limit rel {pure_err:.2e}"
     )
 
 
@@ -142,8 +150,9 @@ def suite_weight_inequalities() -> SuiteResult:
 
 def suite_discord() -> SuiteResult:
     """Strict monotonicity of discord in both arguments, sign symmetry, route
-    equivalence between the generic and protocol closed forms, and no
-    discord at half strength where the single-use gain still exceeds 1."""
+    equivalence between the generic and protocol closed forms, the prepared
+    state's discord at lam = 0, and no discord at half strength where the
+    single-use gain still exceeds 1."""
     grid = [round(0.05 * k, 10) for k in range(1, 20)]
     r_col, mu_row = np.array(grid)[:, None], np.array(grid)
     worst_mono = -math.inf
@@ -155,7 +164,9 @@ def suite_discord() -> SuiteResult:
     worst_sym = 0.0
     worst_route = 0.0
     worst_half = 0.0
+    worst_prep = worst_prep_rel = 0.0
     rs = np.array(grid)
+    q_prep = correlations.discord_prep(rs)
     lams = sorted([round(0.1 * k, 10) for k in range(0, 11)] + [0.95])
     lam_col = np.array(lams)[:, None]
     for m in (1, 2, 3):
@@ -167,6 +178,9 @@ def suite_discord() -> SuiteResult:
         q_dense = correlations.discord_xstate(coeffs).Q
         worst_route = max(worst_route, float(np.max(np.abs(q_dense - q_closed))))
         worst_half = max(worst_half, float(np.max(np.abs(q_closed[lams.index(0.5)]))))
+        q_zero = q_closed[lams.index(0.0)]
+        worst_prep = max(worst_prep, float(np.max(np.abs(q_zero - q_prep))))
+        worst_prep_rel = max(worst_prep_rel, _rel_err(q_zero, q_prep))
     half_gain_excess = float(np.min(protocol.qfi_and_gain(2, 1, rs, 0.5)[1])) - 1.0
     ok = (
         worst_mono < 0.0
@@ -174,11 +188,12 @@ def suite_discord() -> SuiteResult:
         and worst_route < 1e-10
         and worst_half <= 1e-12
         and half_gain_excess > 0.0
+        and worst_prep_rel < 1e-12
     )
     return SuiteResult(
         "discord",
         ok,
-        max(worst_mono, worst_sym, worst_route, worst_half),
+        max(worst_mono, worst_sym, worst_route, worst_half, worst_prep),
         f"mono {worst_mono:.2e}, sym {worst_sym:.2e}, routes {worst_route:.2e}, "
         f"half-strength Q {worst_half:.2e} with gain excess {half_gain_excess:.2e}",
     )
@@ -194,7 +209,8 @@ _TABLE_STATIONARY = [
 
 def suite_stationary() -> SuiteResult:
     """Reference stationary polarizations of the two-qubit gain, and a flat
-    central-difference derivative at every reported root."""
+    central-difference derivative at every reported root; the reduced
+    two-qubit gain, and the one-use gain's extremes over lam."""
     worst_val = 0.0
     worst_grad = 0.0
     h = 1e-4
@@ -208,9 +224,20 @@ def suite_stationary() -> SuiteResult:
             g_plus = protocol.gain(protocol.ProtocolPoint(2, m, root + h, lam))
             g_minus = protocol.gain(protocol.ProtocolPoint(2, m, root - h, lam))
             worst_grad = max(worst_grad, abs(g_plus - g_minus) / (2 * h))
-    ok = worst_val <= 0.005 and worst_grad < 1e-5
+    rs = np.array([round(0.05 * k, 10) for k in range(1, 20)])
+    lams = np.array([round(0.05 * k, 10) for k in range(0, 21)])[:, None]
+    worst_closed = 0.0
+    for m in (1, 2):
+        g = protocol.qfi_and_gain(2, m, rs, lams)[1]
+        worst_closed = max(worst_closed, _rel_err(protocol.gain_two_qubit(m, rs, lams), g))
+    for r in _TENTHS:
+        lo, hi = 2.0 / (1.0 + r * r), 2.0 * (1.0 + r * r) / (1.0 - r * r)
+        err = max(abs(protocol.gain_min(2, 1, r) - lo), abs(protocol.gain_max(2, 1, r) - hi))
+        worst_closed = max(worst_closed, err)
+    ok = worst_val <= 0.005 and worst_grad < 1e-5 and worst_closed < 1e-10
+    worst = max(worst_val, worst_closed)
     return SuiteResult(
-        "stationary", ok, worst_val, f"root dev {worst_val:.4f}, |dG/dr| {worst_grad:.2e}"
+        "stationary", ok, worst, f"root dev {worst_val:.4f}, |dG/dr| {worst_grad:.2e}"
     )
 
 
@@ -276,13 +303,18 @@ def suite_preparation() -> SuiteResult:
 
 def suite_threshold_gain() -> SuiteResult:
     """At the channel-strength threshold, the all-qubit small-polarization
-    gain reaches n within 1e-2."""
-    worst = 0.0
+    gain reaches n within 1e-2, dephasing time t* = T2 ln m / (2m-2) maps
+    onto it, and at t = 0.2 T2 < t* the n = m = 5 gain is at least 4.9."""
+    worst = worst_map = 0.0
     for m in range(2, 7):
         lam = protocol.lambda_threshold_gain_n(m)
         g = protocol.gain(protocol.ProtocolPoint(m, m, 1e-6, lam))
         worst = max(worst, m - g)
-    return SuiteResult("threshold-gain", worst < 1e-2, max(worst, 0.0), "m=n in 2..6")
+        t_star = math.log(m) / (2 * m - 2)
+        worst_map = max(worst_map, abs(protocol.lambda_from_t2(t_star, 1.0) - lam))
+    g_t2 = protocol.gain(protocol.ProtocolPoint(5, 5, 1e-4, protocol.lambda_from_t2(0.2, 1.0)))
+    ok = worst < 1e-2 and worst_map <= 1e-12 and g_t2 >= 4.9
+    return SuiteResult("threshold-gain", ok, max(worst, worst_map, 0.0), "m=n in 2..6")
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

@@ -1,28 +1,25 @@
 """Acceptance suite: one test per criterion, each printing a PASS line on
 success (pytest shows the captured output and a FAILED marker otherwise).
 
-Criteria 1, 3-7 and 9 are invariants that the verify suites state: each of
+Criteria 1-7, 9 and 10 are invariants that the verify suites state: each of
 these tests runs its suite through verify.run_suites and asserts that it
 passes, so every grid, tolerance and comparison is written once, in
 paulifish.verify. Criterion 1 also runs the dense eigendecomposition bridge
-at n = 5. Criteria 2, 8 and 10 state facts that no suite holds.
+at n = 5. Criterion 8 and the t = 0.22 T2 part of criterion 10 state facts
+that no suite holds.
 
-Criterion 10 checks the all-qubit (n = m = 5) gain at t = 0.2 T2, where
-lam = 0.0906 and the gain is 5.047. The n-fold gain is promised only up to
-lam = lambda_threshold_gain_n(5) = 0.0911, i.e. t* = T2 ln5 / 8 = 0.2012 T2;
-the test pins that boundary. Past it the gain stays below 5 at every
-polarization: at t = 0.22 T2 (lam = 0.0987) it is 4.3011, and at the rounded
-lam = 0.0986 it is 4.3132. Both agree with the dense SLD oracle to 1e-15 (at
-r = 0.01 and 0.1), with an 80-digit mpmath j-sum, and with the r -> 0 limit
-25 (1-2 lam)^8, so the test checks the 0.22 T2 gain against that limit as
-a fact, not as a target.
+Criterion 10's suite checks the all-qubit (n = m = 5) gain at t = 0.2 T2,
+where lam = 0.0906 and the gain is 5.047. The n-fold gain is promised only
+up to lam = lambda_threshold_gain_n(5) = 0.0911, i.e.
+t* = T2 ln5 / 8 = 0.2012 T2; the suite pins that boundary. Past it the gain
+stays below 5 at every polarization: at t = 0.22 T2 (lam = 0.0987) it is
+4.3011, and at the rounded lam = 0.0986 it is 4.3132. Both agree with the
+dense eigendecomposition oracle to 1e-15 (at r = 0.01 and 0.1), with an
+80-digit mpmath j-sum, and with the r -> 0 limit 25 (1-2 lam)^8, so the
+test checks the 0.22 T2 gain against that limit as a fact, not as a target.
 """
 
-import math
-
 from paulifish import mc, protocol, verify
-
-R_GRID = [round(0.1 * k, 10) for k in range(1, 10)]
 
 
 def passing_suite(name):
@@ -39,11 +36,7 @@ def test_criterion_01_oracle_equivalence(monkeypatch):
 
 
 def test_criterion_02_two_qubit_gain_anchors():
-    for r in R_GRID:
-        g_min = protocol.gain_min(2, 1, r)
-        g_max = protocol.gain_max(2, 1, r)
-        assert abs(g_min - 2.0 / (1.0 + r * r)) < 1e-10
-        assert abs(g_max - 2.0 * (1.0 + r * r) / (1.0 - r * r)) < 1e-10
+    passing_suite("stationary")
     print("criterion 2 (closed-form gain anchors at 1e-10): PASS")
 
 
@@ -93,23 +86,12 @@ def test_criterion_09_preparation_unitary_structure():
 
 
 def test_criterion_10_dephasing_time_mapping_and_all_qubit_gain():
+    passing_suite("threshold-gain")
     lam_nmr = protocol.lambda_from_t2(0.22, 1.0)
     assert lam_nmr <= 0.10
-    # the n-fold gain threshold is the strength reached at t* = T2 ln(m)/(2m-2)
-    t_star = math.log(5) / 8
-    lam_star = protocol.lambda_from_t2(t_star, 1.0)
-    assert abs(lam_star - protocol.lambda_threshold_gain_n(5)) <= 1e-12
-    lam_gain = protocol.lambda_from_t2(0.2, 1.0)
-    g = protocol.gain(protocol.ProtocolPoint(5, 5, 1e-4, lam_gain))
-    print(
-        f"criterion 10: strength at t=0.22 T2 is {lam_nmr:.4f} (<= 0.10 ok); "
-        f"all-qubit gain at (n=m=5, r=1e-4, t=0.2 T2, lam={lam_gain:.4f}) is "
-        f"{g:.4f}, required >= 4.9"
-    )
-    assert g >= 5 - 0.1, f"gain {g:.4f} < 4.9 at t=0.2 T2 (lam={lam_gain:.4f})"
     # past t* the gain matches its small-r limit m n (1-2 lam)^(2m-2) < n
     g_nmr = protocol.gain(protocol.ProtocolPoint(5, 5, 1e-4, lam_nmr))
     limit = 25.0 * (1.0 - 2.0 * lam_nmr) ** 8
     assert abs(g_nmr - limit) <= 5e-7 * limit, f"gain {g_nmr!r} vs limit {limit!r}"
-    assert g_nmr < 5, f"gain {g_nmr:.4f} at t=0.22 T2 lies past t*={t_star:.4f} T2"
+    assert g_nmr < 5, f"gain {g_nmr:.4f} at t=0.22 T2 lies past t*"
     print("criterion 10 (dephasing-time mapping + all-qubit gain): PASS")

@@ -87,34 +87,6 @@ class TestPauliChannel:
         )
 
 
-class TestExtendedChannel:
-    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
-    def test_tracing_ancilla_reproduces_channel(self, lam):
-        rng = np.random.default_rng(int(lam * 10) + 2)
-        rho = channels.bloch_state(random_bloch(rng))
-        ext = channels.extended_channel_state(rho, lam)
-        reduced = linop.partial_trace(ext, [1])
-        direct = channels.apply_pauli_channel(rho, channels.ChannelSpec("z", lam), [1])
-        assert linop.frobenius_max(reduced - direct) < 1e-12
-
-    def test_full_strength_applies_z(self):
-        rho = channels.bloch_state((0.3, 0.4, 0.2))
-        reduced = linop.partial_trace(channels.extended_channel_state(rho, 1.0), [1])
-        z = linop.sigma_z()
-        np.testing.assert_allclose(reduced, z @ rho @ z, atol=1e-14)
-
-    @given(
-        st.floats(min_value=0.0, max_value=1.0),
-        st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_identity_holds_for_random_states(self, lam, seed):
-        rho = channels.bloch_state(random_bloch(np.random.default_rng(seed)))
-        reduced = linop.partial_trace(channels.extended_channel_state(rho, lam), [1])
-        direct = channels.apply_pauli_channel(rho, channels.ChannelSpec("z", lam), [1])
-        assert linop.frobenius_max(reduced - direct) < 1e-12
-
-
 class TestPreparationUnitary:
     def expected_from_bit_algebra(self, n):
         # independent construction straight from the bit-string algebra:

@@ -193,13 +193,6 @@ class TestDiscordClosedForms:
             for m in (1, 2, 3):
                 assert correlations.discord_protocol(r, 0.5, m).Q == 0.0
 
-    def test_zero_strength_matches_prepared_discord(self):
-        for r in (0.2, 0.5, 0.8):
-            for m in (1, 2):
-                assert correlations.discord_protocol(r, 0.0, m).Q == pytest.approx(
-                    correlations.discord_prep(r), rel=1e-12
-                )
-
     def test_unpolarized_has_no_discord(self):
         assert correlations.discord_protocol(0.0, 0.2, 1).Q == 0.0
 

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import qubit_swap, reconstruct, swap
 from paulifish import linop
@@ -19,37 +17,10 @@ class TestGates:
             linop.sigma_y(),
             linop.sigma_z(),
             linop.hadamard(),
-            linop.controlled_z(),
             swap(),
         ):
             d = g.shape[0]
             assert linop.frobenius_max(g @ linop.dagger(g) - np.eye(d)) < 1e-12
-
-    @given(st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=50)
-    def test_coin_toss_is_unitary(self, lam):
-        v = linop.coin_toss(lam)
-        assert linop.frobenius_max(v @ linop.dagger(v) - np.eye(2)) < 1e-12
-
-    def test_coin_toss_endpoints(self):
-        v0 = linop.coin_toss(0.0)
-        np.testing.assert_allclose(v0, np.array([[0, -1], [1, 0]]), atol=1e-15)
-        np.testing.assert_allclose(v0 @ np.array([1, 0]), np.array([0, 1]), atol=1e-15)
-        np.testing.assert_allclose(linop.coin_toss(1.0), np.eye(2), atol=1e-15)
-
-    def test_coin_toss_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            linop.coin_toss(-0.1)
-        with pytest.raises(ValueError):
-            linop.coin_toss(1.1)
-
-    def test_cz_truth_table(self):
-        cz = linop.controlled_z()
-        for x in range(4):
-            e = np.zeros(4)
-            e[x] = 1
-            sign = -1.0 if x == 3 else 1.0
-            np.testing.assert_allclose(cz @ e, sign * e, atol=1e-15)
 
     def test_swap_exchanges_the_two_one_hot_indices(self):
         s = swap()
@@ -97,53 +68,6 @@ class TestTensor:
     def test_dimension_cap(self):
         with pytest.raises(linop.DimensionError):
             linop.tensor([np.eye(2)] * 13)
-
-
-class TestPartialTrace:
-    def test_product_state_recovers_factor(self):
-        rng = np.random.default_rng(5)
-        a = random_hermitian(rng, 2)
-        a = a @ a.conj().T
-        a /= np.trace(a)
-        b = random_hermitian(rng, 2)
-        b = b @ b.conj().T
-        b /= np.trace(b)
-        joint = linop.tensor([a, b])
-        np.testing.assert_allclose(linop.partial_trace(joint, [2]), a, atol=1e-12)
-        np.testing.assert_allclose(linop.partial_trace(joint, [1]), b, atol=1e-12)
-
-    def test_bell_state_marginal_is_maximally_mixed(self):
-        psi = np.zeros(4, dtype=complex)
-        psi[0] = psi[3] = 1 / np.sqrt(2)
-        rho = np.outer(psi, psi.conj())
-        for q in (1, 2):
-            np.testing.assert_allclose(
-                linop.partial_trace(rho, [q]), np.eye(2) / 2, atol=1e-12
-            )
-
-    def test_general_factor_scaling(self):
-        # tracing out B from A (x) B leaves A scaled by tr B
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            a = random_hermitian(rng, 4)
-            b = random_hermitian(rng, 2)
-            joint = linop.tensor([a, b])
-            np.testing.assert_allclose(
-                linop.partial_trace(joint, [2, 3]),
-                a * np.trace(b),
-                atol=1e-10,
-            )
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(7)
-        a = random_hermitian(rng, 8)
-        assert abs(np.trace(linop.partial_trace(a, [2])) - np.trace(a)) < 1e-12
-
-    def test_bad_indices_rejected(self):
-        with pytest.raises(ValueError):
-            linop.partial_trace(np.eye(4), [3])
-        with pytest.raises(ValueError):
-            linop.partial_trace(np.eye(4), [])
 
 
 class TestPartialTranspose:

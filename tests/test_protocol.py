@@ -68,7 +68,7 @@ class TestCorrelatedInformation:
         point = protocol.ProtocolPoint(3, 2, 0.3, 0.2)
         rho, drho = channels.correlated_state(3, 0.3, 0.2, 2)
         assert protocol.qfi_correlated(point) == pytest.approx(
-            qfi.sld_eig(rho, drho).H, rel=1e-8
+            qfi.fisher_eig(rho, drho), rel=1e-8
         )
 
     def test_point_validation(self):
@@ -275,14 +275,6 @@ class TestGainLimits:
 
 
 class TestTwoQubitGain:
-    def test_reduced_form_equals_general_gain(self):
-        for m in (1, 2):
-            for r in np.arange(0.05, 1.0, 0.05):
-                for lam in np.arange(0.0, 1.005, 0.05):
-                    g2 = protocol.gain_two_qubit(m, r, lam)
-                    g = protocol.gain(protocol.ProtocolPoint(2, m, r, lam))
-                    assert g2 == pytest.approx(g, abs=1e-10, rel=1e-10)
-
     def test_half_strength_single_use(self):
         for r in (0.2, 0.5, 0.8):
             assert protocol.gain_two_qubit(1, r, 0.5) == pytest.approx(
@@ -295,14 +287,44 @@ class TestTwoQubitGain:
             protocol.gain_limit_r0(2, 1, 0.3)
         )
 
+    def test_broadcasts_and_returns_a_float_for_scalars(self):
+        assert type(protocol.gain_two_qubit(2, 0.5, 0.3)) is float
+        g = protocol.gain_two_qubit(2, np.array([0.2, 0.5]), np.array([[0.1], [0.3]]))
+        assert g.shape == (2, 2) and g[1, 1] == protocol.gain_two_qubit(2, 0.5, 0.3)
+
+    @pytest.mark.parametrize(
+        "m, r, lam, match",
+        [
+            (3, 0.5, 0.1, "invocations"),
+            (0, 0.5, 0.1, "invocations"),
+            (1, 1.0, 0.1, "polarization"),
+            (1, math.nan, 0.1, "polarization"),
+            (1, 0.5, 1.5, "channel strength"),
+            (1, 0.5, math.nan, "channel strength"),
+        ],
+    )
+    def test_outside_two_qubits_or_the_unit_interval_rejected(self, m, r, lam, match):
+        with pytest.raises(ValueError, match=match):
+            protocol.gain_two_qubit(m, r, lam)
+
 
 class TestStationaryPolarizations:
     def test_no_root_in_range_gives_empty_list(self):
         assert protocol.stationary_polarizations(1, 0.4) == []
 
-    def test_half_strength_rejected(self):
-        with pytest.raises(ValueError):
-            protocol.stationary_polarizations(1, 0.5)
+    @pytest.mark.parametrize(
+        "m, lam, match",
+        [
+            (1, 0.5, "degenerate"),
+            (3, 0.1, "invocations"),
+            (0, 0.1, "invocations"),
+            (1, -0.1, "channel strength"),
+            (1, math.nan, "channel strength"),
+        ],
+    )
+    def test_degenerate_or_out_of_range_input_rejected(self, m, lam, match):
+        with pytest.raises(ValueError, match=match):
+            protocol.stationary_polarizations(m, lam)
 
 
 class TestThresholdAndDephasingMap:

@@ -138,14 +138,48 @@ def _gain_scaled(factor):
     return make_wrong
 
 
-def _point_gain_scaled(factor):
+def _scaled(factor):
+    # the patched function's value times factor
     def make_wrong(real):
-        def wrong(p):
-            return real(p) * factor
+        def wrong(*args):
+            return real(*args) * factor
 
         return wrong
 
     return make_wrong
+
+
+def _shifted(delta):
+    # the patched function's value plus delta
+    def make_wrong(real):
+        def wrong(*args):
+            return real(*args) + delta
+
+        return wrong
+
+    return make_wrong
+
+
+def _t2_gain_lowered(real):
+    # 3 % low at r = 1e-4 only, where the suite takes the n = m = 5 gain at
+    # t = 0.2 T2: 5.047 falls to 4.896, below its 4.9. The threshold points
+    # are at r = 1e-6.
+    def wrong(p):
+        return real(p) * (0.97 if p.r == 1e-4 else 1.0)
+
+    return wrong
+
+
+def _single_use_above_bound_off_tenths(real):
+    # above the bound at lam = 0.05, 0.15, ..., 0.95, where the suite checks
+    # single use against the bound only; unchanged at the lam tenths, where
+    # it is also checked against the independent optimum
+    def wrong(v, lam):
+        if round(20 * lam) % 2:
+            return qfi.qfi_upper_bound(lam, 1) * (1.0 + 1e-6)
+        return real(v, lam)
+
+    return wrong
 
 
 def _point_gain_tilted(real):
@@ -174,16 +208,6 @@ def _closed_above_bound(real):
     return wrong
 
 
-def _independent_scaled(factor):
-    def make_wrong(real):
-        def wrong(r, lam, m):
-            return real(r, lam, m) * factor
-
-        return wrong
-
-    return make_wrong
-
-
 def _no_roots(real):
     def wrong(m, lam):
         return []
@@ -197,15 +221,6 @@ def _extra_root(real):
     def wrong(m, lam):
         roots = real(m, lam)
         return roots + [roots[-1] + 3e-7]
-
-    return wrong
-
-
-def _threshold_shifted(real):
-    # 2e-6 down, twice the suite's 1e-6 flip margin (up would put r past 1
-    # where the threshold is 1)
-    def wrong(m, lam):
-        return real(m, lam) - 2e-6
 
     return wrong
 
@@ -241,14 +256,22 @@ FAULTS = {
     "discord/half-strength-discord": (correlations, "discord_protocol", _half_strength_discord),
     # the minimum gain excess at lam = 1/2 is 5.1e-2
     "discord/half-strength-gain": (protocol, "qfi_and_gain", _gain_scaled(0.95)),
+    # 2e-12 relative, past the suite's 1e-12 between discord_prep and lam = 0
+    "discord/prepared-state": (correlations, "discord_prep", _scaled(1.0 + 2e-12)),
     "separability": (correlations, "ppt_closed_form", _ppt_eigenvalue_shifted),
-    "separability/threshold": (correlations, "separability_threshold", _threshold_shifted),
+    # 2e-6 down, twice the suite's 1e-6 flip margin (up would put r past 1
+    # where the threshold is 1)
+    "separability/threshold": (correlations, "separability_threshold", _shifted(-2e-6)),
     "separability/dense-route": (correlations, "is_separable_ppt", _dense_ppt_eigenvalue_shifted),
     "oracle": (protocol, "qfi_and_gain", _qfi_scaled),
     "bounds": (qfi, "qfi_independent_opt", _independent_above_bound),
     "bounds/closed-form": (protocol, "qfi_and_gain", _closed_above_bound),
     # the pure limit sits 5.6e-8 from the bound; 2e-4 is past the suite's 1e-4
-    "bounds/pure-limit": (qfi, "qfi_independent_opt", _independent_scaled(1.0 - 2e-4)),
+    "bounds/pure-limit": (qfi, "qfi_independent_opt", _scaled(1.0 - 2e-4)),
+    # 1e-11 relative, past the suite's 1e-12 between m single uses and the
+    # independent optimum, and far inside the bound
+    "bounds/single-use": (qfi, "qfi_single_use", _scaled(1.0 + 1e-11)),
+    "bounds/single-use-bound": (qfi, "qfi_single_use", _single_use_above_bound_off_tenths),
     "weight-inequalities": (protocol, "weight_pair", _total_weight_shrunk),
     "weight-inequalities/ratio": (protocol, "weight_pair", _diff_shrunk),
     # the minimum single-use gain excess is 2.02e-2
@@ -257,11 +280,20 @@ FAULTS = {
     "stationary/no-root": (protocol, "stationary_polarizations", _no_roots),
     "stationary/extra-root": (protocol, "stationary_polarizations", _extra_root),
     "stationary/gain-slope": (protocol, "gain", _point_gain_tilted),
+    # 2e-10 relative, past the suite's 1e-10 against the j-sum
+    "stationary/reduced-gain": (protocol, "gain_two_qubit", _scaled(1.0 + 2e-10)),
+    # the extremes are at least 1.1, so 2e-10 relative is past the suite's
+    # 1e-10 absolute
+    "stationary/gain-min": (protocol, "gain_min", _scaled(1.0 + 2e-10)),
+    "stationary/gain-max": (protocol, "gain_max", _scaled(1.0 + 2e-10)),
     "preparation": (channels, "preparation_unitary", _unitary_scaled),
     "preparation/column-phase": (channels, "preparation_unitary", _column_phase),
     "threshold-gain": (protocol, "lambda_threshold_gain_n", _threshold_raised),
     # 0.3 % low, the gain at m = 6 falls 1.8e-2 below 6, past the suite's 1e-2
-    "threshold-gain/gain": (protocol, "gain", _point_gain_scaled(0.997)),
+    "threshold-gain/gain": (protocol, "gain", _scaled(0.997)),
+    # 2e-12 stronger, past the suite's 1e-12 between lam(t*) and the threshold
+    "threshold-gain/t2-map": (protocol, "lambda_from_t2", _shifted(2e-12)),
+    "threshold-gain/t2-gain": (protocol, "gain", _t2_gain_lowered),
 }
 
 
