@@ -21,15 +21,9 @@ from .correlations import (
     discord_xstate,
     is_separable_ppt,
     ppt_closed_form,
-    rho_final_two_qubit,
     separability_threshold,
 )
-from .linop import (
-    Spectrum,
-    hermitian_eig,
-    partial_transpose,
-    tensor,
-)
+from .linop import tensor
 from .mc import ExperimentConfig, ExperimentResult, classical_fisher, outcome_probs, run_experiment
 from .protocol import (
     ProtocolPoint,
@@ -66,7 +60,6 @@ __all__ = [
     "ExperimentResult",
     "ProtocolPoint",
     "SldResult",
-    "Spectrum",
     "WeightPair",
     "apply_pauli_channel",
     "bell_diagonalize",
@@ -87,7 +80,6 @@ __all__ = [
     "gain_max",
     "gain_min",
     "gain_two_qubit",
-    "hermitian_eig",
     "is_separable_ppt",
     "lambda_from_t2",
     "lambda_threshold_gain_n",
@@ -95,7 +87,6 @@ __all__ = [
     "mc",
     "outcome_probs",
     "ppt_closed_form",
-    "partial_transpose",
     "preparation_unitary",
     "protocol",
     "qfi",
@@ -104,7 +95,6 @@ __all__ = [
     "qfi_independent_opt",
     "qfi_single_use",
     "qfi_upper_bound",
-    "rho_final_two_qubit",
     "run_experiment",
     "separability_threshold",
     "sld_2x2",

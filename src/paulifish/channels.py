@@ -155,10 +155,13 @@ def correlated_blocks(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
 
     with d, o = (f(x) +- f(N-x))/2 for f = bitstring_weight. Only the
     off-diagonals depend on lam: |x> and |N-x> differ in every bit, so each
-    channel use scales them by (1-2 lam).
+    channel use scales them by (1-2 lam). 2**n may not exceed DIM_CAP, the
+    cap of the dense state the blocks scatter into.
     """
     if n < 2:
         raise ValueError(f"preparation needs at least 2 qubits, got {n}")
+    if 2**n > DIM_CAP:
+        raise linop.DimensionError(f"2**{n} exceeds the dense cap {DIM_CAP}")
     if not 1 <= m <= n:
         raise ValueError(f"invocation count m={m} must lie in 1..{n}")
     lam = linop.check_unit_interval(lam, "channel strength")
@@ -174,7 +177,5 @@ def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (rho, drho/dlam): the correlated_blocks scattered onto the basis
     pairs (x, N-x). Grids of r and lam add leading axes, as there.
     """
-    if 2**n > DIM_CAP:
-        raise linop.DimensionError(f"2**{n} exceeds the dense cap {DIM_CAP}")
     rho, drho = correlated_blocks(n, r, lam, m)
     return _scatter(rho), _scatter(drho)

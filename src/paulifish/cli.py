@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import correlations, mc, protocol, qfi, verify
-from .linop import DimensionError
 
 CSV_HEADER = "n,m,r,lambda,H_ind,H_corr,gain,discord,min_pt_eig,separable"
 
@@ -255,7 +254,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (ValueError, DimensionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

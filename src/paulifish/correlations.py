@@ -2,7 +2,11 @@
 
 Separability via the positive-partial-transpose test with its closed-form
 polarization threshold, and quantum discord through the Bell-diagonal
-(X-state) closed form.
+(X-state) closed form. The closed forms of the post-channel state take the
+two-qubit protocol's invocation counts, m in {1, 2}. The dense routes
+(is_separable_ppt, bell_diagonalize, discord_xstate) take any two-qubit
+state, such as channels.correlated_state(2, r, lam, m)[0], and serve as
+their oracles.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels, linop
+from . import linop, protocol
 
 #: Tolerance on the minimum partial-transpose eigenvalue.
 PPT_TOL = 1e-10
@@ -49,20 +53,6 @@ class DiscordReport:
     lambdas: tuple
 
 
-def rho_final_two_qubit(r, lam, m: int) -> np.ndarray:
-    """Dense two-qubit state with off-diagonal scale (1-2 lam)**m.
-
-    For m <= 2 this is the post-channel state of channels.correlated_state;
-    larger m extends the same matrix family, which the correlation
-    diagnostics treat for any invocation count. r and lam broadcast; the
-    result has shape broadcast(r, lam) + (4, 4).
-    """
-    mu = _off_diagonal_scale(lam, m)  # checks m and lam
-    r, mu = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(mu))
-    diag, off = channels._block_weights(2, r)  # checks r
-    return channels._scatter(channels._block_stack(diag, off, mu[..., None]))
-
-
 def is_separable_ppt(rho: np.ndarray):
     """PPT test: separable iff the partial transpose stays positive, to
     within PPT_TOL.
@@ -76,7 +66,8 @@ def is_separable_ppt(rho: np.ndarray):
         raise ValueError("PPT separability test takes a two-qubit state")
     if not np.all(linop.is_density_operator(rho)):
         raise ValueError("input is not a two-qubit density operator")
-    pt = linop.partial_transpose(rho, [1])
+    # partial transpose on qubit 1: swap its row and column index bits
+    pt = np.swapaxes(rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)), -3, -1).reshape(rho.shape)
     min_eig = np.min(np.linalg.eigvalsh((pt + linop.dagger(pt)) / 2), axis=-1)
     return linop.scalar_or_array(min_eig >= -PPT_TOL), linop.scalar_or_array(min_eig)
 
@@ -89,11 +80,11 @@ def separability_threshold(m: int, lam: float) -> float:
 
 
 def _off_diagonal_scale(lam, m: int):
-    """mu = (1-2 lam)**m for each lam, a float for a scalar lam; every lam
-    must lie in [0, 1]. Taken through the C library's pow, element by
-    element, so an array gives the same bits as scalar calls."""
-    if m < 1:
-        raise ValueError(f"invocation count must be >= 1, got {m}")
+    """mu = (1-2 lam)**m for each lam, a float for a scalar lam; m must be
+    a two-qubit invocation count (1 or 2) and every lam must lie in [0, 1].
+    Taken through the C library's pow, element by element, so an array
+    gives the same bits as scalar calls."""
+    protocol._validate_nm(2, m)
     lam = linop.check_unit_interval(lam, "channel strength")
     return linop._elementwise(lambda x: (1.0 - 2.0 * x) ** m, lam)
 

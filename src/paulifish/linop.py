@@ -1,23 +1,22 @@
 """Dense complex operator algebra on registers of qubits.
 
 Operators are plain ``numpy`` arrays of shape ``(d, d)`` with ``d = 2**k``;
-``dagger``, ``is_density_operator``, ``partial_transpose`` and
-``hermitian_eig`` also take stacks of shape ``(..., d, d)``.
+``dagger`` and ``is_density_operator`` also take stacks of shape
+``(..., d, d)``.
 Qubits are numbered 1..n with qubit 1 the least significant bit of the
 basis index, so ``tensor([a, b])`` places ``b`` on qubit 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 #: Hard cap on dense operator dimension (2**12); analytic paths go further.
 DIM_CAP = 2**12
 
-#: Hermiticity tolerance for eigensolves and for the derivatives qfi takes.
+#: Hermiticity tolerance on the operators that qfi.fisher_eig takes.
 HERMITICITY_TOL = 1e-9
 
 
@@ -140,7 +139,7 @@ def hadamard() -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Composition and partial transpose
+# Composition
 
 
 def tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
@@ -157,55 +156,3 @@ def tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
     for f in ops[1:]:
         out = np.kron(out, f)
     return out
-
-
-def _check_qubit_set(qubits: Iterable[int], n: int) -> list[int]:
-    qs = sorted(set(int(q) for q in qubits))
-    if not qs:
-        raise ValueError("qubit set must be nonempty")
-    if qs[0] < 1 or qs[-1] > n:
-        raise ValueError(f"qubit indices {qs} out of range 1..{n}")
-    return qs
-
-
-def partial_transpose(a: np.ndarray, subsystem: Iterable[int]) -> np.ndarray:
-    """Transpose the indices of the named qubits only, of an operator or of
-    each operator in a stack (..., d, d)."""
-    a = _as_operators(a)
-    lead, n = a.shape[:-2], a.shape[-1].bit_length() - 1
-    qs = _check_qubit_set(subsystem, n)
-    t = a.reshape(lead + (2,) * (2 * n))
-    for q in qs:
-        axis = len(lead) + n - q
-        t = np.swapaxes(t, axis, n + axis)
-    return np.ascontiguousarray(t.reshape(a.shape))
-
-
-# ---------------------------------------------------------------------------
-# Spectral decomposition
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian operator, or of a stack of them.
-
-    ``eigenvalues[..., :]`` is ascending; ``eigenvectors[..., :, k]`` belongs
-    to ``eigenvalues[..., k]`` and the columns are orthonormal.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(a: np.ndarray) -> Spectrum:
-    """Eigendecompose a Hermitian operator, symmetrizing (A + A†)/2 first.
-
-    ``a`` may be a stack (..., d, d); one batched solve covers all of it.
-    Raises if the anti-Hermitian part of any operator exceeds HERMITICITY_TOL.
-    """
-    a = _as_operators(a)
-    dev = frobenius_max(a - dagger(a))
-    if dev > HERMITICITY_TOL:
-        raise ValueError(f"operator is not Hermitian: max |A - A†| = {dev:.3e}")
-    w, v = np.linalg.eigh((a + dagger(a)) / 2)
-    return Spectrum(eigenvalues=w, eigenvectors=v)

@@ -71,16 +71,14 @@ def fisher_eig(rho: np.ndarray, drho: np.ndarray):
     them. Returns a float for a single operator and an array over the
     leading axes of a stack.
     """
-    rho = np.asarray(rho, dtype=complex)
-    drho = linop._as_operators(drho)
+    rho, drho = linop._as_operators(rho), linop._as_operators(drho)
     if rho.shape != drho.shape:
         raise ValueError(f"rho {rho.shape} and drho {drho.shape} differ in shape")
-    dev = linop.frobenius_max(drho - linop.dagger(drho))
-    if dev > linop.HERMITICITY_TOL:
-        raise ValueError(f"drho is not Hermitian: max deviation {dev:.3e}")
-    spec = linop.hermitian_eig(rho)
-    p = spec.eigenvalues
-    v = spec.eigenvectors
+    for name, a in (("rho", rho), ("drho", drho)):
+        dev = linop.frobenius_max(a - linop.dagger(a))
+        if dev > linop.HERMITICITY_TOL:
+            raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
+    p, v = np.linalg.eigh((rho + linop.dagger(rho)) / 2)
     m = linop.dagger(v) @ drho @ v
     psum = p[..., :, None] + p[..., None, :]
     included = psum > SUPPORT_TOL
@@ -114,12 +112,14 @@ def _reject_pure_corner(r, lam) -> None:
         )
 
 
-def qfi_single_use(v, lam: float) -> float:
+def qfi_single_use(v, lam):
     """Fisher information of one phase-flip use on the state (I + r.sigma)/2.
 
         H = 4 (1-rz^2)(r^2-rz^2) / [(1-2 lam)^2 (1-r^2) + 4 lam (1-lam)(1-rz^2)]
 
-    Maximal over orientations at rz = 0.
+    Maximal over orientations at rz = 0. lam may be an array: a float comes
+    back for a scalar lam and an array of lam's shape otherwise, zeros for a
+    Bloch vector along z.
     """
     lam = _check_lambda(lam)
     rx, ry, rz = (float(c) for c in v)
@@ -129,11 +129,10 @@ def qfi_single_use(v, lam: float) -> float:
     _reject_pure_corner(math.sqrt(r2), lam)
     num = 4.0 * (1.0 - rz * rz) * (r2 - rz * rz)
     if num <= 0.0:
-        return 0.0
-    den = (1.0 - 2.0 * lam) ** 2 * (1.0 - r2) + 4.0 * lam * (1.0 - lam) * (
-        1.0 - rz * rz
-    )
-    return num / den
+        return linop.scalar_or_array(np.zeros_like(lam))
+    # the square through the C library's pow, so an array gives a scalar call's bits
+    c2 = linop._elementwise(lambda x: (1.0 - 2.0 * x) ** 2, lam)
+    return num / (c2 * (1.0 - r2) + 4.0 * lam * (1.0 - lam) * (1.0 - rz * rz))
 
 
 def qfi_independent_opt(r, lam, m: int):

@@ -12,7 +12,7 @@ tests run the suites through ``run_suites`` and assert that they pass.
 
 The suites evaluate their grids in vectorised calls, not point by point:
 the closed forms and the dense oracle routes (``qfi.fisher_eig``,
-``correlations.rho_final_two_qubit``, ``is_separable_ppt``,
+``channels.correlated_state``, ``correlations.is_separable_ppt``,
 ``bell_diagonalize``, ``discord_xstate``) take whole stacks, so each suite
 makes one call per grid, per (n, m) or per m. The worst error over a grid
 is the same number the point-by-point loop would find.
@@ -95,9 +95,9 @@ def suite_bounds(n_max: int) -> SuiteResult:
     single uses at rz = 0 give the independent optimum."""
     # single use at lam = 0.05..0.95 against the bound, and on its odd rows,
     # the lam tenths, against the independent optimum
-    lams = [round(0.05 * k, 10) for k in range(1, 20)]
-    single = np.array([[qfi.qfi_single_use((0.0, r, 0.0), lam) for r in _TENTHS] for lam in lams])
-    worst = float(np.max(single - qfi.qfi_upper_bound(np.array(lams)[:, None], 1)))
+    lams = np.array([round(0.05 * k, 10) for k in range(1, 20)])
+    single = np.stack([qfi.qfi_single_use((0.0, r, 0.0), lams) for r in _TENTHS], axis=-1)
+    worst = float(np.max(single - qfi.qfi_upper_bound(lams[:, None], 1)))
     single_err = 0.0
     r_grid, lam_grid = np.array(_TENTHS), np.array(_TENTHS)[:, None]
     for n in _qubit_counts(n_max):
@@ -169,12 +169,12 @@ def suite_discord() -> SuiteResult:
     q_prep = correlations.discord_prep(rs)
     lams = sorted([round(0.1 * k, 10) for k in range(0, 11)] + [0.95])
     lam_col = np.array(lams)[:, None]
-    for m in (1, 2, 3):
+    for m in (1, 2):
         mu = correlations._off_diagonal_scale(lam_col, m)
         sym = correlations.discord_rmu(rs, mu).Q - correlations.discord_rmu(rs, -mu).Q
         worst_sym = max(worst_sym, float(np.max(np.abs(sym))))
         q_closed = correlations.discord_protocol(rs, lam_col, m).Q
-        coeffs = correlations.bell_diagonalize(correlations.rho_final_two_qubit(rs, lam_col, m))
+        coeffs = correlations.bell_diagonalize(channels.correlated_state(2, rs, lam_col, m)[0])
         q_dense = correlations.discord_xstate(coeffs).Q
         worst_route = max(worst_route, float(np.max(np.abs(q_dense - q_closed))))
         worst_half = max(worst_half, float(np.max(np.abs(q_closed[lams.index(0.5)]))))
@@ -250,24 +250,23 @@ def suite_separability() -> SuiteResult:
     worst_route = 0.0
     found_separable_gain = False
     lams = np.array([round(0.1 * k, 10) for k in range(0, 11)])
-    for m in (1, 2, 3):
+    for m in (1, 2):
         thr = np.array([correlations.separability_threshold(m, lam) for lam in lams.tolist()])
         below, above = thr - margin > 0.0, thr + margin < 1.0
         # the points just below the threshold, expected separable, then those just above
         r = np.concatenate([thr[below] - margin, thr[above] + margin])
         lam = np.concatenate([lams[below], lams[above]])
         expected = np.arange(r.size) < np.count_nonzero(below)
-        sep, min_eig = correlations.is_separable_ppt(correlations.rho_final_two_qubit(r, lam, m))
+        sep, min_eig = correlations.is_separable_ppt(channels.correlated_state(2, r, lam, m)[0])
         sep_closed, min_eig_closed = correlations.ppt_closed_form(r, lam, m)
         worst_route = max(worst_route, float(np.max(np.abs(min_eig - min_eig_closed))))
         if (sep != sep_closed).any():
             worst_route = math.inf
         if (sep != expected).any():
             worst = margin
-        if m <= 2:
-            interior = expected & (lam > 0.0) & (lam < 1.0)
-            g = protocol.qfi_and_gain(2, m, r[interior], lam[interior])[1]
-            found_separable_gain |= bool((sep[interior] & (g > 1.0)).any())
+        interior = expected & (lam > 0.0) & (lam < 1.0)
+        g = protocol.qfi_and_gain(2, m, r[interior], lam[interior])[1]
+        found_separable_gain |= bool((sep[interior] & (g > 1.0)).any())
     ok = worst == 0.0 and found_separable_gain and worst_route < 1e-14
     return SuiteResult(
         "separability",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from paulifish import channels, linop, qfi
+from paulifish import channels, qfi
 
 
 def block_route_sld(n, r, lam, m):
@@ -40,12 +40,6 @@ def qubit_swap(n, i, j):
             y = x ^ bi ^ bj
         m[y, x] = 1.0
     return m
-
-
-def reconstruct(spec):
-    """The operator (or stack) a linop.Spectrum decomposes, V diag(w) V†."""
-    v = spec.eigenvectors
-    return (v * spec.eigenvalues[..., None, :]) @ linop.dagger(v)
 
 
 def mp_correlated_reference(n, r, ms, lams, dps=80):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,18 @@ class TestBlocks:
                 np.testing.assert_array_equal(rho[i, k], one_rho)
                 np.testing.assert_array_equal(drho[i, k], one_drho)
 
+    @pytest.mark.parametrize("n", [13, 64])
+    def test_dimension_cap_checked_before_allocating(self, n):
+        # at n = 13 the blocks alone would take 2**12 * 4 complex numbers
+        tracemalloc.start()
+        try:
+            with pytest.raises(linop.DimensionError, match="dense cap"):
+                channels.correlated_blocks(n, 0.5, 0.2, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**14
+
     def test_correlated_blocks_reject_bad_arguments(self):
         with pytest.raises(ValueError, match="qubits"):
             channels.correlated_blocks(1, 0.5, 0.2, 1)
@@ -293,5 +306,8 @@ class TestBlocks:
             channels.correlated_blocks(3, 0.5, np.array([0.2, 1.2]), 1)
         with pytest.raises(ValueError, match="polarization"):
             channels.correlated_blocks(3, np.array([0.5, 1.0]), 0.2, 1)
+        for n in (13, 64):
+            with pytest.raises(linop.DimensionError, match="dense cap"):
+                channels.correlated_blocks(n, 0.5, 0.2, 1)
         with pytest.raises(linop.DimensionError):
             channels.correlated_state(13, 0.5, 0.2, 1)

@@ -154,7 +154,7 @@ class TestSweepCommand:
             assert float(row["gain"]) == pytest.approx(g, rel=1e-9, abs=1e-12)
             if r < 1.0:
                 sep, min_eig = correlations.is_separable_ppt(
-                    correlations.rho_final_two_qubit(r, lam, m)
+                    channels.correlated_state(2, r, lam, m)[0]
                 )
                 assert float(row["discord"]) == pytest.approx(
                     correlations.discord_protocol(r, lam, m).Q, rel=1e-9, abs=1e-12
@@ -193,8 +193,9 @@ class TestSweepCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense route used in a sweep")
 
-        for name in ("is_separable_ppt", "rho_final_two_qubit", "bell_diagonalize"):
+        for name in ("is_separable_ppt", "bell_diagonalize"):
             monkeypatch.setattr(correlations, name, forbidden)
+        monkeypatch.setattr(channels, "correlated_state", forbidden)
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, forbidden)
         out_path = tmp_path / "pair.csv"

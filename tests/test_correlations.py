@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,48 +19,30 @@ def reference_final_state(r, lam, m):
     return rho
 
 
+def final_state(r, lam, m):
+    """The dense post-channel two-qubit state, the dense routes' input."""
+    return channels.correlated_state(2, r, lam, m)[0]
+
+
 class TestFinalState:
-    @pytest.mark.parametrize("r,lam,m", [(0.5, 0.2, 1), (0.8, 0.7, 2), (0.3, 0.0, 3)])
+    @pytest.mark.parametrize("r,lam,m", [(0.5, 0.2, 1), (0.8, 0.7, 2), (0.3, 0.0, 2)])
     def test_matches_reference_pattern(self, r, lam, m):
         np.testing.assert_allclose(
-            correlations.rho_final_two_qubit(r, lam, m),
-            reference_final_state(r, lam, m),
-            atol=1e-14,
+            final_state(r, lam, m), reference_final_state(r, lam, m), atol=1e-14
         )
 
     def test_zero_strength_equals_prepared_state(self):
         r = 0.6
         u = channels.preparation_unitary(2)
         prep = u @ linop.tensor([channels.bloch_state((0, r, 0))] * 2) @ linop.dagger(u)
-        np.testing.assert_allclose(
-            correlations.rho_final_two_qubit(r, 0.0, 2), prep, atol=1e-14
-        )
+        np.testing.assert_allclose(final_state(r, 0.0, 2), prep, atol=1e-14)
 
     def test_unpolarized_is_maximally_mixed(self):
-        np.testing.assert_allclose(
-            correlations.rho_final_two_qubit(0.0, 0.3, 1), np.eye(4) / 4, atol=1e-15
-        )
-
-    def test_matches_correlated_state(self):
-        r, lam = 0.45, 0.15
-        for m in (1, 2):
-            dense, _ = channels.correlated_state(2, r, lam, m)
-            np.testing.assert_array_equal(correlations.rho_final_two_qubit(r, lam, m), dense)
+        np.testing.assert_allclose(final_state(0.0, 0.3, 1), np.eye(4) / 4, atol=1e-15)
 
     def test_pure_polarization_rejected(self):
-        with pytest.raises(ValueError):
-            correlations.rho_final_two_qubit(1.0, 0.3, 1)
-
-    def test_partial_transpose_moves_corners_to_inner_block(self):
-        r, lam, m = 0.5, 0.2, 1
-        mu = (1.0 - 2.0 * lam) ** m
-        pt = linop.partial_transpose(correlations.rho_final_two_qubit(r, lam, m), [1])
-        expected = np.diag(
-            [(1 + r * r) / 4, (1 - r * r) / 4, (1 - r * r) / 4, (1 + r * r) / 4]
-        ).astype(complex)
-        expected[1, 2] = 1j * r * mu / 2
-        expected[2, 1] = -1j * r * mu / 2
-        np.testing.assert_array_equal(pt, expected)
+        with pytest.raises(ValueError, match="polarization"):
+            final_state(1.0, 0.3, 1)
 
 
 class TestSeparability:
@@ -78,6 +61,37 @@ class TestSeparability:
         assert not sep
         assert min_eig == pytest.approx(-0.5, abs=1e-12)
 
+    def test_product_state_eigenvalue_is_the_factors_product(self):
+        # the transpose of one factor keeps its spectrum
+        a, b = channels.bloch_state((0, 0.5, 0)), channels.bloch_state((0.3, 0.4, 0))
+        sep, min_eig = correlations.is_separable_ppt(linop.tensor([a, b]))
+        assert sep
+        assert min_eig == pytest.approx(0.25 * 0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("corners", [True, False], ids=["corners", "inner-block"])
+    def test_partial_transpose_swaps_corner_and_inner_coherences(self, corners):
+        # a coherence between |00> and |11> moves to |01><10| under the
+        # transpose of qubit 1, and back; beside the 0.15 diagonal it lands
+        # on, it leaves the eigenvalue 0.15 - 0.3
+        big, small = (0.35, 0.15) if corners else (0.15, 0.35)
+        i, j = (0, 3) if corners else (1, 2)
+        rho = np.diag([big, small, small, big]).astype(complex)
+        rho[i, j], rho[j, i] = 0.3j, -0.3j
+        sep, min_eig = correlations.is_separable_ppt(rho)
+        assert not sep
+        assert min_eig == pytest.approx(-0.15, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [0.0, 0.25, 1 / 3, 0.5, 0.9])
+    def test_werner_state_threshold(self, p):
+        # p |Phi+><Phi+| + (1-p) I/4: the partial transpose of |Phi+><Phi+| is
+        # SWAP/2, so its smallest eigenvalue is (1 - 3p)/4, separable iff p <= 1/3
+        phi = np.zeros(4)
+        phi[0] = phi[3] = 1 / math.sqrt(2)
+        rho = p * np.outer(phi, phi) + (1 - p) * np.eye(4) / 4
+        sep, min_eig = correlations.is_separable_ppt(rho)
+        assert min_eig == pytest.approx((1 - 3 * p) / 4, abs=1e-15)
+        assert sep == (p <= 1 / 3)
+
     def test_threshold_values(self):
         assert correlations.separability_threshold(1, 0.5) == pytest.approx(1.0)
         assert correlations.separability_threshold(1, 0.0) == pytest.approx(
@@ -93,13 +107,11 @@ class TestClosedFormPpt:
     R_GRID = np.round(np.arange(0.0, 1.0, 0.01), 10)  # 0 .. 0.99
     LAM_GRID = np.round(np.linspace(0.0, 1.0, 21), 10)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
     def test_matches_dense_route(self, m):
         lam = self.LAM_GRID[:, None]
         sep, min_eig = correlations.ppt_closed_form(self.R_GRID, lam, m)
-        sep_dense, eig_dense = correlations.is_separable_ppt(
-            correlations.rho_final_two_qubit(self.R_GRID, lam, m)
-        )
+        sep_dense, eig_dense = correlations.is_separable_ppt(final_state(self.R_GRID, lam, m))
         assert sep.shape == eig_dense.shape == (self.LAM_GRID.size, self.R_GRID.size)
         np.testing.assert_allclose(min_eig, eig_dense, rtol=0.0, atol=1e-14)
         np.testing.assert_array_equal(sep, sep_dense)
@@ -109,7 +121,7 @@ class TestClosedFormPpt:
         assert sep is True and isinstance(min_eig, float)
         assert min_eig == pytest.approx((1 - 0.25 - 2 * 0.5 * 0.6) / 4, abs=1e-16)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
     def test_zero_crossing_is_the_threshold(self, m):
         for lam in self.LAM_GRID:
             thr = correlations.separability_threshold(m, lam)
@@ -128,6 +140,21 @@ class TestClosedFormPpt:
         with pytest.raises(ValueError, match="invocation"):
             correlations.ppt_closed_form(0.5, 0.2, 0)
 
+    @pytest.mark.parametrize(
+        "diagnostic",
+        [
+            lambda m: correlations.ppt_closed_form(0.5, 0.2, m),
+            lambda m: correlations.separability_threshold(m, 0.2),
+            lambda m: correlations.discord_protocol(0.5, 0.2, m),
+        ],
+        ids=["ppt_closed_form", "separability_threshold", "discord_protocol"],
+    )
+    def test_third_channel_use_rejected(self, diagnostic):
+        # the two-qubit protocol has at most two channel uses
+        diagnostic(2)
+        with pytest.raises(ValueError, match=r"m=3 must lie in 1\.\.2"):
+            diagnostic(3)
+
 
 class TestBellDiagonalization:
     def test_unpolarized_gives_zero_coefficients(self):
@@ -139,17 +166,13 @@ class TestBellDiagonalization:
     @pytest.mark.parametrize("r,lam,m", [(0.4, 0.2, 1), (0.7, 0.8, 1), (0.5, 0.3, 2)])
     def test_dominant_coefficient(self, r, lam, m):
         mu = (1.0 - 2.0 * lam) ** m
-        coeffs = correlations.bell_diagonalize(
-            correlations.rho_final_two_qubit(r, lam, m)
-        )
+        coeffs = correlations.bell_diagonalize(final_state(r, lam, m))
         biggest = max(abs(coeffs.c1), abs(coeffs.c2), abs(coeffs.c3))
         assert biggest == pytest.approx(max(r * r, r * abs(mu)), rel=1e-10)
 
     def test_rotation_preserves_discord(self):
         r, lam, m = 0.6, 0.25, 1
-        coeffs = correlations.bell_diagonalize(
-            correlations.rho_final_two_qubit(r, lam, m)
-        )
+        coeffs = correlations.bell_diagonalize(final_state(r, lam, m))
         assert correlations.discord_xstate(coeffs).Q == pytest.approx(
             correlations.discord_protocol(r, lam, m).Q, abs=1e-10
         )
@@ -168,7 +191,7 @@ class TestBellDiagonalization:
         ],
     )
     def test_each_residual_term_is_checked(self, perturbation):
-        rho = correlations.rho_final_two_qubit(0.5, 0.2, 1)
+        rho = final_state(0.5, 0.2, 1)
         correlations.bell_diagonalize(rho)
         with pytest.raises(ValueError, match="Bell-diagonal"):
             correlations.bell_diagonalize(rho + perturbation)
@@ -190,7 +213,7 @@ class TestDiscordClosedForms:
 
     def test_protocol_discord_vanishes_at_half_strength(self):
         for r in (0.1, 0.5, 0.9):
-            for m in (1, 2, 3):
+            for m in (1, 2):
                 assert correlations.discord_protocol(r, 0.5, m).Q == 0.0
 
     def test_unpolarized_has_no_discord(self):
@@ -207,9 +230,7 @@ class TestDiscordClosedForms:
         for r in np.arange(0.05, 1.0, 0.1):
             for lam in (0.0, 0.15, 0.5, 0.85, 1.0):
                 for m in (1, 2):
-                    coeffs = correlations.bell_diagonalize(
-                        correlations.rho_final_two_qubit(r, lam, m)
-                    )
+                    coeffs = correlations.bell_diagonalize(final_state(r, lam, m))
                     q_generic = correlations.discord_xstate(coeffs).Q
                     q_closed = correlations.discord_protocol(r, lam, m).Q
                     assert q_generic == pytest.approx(q_closed, abs=1e-10)
@@ -247,7 +268,7 @@ class TestBroadcastDiscord:
     def test_protocol_form_broadcasts_in_polarization(self):
         rs = np.array(self.GRID)
         for lam in (0.0, 0.1, 0.3, 0.5, 0.7, 0.95, 1.0):
-            for m in (1, 2, 3):
+            for m in (1, 2):
                 q = correlations.discord_protocol(rs, lam, m).Q
                 for r, qa in zip(self.GRID, q):
                     assert qa == pytest.approx(
@@ -280,22 +301,13 @@ class TestStackedDenseRoutes:
             for j, r in enumerate(self.RS.tolist()):
                 yield (i, j), r, lam
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_final_state(self, m):
-        rho = correlations.rho_final_two_qubit(self.RS, self.LAMS, m)
-        assert rho.shape == (5, 5, 4, 4)
-        for idx, r, lam in self.points():
-            assert np.array_equal(rho[idx], correlations.rho_final_two_qubit(r, lam, m))
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
     def test_bell_coefficients_and_discord(self, m):
-        coeffs = correlations.bell_diagonalize(
-            correlations.rho_final_two_qubit(self.RS, self.LAMS, m)
-        )
+        coeffs = correlations.bell_diagonalize(final_state(self.RS, self.LAMS, m))
         rep = correlations.discord_xstate(coeffs)
         assert rep.Q.shape == coeffs.c1.shape == (5, 5)
         for idx, r, lam in self.points():
-            one = correlations.bell_diagonalize(correlations.rho_final_two_qubit(r, lam, m))
+            one = correlations.bell_diagonalize(final_state(r, lam, m))
             assert type(one.c1) is float
             got = (coeffs.c1[idx], coeffs.c2[idx], coeffs.c3[idx])
             assert np.allclose(got, (one.c1, one.c2, one.c3), rtol=0.0, atol=1e-15)
@@ -304,23 +316,52 @@ class TestStackedDenseRoutes:
             assert (rep.Q[idx], rep.c[idx]) == (same.Q, same.c)
             assert tuple(v[idx] for v in rep.lambdas) == same.lambdas
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
     def test_ppt_verdict_and_eigenvalue(self, m):
-        sep, min_eig = correlations.is_separable_ppt(
-            correlations.rho_final_two_qubit(self.RS, self.LAMS, m)
-        )
+        sep, min_eig = correlations.is_separable_ppt(final_state(self.RS, self.LAMS, m))
         assert sep.dtype == bool and sep.shape == min_eig.shape == (5, 5)
         assert sep.any() and not sep.all()
         for idx, r, lam in self.points():
-            one_sep, one_eig = correlations.is_separable_ppt(
-                correlations.rho_final_two_qubit(r, lam, m)
-            )
+            one_sep, one_eig = correlations.is_separable_ppt(final_state(r, lam, m))
+            assert type(one_sep) is bool and type(one_eig) is float
+            assert sep[idx] == one_sep
+            assert abs(min_eig[idx] - one_eig) <= 1e-15
+
+    @staticmethod
+    def random_states(seed):
+        """A (2, 3) stack of full-rank two-qubit states, not X-shaped: random
+        states mixed with I/4 in growing shares, entangled ones first."""
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+        rho = g @ linop.dagger(g)
+        rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+        share = np.linspace(0.0, 1.0, 6).reshape(2, 3, 1, 1)
+        return (1.0 - share) * rho + share * np.eye(4) / 4
+
+    def test_ppt_matches_elementwise_partial_transpose(self):
+        # rho^{T_1}[(a b), (c d)] = rho[(a d), (c b)], written out index by index
+        rho = self.random_states(12)
+        pt = np.empty_like(rho)
+        for a, b, c, d in itertools.product((0, 1), repeat=4):
+            pt[..., 2 * a + b, 2 * c + d] = rho[..., 2 * a + d, 2 * c + b]
+        expected = np.linalg.eigvalsh(pt)[..., 0]
+        sep, min_eig = correlations.is_separable_ppt(rho)
+        assert sep.shape == min_eig.shape == (2, 3)
+        np.testing.assert_allclose(min_eig, expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(sep, expected >= -correlations.PPT_TOL)
+        assert sep.any() and not sep.all()
+
+    def test_ppt_random_stack_equals_one_call_per_state(self):
+        rho = self.random_states(13)
+        sep, min_eig = correlations.is_separable_ppt(rho)
+        for idx in np.ndindex(2, 3):
+            one_sep, one_eig = correlations.is_separable_ppt(rho[idx])
             assert type(one_sep) is bool and type(one_eig) is float
             assert sep[idx] == one_sep
             assert abs(min_eig[idx] - one_eig) <= 1e-15
 
     def test_one_bad_member_rejects_the_stack(self):
-        rho = correlations.rho_final_two_qubit(self.RS, 0.3, 1)
+        rho = final_state(self.RS, 0.3, 1)
         not_a_state = rho.copy()
         not_a_state[2] *= 2.0
         with pytest.raises(ValueError, match="not a two-qubit density operator"):
@@ -329,10 +370,6 @@ class TestStackedDenseRoutes:
         rotated[3, 0, 1] = rotated[3, 1, 0] = 0.1
         with pytest.raises(ValueError, match="not Bell-diagonal"):
             correlations.bell_diagonalize(rotated)
-        with pytest.raises(ValueError, match="channel strength"):
-            correlations.rho_final_two_qubit(0.5, np.array([0.2, 1.5]), 1)
-        with pytest.raises(ValueError, match="polarization"):
-            correlations.rho_final_two_qubit(np.array([0.5, 1.0]), 0.2, 1)
         for fn in (correlations.is_separable_ppt, correlations.bell_diagonalize):
             with pytest.raises(ValueError, match="two-qubit state"):
                 fn(np.eye(8)[None] / 8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import qubit_swap, reconstruct, swap
+from conftest import qubit_swap, swap
 from paulifish import linop
 
 
@@ -68,94 +68,6 @@ class TestTensor:
     def test_dimension_cap(self):
         with pytest.raises(linop.DimensionError):
             linop.tensor([np.eye(2)] * 13)
-
-
-class TestPartialTranspose:
-    def test_product_state_transposes_one_factor(self):
-        rng = np.random.default_rng(8)
-        a, b = random_hermitian(rng, 2), random_hermitian(rng, 2)
-        joint = linop.tensor([a, b])
-        np.testing.assert_allclose(
-            linop.partial_transpose(joint, [1]), linop.tensor([a, b.T]), atol=1e-12
-        )
-
-    def test_involution(self):
-        rng = np.random.default_rng(9)
-        a = random_hermitian(rng, 4)
-        twice = linop.partial_transpose(linop.partial_transpose(a, [1]), [1])
-        assert linop.frobenius_max(twice - a) == 0.0
-
-    def test_corner_elements_move_to_inner_block(self):
-        # the four-corner structure with +-i c should land on the middle block
-        c = 0.3
-        rho = np.diag([0.35, 0.15, 0.15, 0.35]).astype(complex)
-        rho[0, 3], rho[3, 0] = 1j * c, -1j * c
-        pt = linop.partial_transpose(rho, [1])
-        expected = np.diag([0.35, 0.15, 0.15, 0.35]).astype(complex)
-        expected[1, 2], expected[2, 1] = 1j * c, -1j * c
-        np.testing.assert_allclose(pt, expected, atol=0.0)
-
-    @pytest.mark.parametrize("subsystem", [[1], [2], [1, 3], [1, 2, 3]])
-    def test_stack_equals_one_call_per_operator(self, subsystem):
-        rng = np.random.default_rng(10)
-        stack = np.array([[random_hermitian(rng, 8) for _ in range(3)] for _ in range(2)])
-        pt = linop.partial_transpose(stack, subsystem)
-        assert pt.shape == stack.shape
-        for i in range(2):
-            for k in range(3):
-                assert np.array_equal(pt[i, k], linop.partial_transpose(stack[i, k], subsystem))
-
-
-class TestHermitianEig:
-    def test_pauli_z_spectrum(self):
-        spec = linop.hermitian_eig(linop.sigma_z())
-        np.testing.assert_allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-14)
-
-    def test_maximally_mixed_qubit(self):
-        spec = linop.hermitian_eig(np.eye(2) / 2)
-        np.testing.assert_allclose(spec.eigenvalues, [0.5, 0.5], atol=1e-14)
-
-    def test_polarized_qubit_spectrum(self):
-        # (I + 0.6 sigma_y)/2 has eigenvalues (1 +- 0.6)/2
-        rho = 0.5 * (np.eye(2) + 0.6 * linop.sigma_y())
-        spec = linop.hermitian_eig(rho)
-        np.testing.assert_allclose(spec.eigenvalues, [0.2, 0.8], atol=1e-12)
-
-    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
-    def test_reconstruction_and_orthonormality(self, dim):
-        rng = np.random.default_rng(dim)
-        a = random_hermitian(rng, dim)
-        spec = linop.hermitian_eig(a)
-        assert linop.frobenius_max(reconstruct(spec) - a) < 1e-10
-        v = spec.eigenvectors
-        assert linop.frobenius_max(linop.dagger(v) @ v - np.eye(dim)) < 1e-10
-        assert np.all(np.diff(spec.eigenvalues) >= -1e-14)
-
-    def test_non_hermitian_rejected_with_deviation(self):
-        a = np.eye(2, dtype=complex)
-        a[0, 1] = 1e-3
-        with pytest.raises(ValueError, match="not Hermitian"):
-            linop.hermitian_eig(a)
-
-    def test_stack_matches_one_solve_per_operator(self):
-        rng = np.random.default_rng(5)
-        stack = np.array([[random_hermitian(rng, 4) for _ in range(3)] for _ in range(2)])
-        spec = linop.hermitian_eig(stack)
-        assert spec.eigenvalues.shape == (2, 3, 4)
-        assert spec.eigenvectors.shape == (2, 3, 4, 4)
-        assert linop.frobenius_max(reconstruct(spec) - stack) < 1e-10
-        for i in range(2):
-            for k in range(3):
-                one = linop.hermitian_eig(stack[i, k])
-                np.testing.assert_allclose(spec.eigenvalues[i, k], one.eigenvalues, atol=1e-13)
-
-    def test_non_hermitian_member_of_a_stack_rejected(self):
-        stack = np.array([np.eye(2), np.eye(2)], dtype=complex)
-        stack[1, 0, 1] = 1e-3
-        with pytest.raises(ValueError, match="not Hermitian"):
-            linop.hermitian_eig(stack)
-        with pytest.raises(linop.DimensionError):
-            linop.hermitian_eig(np.zeros((2, 3, 3)))
 
 
 class TestHelpers:

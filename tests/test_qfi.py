@@ -7,6 +7,11 @@ import pytest
 from paulifish import channels, linop, protocol, qfi
 
 
+def random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2
+
+
 def coin_toss_pure_family(lam):
     """|psi(lam)><psi(lam)| with psi the first coin-toss column, and its
     analytic parameter derivative."""
@@ -97,8 +102,51 @@ class TestFisherEig:
         for k in range(3):
             assert h[k] == pytest.approx(qfi.fisher_eig(rho[k], drho[k]), rel=1e-14)
 
+    def test_polarized_qubit(self):
+        # (I + 0.6 sigma_y)/2 has eigenvalues 0.2 and 0.8: a derivative along
+        # the Bloch vector gives 1/(1 - r^2), one across it gives 1
+        rho = (np.eye(2) + 0.6 * linop.sigma_y()) / 2
+        assert qfi.fisher_eig(rho, linop.sigma_y() / 2) == pytest.approx(1 / 0.64, rel=1e-12)
+        assert qfi.fisher_eig(rho, linop.sigma_x() / 2) == pytest.approx(1.0, rel=1e-12)
+
+    def test_diagonal_state_gives_classical_fisher_information(self):
+        # unsorted weights: eigh reorders them, and H = sum dp^2 / p must not change
+        p = np.array([0.4, 0.1, 0.3, 0.2])
+        dp = np.array([0.05, -0.1, 0.02, 0.03])
+        h = qfi.fisher_eig(np.diag(p), np.diag(dp))
+        assert h == pytest.approx(float(np.sum(dp**2 / p)), rel=1e-12)
+
+    def test_pure_state_gives_four_times_the_variance(self):
+        # rho = |psi><psi| and drho = -i[G, rho]: H = 4 (<G^2> - <G>^2)
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        g = random_hermitian(rng, 4)
+        rho = np.outer(psi, psi.conj())
+        drho = -1j * (g @ rho - rho @ g)
+        mean = (psi.conj() @ g @ psi).real
+        var = (psi.conj() @ g @ g @ psi).real - mean**2
+        assert qfi.fisher_eig(rho, drho) == pytest.approx(4 * var, rel=1e-10)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16, 32])
+    def test_matches_the_sld_equation_solved_directly(self, dim):
+        # for a full-rank rho, rho L + L rho = 2 drho has one solution L and
+        # H = tr(drho L); row-major vec turns the equation into one linear solve
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        rho = a @ a.conj().T + 0.1 * np.eye(dim)
+        rho /= np.trace(rho).real
+        drho = random_hermitian(rng, dim)
+        drho -= np.trace(drho) / dim * np.eye(dim)
+        eye = np.eye(dim)
+        sylvester = np.kron(rho, eye) + np.kron(eye, rho.T)
+        sld = np.linalg.solve(sylvester, 2.0 * drho.reshape(-1)).reshape(dim, dim)
+        h = qfi.fisher_eig(rho, drho)
+        assert h == pytest.approx(np.trace(drho @ sld).real, rel=1e-9)
+
     NULL_RHO = np.diag([1.0, 0.0, 0.0, 0.0])
     NULL_DRHO = np.pad([[0.0, 0.5], [0.5, 0.0]], ((2, 0), (2, 0)))  # outside the support
+    SKEW_RHO = np.array([[0.5, 1e-3], [0.0, 0.5]])
 
     @pytest.mark.parametrize(
         "rho, drho, match",
@@ -111,6 +159,14 @@ class TestFisherEig:
                 "ill-defined",
             ),
             (np.eye(2) / 2, np.zeros((4, 4)), "differ in shape"),
+            (SKEW_RHO, np.zeros((2, 2)), "^rho is not Hermitian"),
+            (np.stack([np.eye(2) / 2, SKEW_RHO]), np.zeros((2, 2, 2)), "^rho is not Hermitian"),
+            (
+                np.stack([np.eye(2) / 2] * 2),
+                np.stack([np.zeros((2, 2)), SKEW_RHO - np.eye(2) / 2]),
+                "^drho is not Hermitian",
+            ),
+            (np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), "not a power of two"),
         ],
     )
     def test_ill_posed_input_rejected(self, rho, drho, match):
@@ -168,6 +224,15 @@ class TestOrthogonalPiecesAdd:
 class TestSingleUseClosedForms:
     def test_z_aligned_state_carries_no_information(self):
         assert qfi.qfi_single_use((0, 0, 0.5), 0.3) == 0.0
+
+    def test_array_strength_equals_scalar_calls(self):
+        # at the fifth lam, numpy's square of 1 - 2 lam and the C library's
+        # pow differ in the last bit
+        lams = np.array([[0.0, 0.1, 0.5, 0.9, 0.9921678865358946, 1.0]])
+        for v in [(0, 0, 0.5), (0, 0.7, 0), (0.2, 0.3, 0.4)]:
+            h = qfi.qfi_single_use(v, lams)
+            assert h.shape == lams.shape
+            assert h.tolist() == [[qfi.qfi_single_use(v, lam) for lam in lams[0].tolist()]]
 
     def test_transverse_half_polarized(self):
         assert qfi.qfi_single_use((0, 0.5, 0), 0.5) == pytest.approx(1.0, rel=1e-12)

@@ -175,9 +175,8 @@ def _single_use_above_bound_off_tenths(real):
     # single use against the bound only; unchanged at the lam tenths, where
     # it is also checked against the independent optimum
     def wrong(v, lam):
-        if round(20 * lam) % 2:
-            return qfi.qfi_upper_bound(lam, 1) * (1.0 + 1e-6)
-        return real(v, lam)
+        odd = np.round(20 * np.asarray(lam)) % 2 == 1
+        return np.where(odd, qfi.qfi_upper_bound(lam, 1) * (1.0 + 1e-6), real(v, lam))
 
     return wrong
 
