@@ -4,17 +4,19 @@ Covers the channel map rho -> (1-lam) rho + lam s_n rho s_n, the
 preparatory unitary (pairwise controlled-Z then a Hadamard on every qubit),
 and the splitting of the prepared and post-channel states into
 two-dimensional blocks spanned by |x> and |N-x>, stacked as 2x2 arrays and
-broadcast over (r, lam) grids.
+broadcast over (r, lam) grids; the blocks fall into Hamming classes
+{j, n-j}, which hamming_classes enumerates up to n = 64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import linop
+from . import linop, protocol
 from .linop import DIM_CAP, tensor
 
 
@@ -98,6 +100,12 @@ def preparation_unitary(n: int) -> np.ndarray:
 # Block decomposition of the prepared and post-channel states
 
 
+def _class_weight(j, n: int, r):
+    """(1+r)**j (1-r)**(n-j) / 2**n, the weight of a bitstring with j zero
+    bits, for j and r that broadcast against each other."""
+    return (1.0 + r) ** j * (1.0 - r) ** (n - j) / 2**n
+
+
 def bitstring_weight(x, n: int, r):
     """Probability weight (1+r)**j (1-r)**(n-j) / 2**n, j = zero bits of x.
 
@@ -108,18 +116,40 @@ def bitstring_weight(x, n: int, r):
     if bad_x.any():
         raise ValueError(f"x={x[bad_x].flat[0]} out of range for {n} qubits")
     r = linop.check_unit_interval(r, "polarization", "[0, 1)")
-    j = n - _popcount(x, n)
-    return linop.scalar_or_array((1.0 + r) ** j * (1.0 - r) ** (n - j) / 2**n)
+    return linop.scalar_or_array(_class_weight(n - _popcount(x, n), n, r))
+
+
+def hamming_classes(n: int, r) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The Hamming classes {j, n-j}, j = 0 .. n//2, of the two-level blocks.
+
+    Block x of the state depends on x only through the number j of zero
+    bits of x or of N-x, whichever is smaller. Returns (mult, diag, off):
+    mult[j] is the number of blocks in class j, C(n, j) halved at j = n/2,
+    as Python ints, which add up to 2^(n-1) (past int64 at n = 64); diag
+    and off hold the weights d_j, o_j = (w_j +- w_(n-j))/2 on a trailing
+    axis after the shape of r, with w_j = (1+r)**j (1-r)**(n-j) / 2**n.
+    They are computed from j, not from a block stack, so n may reach
+    protocol.ANALYTIC_N_CAP.
+    """
+    if not 2 <= n <= protocol.ANALYTIC_N_CAP:
+        raise ValueError(f"n={n} must lie in 2..{protocol.ANALYTIC_N_CAP}")
+    r = linop.check_unit_interval(r, "polarization", "[0, 1)")[..., None]
+    j = np.arange(n // 2 + 1)
+    mult = tuple(math.comb(n, k) // (2 if 2 * k == n else 1) for k in j.tolist())
+    w, w_complement = _class_weight(j, n, r), _class_weight(n - j, n, r)
+    return mult, (w + w_complement) / 2, (w - w_complement) / 2
 
 
 def _block_weights(n: int, r) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal weights (f(x) +- f(N-x))/2 of the blocks
-    x = 0 .. 2^(n-1)-1, on a trailing axis after the shape of r."""
-    x = np.arange(2 ** (n - 1))
-    r = np.asarray(r, dtype=float)[..., None, None]
-    f = bitstring_weight(np.stack([x, 2**n - 1 - x]), n, r)
-    fx, fnx = f[..., 0, :], f[..., 1, :]
-    return (fx + fnx) / 2, (fx - fnx) / 2
+    x = 0 .. 2^(n-1)-1, on a trailing axis after the shape of r: those of
+    the Hamming class of x, the off-diagonal negated where x has more than
+    n/2 zero bits."""
+    _, diag, off = hamming_classes(n, r)
+    j = n - _popcount(np.arange(2 ** (n - 1)), n)
+    k = np.minimum(j, n - j)
+    # 0.0 - o, not -o: a zero weight stays +0.0, as f(x) - f(N-x) gives it
+    return diag[..., k], np.where(2 * j > n, 0.0 - off[..., k], off[..., k])
 
 
 def _block_stack(diag, off, scale) -> np.ndarray:
@@ -153,10 +183,12 @@ def correlated_blocks(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
         rho_x  = [[d, i o s], [-i o s, d]],    s  = (1-2 lam)**m
         drho_x = [[0, i o s'], [-i o s', 0]],  s' = -2m (1-2 lam)**(m-1)
 
-    with d, o = (f(x) +- f(N-x))/2 for f = bitstring_weight. Only the
-    off-diagonals depend on lam: |x> and |N-x> differ in every bit, so each
-    channel use scales them by (1-2 lam). 2**n may not exceed DIM_CAP, the
-    cap of the dense state the blocks scatter into.
+    with d, o = (f(x) +- f(N-x))/2 for f = bitstring_weight: the weights of
+    the Hamming class of x (hamming_classes), expanded to its blocks with o
+    negated where x has more than n/2 zero bits. Only the off-diagonals
+    depend on lam: |x> and |N-x> differ in every bit, so each channel use
+    scales them by (1-2 lam). 2**n may not exceed DIM_CAP, the cap of the
+    dense state the blocks scatter into.
     """
     if n < 2:
         raise ValueError(f"preparation needs at least 2 qubits, got {n}")

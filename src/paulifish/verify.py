@@ -16,6 +16,12 @@ the closed forms and the dense oracle routes (``qfi.fisher_eig``,
 ``bell_diagonalize``, ``discord_xstate``) take whole stacks, so each suite
 makes one call per grid, per (n, m) or per m. The worst error over a grid
 is the same number the point-by-point loop would find.
+
+The oracle suite's eigensolve runs one 2x2 block per Hamming class
+(``channels.hamming_classes``), not one per block of the state: floor(n/2)+1
+blocks per grid cell instead of 2^(n-1), which takes it to every n the
+closed form accepts. Every reduction goes through ``_worst``, so a NaN in
+any compared cell fails its suite.
 """
 
 from __future__ import annotations
@@ -37,19 +43,31 @@ class SuiteResult:
     detail: str
 
 
+def _worst(*values) -> float:
+    """Largest entry of the given scalars and arrays, inf if any is NaN:
+    the builtin max(0.0, nan) is 0.0, so a NaN would pass every check."""
+    top = -math.inf
+    for v in values:
+        v = float(np.max(v))  # NaN if any entry is NaN
+        if math.isnan(v):
+            return math.inf
+        top = max(top, v)
+    return top
+
+
 def _rel_err(a, b) -> float:
     """Largest relative difference between a and b, elementwise for arrays."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-    return float(np.max(np.abs(a - b) / scale))
+    return _worst(np.abs(a - b) / scale)
 
 
-#: Largest qubit count for the n_max of the oracle and bounds suites: the
-#: dense cap, although the block oracle itself builds no dense state.
-N_MAX_CAP = linop.DIM_CAP.bit_length() - 1
+#: Largest qubit count for the n_max of the oracle and bounds suites.
+N_MAX_CAP = protocol.ANALYTIC_N_CAP
 
-#: Largest qubit count at which the oracle suite also runs the dense
-#: eigendecomposition, as a bridge between the dense state and its blocks.
+#: Largest qubit count at which the oracle suite also eigendecomposes the
+#: dense state, whose eigensolve solves every one of its 2^(n-1) blocks,
+#: and checks it against the one-block-per-class route.
 DENSE_BRIDGE_N_MAX = 4
 
 
@@ -64,29 +82,59 @@ def _qubit_counts(n_max: int) -> range:
     return range(2, n_max + 1)
 
 
+def _invocation_counts(n: int) -> list[int]:
+    """Invocation counts of the oracle and bounds suites at n qubits: every
+    m up to n = 12, and m in {1, 2, ceil(n/2), n-1, n} above."""
+    if n <= 12:
+        return list(range(1, n + 1))
+    return [1, 2, (n + 1) // 2, n - 1, n]
+
+
+def _class_route(n: int, m: int, r, lam) -> np.ndarray:
+    """Fisher information of the post-channel state from one eigensolve per
+    Hamming class (channels.hamming_classes), broadcast over r and lam.
+
+    Class j's block is d_j I - o_j s sigma_y with derivative
+    -o_j s' sigma_y, s = (1-2 lam)^m. It is solved at unit trace and its
+    Fisher information scaled back by the trace 2 d_j: at large n every
+    d_j may lie below qfi.SUPPORT_TOL, under which fisher_eig drops a
+    direction. H = sum_j mult_j 2 d_j H_j, one batched fisher_eig call.
+    """
+    mult, diag, off = channels.hamming_classes(n, r)
+    c = 1.0 - 2.0 * np.asarray(lam, dtype=float)[..., None, None, None]
+    ratio = (off / (2.0 * diag))[..., None, None]
+    sigma_y = linop.sigma_y()
+    rho = 0.5 * linop.identity() - ratio * c**m * sigma_y
+    drho = ratio * 2.0 * m * c ** (m - 1) * sigma_y
+    h_unit = qfi.fisher_eig(rho, drho)
+    return np.sum(h_unit * (np.array(mult, dtype=float) * 2.0 * diag), axis=-1)
+
+
 def suite_oracle(n_max: int) -> SuiteResult:
     """Closed-form Fisher information vs the eigendecomposition route.
 
-    The route solves every two-level block of the post-channel state, the
-    whole lams x rs grid in one batched call per (n, m), and adds the
-    blocks' Fisher informations. Up to DENSE_BRIDGE_N_MAX it also
-    eigendecomposes the dense states, one batched call per lam row, and
-    checks them against the blocks.
+    For every n <= n_max the route solves one two-level block per Hamming
+    class, the whole lams x rs grid in one batched call per (n, m), and
+    adds the classes' Fisher informations weighted by their multiplicities;
+    the classes' traces, so weighted, must add up to 1. Up to
+    DENSE_BRIDGE_N_MAX it also eigendecomposes the dense states, one
+    batched call per lam row, and checks them against the classes.
     """
     worst = 0.0
     r_grid, lam_grid = np.array(_TENTHS), np.array(_TENTHS)[:, None]
     for n in _qubit_counts(n_max):
-        for m in range(1, n + 1):
+        mult, diag, _ = channels.hamming_classes(n, r_grid)
+        worst = _worst(worst, np.abs(2.0 * diag @ np.array(mult, dtype=float) - 1.0))
+        for m in _invocation_counts(n):
             h_closed = protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0]
-            h_blocks = qfi.fisher_eig(*channels.correlated_blocks(n, r_grid, lam_grid, m))
-            h_oracle = h_blocks.sum(axis=-1)
-            worst = max(worst, _rel_err(h_oracle, h_closed))
+            h_oracle = _class_route(n, m, r_grid, lam_grid)
+            worst = _worst(worst, _rel_err(h_oracle, h_closed))
             if n <= DENSE_BRIDGE_N_MAX:
                 # one lam row of dense states at a time: the whole grid's
                 # stack would raise the peak memory of a run by about 3 MiB
                 for lam, h_row in zip(lam_grid, h_oracle):
                     h_dense = qfi.fisher_eig(*channels.correlated_state(n, r_grid, lam, m))
-                    worst = max(worst, _rel_err(h_dense, h_row))
+                    worst = _worst(worst, _rel_err(h_dense, h_row))
     return SuiteResult("oracle", worst < 1e-8, worst, f"n<= {n_max}, tol 1e-8")
 
 
@@ -97,20 +145,20 @@ def suite_bounds(n_max: int) -> SuiteResult:
     # the lam tenths, against the independent optimum
     lams = np.array([round(0.05 * k, 10) for k in range(1, 20)])
     single = np.stack([qfi.qfi_single_use((0.0, r, 0.0), lams) for r in _TENTHS], axis=-1)
-    worst = float(np.max(single - qfi.qfi_upper_bound(lams[:, None], 1)))
+    worst = _worst(single - qfi.qfi_upper_bound(lams[:, None], 1))
     single_err = 0.0
     r_grid, lam_grid = np.array(_TENTHS), np.array(_TENTHS)[:, None]
     for n in _qubit_counts(n_max):
-        for m in range(1, n + 1):
+        for m in _invocation_counts(n):
             h_closed = protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0]
             h_ind = qfi.qfi_independent_opt(r_grid, lam_grid, m)
             bound = qfi.qfi_upper_bound(lam_grid, m)
-            worst = max(worst, float(np.max(h_closed - bound)), float(np.max(h_ind - bound)))
-            single_err = max(single_err, _rel_err(m * single[1::2], h_ind))
+            worst = _worst(worst, h_closed - bound, h_ind - bound)
+            single_err = _worst(single_err, _rel_err(m * single[1::2], h_ind))
     pure_err = 0.0
     for m in (1, 2, 3):
         h = qfi.qfi_independent_opt(1.0 - 1e-8, lam_grid, m)
-        pure_err = max(pure_err, _rel_err(h, qfi.qfi_upper_bound(lam_grid, m)))
+        pure_err = _worst(pure_err, _rel_err(h, qfi.qfi_upper_bound(lam_grid, m)))
     ok = worst <= 1e-8 and pure_err < 1e-4 and single_err < 1e-12
     err = max(max(worst, 0.0) + pure_err, single_err)
     return SuiteResult(
@@ -133,12 +181,12 @@ def suite_weight_inequalities() -> SuiteResult:
         for j in range(n + 1):
             w = protocol.weight_pair(n, j, rs)
             if 2 * j != n:
-                worst = max(worst, float(np.max(r2 - (w.diff / w.total) ** 2)))
-            worst = max(worst, float(np.max(floor - w.total)))
+                worst = _worst(worst, r2 - (w.diff / w.total) ** 2)
+            worst = _worst(worst, floor - w.total)
             weighted += math.comb(n, j) * w.diff**2 / w.total
-        worst = max(worst, float(np.max(2.0 ** (n + 1) * r2 - weighted)))
+        worst = _worst(worst, 2.0 ** (n + 1) * r2 - weighted)
         gain = protocol.qfi_and_gain(n, 1, rs, lams)[1]
-        floor_margin = min(floor_margin, float(np.min(gain)) - 1.0)
+        floor_margin = min(floor_margin, -_worst(1.0 - gain))
     ok = worst <= 1e-12 and floor_margin > 0.0
     return SuiteResult(
         "weight-inequalities",
@@ -160,7 +208,7 @@ def suite_discord() -> SuiteResult:
     for dr, dmu in ((0.0, step), (step, 0.0)):
         up = correlations.discord_rmu(r_col + dr, mu_row + dmu).Q
         down = correlations.discord_rmu(r_col - dr, mu_row - dmu).Q
-        worst_mono = max(worst_mono, float(np.max(down - up)))
+        worst_mono = _worst(worst_mono, down - up)
     worst_sym = 0.0
     worst_route = 0.0
     worst_half = 0.0
@@ -172,16 +220,16 @@ def suite_discord() -> SuiteResult:
     for m in (1, 2):
         mu = correlations._off_diagonal_scale(lam_col, m)
         sym = correlations.discord_rmu(rs, mu).Q - correlations.discord_rmu(rs, -mu).Q
-        worst_sym = max(worst_sym, float(np.max(np.abs(sym))))
+        worst_sym = _worst(worst_sym, np.abs(sym))
         q_closed = correlations.discord_protocol(rs, lam_col, m).Q
         coeffs = correlations.bell_diagonalize(channels.correlated_state(2, rs, lam_col, m)[0])
         q_dense = correlations.discord_xstate(coeffs).Q
-        worst_route = max(worst_route, float(np.max(np.abs(q_dense - q_closed))))
-        worst_half = max(worst_half, float(np.max(np.abs(q_closed[lams.index(0.5)]))))
+        worst_route = _worst(worst_route, np.abs(q_dense - q_closed))
+        worst_half = _worst(worst_half, np.abs(q_closed[lams.index(0.5)]))
         q_zero = q_closed[lams.index(0.0)]
-        worst_prep = max(worst_prep, float(np.max(np.abs(q_zero - q_prep))))
-        worst_prep_rel = max(worst_prep_rel, _rel_err(q_zero, q_prep))
-    half_gain_excess = float(np.min(protocol.qfi_and_gain(2, 1, rs, 0.5)[1])) - 1.0
+        worst_prep = _worst(worst_prep, np.abs(q_zero - q_prep))
+        worst_prep_rel = _worst(worst_prep_rel, _rel_err(q_zero, q_prep))
+    half_gain_excess = -_worst(1.0 - protocol.qfi_and_gain(2, 1, rs, 0.5)[1])
     ok = (
         worst_mono < 0.0
         and worst_sym < 1e-12
@@ -219,21 +267,21 @@ def suite_stationary() -> SuiteResult:
         if not roots:
             return SuiteResult("stationary", False, math.inf, f"no root at m={m}, lam={lam}")
         best = min(roots, key=lambda r: abs(r - expected))
-        worst_val = max(worst_val, abs(best - expected))
+        worst_val = _worst(worst_val, abs(best - expected))
         for root in roots:
             g_plus = protocol.gain(protocol.ProtocolPoint(2, m, root + h, lam))
             g_minus = protocol.gain(protocol.ProtocolPoint(2, m, root - h, lam))
-            worst_grad = max(worst_grad, abs(g_plus - g_minus) / (2 * h))
+            worst_grad = _worst(worst_grad, abs(g_plus - g_minus) / (2 * h))
     rs = np.array([round(0.05 * k, 10) for k in range(1, 20)])
     lams = np.array([round(0.05 * k, 10) for k in range(0, 21)])[:, None]
     worst_closed = 0.0
     for m in (1, 2):
         g = protocol.qfi_and_gain(2, m, rs, lams)[1]
-        worst_closed = max(worst_closed, _rel_err(protocol.gain_two_qubit(m, rs, lams), g))
+        worst_closed = _worst(worst_closed, _rel_err(protocol.gain_two_qubit(m, rs, lams), g))
     for r in _TENTHS:
         lo, hi = 2.0 / (1.0 + r * r), 2.0 * (1.0 + r * r) / (1.0 - r * r)
-        err = max(abs(protocol.gain_min(2, 1, r) - lo), abs(protocol.gain_max(2, 1, r) - hi))
-        worst_closed = max(worst_closed, err)
+        lo_err, hi_err = abs(protocol.gain_min(2, 1, r) - lo), abs(protocol.gain_max(2, 1, r) - hi)
+        worst_closed = _worst(worst_closed, lo_err, hi_err)
     ok = worst_val <= 0.005 and worst_grad < 1e-5 and worst_closed < 1e-10
     worst = max(worst_val, worst_closed)
     return SuiteResult(
@@ -259,13 +307,15 @@ def suite_separability() -> SuiteResult:
         expected = np.arange(r.size) < np.count_nonzero(below)
         sep, min_eig = correlations.is_separable_ppt(channels.correlated_state(2, r, lam, m)[0])
         sep_closed, min_eig_closed = correlations.ppt_closed_form(r, lam, m)
-        worst_route = max(worst_route, float(np.max(np.abs(min_eig - min_eig_closed))))
+        worst_route = _worst(worst_route, np.abs(min_eig - min_eig_closed))
         if (sep != sep_closed).any():
             worst_route = math.inf
         if (sep != expected).any():
             worst = margin
         interior = expected & (lam > 0.0) & (lam < 1.0)
         g = protocol.qfi_and_gain(2, m, r[interior], lam[interior])[1]
+        # g > 1 is False for a NaN, which the search for one point would hide
+        worst = _worst(worst, np.where(np.isnan(g), math.inf, 0.0))
         found_separable_gain |= bool((sep[interior] & (g > 1.0)).any())
     ok = worst == 0.0 and found_separable_gain and worst_route < 1e-14
     return SuiteResult(
@@ -286,7 +336,7 @@ def suite_preparation() -> SuiteResult:
     minus = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
     for n in (2, 3, 4):
         u = channels.preparation_unitary(n)
-        worst = max(worst, float(np.max(np.abs(u @ u.conj().T - np.eye(2**n)))))
+        worst = _worst(worst, np.abs(u @ u.conj().T - np.eye(2**n)))
         big_n = 2**n - 1
         for x in range(2**n):
             vec = np.array([1.0], dtype=complex)
@@ -296,7 +346,7 @@ def suite_preparation() -> SuiteResult:
             expected = np.zeros(2**n, dtype=complex)
             expected[x] = (1.0 + 1.0j) / 2.0
             expected[big_n - x] = (1.0 - 1.0j) / 2.0
-            worst = max(worst, float(np.max(np.abs(out - expected))))
+            worst = _worst(worst, np.abs(out - expected))
     return SuiteResult("preparation", worst < 1e-12, worst, "n in {2,3,4}, tol 1e-12")
 
 
@@ -308,9 +358,9 @@ def suite_threshold_gain() -> SuiteResult:
     for m in range(2, 7):
         lam = protocol.lambda_threshold_gain_n(m)
         g = protocol.gain(protocol.ProtocolPoint(m, m, 1e-6, lam))
-        worst = max(worst, m - g)
+        worst = _worst(worst, m - g)
         t_star = math.log(m) / (2 * m - 2)
-        worst_map = max(worst_map, abs(protocol.lambda_from_t2(t_star, 1.0) - lam))
+        worst_map = _worst(worst_map, abs(protocol.lambda_from_t2(t_star, 1.0) - lam))
     g_t2 = protocol.gain(protocol.ProtocolPoint(5, 5, 1e-4, protocol.lambda_from_t2(0.2, 1.0)))
     ok = worst < 1e-2 and worst_map <= 1e-12 and g_t2 >= 4.9
     return SuiteResult("threshold-gain", ok, max(worst, worst_map, 0.0), "m=n in 2..6")

@@ -266,14 +266,40 @@ class TestBlocks:
                     fx = channels.bitstring_weight(x, n, r)
                     fnx = channels.bitstring_weight(2**n - 1 - x, n, r)
                     d, o = (fx + fnx) / 2, (fx - fnx) / 2
-                    np.testing.assert_allclose(
-                        rho[i, k, x], [[d, 1j * o * scale], [-1j * o * scale, d]],
-                        rtol=0.0, atol=1e-16,
+                    np.testing.assert_array_equal(
+                        rho[i, k, x], [[d, 1j * o * scale], [-1j * o * scale, d]]
                     )
-                    np.testing.assert_allclose(
-                        drho[i, k, x], [[0.0, 1j * o * dscale], [-1j * o * dscale, 0.0]],
-                        rtol=0.0, atol=1e-15,
+                    np.testing.assert_array_equal(
+                        drho[i, k, x], [[0.0, 1j * o * dscale], [-1j * o * dscale, 0.0]]
                     )
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_class_multiplicities_count_every_block(self, n):
+        # Python ints: 2^63 overflows int64 and C(64, 32) is not exact in float64
+        mult, diag, off = channels.hamming_classes(n, np.array([0.0, 0.5]))
+        assert all(isinstance(k, int) for k in mult)
+        assert sum(mult) == 2 ** (n - 1)
+        assert len(mult) == n // 2 + 1 and diag.shape == off.shape == (2, n // 2 + 1)
+
+    def test_class_weights_are_those_of_their_blocks(self):
+        # class j holds the blocks whose x, or N-x, has j zero bits
+        n, r = 5, 0.35
+        mult, diag, off = channels.hamming_classes(n, r)
+        rho, _ = channels.correlated_blocks(n, r, 0.0, 1)
+        zero_bits = [n - bin(x).count("1") for x in range(2 ** (n - 1))]
+        for j, count in enumerate(mult):
+            members = [x for x, z in enumerate(zero_bits) if min(z, n - z) == j]
+            assert len(members) == count
+            for x in members:
+                sign = -1.0 if zero_bits[x] > n - zero_bits[x] else 1.0
+                assert rho[x, 0, 0].real == diag[j] and rho[x, 0, 1].imag == sign * off[j]
+
+    def test_hamming_classes_reject_bad_arguments(self):
+        for n in (1, 65):
+            with pytest.raises(ValueError, match="2..64"):
+                channels.hamming_classes(n, 0.5)
+        with pytest.raises(ValueError, match="polarization"):
+            channels.hamming_classes(4, 1.0)
 
     def test_correlated_state_grid_matches_points(self):
         rs, lams = np.array([0.1, 0.6]), np.array([0.3, 0.7])[:, None]

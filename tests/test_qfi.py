@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from paulifish import channels, linop, protocol, qfi
+from paulifish import channels, linop, protocol, qfi, verify
 
 
 def random_hermitian(rng, dim):
@@ -331,6 +331,19 @@ class TestRouteEquivalence:
                 for k, r_k in enumerate(grid.tolist()):
                     h_point = qfi.fisher_eig(*channels.correlated_state(n, r_k, lam_i, m))
                     assert abs(h_point - h_blocks[i, k]) <= 1e-12 * h_point
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_class_route_matches_closed_form_at_large_n(self, n):
+        # at n = 64 and r = 0.1 every class weight lies below SUPPORT_TOL, so
+        # the route holds only because it solves each class at unit trace
+        rs = np.array([0.1, 0.5, 0.9])
+        lams = np.array([0.05, 0.3, 0.5, 0.8])[:, None]
+        if n == 64:
+            assert np.all(2.0 * channels.hamming_classes(n, 0.1)[1] < qfi.SUPPORT_TOL)
+        for m in (1, 2, n // 2, n - 1, n):
+            h_classes = verify._class_route(n, m, rs, lams)
+            h_closed = protocol.qfi_and_gain(n, m, rs, lams)[0]
+            np.testing.assert_allclose(h_classes, h_closed, rtol=1e-12, atol=0.0)
 
     def test_analytic_derivative_matches_finite_difference(self):
         h = 1e-6

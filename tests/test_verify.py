@@ -246,6 +246,48 @@ def _column_phase(real):
     return wrong
 
 
+def _nan_cell(part=None):
+    # NaN in the first cell of the patched function's value, or of element
+    # `part` of its tuple; max(0.0, nan) is 0.0, so a suite that does not
+    # map NaN to a failure passes it
+    def make_wrong(real):
+        def wrong(*args):
+            value = real(*args)
+            parts = [value] if part is None else list(value)
+            cell = np.array(parts[part or 0], dtype=float)
+            cell.flat[0] = np.nan
+            parts[part or 0] = cell
+            return cell if part is None else tuple(parts)
+
+        return wrong
+
+    return make_wrong
+
+
+def _drho_scaled(real):
+    # the derivative times sqrt(1 + 1e-7): the Fisher information, quadratic
+    # in it, rises 1e-7, past the suite's 1e-8
+    def wrong(*args):
+        rho, drho = real(*args)
+        return rho, drho * np.sqrt(1.0 + 1e-7)
+
+    return wrong
+
+
+def _middle_class_unhalved(real):
+    # at even n the class j = n/2 pairs x with N-x inside itself, so its
+    # C(n, n/2) bitstrings make C(n, n/2)/2 blocks; counted twice, its trace
+    # is added twice. Its Fisher information is 0 (o = 0), so only the
+    # trace check sees it
+    def wrong(n, r):
+        mult, diag, off = real(n, r)
+        if n % 2 == 0:
+            mult = (*mult[:-1], 2 * mult[-1])
+        return mult, diag, off
+
+    return wrong
+
+
 FAULTS = {
     "discord": (correlations, "discord_protocol", _discord_off_by_1e9),
     "discord/monotone-in-r": (correlations, "discord_rmu", _discord_rounded("r")),
@@ -262,8 +304,13 @@ FAULTS = {
     # where the threshold is 1)
     "separability/threshold": (correlations, "separability_threshold", _shifted(-2e-6)),
     "separability/dense-route": (correlations, "is_separable_ppt", _dense_ppt_eigenvalue_shifted),
+    "separability/nan-gain": (protocol, "qfi_and_gain", _nan_cell(1)),
     "oracle": (protocol, "qfi_and_gain", _qfi_scaled),
+    "oracle/nan-cell": (protocol, "qfi_and_gain", _nan_cell(0)),
+    "oracle/dense-bridge": (channels, "correlated_state", _drho_scaled),
+    "oracle/class-multiplicity": (channels, "hamming_classes", _middle_class_unhalved),
     "bounds": (qfi, "qfi_independent_opt", _independent_above_bound),
+    "bounds/nan-cell": (qfi, "qfi_independent_opt", _nan_cell()),
     "bounds/closed-form": (protocol, "qfi_and_gain", _closed_above_bound),
     # the pure limit sits 5.6e-8 from the bound; 2e-4 is past the suite's 1e-4
     "bounds/pure-limit": (qfi, "qfi_independent_opt", _scaled(1.0 - 2e-4)),
