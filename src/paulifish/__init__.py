@@ -27,7 +27,6 @@ from .linop import tensor
 from .mc import ExperimentConfig, ExperimentResult, classical_fisher, outcome_probs, run_experiment
 from .protocol import (
     ProtocolPoint,
-    WeightPair,
     gain,
     gain_limit_r0,
     gain_limit_r1,
@@ -39,7 +38,6 @@ from .protocol import (
     qfi_and_gain,
     qfi_correlated,
     stationary_polarizations,
-    weight_pair,
 )
 from .qfi import (
     SldResult,
@@ -60,7 +58,6 @@ __all__ = [
     "ExperimentResult",
     "ProtocolPoint",
     "SldResult",
-    "WeightPair",
     "apply_pauli_channel",
     "bell_diagonalize",
     "bitstring_weight",
@@ -100,5 +97,4 @@ __all__ = [
     "sld_2x2",
     "stationary_polarizations",
     "tensor",
-    "weight_pair",
 ]

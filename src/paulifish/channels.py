@@ -2,10 +2,10 @@
 
 Covers the channel map rho -> (1-lam) rho + lam s_n rho s_n, the
 preparatory unitary (pairwise controlled-Z then a Hadamard on every qubit),
-and the splitting of the prepared and post-channel states into
-two-dimensional blocks spanned by |x> and |N-x>, stacked as 2x2 arrays and
-broadcast over (r, lam) grids; the blocks fall into Hamming classes
-{j, n-j}, which hamming_classes enumerates up to n = 64.
+and the post-channel state, a direct sum of two-dimensional blocks spanned
+by |x> and |N-x>. The blocks fall into Hamming classes {j, n-j}, whose
+weights hamming_classes states once, up to n = 64; correlated_state writes
+the dense state from them, broadcast over (r, lam) grids.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ def hamming_classes(n: int, r) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]
     as Python ints, which add up to 2^(n-1) (past int64 at n = 64); diag
     and off hold the weights d_j, o_j = (w_j +- w_(n-j))/2 on a trailing
     axis after the shape of r, with w_j = (1+r)**j (1-r)**(n-j) / 2**n.
-    They are computed from j, not from a block stack, so n may reach
+    2^(n+1) (o_j, d_j) is the paper's weight pair (diff_j, total_j). They
+    are computed from j, not from the blocks, so n may reach
     protocol.ANALYTIC_N_CAP.
     """
     if not 2 <= n <= protocol.ANALYTIC_N_CAP:
@@ -140,55 +141,21 @@ def hamming_classes(n: int, r) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]
     return mult, (w + w_complement) / 2, (w - w_complement) / 2
 
 
-def _block_weights(n: int, r) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal weights (f(x) +- f(N-x))/2 of the blocks
-    x = 0 .. 2^(n-1)-1, on a trailing axis after the shape of r: those of
-    the Hamming class of x, the off-diagonal negated where x has more than
-    n/2 zero bits."""
-    _, diag, off = hamming_classes(n, r)
-    j = n - _popcount(np.arange(2 ** (n - 1)), n)
-    k = np.minimum(j, n - j)
-    # 0.0 - o, not -o: a zero weight stays +0.0, as f(x) - f(N-x) gives it
-    return diag[..., k], np.where(2 * j > n, 0.0 - off[..., k], off[..., k])
+def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense post-channel state of the correlated protocol and its derivative.
 
-
-def _block_stack(diag, off, scale) -> np.ndarray:
-    """Stacked 2x2 blocks [[diag, i off scale], [-i off scale, diag]] in the
-    basis (|x>, |N-x>), one per entry of off."""
-    out = np.zeros(np.shape(off) + (2, 2), dtype=complex)
-    out[..., 0, 0] = out[..., 1, 1] = diag
-    out[..., 0, 1] = 1j * off * scale
-    out[..., 1, 0] = -out[..., 0, 1]
-    return out
-
-
-def _scatter(blocks: np.ndarray) -> np.ndarray:
-    """Dense matrices of a (..., 2^(n-1), 2, 2) block stack: block x lands
-    on the basis pair (x, N-x), N = 2^n - 1."""
-    half = blocks.shape[-3]
-    x = np.arange(half)
-    pair = np.stack([x, 2 * half - 1 - x], axis=-1)
-    out = np.zeros(blocks.shape[:-3] + (2 * half, 2 * half), dtype=complex)
-    out[..., pair[:, :, None], pair[:, None, :]] = blocks
-    return out
-
-
-def correlated_blocks(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Post-channel state of the correlated protocol and its lam-derivative,
-    block by block, without the dense matrix.
-
-    r and lam broadcast against each other; both returned arrays have shape
-    broadcast(r, lam) + (2^(n-1), 2, 2). In the basis (|x>, |N-x>) block x is
+    Returns (rho, drho/dlam). r and lam broadcast against each other, and
+    their shape leads that of both arrays. The state is a direct sum of
+    two-level blocks on the basis pairs (|x>, |N-x>), x < 2^(n-1),
+    N = 2^n - 1:
 
         rho_x  = [[d, i o s], [-i o s, d]],    s  = (1-2 lam)**m
         drho_x = [[0, i o s'], [-i o s', 0]],  s' = -2m (1-2 lam)**(m-1)
 
-    with d, o = (f(x) +- f(N-x))/2 for f = bitstring_weight: the weights of
-    the Hamming class of x (hamming_classes), expanded to its blocks with o
-    negated where x has more than n/2 zero bits. Only the off-diagonals
-    depend on lam: |x> and |N-x> differ in every bit, so each channel use
-    scales them by (1-2 lam). 2**n may not exceed DIM_CAP, the cap of the
-    dense state the blocks scatter into.
+    with d, o the weights d_k, o_k of the Hamming class k of x
+    (hamming_classes), o negated where x has more than n/2 zero bits. Only
+    the off-diagonals depend on lam: |x> and |N-x> differ in every bit, so
+    each channel use scales them by (1-2 lam). 2**n may not exceed DIM_CAP.
     """
     if n < 2:
         raise ValueError(f"preparation needs at least 2 qubits, got {n}")
@@ -198,16 +165,19 @@ def correlated_blocks(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"invocation count m={m} must lie in 1..{n}")
     lam = linop.check_unit_interval(lam, "channel strength")
     r, lam = np.broadcast_arrays(np.asarray(r, dtype=float), lam)
-    diag, off = _block_weights(n, r)
+    _, diag, off = hamming_classes(n, r)
+    x = np.arange(2 ** (n - 1))
+    y = 2**n - 1 - x
+    j = n - _popcount(x, n)
+    k = np.minimum(j, n - j)
+    # 0.0 - o, not -o: a zero weight stays +0.0, as f(x) - f(N-x) gives it
+    o = np.where(2 * j > n, 0.0 - off[..., k], off[..., k])
     c = 1.0 - 2.0 * lam[..., None]
-    return _block_stack(diag, off, c**m), _block_stack(0.0, off, -2.0 * m * c ** (m - 1))
-
-
-def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense post-channel state of the correlated protocol and its derivative.
-
-    Returns (rho, drho/dlam): the correlated_blocks scattered onto the basis
-    pairs (x, N-x). Grids of r and lam add leading axes, as there.
-    """
-    rho, drho = correlated_blocks(n, r, lam, m)
-    return _scatter(rho), _scatter(drho)
+    rho = np.zeros(r.shape + (2**n, 2**n), dtype=complex)
+    drho = np.zeros_like(rho)
+    rho[..., x, x] = rho[..., y, y] = diag[..., k]
+    for out, scale in ((rho, c**m), (drho, -2.0 * m * c ** (m - 1))):
+        out[..., x, y] = 1j * o * scale
+        # -(x, y), not 1j * (-o), which flips signed zeros that eigh reads
+        out[..., y, x] = -out[..., x, y]
+    return rho, drho

@@ -52,7 +52,9 @@ def _grid_size(lo: float, hi: float, step: float) -> int:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
-    return [lo + k * step for k in range(_grid_size(lo, hi, step))]
+    """The points lo + k step, the last one clipped to hi: rounding may put
+    lo + k step a few ulps past hi, outside the domain when hi is its edge."""
+    return [min(lo + k * step, hi) for k in range(_grid_size(lo, hi, step))]
 
 
 def sweep_rows(

@@ -54,34 +54,6 @@ class ProtocolPoint:
         linop.check_unit_interval(self.lam, "channel strength")
 
 
-@dataclass(frozen=True)
-class WeightPair:
-    """Difference and sum of the weight products across a bit-complement pair.
-
-    diff  = (1+r)**j (1-r)**(n-j) - (1+r)**(n-j) (1-r)**j
-    total = (1+r)**j (1-r)**(n-j) + (1+r)**(n-j) (1-r)**j
-
-    diff changes sign under j -> n-j, total does not, and
-    diff**2 = total**2 - 4 (1-r**2)**n exactly. Floats for a scalar r,
-    arrays in r's shape otherwise.
-    """
-
-    diff: float | np.ndarray
-    total: float | np.ndarray
-
-
-def weight_pair(n: int, j: int, r) -> WeightPair:
-    """The weight pair j of n qubits at polarization r, which may be an
-    array. The powers are taken per element through the C library's pow,
-    so an array gives the same bits as scalar calls."""
-    if not 0 <= j <= n:
-        raise ValueError(f"j={j} out of range 0..{n}")
-    r = linop.check_unit_interval(r, "polarization", "[0, 1)")
-    a = linop._elementwise(lambda x: (1.0 + x) ** j * (1.0 - x) ** (n - j), r)
-    b = linop._elementwise(lambda x: (1.0 + x) ** (n - j) * (1.0 - x) ** j, r)
-    return WeightPair(diff=a - b, total=a + b)
-
-
 def _validate_nm(n: int, m: int) -> None:
     if n < 2 or n > ANALYTIC_N_CAP:
         raise ValueError(f"n={n} must lie in 2..{ANALYTIC_N_CAP}")

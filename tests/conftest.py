@@ -7,18 +7,22 @@ from paulifish import channels, qfi
 
 def block_route_sld(n, r, lam, m):
     """Score operator of the correlated protocol state assembled piecewise:
-    a closed 2x2 solve per two-level block of channels.correlated_blocks.
-    The blocks have orthogonal supports, so their score operators, scattered
-    onto their (x, N-x) pairs, and their Fisher informations add.
+    a closed 2x2 solve per two-level block of channels.correlated_state, the
+    sub-block on the basis pair (x, N-x). The blocks have orthogonal
+    supports, so their score operators, placed back on their pairs, and
+    their Fisher informations add.
 
     Uses no eigensolver, so it is an independent route against the
     closed-form and eigendecomposition paths.
     """
-    rho, drho = channels.correlated_blocks(n, r, lam, m)
-    parts = [qfi.sld_2x2(a, da) for a, da in zip(rho, drho)]
-    return qfi.SldResult(
-        L=channels._scatter(np.array([p.L for p in parts])), H=sum(p.H for p in parts)
-    )
+    rho, drho = channels.correlated_state(n, r, lam, m)
+    big_l, h = np.zeros_like(rho), 0.0
+    for x in range(2 ** (n - 1)):
+        pair = np.ix_([x, 2**n - 1 - x], [x, 2**n - 1 - x])
+        part = qfi.sld_2x2(rho[pair], drho[pair])
+        big_l[pair] = part.L
+        h += part.H
+    return qfi.SldResult(L=big_l, H=h)
 
 
 def swap():

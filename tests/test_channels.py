@@ -162,16 +162,19 @@ class TestBitstringWeight:
 
 
 class TestBlocks:
-    def test_unpolarized_blocks_are_diagonal_uniform(self):
-        rho, _ = channels.correlated_blocks(3, 0.0, 0.3, 1)
-        np.testing.assert_array_equal(rho, np.broadcast_to(np.eye(2) / 8, rho.shape))
+    """The dense post-channel state as a direct sum of two-level blocks on
+    the basis pairs (x, N-x)."""
 
-    def test_hand_block_weights(self):
-        rho, _ = channels.correlated_blocks(2, 0.5, 0.0, 1)
+    def test_unpolarized_state_is_maximally_mixed(self):
+        rho, _ = channels.correlated_state(3, 0.0, 0.3, 1)
+        np.testing.assert_array_equal(rho, np.eye(8) / 8)
+
+    def test_hand_block_entries(self):
+        rho, _ = channels.correlated_state(2, 0.5, 0.0, 1)
         np.testing.assert_allclose(
-            rho[0], [[0.3125, 0.25j], [-0.25j, 0.3125]], rtol=0.0, atol=1e-15
+            rho[np.ix_([0, 3], [0, 3])], [[0.3125, 0.25j], [-0.25j, 0.3125]], rtol=0.0, atol=1e-15
         )
-        assert rho[1, 0, 1] == 0.0
+        assert rho[1, 2] == rho[2, 1] == 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_dense_reconstruction_matches_conjugation(self, n):
@@ -216,19 +219,20 @@ class TestBlocks:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_block_weight_invariants(self, n):
         rng = np.random.default_rng(17 + n)
-        rho, _ = channels.correlated_blocks(n, rng.uniform(0.0, 0.999, size=5), 0.0, 1)
-        diag, off = rho[..., 0, 0].real, rho[..., 0, 1].imag
+        rho, _ = channels.correlated_state(n, rng.uniform(0.0, 0.999, size=5), 0.0, 1)
+        x = np.arange(2 ** (n - 1))
+        diag, off = rho[..., x, x].real, rho[..., x, 2**n - 1 - x].imag
         assert np.all(diag >= np.abs(off))
-        np.testing.assert_allclose(2 * diag.sum(axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(np.trace(rho, axis1=-2, axis2=-1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_post_channel_zero_strength_is_noop(self):
-        prepared, _ = channels.correlated_blocks(3, 0.4, 0.0, 1)
+        prepared, _ = channels.correlated_state(3, 0.4, 0.0, 1)
         for m in (2, 3):
-            np.testing.assert_array_equal(channels.correlated_blocks(3, 0.4, 0.0, m)[0], prepared)
+            np.testing.assert_array_equal(channels.correlated_state(3, 0.4, 0.0, m)[0], prepared)
 
     def test_post_channel_half_strength_kills_offdiagonals(self):
-        rho, _ = channels.correlated_blocks(3, 0.4, 0.5, 2)
-        assert np.all(rho[..., 0, 1] == 0.0) and np.all(rho[..., 1, 0] == 0.0)
+        rho, _ = channels.correlated_state(3, 0.4, 0.5, 2)
+        assert np.count_nonzero(rho - np.diag(np.diagonal(rho))) == 0
 
     def test_post_channel_dense_matches_direct_channel(self):
         n, m, lam, r = 3, 2, 0.2, 0.4
@@ -243,7 +247,7 @@ class TestBlocks:
 
     def test_too_many_invocations_rejected(self):
         with pytest.raises(ValueError, match="invocation"):
-            channels.correlated_blocks(2, 0.3, 0.1, 3)
+            channels.correlated_state(2, 0.3, 0.1, 3)
 
     def test_correlated_state_derivative_matches_finite_difference(self):
         n, m, r, lam = 3, 2, 0.35, 0.27
@@ -253,53 +257,41 @@ class TestBlocks:
         minus, _ = channels.correlated_state(n, r, lam - h, m)
         assert linop.frobenius_max(drho - (plus - minus) / (2 * h)) < 1e-6
 
-    def test_correlated_blocks_match_bitstring_weights(self):
+    def test_correlated_state_matches_bitstring_weights(self):
         n, m = 4, 3
+        big_n = 2**n - 1
         rs, lams = np.array([0.0, 0.3, 0.8]), np.array([0.0, 0.2, 0.5, 1.0])[:, None]
-        rho, drho = channels.correlated_blocks(n, rs, lams, m)
-        assert rho.shape == drho.shape == (4, 3, 8, 2, 2)
+        rho, drho = channels.correlated_state(n, rs, lams, m)
+        assert rho.shape == drho.shape == (4, 3, 16, 16)
         for i, lam in enumerate(lams.ravel().tolist()):
             for k, r in enumerate(rs.tolist()):
                 scale = (1.0 - 2.0 * lam) ** m
                 dscale = -2.0 * m * (1.0 - 2.0 * lam) ** (m - 1)
+                expected, dexpected = np.zeros((2, 16, 16), dtype=complex)
                 for x in range(2 ** (n - 1)):
                     fx = channels.bitstring_weight(x, n, r)
-                    fnx = channels.bitstring_weight(2**n - 1 - x, n, r)
+                    fnx = channels.bitstring_weight(big_n - x, n, r)
                     d, o = (fx + fnx) / 2, (fx - fnx) / 2
-                    np.testing.assert_array_equal(
-                        rho[i, k, x], [[d, 1j * o * scale], [-1j * o * scale, d]]
-                    )
-                    np.testing.assert_array_equal(
-                        drho[i, k, x], [[0.0, 1j * o * dscale], [-1j * o * dscale, 0.0]]
-                    )
-
-    @pytest.mark.parametrize("n", range(2, 65))
-    def test_class_multiplicities_count_every_block(self, n):
-        # Python ints: 2^63 overflows int64 and C(64, 32) is not exact in float64
-        mult, diag, off = channels.hamming_classes(n, np.array([0.0, 0.5]))
-        assert all(isinstance(k, int) for k in mult)
-        assert sum(mult) == 2 ** (n - 1)
-        assert len(mult) == n // 2 + 1 and diag.shape == off.shape == (2, n // 2 + 1)
+                    expected[x, x] = expected[big_n - x, big_n - x] = d
+                    expected[x, big_n - x] = 1j * o * scale
+                    expected[big_n - x, x] = -1j * o * scale
+                    dexpected[x, big_n - x] = 1j * o * dscale
+                    dexpected[big_n - x, x] = -1j * o * dscale
+                np.testing.assert_array_equal(rho[i, k], expected)
+                np.testing.assert_array_equal(drho[i, k], dexpected)
 
     def test_class_weights_are_those_of_their_blocks(self):
         # class j holds the blocks whose x, or N-x, has j zero bits
         n, r = 5, 0.35
         mult, diag, off = channels.hamming_classes(n, r)
-        rho, _ = channels.correlated_blocks(n, r, 0.0, 1)
+        rho, _ = channels.correlated_state(n, r, 0.0, 1)
         zero_bits = [n - bin(x).count("1") for x in range(2 ** (n - 1))]
         for j, count in enumerate(mult):
             members = [x for x, z in enumerate(zero_bits) if min(z, n - z) == j]
             assert len(members) == count
             for x in members:
                 sign = -1.0 if zero_bits[x] > n - zero_bits[x] else 1.0
-                assert rho[x, 0, 0].real == diag[j] and rho[x, 0, 1].imag == sign * off[j]
-
-    def test_hamming_classes_reject_bad_arguments(self):
-        for n in (1, 65):
-            with pytest.raises(ValueError, match="2..64"):
-                channels.hamming_classes(n, 0.5)
-        with pytest.raises(ValueError, match="polarization"):
-            channels.hamming_classes(4, 1.0)
+                assert rho[x, x].real == diag[j] and rho[x, 2**n - 1 - x].imag == sign * off[j]
 
     def test_correlated_state_grid_matches_points(self):
         rs, lams = np.array([0.1, 0.6]), np.array([0.3, 0.7])[:, None]
@@ -313,27 +305,80 @@ class TestBlocks:
 
     @pytest.mark.parametrize("n", [13, 64])
     def test_dimension_cap_checked_before_allocating(self, n):
-        # at n = 13 the blocks alone would take 2**12 * 4 complex numbers
+        # at n = 13 the dense state alone would take 2**26 complex numbers
         tracemalloc.start()
         try:
             with pytest.raises(linop.DimensionError, match="dense cap"):
-                channels.correlated_blocks(n, 0.5, 0.2, 1)
+                channels.correlated_state(n, 0.5, 0.2, 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**14
 
-    def test_correlated_blocks_reject_bad_arguments(self):
+    def test_correlated_state_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="qubits"):
-            channels.correlated_blocks(1, 0.5, 0.2, 1)
+            channels.correlated_state(1, 0.5, 0.2, 1)
         with pytest.raises(ValueError, match="invocation"):
-            channels.correlated_blocks(3, 0.5, 0.2, 4)
+            channels.correlated_state(3, 0.5, 0.2, 4)
         with pytest.raises(ValueError, match="strength"):
-            channels.correlated_blocks(3, 0.5, np.array([0.2, 1.2]), 1)
+            channels.correlated_state(3, 0.5, np.array([0.2, 1.2]), 1)
         with pytest.raises(ValueError, match="polarization"):
-            channels.correlated_blocks(3, np.array([0.5, 1.0]), 0.2, 1)
+            channels.correlated_state(3, np.array([0.5, 1.0]), 0.2, 1)
         for n in (13, 64):
             with pytest.raises(linop.DimensionError, match="dense cap"):
-                channels.correlated_blocks(n, 0.5, 0.2, 1)
-        with pytest.raises(linop.DimensionError):
-            channels.correlated_state(13, 0.5, 0.2, 1)
+                channels.correlated_state(n, 0.5, 0.2, 1)
+
+
+class TestHammingClasses:
+    """The class weights d_j, o_j, j <= n/2: 2^(n+1) (o_j, d_j) is the
+    paper's weight pair (diff_j, total_j)."""
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_class_multiplicities_count_every_block(self, n):
+        # Python ints: 2^63 overflows int64 and C(64, 32) is not exact in float64
+        mult, diag, off = channels.hamming_classes(n, np.array([0.0, 0.5]))
+        assert all(isinstance(k, int) for k in mult)
+        assert sum(mult) == 2 ** (n - 1)
+        assert len(mult) == n // 2 + 1 and diag.shape == off.shape == (2, n // 2 + 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_unpolarized(self, n):
+        # no weight difference without polarization: every total is 2
+        _, diag, off = channels.hamming_classes(n, 0.0)
+        np.testing.assert_array_equal(off, 0.0)
+        np.testing.assert_array_equal(2.0 ** (n + 1) * diag, 2.0)
+
+    def test_middle_class_has_no_difference(self):
+        _, _, off = channels.hamming_classes(4, np.array([0.3, 0.7, 0.999]))
+        np.testing.assert_array_equal(off[:, 2], 0.0)
+        assert np.all(off[:, :2] != 0.0)
+
+    def test_hand_values(self):
+        # n = 2, r = 0.5: w_0 = 0.25**2, w_2 = 0.75**2, w_1 = 0.75 * 0.25
+        _, diag, off = channels.hamming_classes(2, 0.5)
+        np.testing.assert_array_equal(8.0 * diag, [2.5, 1.5])
+        np.testing.assert_array_equal(8.0 * off, [-2.0, 0.0])
+
+    def test_square_identity(self):
+        # d_j^2 - o_j^2 = w_j w_(n-j) = (1-r^2)^n / 4^n, in the weight pair's
+        # scale diff^2 = total^2 - 4 (1-r^2)^n
+        for n in (2, 4, 7):
+            rs = np.array([0.1, 0.5, 0.9])
+            _, diag, off = channels.hamming_classes(n, rs)
+            diff, total = 2.0 ** (n + 1) * off, 2.0 ** (n + 1) * diag
+            pure = 4.0 * (1.0 - rs * rs)[:, None] ** n
+            np.testing.assert_allclose(diff**2, total**2 - pure, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_difference_bounded_by_total(self, n):
+        _, diag, off = channels.hamming_classes(n, np.array([0.0, 0.01, 0.5, 0.9, 0.999]))
+        assert np.all(diag >= np.abs(off))
+
+    def test_hamming_classes_reject_bad_arguments(self):
+        for n in (1, 65):
+            with pytest.raises(ValueError, match="2..64"):
+                channels.hamming_classes(n, 0.5)
+        with pytest.raises(ValueError, match="polarization"):
+            channels.hamming_classes(4, 1.0)
+        with pytest.raises(ValueError, match=r"polarization must lie in \[0, 1\), got 1.0"):
+            channels.hamming_classes(3, np.array([0.2, 1.0, 0.4]))

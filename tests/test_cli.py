@@ -273,6 +273,23 @@ class TestSweepCommand:
         run_cli(["sweep", "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "axis, extra", [("r", []), ("lambda", ["--r-max", "0.95"])], ids=["r", "lambda"]
+    )
+    def test_grid_ending_on_the_domain_edge_stays_inside(self, axis, extra, tmp_path, capsys):
+        # 0.09 + 13 * 0.07 is 1.0000000000000002 in floats; the last point is
+        # clipped to the upper bound 1 (lam = 1 at r = 1 is outside the domain)
+        out_path = tmp_path / "edge.csv"
+        code, _, err = run_cli(
+            ["sweep", f"--{axis}-min", "0.09", f"--{axis}-max", "1.0", f"--{axis}-step", "0.07",
+             *extra, "--out", str(out_path)],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        with open(out_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[-1][axis] == "1"
+
     def test_bad_step_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["sweep", "--lambda-step", "0", "--out", str(tmp_path / "x.csv")], capsys
@@ -387,17 +404,15 @@ class TestVerifyCommand:
         assert out == ""
         assert "2..64" in err
 
-    @pytest.mark.parametrize("route", ["blocks", "dense"])
-    def test_oracle_fails_on_a_scaled_route(self, route, monkeypatch, capsys):
-        # scale one oracle route by 1 + 1e-7, past the suite's 1e-8 tolerance
-        name = "correlated_blocks" if route == "blocks" else "correlated_state"
-        real = getattr(channels, name)
+    def test_oracle_fails_on_a_scaled_route(self, monkeypatch, capsys):
+        # scale the dense route by 1 + 1e-7, past the suite's 1e-8 tolerance
+        real = channels.correlated_state
 
         def scaled(*args):
             rho, drho = real(*args)
             return rho, drho * math.sqrt(1.0 + 1e-7)
 
-        monkeypatch.setattr(channels, name, scaled)
+        monkeypatch.setattr(channels, "correlated_state", scaled)
         code, out, _ = run_cli(["verify", "--suite", "oracle", "--n-max", "4"], capsys)
         assert code == 1
         assert out.startswith("FAIL oracle")

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paulifish
-from paulifish import channels, correlations, linop, mc, qfi
+from paulifish import channels, correlations, linop, mc, protocol, qfi
 
 
 def test_every_export_resolves_once():
@@ -39,6 +39,9 @@ RETIRED = {
     "hermitian_eig": linop,
     "Spectrum": linop,
     "partial_transpose": linop,
+    "correlated_blocks": channels,
+    "weight_pair": protocol,
+    "WeightPair": protocol,
 }
 
 
@@ -117,8 +120,8 @@ def test_every_public_name_has_a_reader_in_src():
 
 #: Private names of one src/paulifish module that another reads, as
 #: {reader: {"module._name", ...}}. A new coupling to a module's internals
-#: has to be listed here; the block layout of the state (_block_weights,
-#: _block_stack, _scatter) stays inside channels.
+#: has to be listed here; the block layout of the state, which
+#: correlated_state writes from the Hamming classes, stays inside channels.
 PRIVATE_READS = {
     "cli": {"protocol._validate_nm"},
     "correlations": {"linop._as_operators", "linop._elementwise", "protocol._validate_nm"},

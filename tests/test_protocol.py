@@ -7,56 +7,6 @@ import pytest
 from paulifish import channels, correlations, protocol, qfi
 
 
-class TestWeightPair:
-    def test_unpolarized(self):
-        for j in range(4):
-            w = protocol.weight_pair(3, j, 0.0)
-            assert w.diff == 0.0
-            assert w.total == pytest.approx(2.0)
-
-    def test_middle_index_vanishes_for_even_n(self):
-        assert protocol.weight_pair(4, 2, 0.7).diff == pytest.approx(0.0, abs=1e-15)
-
-    def test_hand_values(self):
-        w = protocol.weight_pair(2, 2, 0.5)
-        assert w.diff == pytest.approx(2.0)
-        assert w.total == pytest.approx(2.5)
-
-    def test_index_reflection_symmetry(self):
-        for n in (3, 5, 6):
-            for j in range(n + 1):
-                w, wr = protocol.weight_pair(n, j, 0.4), protocol.weight_pair(n, n - j, 0.4)
-                assert wr.diff == pytest.approx(-w.diff, abs=1e-14)
-                assert wr.total == pytest.approx(w.total, rel=1e-14)
-
-    def test_square_identity(self):
-        # diff^2 = total^2 - 4 (1-r^2)^n
-        for n in (2, 4, 7):
-            for r in (0.1, 0.5, 0.9):
-                for j in range(n + 1):
-                    w = protocol.weight_pair(n, j, r)
-                    assert w.diff**2 == pytest.approx(
-                        w.total**2 - 4 * (1 - r * r) ** n, rel=1e-12
-                    )
-
-    def test_array_equals_scalar_calls(self):
-        rs = np.array([[0.0, 0.02, 0.37], [0.5, 0.9, 0.999]])
-        for n in (2, 5, 8):
-            for j in range(n + 1):
-                w = protocol.weight_pair(n, j, rs)
-                assert w.diff.shape == w.total.shape == rs.shape
-                for idx, r in np.ndenumerate(rs):
-                    one = protocol.weight_pair(n, j, float(r))
-                    assert type(one.diff) is float and type(one.total) is float
-                    assert (w.diff[idx], w.total[idx]) == (one.diff, one.total)
-
-    def test_bad_polarization_anywhere_raises(self):
-        with pytest.raises(ValueError, match=r"polarization must lie in \[0, 1\), got 1.0"):
-            protocol.weight_pair(3, 1, np.array([0.2, 1.0, 0.4]))
-        with pytest.raises(ValueError, match="out of range"):
-            protocol.weight_pair(3, 4, np.array([0.2]))
-
-
 class TestCorrelatedInformation:
     def test_vanishes_at_half_strength_with_repeats(self):
         assert protocol.qfi_correlated(protocol.ProtocolPoint(3, 2, 0.5, 0.5)) == 0.0
@@ -354,16 +304,6 @@ class TestThresholdAndDephasingMap:
     def test_dephasing_map_validation(self, t, t2):
         with pytest.raises(ValueError):
             protocol.lambda_from_t2(t, t2)
-
-
-class TestWeightInequalities:
-    def test_equality_only_without_polarization(self):
-        for n in (2, 5):
-            for j in range(n + 1):
-                if 2 * j == n:
-                    continue
-                w = protocol.weight_pair(n, j, 0.0)
-                assert w.diff == 0.0
 
 
 #: The two-qubit diagnostics among TestStrengthBroadcast.FUNCTIONS, which

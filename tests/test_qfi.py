@@ -317,21 +317,6 @@ class TestRouteEquivalence:
                     assert h_eig[i, k] == pytest.approx(h_closed[i, k], rel=1e-8, abs=1e-12)
                     assert h_blocks == pytest.approx(h_closed[i, k], rel=1e-8, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_block_oracle_matches_dense_on_oracle_grid(self, n):
-        # the grid and batching of verify's oracle suite, against a dense
-        # eigensolve per point
-        grid = np.round(0.1 * np.arange(1, 10), 10)
-        r, lam = grid, grid[:, None]
-        for m in range(1, n + 1):
-            h_blocks = qfi.fisher_eig(*channels.correlated_blocks(n, r, lam, m)).sum(axis=-1)
-            h_dense = qfi.fisher_eig(*channels.correlated_state(n, r, lam, m))
-            np.testing.assert_allclose(h_dense, h_blocks, rtol=1e-12, atol=0.0)
-            for i, lam_i in enumerate(grid.tolist()):
-                for k, r_k in enumerate(grid.tolist()):
-                    h_point = qfi.fisher_eig(*channels.correlated_state(n, r_k, lam_i, m))
-                    assert abs(h_point - h_blocks[i, k]) <= 1e-12 * h_point
-
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_class_route_matches_closed_form_at_large_n(self, n):
         # at n = 64 and r = 0.1 every class weight lies below SUPPORT_TOL, so

@@ -48,10 +48,11 @@ def _independent_above_bound(real):
 
 def _total_weight_shrunk(real):
     # the floor 2 (1-r^2)^(n-1) is met with equality at the middle index, so
-    # taking 2e-12 off the total puts it 4e-12 below, past the suite's 1e-12
-    def wrong(n, j, r):
-        w = real(n, j, r)
-        return dataclasses.replace(w, total=w.total * (1.0 - 2e-12))
+    # taking 2e-12 off the total, 2^(n+1) d_j, puts it 4e-12 below, past the
+    # suite's 1e-12
+    def wrong(n, r):
+        mult, diag, off = real(n, r)
+        return mult, diag * (1.0 - 2e-12), off
 
     return wrong
 
@@ -190,11 +191,11 @@ def _point_gain_tilted(real):
 
 
 def _diff_shrunk(real):
-    # |diff|/total = r exactly off the middle index at odd n, so taking 1e-11
+    # |diff|/total = |o_j|/d_j = r exactly at j = (n-1)/2, so taking 1e-11
     # off diff puts the squared ratio 2e-11 r^2 below r^2, past the 1e-12
-    def wrong(n, j, r):
-        w = real(n, j, r)
-        return dataclasses.replace(w, diff=w.diff * (1.0 - 1e-11))
+    def wrong(n, r):
+        mult, diag, off = real(n, r)
+        return mult, diag, off * (1.0 - 1e-11)
 
     return wrong
 
@@ -264,6 +265,14 @@ def _nan_cell(part=None):
     return make_wrong
 
 
+def _nan_root(real):
+    # a NaN in place of the first stationary root
+    def wrong(m, lam):
+        return [np.nan, *real(m, lam)[1:]]
+
+    return wrong
+
+
 def _drho_scaled(real):
     # the derivative times sqrt(1 + 1e-7): the Fisher information, quadratic
     # in it, rises 1e-7, past the suite's 1e-8
@@ -318,13 +327,14 @@ FAULTS = {
     # independent optimum, and far inside the bound
     "bounds/single-use": (qfi, "qfi_single_use", _scaled(1.0 + 1e-11)),
     "bounds/single-use-bound": (qfi, "qfi_single_use", _single_use_above_bound_off_tenths),
-    "weight-inequalities": (protocol, "weight_pair", _total_weight_shrunk),
-    "weight-inequalities/ratio": (protocol, "weight_pair", _diff_shrunk),
+    "weight-inequalities": (channels, "hamming_classes", _total_weight_shrunk),
+    "weight-inequalities/ratio": (channels, "hamming_classes", _diff_shrunk),
     # the minimum single-use gain excess is 2.02e-2
     "weight-inequalities/gain-floor": (protocol, "qfi_and_gain", _gain_scaled(0.98)),
     "stationary": (protocol, "stationary_polarizations", _roots_shifted),
     "stationary/no-root": (protocol, "stationary_polarizations", _no_roots),
     "stationary/extra-root": (protocol, "stationary_polarizations", _extra_root),
+    "stationary/nan-root": (protocol, "stationary_polarizations", _nan_root),
     "stationary/gain-slope": (protocol, "gain", _point_gain_tilted),
     # 2e-10 relative, past the suite's 1e-10 against the j-sum
     "stationary/reduced-gain": (protocol, "gain_two_qubit", _scaled(1.0 + 2e-10)),
@@ -340,6 +350,8 @@ FAULTS = {
     # 2e-12 stronger, past the suite's 1e-12 between lam(t*) and the threshold
     "threshold-gain/t2-map": (protocol, "lambda_from_t2", _shifted(2e-12)),
     "threshold-gain/t2-gain": (protocol, "gain", _t2_gain_lowered),
+    "threshold-gain/nan-threshold": (protocol, "lambda_threshold_gain_n", _nan_cell()),
+    "threshold-gain/nan-t2-map": (protocol, "lambda_from_t2", _nan_cell()),
 }
 
 
