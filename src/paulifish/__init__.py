@@ -12,8 +12,6 @@ from .channels import (
     preparation_unitary,
 )
 from .correlations import (
-    BellDiagonalCoeffs,
-    DiscordReport,
     bell_diagonalize,
     discord_prep,
     discord_protocol,
@@ -51,9 +49,7 @@ from .qfi import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellDiagonalCoeffs",
     "ChannelSpec",
-    "DiscordReport",
     "ExperimentConfig",
     "ExperimentResult",
     "ProtocolPoint",

@@ -109,7 +109,7 @@ def sweep_rows(
             disc, min_eig = np.zeros(h_ind.shape), np.zeros(h_ind.shape)
             sep = np.zeros(h_ind.shape, dtype=bool)
             r_diag = r_cols[:, below_one]
-            disc[:, below_one] = correlations.discord_protocol(r_diag, lam, m).Q
+            disc[:, below_one] = correlations.discord_protocol(r_diag, lam, m)
             sep[:, below_one], min_eig[:, below_one] = correlations.ppt_closed_form(r_diag, lam, m)
             columns += [disc, min_eig, np.where(sep, "true", "false")]
         # a row at a time, so the Python floats alive at once stay one row's

@@ -1,18 +1,15 @@
 """Two-qubit correlation diagnostics for the protocol's pre-measurement state.
 
 Separability via the positive-partial-transpose test with its closed-form
-polarization threshold, and quantum discord through the Bell-diagonal
-(X-state) closed form. The closed forms of the post-channel state take the
-two-qubit protocol's invocation counts, m in {1, 2}. The dense routes
-(is_separable_ppt, bell_diagonalize, discord_xstate) take any two-qubit
-state, such as channels.correlated_state(2, r, lam, m)[0], and serve as
-their oracles.
+polarization threshold, and quantum discord Q in bits through the
+Bell-diagonal (X-state) closed form. The closed forms of the post-channel
+state take the two-qubit protocol's invocation counts, m in {1, 2}. The
+dense routes (is_separable_ppt, and bell_diagonalize, whose (c1, c2, c3)
+discord_xstate takes) take any two-qubit state, such as
+channels.correlated_state(2, r, lam, m)[0], and serve as their oracles.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,27 +27,6 @@ def _xlog2(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     pos = v > 0.0
     return np.where(pos, v * np.log2(np.where(pos, v, 1.0)), 0.0)
-
-
-@dataclass(frozen=True)
-class BellDiagonalCoeffs:
-    """Coefficients of (1/4)(I + c1 XX + c2 YY + c3 ZZ); floats for one
-    state, arrays over the leading axes for a stack."""
-
-    c1: float | np.ndarray
-    c2: float | np.ndarray
-    c3: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class DiscordReport:
-    """Quantum discord in bits, the dominant |c_j|, and the four spectral
-    combinations 1 -+ c1 -+ c2 -+ c3 (each with an odd number of minuses);
-    floats for one state, arrays for a grid."""
-
-    Q: float | np.ndarray
-    c: float | np.ndarray
-    lambdas: tuple
 
 
 def is_separable_ppt(rho: np.ndarray):
@@ -72,11 +48,12 @@ def is_separable_ppt(rho: np.ndarray):
     return linop.scalar_or_array(min_eig >= -PPT_TOL), linop.scalar_or_array(min_eig)
 
 
-def separability_threshold(m: int, lam: float) -> float:
+def separability_threshold(m: int, lam):
     """Polarization below which the post-channel two-qubit state is separable:
-    sqrt(mu**2 + 1) - |mu| with mu = (1-2 lam)**m."""
-    mu = abs(_off_diagonal_scale(lam, m))  # checks m and lam
-    return math.sqrt(mu * mu + 1.0) - mu
+    sqrt(mu**2 + 1) - |mu| with mu = (1-2 lam)**m. lam may be an array (a
+    float comes back for a scalar)."""
+    mu = np.abs(_off_diagonal_scale(lam, m))  # checks m and lam
+    return linop.scalar_or_array(np.sqrt(mu * mu + 1.0) - mu)
 
 
 def _off_diagonal_scale(lam, m: int):
@@ -122,8 +99,9 @@ def _bell_frame() -> np.ndarray:
 _BELL_FRAME = _bell_frame()
 
 
-def bell_diagonalize(rho: np.ndarray) -> BellDiagonalCoeffs:
-    """Rotate the post-channel state into Bell-diagonal form and read off c_j.
+def bell_diagonalize(rho: np.ndarray) -> tuple:
+    """Rotate the post-channel state into Bell-diagonal form and read off
+    (c1, c2, c3), the coefficients of (1/4)(I + c1 XX + c2 YY + c3 ZZ).
 
     Applies the local unitary with antidiagonal phases exp(+-i pi/8) to each
     qubit and extracts every two-qubit Pauli coefficient
@@ -148,55 +126,44 @@ def bell_diagonalize(rho: np.ndarray) -> BellDiagonalCoeffs:
         )
     # state = (1/4)(I + sum c_j s_j x s_j), so c_j = Tr[rho (s_j x s_j)]
     c = 4.0 * diag.real
-    return BellDiagonalCoeffs(
-        c1=linop.scalar_or_array(c[..., 1]),
-        c2=linop.scalar_or_array(c[..., 2]),
-        c3=linop.scalar_or_array(c[..., 3]),
-    )
+    return tuple(linop.scalar_or_array(c[..., j]) for j in (1, 2, 3))
 
 
-def _clamped(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if (v < -1e-10).any():
-        raise ValueError(f"spectral combination {v.min()} is negative: invalid state")
-    return np.maximum(v, 0.0)
-
-
-def _report(lambdas: np.ndarray, c: np.ndarray) -> DiscordReport:
-    """Discord from the four spectral combinations (stacked on axis 0) and c:
-    Q = (1/4) sum xlog2(lambda) - (1/2) xlog2(1-c) - (1/2) xlog2(1+c)."""
+def _discord(lambdas: list, c: np.ndarray):
+    """Discord in bits, Q = (1/4) sum xlog2(lambda) - (1/2) xlog2(1-c)
+    - (1/2) xlog2(1+c), from the four spectral combinations
+    1 -+ c1 -+ c2 -+ c3 (each with an odd number of minuses) and the
+    dominant |c_j| = c; raises if a combination is negative."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if (lambdas < -1e-10).any():
+        raise ValueError(f"spectral combination {lambdas.min()} is negative: invalid state")
     q = 0.25 * _xlog2(lambdas).sum(axis=0)
     q -= 0.5 * _xlog2(1.0 - c)
     q -= 0.5 * (1.0 + c) * np.log2(1.0 + c)
     if (q < -1e-9).any():
         raise ValueError(f"discord came out negative ({q.min()}): invalid coefficients")
-    return DiscordReport(
-        Q=linop.scalar_or_array(np.maximum(q, 0.0)),
-        c=linop.scalar_or_array(c),
-        lambdas=tuple(linop.scalar_or_array(v) for v in lambdas),
-    )
+    return linop.scalar_or_array(np.maximum(q, 0.0))
 
 
-def discord_xstate(coeffs: BellDiagonalCoeffs) -> DiscordReport:
-    """Discord of a Bell-diagonal state from its generic closed form; the
+def discord_xstate(c1, c2, c3):
+    """Discord of the Bell-diagonal state with coefficients (c1, c2, c3), as
+    bell_diagonalize returns them, from its generic closed form; the
     coefficients may be arrays, which broadcast."""
-    c1, c2, c3 = np.broadcast_arrays(
-        *(np.asarray(c, dtype=float) for c in (coeffs.c1, coeffs.c2, coeffs.c3))
+    c1, c2, c3 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (c1, c2, c3)))
+    return _discord(
+        [1.0 - c1 - c2 - c3, 1.0 - c1 + c2 + c3, 1.0 + c1 - c2 + c3, 1.0 + c1 + c2 - c3],
+        np.maximum(np.maximum(np.abs(c1), np.abs(c2)), np.abs(c3)),
     )
-    lambdas = _clamped(
-        [1.0 - c1 - c2 - c3, 1.0 - c1 + c2 + c3, 1.0 + c1 - c2 + c3, 1.0 + c1 + c2 - c3]
-    )
-    return _report(lambdas, np.maximum(np.maximum(np.abs(c1), np.abs(c2)), np.abs(c3)))
 
 
-def discord_rmu(r, mu) -> DiscordReport:
+def discord_rmu(r, mu):
     """Discord of the protocol state with off-diagonal scale mu.
 
     Flipping the sign of mu leaves the discord unchanged, so |mu| is used
     throughout. The spectral combinations are
     1 - r^2 (twice), 1 +- 2 r |mu| + r^2, and c = max(r^2, r |mu|).
-    r and mu broadcast; the report holds floats for scalar inputs and
-    arrays otherwise.
+    r and mu broadcast; a float comes back for scalar inputs and an array
+    otherwise.
     """
     r, am = np.broadcast_arrays(np.asarray(r, dtype=float), np.abs(np.asarray(mu, dtype=float)))
     linop.check_unit_interval(r, "polarization", "[0, 1)")
@@ -204,11 +171,11 @@ def discord_rmu(r, mu) -> DiscordReport:
     if bad_mu.any():
         raise ValueError(f"off-diagonal scale must lie in [-1, 1], got {am[bad_mu].flat[0]}")
     r2, cross = r * r, 2.0 * r * am
-    lambdas = _clamped([1.0 - r2, 1.0 + cross + r2, 1.0 - cross + r2, 1.0 - r2])
-    return _report(lambdas, np.maximum(r2, r * am))
+    lambdas = [1.0 - r2, 1.0 + cross + r2, 1.0 - cross + r2, 1.0 - r2]
+    return _discord(lambdas, np.maximum(r2, r * am))
 
 
-def discord_protocol(r, lam, m: int) -> DiscordReport:
+def discord_protocol(r, lam, m: int):
     """Discord of the two-qubit post-channel state at (r, lam, m); r and lam
     may be arrays that broadcast against each other."""
     return discord_rmu(r, _off_diagonal_scale(lam, m))

@@ -71,9 +71,6 @@ def _rel_err(a, b) -> float:
     return _worst(np.abs(a - b) / scale)
 
 
-#: Largest qubit count for the n_max of the oracle and bounds suites.
-N_MAX_CAP = protocol.ANALYTIC_N_CAP
-
 #: Largest qubit count at which the oracle suite also eigendecomposes the
 #: dense state, whose eigensolve solves every one of its 2^(n-1) blocks,
 #: and checks it against the one-block-per-class route.
@@ -86,8 +83,8 @@ _TENTHS = [round(0.1 * k, 10) for k in range(1, 10)]
 
 def _qubit_counts(n_max: int) -> range:
     """Qubit counts 2..n_max of the oracle and bounds suites."""
-    if not 2 <= n_max <= N_MAX_CAP:
-        raise ValueError(f"n_max must lie in 2..{N_MAX_CAP}, got {n_max}")
+    if not 2 <= n_max <= protocol.ANALYTIC_N_CAP:
+        raise ValueError(f"n_max must lie in 2..{protocol.ANALYTIC_N_CAP}, got {n_max}")
     return range(2, n_max + 1)
 
 
@@ -215,8 +212,8 @@ def suite_discord() -> SuiteResult:
     worst_mono = -math.inf
     step = 1e-4
     for dr, dmu in ((0.0, step), (step, 0.0)):
-        up = correlations.discord_rmu(r_col + dr, mu_row + dmu).Q
-        down = correlations.discord_rmu(r_col - dr, mu_row - dmu).Q
+        up = correlations.discord_rmu(r_col + dr, mu_row + dmu)
+        down = correlations.discord_rmu(r_col - dr, mu_row - dmu)
         worst_mono = _worst(worst_mono, down - up)
     worst_sym = 0.0
     worst_route = 0.0
@@ -228,11 +225,11 @@ def suite_discord() -> SuiteResult:
     lam_col = np.array(lams)[:, None]
     for m in (1, 2):
         mu = correlations._off_diagonal_scale(lam_col, m)
-        sym = correlations.discord_rmu(rs, mu).Q - correlations.discord_rmu(rs, -mu).Q
+        sym = correlations.discord_rmu(rs, mu) - correlations.discord_rmu(rs, -mu)
         worst_sym = _worst(worst_sym, np.abs(sym))
-        q_closed = correlations.discord_protocol(rs, lam_col, m).Q
-        coeffs = correlations.bell_diagonalize(channels.correlated_state(2, rs, lam_col, m)[0])
-        q_dense = correlations.discord_xstate(coeffs).Q
+        q_closed = correlations.discord_protocol(rs, lam_col, m)
+        rho = channels.correlated_state(2, rs, lam_col, m)[0]
+        q_dense = correlations.discord_xstate(*correlations.bell_diagonalize(rho))
         worst_route = _worst(worst_route, np.abs(q_dense - q_closed))
         worst_half = _worst(worst_half, np.abs(q_closed[lams.index(0.5)]))
         q_zero = q_closed[lams.index(0.0)]
@@ -307,7 +304,7 @@ def suite_separability() -> SuiteResult:
     found_separable_gain = False
     lams = np.array([round(0.1 * k, 10) for k in range(0, 11)])
     for m in (1, 2):
-        thr = np.array([correlations.separability_threshold(m, lam) for lam in lams.tolist()])
+        thr = correlations.separability_threshold(m, lams)
         below, above = thr - margin > 0.0, thr + margin < 1.0
         # the points just below the threshold, expected separable, then those just above
         r = np.concatenate([thr[below] - margin, thr[above] + margin])

@@ -157,7 +157,7 @@ class TestSweepCommand:
                     channels.correlated_state(2, r, lam, m)[0]
                 )
                 assert float(row["discord"]) == pytest.approx(
-                    correlations.discord_protocol(r, lam, m).Q, rel=1e-9, abs=1e-12
+                    correlations.discord_protocol(r, lam, m), rel=1e-9, abs=1e-12
                 )
                 assert float(row["min_pt_eig"]) == pytest.approx(
                     min_eig, rel=1e-9, abs=1e-12

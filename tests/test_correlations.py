@@ -159,22 +159,20 @@ class TestClosedFormPpt:
 class TestBellDiagonalization:
     def test_unpolarized_gives_zero_coefficients(self):
         coeffs = correlations.bell_diagonalize(np.eye(4) / 4)
-        assert abs(coeffs.c1) < 1e-12
-        assert abs(coeffs.c2) < 1e-12
-        assert abs(coeffs.c3) < 1e-12
+        assert all(abs(c) < 1e-12 for c in coeffs)
 
     @pytest.mark.parametrize("r,lam,m", [(0.4, 0.2, 1), (0.7, 0.8, 1), (0.5, 0.3, 2)])
     def test_dominant_coefficient(self, r, lam, m):
         mu = (1.0 - 2.0 * lam) ** m
         coeffs = correlations.bell_diagonalize(final_state(r, lam, m))
-        biggest = max(abs(coeffs.c1), abs(coeffs.c2), abs(coeffs.c3))
+        biggest = max(abs(c) for c in coeffs)
         assert biggest == pytest.approx(max(r * r, r * abs(mu)), rel=1e-10)
 
     def test_rotation_preserves_discord(self):
         r, lam, m = 0.6, 0.25, 1
         coeffs = correlations.bell_diagonalize(final_state(r, lam, m))
-        assert correlations.discord_xstate(coeffs).Q == pytest.approx(
-            correlations.discord_protocol(r, lam, m).Q, abs=1e-10
+        assert correlations.discord_xstate(*coeffs) == pytest.approx(
+            correlations.discord_protocol(r, lam, m), abs=1e-10
         )
 
     def test_unrotatable_state_rejected(self):
@@ -199,31 +197,28 @@ class TestBellDiagonalization:
 
 class TestDiscordClosedForms:
     def test_zero_coefficients_give_zero(self):
-        rep = correlations.discord_xstate(correlations.BellDiagonalCoeffs(0, 0, 0))
-        assert rep.Q == 0.0
+        assert correlations.discord_xstate(0, 0, 0) == 0.0
 
     def test_singlet_has_one_bit(self):
-        rep = correlations.discord_xstate(correlations.BellDiagonalCoeffs(-1, -1, -1))
-        assert rep.Q == pytest.approx(1.0, abs=1e-12)
-        assert rep.lambdas[0] == pytest.approx(4.0)
+        assert correlations.discord_xstate(-1, -1, -1) == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_coefficients_rejected(self):
         with pytest.raises(ValueError, match="negative"):
-            correlations.discord_xstate(correlations.BellDiagonalCoeffs(2.0, 1.0, 1.0))
+            correlations.discord_xstate(2.0, 1.0, 1.0)
 
     def test_protocol_discord_vanishes_at_half_strength(self):
         for r in (0.1, 0.5, 0.9):
             for m in (1, 2):
-                assert correlations.discord_protocol(r, 0.5, m).Q == 0.0
+                assert correlations.discord_protocol(r, 0.5, m) == 0.0
 
     def test_unpolarized_has_no_discord(self):
-        assert correlations.discord_protocol(0.0, 0.2, 1).Q == 0.0
+        assert correlations.discord_protocol(0.0, 0.2, 1) == 0.0
 
     def test_sign_of_offdiagonal_scale_is_irrelevant(self):
         for r in (0.3, 0.7):
             for mu in (0.1, 0.6, 1.0):
-                q_plus = correlations.discord_rmu(r, mu).Q
-                q_minus = correlations.discord_rmu(r, -mu).Q
+                q_plus = correlations.discord_rmu(r, mu)
+                q_minus = correlations.discord_rmu(r, -mu)
                 assert q_plus == q_minus
 
     def test_route_equivalence_on_grid(self):
@@ -231,8 +226,8 @@ class TestDiscordClosedForms:
             for lam in (0.0, 0.15, 0.5, 0.85, 1.0):
                 for m in (1, 2):
                     coeffs = correlations.bell_diagonalize(final_state(r, lam, m))
-                    q_generic = correlations.discord_xstate(coeffs).Q
-                    q_closed = correlations.discord_protocol(r, lam, m).Q
+                    q_generic = correlations.discord_xstate(*coeffs)
+                    q_closed = correlations.discord_protocol(r, lam, m)
                     assert q_generic == pytest.approx(q_closed, abs=1e-10)
 
     def test_prepared_value_at_half_polarization(self):
@@ -244,8 +239,10 @@ class TestDiscordClosedForms:
     def test_prepared_discord_endpoints_and_monotonicity(self):
         assert correlations.discord_prep(0.0) == 0.0
         assert correlations.discord_prep(1.0) == pytest.approx(1.0)
-        grid = [correlations.discord_prep(r) for r in np.linspace(0.0, 1.0, 41)]
+        rs = np.linspace(0.0, 1.0, 41)
+        grid = [correlations.discord_prep(r) for r in rs]
         assert all(b > a for a, b in zip(grid, grid[1:]))
+        assert correlations.discord_prep(rs).tolist() == grid
 
 
 class TestBroadcastDiscord:
@@ -254,34 +251,37 @@ class TestBroadcastDiscord:
     def test_array_call_equals_scalar_calls(self):
         r_col, mu_row = np.array(self.GRID)[:, None], np.array(self.GRID)
         for mu_shift in (0.0, 1e-4, -1e-4):
-            rep = correlations.discord_rmu(r_col, mu_row + mu_shift)
-            assert rep.Q.shape == (19, 19)
+            q = correlations.discord_rmu(r_col, mu_row + mu_shift)
+            assert q.shape == (19, 19)
             for a, r in enumerate(self.GRID):
                 for b, mu in enumerate(self.GRID):
                     one = correlations.discord_rmu(r, mu + mu_shift)
-                    assert isinstance(one.Q, float)
-                    assert rep.Q[a, b] == pytest.approx(one.Q, rel=1e-15, abs=1e-17)
-                    assert rep.c[a, b] == one.c
-                    for v, w in zip(rep.lambdas, one.lambdas):
-                        assert v[a, b] == w
+                    assert type(one) is float
+                    assert q[a, b] == one
 
     def test_protocol_form_broadcasts_in_polarization(self):
         rs = np.array(self.GRID)
         for lam in (0.0, 0.1, 0.3, 0.5, 0.7, 0.95, 1.0):
             for m in (1, 2):
-                q = correlations.discord_protocol(rs, lam, m).Q
-                for r, qa in zip(self.GRID, q):
-                    assert qa == pytest.approx(
-                        correlations.discord_protocol(r, lam, m).Q, rel=1e-15, abs=1e-17
-                    )
+                q = correlations.discord_protocol(rs, lam, m)
+                assert q.tolist() == [correlations.discord_protocol(r, lam, m) for r in self.GRID]
+
+    def test_generic_form_broadcasts_in_each_coefficient(self):
+        c = np.array([-0.3, -0.1, 0.0, 0.2, 0.3])  # every combination >= 0.1
+        q = correlations.discord_xstate(c[:, None, None], c[:, None], c * 0.5)
+        assert q.shape == (5, 5, 5)
+        for idx in np.ndindex(q.shape):
+            one = correlations.discord_xstate(c[idx[0]], c[idx[1]], c[idx[2]] * 0.5)
+            assert type(one) is float and q[idx] == one
 
     def test_negative_combination_still_raises(self):
         with pytest.raises(ValueError, match="negative"):
-            correlations.discord_xstate(correlations.BellDiagonalCoeffs(0.9, 0.9, 0.9))
+            correlations.discord_xstate(0.9, 0.9, 0.9)
         # for valid (r, mu) every combination is >= 0, so the array check is
-        # exercised directly: one bad element rejects the whole call
-        with pytest.raises(ValueError, match="-0.001 is negative"):
-            correlations._clamped(np.array([[0.5, 0.2], [-1e-3, 0.0]]))
+        # exercised through the generic form: one bad element rejects the whole
+        # call, where 1 - c1 - c2 - c3 = -0.0625
+        with pytest.raises(ValueError, match="-0.0625 is negative"):
+            correlations.discord_xstate(np.array([[0.1, 0.2], [0.5625, 0.0]]), 0.25, 0.25)
         with pytest.raises(ValueError, match="polarization"):
             correlations.discord_rmu(np.array([0.5, 1.5]), 0.3)
         with pytest.raises(ValueError, match="off-diagonal"):
@@ -290,8 +290,8 @@ class TestBroadcastDiscord:
 
 class TestStackedDenseRoutes:
     """The dense oracle routes take stacks; each element of a stacked call
-    equals the scalar call (exactly, or within 1e-15 where an eigensolve or
-    a contraction sums in its own order)."""
+    equals the scalar call (exactly, or within 1e-15 where an eigensolve
+    sums in its own order)."""
 
     RS = np.array([0.05, 0.3, 0.5, 0.77, 0.95])
     LAMS = np.array([0.0, 0.1, 0.5, 0.7, 1.0])[:, None]
@@ -304,17 +304,13 @@ class TestStackedDenseRoutes:
     @pytest.mark.parametrize("m", [1, 2])
     def test_bell_coefficients_and_discord(self, m):
         coeffs = correlations.bell_diagonalize(final_state(self.RS, self.LAMS, m))
-        rep = correlations.discord_xstate(coeffs)
-        assert rep.Q.shape == coeffs.c1.shape == (5, 5)
+        q = correlations.discord_xstate(*coeffs)
+        assert len(coeffs) == 3 and q.shape == coeffs[0].shape == (5, 5)
         for idx, r, lam in self.points():
             one = correlations.bell_diagonalize(final_state(r, lam, m))
-            assert type(one.c1) is float
-            got = (coeffs.c1[idx], coeffs.c2[idx], coeffs.c3[idx])
-            assert np.allclose(got, (one.c1, one.c2, one.c3), rtol=0.0, atol=1e-15)
-            # the closed form on the same coefficients is elementwise: exact
-            same = correlations.discord_xstate(correlations.BellDiagonalCoeffs(*map(float, got)))
-            assert (rep.Q[idx], rep.c[idx]) == (same.Q, same.c)
-            assert tuple(v[idx] for v in rep.lambdas) == same.lambdas
+            assert all(type(c) is float for c in one)
+            assert tuple(float(c[idx]) for c in coeffs) == one
+            assert q[idx] == correlations.discord_xstate(*one)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_ppt_verdict_and_eigenvalue(self, m):
@@ -378,7 +374,7 @@ class TestStackedDenseRoutes:
 class TestDiscordGainInterplay:
     def test_zero_discord_with_gain_above_one(self):
         for r in (0.2, 0.5, 0.8):
-            assert correlations.discord_protocol(r, 0.5, 1).Q == 0.0
+            assert correlations.discord_protocol(r, 0.5, 1) == 0.0
             g = protocol.gain(protocol.ProtocolPoint(2, 1, r, 0.5))
             assert g == pytest.approx(2.0 / (1.0 + r * r), rel=1e-12)
             assert g > 1.0
@@ -386,7 +382,7 @@ class TestDiscordGainInterplay:
     def test_discord_can_rise_while_gain_falls(self):
         lam, m = 0.95, 1
         rs = np.linspace(0.70, 0.90, 21)  # just above the stationary point
-        qs = [correlations.discord_protocol(r, lam, m).Q for r in rs]
+        qs = [correlations.discord_protocol(r, lam, m) for r in rs]
         gs = [protocol.gain(protocol.ProtocolPoint(2, m, r, lam)) for r in rs]
         assert all(b > a for a, b in zip(qs, qs[1:]))
         assert all(b < a for a, b in zip(gs, gs[1:]))

@@ -42,6 +42,8 @@ RETIRED = {
     "correlated_blocks": channels,
     "weight_pair": protocol,
     "WeightPair": protocol,
+    "DiscordReport": correlations,
+    "BellDiagonalCoeffs": correlations,
 }
 
 

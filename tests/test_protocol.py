@@ -308,7 +308,7 @@ class TestThresholdAndDephasingMap:
 
 #: The two-qubit diagnostics among TestStrengthBroadcast.FUNCTIONS, which
 #: take m in {1, 2} only.
-TWO_QUBIT = {"discord_protocol", "ppt_closed_form"}
+TWO_QUBIT = {"discord_protocol", "ppt_closed_form", "separability_threshold"}
 
 
 class TestStrengthBroadcast:
@@ -321,10 +321,9 @@ class TestStrengthBroadcast:
         "qfi_independent_opt": lambda r, lam, m: (qfi.qfi_independent_opt(r, lam, m),),
         "gain_limit_r0": lambda r, lam, m: (protocol.gain_limit_r0(3, m, lam),),
         "gain_limit_r1": lambda r, lam, m: (protocol.gain_limit_r1(m, lam),),
-        "discord_protocol": lambda r, lam, m: (
-            (rep := correlations.discord_protocol(r, lam, m)).Q, rep.c, *rep.lambdas
-        ),
+        "discord_protocol": lambda r, lam, m: (correlations.discord_protocol(r, lam, m),),
         "ppt_closed_form": lambda r, lam, m: correlations.ppt_closed_form(r, lam, m),
+        "separability_threshold": lambda r, lam, m: (correlations.separability_threshold(m, lam),),
         "qfi_upper_bound": lambda r, lam, m: (qfi.qfi_upper_bound(lam, m),),
     }
     LAMS = [0.0, 0.013, 0.25, 0.5, 0.61, 0.999, 1.0]

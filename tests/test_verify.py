@@ -4,20 +4,10 @@ passed=False. Each comparison a suite makes has a fault of its own, keyed
 "suite/what breaks"; the case keyed by the bare suite name is the first
 fault of that suite."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from paulifish import channels, correlations, protocol, qfi, verify
-
-
-def _discord_off_by_1e9(real):
-    def wrong(*args):
-        rep = real(*args)
-        return dataclasses.replace(rep, Q=rep.Q + 1e-9)
-
-    return wrong
 
 
 def _ppt_eigenvalue_shifted(real):
@@ -103,16 +93,7 @@ def _discord_odd_in_mu(real):
     # Q(r, mu) - Q(r, -mu) reaches 1e-11, past the suite's 1e-12; on the
     # route grid the term stays under 5e-12, inside the routes' 1e-10
     def wrong(r, mu):
-        rep = real(r, mu)
-        return dataclasses.replace(rep, Q=rep.Q + 5e-12 * np.asarray(mu, dtype=float))
-
-    return wrong
-
-
-def _dense_discord_off_by_2e10(real):
-    def wrong(coeffs):
-        rep = real(coeffs)
-        return dataclasses.replace(rep, Q=rep.Q + 2e-10)
+        return real(r, mu) + 5e-12 * np.asarray(mu, dtype=float)
 
     return wrong
 
@@ -121,8 +102,7 @@ def _half_strength_discord(real):
     # 2e-12 of discord at lam = 1/2 only, past the suite's 1e-12 there and
     # inside its 1e-10 between the routes
     def wrong(r, lam, m):
-        rep = real(r, lam, m)
-        return dataclasses.replace(rep, Q=rep.Q + np.where(np.asarray(lam) == 0.5, 2e-12, 0.0))
+        return real(r, lam, m) + np.where(np.asarray(lam) == 0.5, 2e-12, 0.0)
 
     return wrong
 
@@ -298,11 +278,12 @@ def _middle_class_unhalved(real):
 
 
 FAULTS = {
-    "discord": (correlations, "discord_protocol", _discord_off_by_1e9),
+    "discord": (correlations, "discord_protocol", _shifted(1e-9)),
     "discord/monotone-in-r": (correlations, "discord_rmu", _discord_rounded("r")),
     "discord/monotone-in-mu": (correlations, "discord_rmu", _discord_rounded("mu")),
     "discord/sign-symmetry": (correlations, "discord_rmu", _discord_odd_in_mu),
-    "discord/dense-route": (correlations, "discord_xstate", _dense_discord_off_by_2e10),
+    # 2e-10, past the suite's 1e-10 between the dense and closed-form routes
+    "discord/dense-route": (correlations, "discord_xstate", _shifted(2e-10)),
     "discord/half-strength-discord": (correlations, "discord_protocol", _half_strength_discord),
     # the minimum gain excess at lam = 1/2 is 5.1e-2
     "discord/half-strength-gain": (protocol, "qfi_and_gain", _gain_scaled(0.95)),
