@@ -32,6 +32,9 @@ MAX_SWEEP_ROWS = 10**7
 # 1024 cells, 0.8 % at 4096, 5.6 % at 16384 and 6.6 % for the whole grid.
 _BLOCK_CELLS = 1024
 
+# Trial rows formatted per write, so a large mc run never holds its whole CSV text.
+_MC_ROWS_PER_WRITE = 2**16
+
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -168,11 +171,12 @@ def _cmd_mc(args) -> int:
     )
     result = mc.run_experiment(cfg)
     if args.out:
-        body = "".join(
-            f"{t},{_fmt(est)}\n" for t, est in enumerate(result.estimates.tolist())
-        )
+        est = result.estimates
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("trial,lambda_hat\n" + body)
+            fh.write("trial,lambda_hat\n")
+            for start in range(0, est.size, _MC_ROWS_PER_WRITE):
+                block = est[start : start + _MC_ROWS_PER_WRITE].tolist()
+                fh.write("".join(map("%d,%.12g\n".__mod__, zip(range(start, est.size), block))))
     ratio = result.sample_variance / result.crb
     print(
         f"mean={_fmt(result.mean)} variance={_fmt(result.sample_variance)} "

@@ -123,16 +123,17 @@ def qfi_single_use(v, lam):
     """
     lam = _check_lambda(lam)
     rx, ry, rz = (float(c) for c in v)
-    r2 = rx * rx + ry * ry + rz * rz
-    if not r2 <= 1.0 + 1e-12:  # NaN fails too
-        raise ValueError(f"Bloch vector norm must be <= 1, got {math.sqrt(r2)}")
-    _reject_pure_corner(math.sqrt(r2), lam)
-    num = 4.0 * (1.0 - rz * rz) * (r2 - rz * rz)
+    r = math.hypot(rx, ry, rz)
+    if not r * r <= 1.0 + 1e-12:  # NaN fails too
+        raise ValueError(f"Bloch vector norm must be <= 1, got {r}")
+    _reject_pure_corner(r, lam)
+    num = 4.0 * (1.0 - rz * rz) * (rx * rx + ry * ry)
     if num <= 0.0:
         return linop.scalar_or_array(np.zeros_like(lam))
     # the square through the C library's pow, so an array gives a scalar call's bits
     c2 = linop._elementwise(lambda x: (1.0 - 2.0 * x) ** 2, lam)
-    return num / (c2 * (1.0 - r2) + 4.0 * lam * (1.0 - lam) * (1.0 - rz * rz))
+    # 1 - r^2 as (1 - r)(1 + r), which does not cancel as r -> 1
+    return num / (c2 * ((1.0 - r) * (1.0 + r)) + 4.0 * lam * (1.0 - lam) * (1.0 - rz * rz))
 
 
 def qfi_independent_opt(r, lam, m: int):

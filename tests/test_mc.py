@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,15 +173,21 @@ WIDE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128 + 3, 2**200 + 11]
 
 @pytest.mark.filterwarnings("error")
 class TestTrialSubstreams:
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_root_pool_matches_seed_sequence(self, seed):
+        assert mc._root_pool(seed) == np.random.SeedSequence(seed).pool.tolist()
+
     @pytest.mark.parametrize("trials", [1, 300])
     @pytest.mark.parametrize("seed", WIDE_SEEDS)
     def test_trial_keys_match_spawned_children(self, seed, trials):
-        keys = mc._trial_keys(seed, trials)
+        keys = mc._trial_keys(seed, 0, trials)
         assert keys.dtype == np.uint64 and keys.shape == (trials, 2)
         children = np.random.SeedSequence(seed).spawn(trials)
-        np.testing.assert_array_equal(
-            keys, [c.generate_state(2, np.uint64) for c in children]
-        )
+        want = [c.generate_state(2, np.uint64) for c in children]
+        np.testing.assert_array_equal(keys, want)
+        # a block of trials that starts past trial 0
+        start = trials // 3
+        np.testing.assert_array_equal(mc._trial_keys(seed, start, trials), want[start:])
 
     @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**128 + 1])
     def test_draws_match_one_generator_per_spawned_child(self, seed):
@@ -199,8 +209,27 @@ class TestTrialSubstreams:
         np.testing.assert_array_equal(res.estimates, estimates)
         assert res.n_clamped == n_clamped > 0
 
+    def test_blocks_of_trials_match_one_generator_per_spawned_child(self, monkeypatch):
+        monkeypatch.setattr(mc, "_BLOCK_TRIALS", 7)  # 8 blocks, the last one partial
+        cfg = mc.ExperimentConfig(
+            r=0.8, lambda_true=0.3, trials=50, shots_per_trial=500, seed=3
+        )
+        estimates, n_clamped = reference_run(cfg)
+        res = mc.run_experiment(cfg)
+        np.testing.assert_array_equal(res.estimates, estimates)
+        assert res.n_clamped == n_clamped
+
+    def test_draw_fraction_rounds_once_past_two_to_the_53(self):
+        # 9e18 draws: float(count) / float(draws) rounds twice and differs
+        # from count / draws on about a quarter of the trials
+        cfg = mc.ExperimentConfig(
+            r=0.8, lambda_true=0.3, m=9, trials=200, shots_per_trial=10**18, seed=4
+        )
+        estimates, _ = reference_run(cfg)
+        np.testing.assert_array_equal(mc.run_experiment(cfg).estimates, estimates)
+
     def test_no_generator_per_trial(self, monkeypatch):
-        built = {"Philox": 0, "Generator": 0}
+        built = {"Philox": 0, "Generator": 0, "SeedSequence": 0}
 
         class Philox(np.random.Philox):
             def __init__(self, *args, **kwargs):
@@ -213,6 +242,10 @@ class TestTrialSubstreams:
                 super().__init__(*args, **kwargs)
 
         class SeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built["SeedSequence"] += 1
+                super().__init__(*args, **kwargs)
+
             def spawn(self, n_children):
                 raise AssertionError("spawned a child per trial")
 
@@ -222,4 +255,124 @@ class TestTrialSubstreams:
         mc.run_experiment(
             mc.ExperimentConfig(r=0.8, lambda_true=0.3, trials=50, shots_per_trial=100)
         )
-        assert built == {"Philox": 1, "Generator": 1}
+        assert built == {"Philox": 0, "Generator": 0, "SeedSequence": 0}
+
+    def test_mc_command_leaves_numpy_random_unimported(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from paulifish import cli\n"
+            f"cli.main(['mc', '--r', '0.8', '--lambda', '0.3', '--trials', '3', "
+            f"'--out', {str(tmp_path / 'trials.csv')!r}])\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(mc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert done.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "trials.csv").read_text().count("\n") == 4
+
+
+BINOMIAL_TRIALS = 20_000
+
+# (n, p) for the vector sampler, 20 000 trials each:
+#   inversion (n p <= 30): a small n; 1 - p rounding to 1 (only log1p(-p)
+#   gives numpy's q^n); n p near 22 at n = 2**40; p > 1/2 through n - X;
+#   BTPE at small n p: the ratio f(y)/f(m) taken upwards, downwards and over
+#   k > 20 steps (k >= n p q / 2 - 1), and the left tail rejecting y < 0;
+#   BTPE at n p q = 22 440 (the benchmark's p): the squeeze, and Stirling's
+#   bound both accepting and rejecting;
+#   BTPE at n >= 2**33, p below, at and above 1/2: the squeeze with -k*k
+#   wrapping in int64 (k > 3.04e9 from n = 2**62 on), up to n = 2**63 - 1;
+#   there, at n p = 461, the ratio's factors s (n + 1) / i - s take n + 1
+#   wrapped to -2**63 (at larger n p, y is a multiple of 512 and the ratio
+#   only runs at k = 0).
+BINOMIAL_CASES = [
+    (10, 0.3), (2**62, 1e-18), (2**40, 2e-11), (100, 0.71),
+    (100, 0.31), (1000, 0.031), (61, 0.5), (100, 0.7),
+    (10**5, 0.66), (10**5, 0.2),
+    (2**33, 0.3), (2**40, 0.5), (2**62, 0.3), (2**62, 0.5),
+    (2**63 - 1, 0.25), (2**63 - 1, 0.5), (2**63 - 1, 0.9), (2**63 - 1, 5e-17),
+]
+
+
+@pytest.fixture(scope="module")
+def spawned():
+    """Trial keys and spawned children of a seed, BINOMIAL_TRIALS of each, cached."""
+    cache = {}
+
+    def get(seed):
+        if seed not in cache:
+            cache[seed] = (
+                mc._trial_keys(seed, 0, BINOMIAL_TRIALS),
+                np.random.SeedSequence(seed).spawn(BINOMIAL_TRIALS),
+            )
+        return cache[seed]
+
+    return get
+
+
+def _numpy_draws(keys, n, p, first_block):
+    """Generator.binomial(n, p) on each key's Philox, whose buffer holds
+    first_block as the words of the block at counter 1."""
+    out = []
+    for key in keys:
+        bitgen = np.random.Philox(key=key)
+        state = bitgen.state
+        state["state"]["counter"][0] = 1
+        state["buffer"] = np.array(first_block, dtype=np.uint64)
+        state["buffer_pos"] = 0
+        bitgen.state = state
+        out.append(np.random.Generator(bitgen).binomial(n, p))
+    return out
+
+
+HALF, QUARTER, TOP = 1 << 63, 1 << 62, 2**64 - 1
+
+
+@pytest.mark.filterwarnings("error")
+class TestBinomialMatchesNumpy:
+    @pytest.mark.parametrize(
+        "n, p, seed", [(n, p, 1 + i % 2) for i, (n, p) in enumerate(BINOMIAL_CASES)]
+    )
+    def test_every_spawned_child(self, n, p, seed, spawned):
+        keys, children = spawned(seed)
+        want = [np.random.Generator(np.random.Philox(c)).binomial(n, p) for c in children]
+        np.testing.assert_array_equal(mc._binomial(keys, n, p), want)
+
+    # Branches no seed reaches in practice, taken by putting chosen words in
+    # the first block of every stream, in numpy's Philox buffer and in the
+    # vector route alike. next_double of TOP is 1 - 2**-53, of 1 << 11 it is
+    # 2**-53, and of 0 it is 0.
+    @pytest.mark.parametrize(
+        "n, p, first_block, block_calls",
+        [
+            # inversion: the probabilities up to the bound sum to 1 - 4.4e-15,
+            # so U = 1 - 2**-53 runs past the bound and restarts
+            (2**50, 2.1257839932786738e-14, [TOP, HALF, HALF, HALF], 2),
+            # BTPE: right tail past n; right tail and left tail with v = 0
+            (61, 0.5, [TOP, 1 << 11, QUARTER, QUARTER], 1),
+            (61, 0.5, [TOP, 0, QUARTER, QUARTER], 1),
+            (61, 0.5, [int(0.88 * 2**53) << 11, 0, QUARTER, QUARTER], 1),
+        ],
+    )
+    def test_crafted_first_block(self, n, p, first_block, block_calls, monkeypatch):
+        keys = mc._trial_keys(5, 0, 4)
+        blocks = []
+        philox_block = mc._philox_block
+
+        def crafted(keys, counter):
+            block = philox_block(keys, counter)
+            first = np.broadcast_to(np.asarray(counter), len(keys)) == 1
+            block[:, first] = np.array(first_block, dtype=np.uint64)[:, None]
+            blocks.append(counter)
+            return block
+
+        monkeypatch.setattr(mc, "_philox_block", crafted)
+        got = mc._binomial(keys, n, p)
+        # the restart reads a second block; a BTPE retry reads words 2 and 3
+        # of the first, which put it in the triangle
+        assert len(blocks) == block_calls
+        np.testing.assert_array_equal(got, _numpy_draws(keys, n, p, first_block))

@@ -119,10 +119,11 @@ def test_stationary_polarizations(m):
 
 
 def test_single_use_fisher_information_in_the_equatorial_plane():
-    # 5.0e-10 measured at r = 1 - 1e-9, lam = 0, where 1 - r^2 cancels
+    # 3.2e-16 measured, at r = 1e-6, lam = 1e-9; with 1 - r^2 formed from
+    # r^2 it was 5.0e-10 at r = 1 - 1e-9, lam = 0
     for r in RS:
         got = qfi.qfi_single_use((0.0, r, 0.0), np.array(LAMS))
         for g, lam in zip(got, LAMS):
             r_, lam_ = mpmath.mpf(r), mpmath.mpf(lam)
             ref = 4 * r_**2 / (_mu(lam, 2) * (1 - r_**2) + 4 * lam_ * (1 - lam_))
-            assert _rel_err(g, ref) <= 1e-9, (r, lam)
+            assert _rel_err(g, ref) <= 5e-16, (r, lam)
