@@ -6,7 +6,6 @@ from . import channels, correlations, linop, mc, protocol, qfi
 from .channels import (
     ChannelSpec,
     apply_pauli_channel,
-    bitstring_weight,
     bloch_state,
     correlated_state,
     preparation_unitary,
@@ -38,12 +37,10 @@ from .protocol import (
     stationary_polarizations,
 )
 from .qfi import (
-    SldResult,
     fisher_eig,
     qfi_independent_opt,
     qfi_single_use,
     qfi_upper_bound,
-    sld_2x2,
 )
 
 __version__ = "0.1.0"
@@ -53,10 +50,8 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "ProtocolPoint",
-    "SldResult",
     "apply_pauli_channel",
     "bell_diagonalize",
-    "bitstring_weight",
     "bloch_state",
     "channels",
     "classical_fisher",
@@ -90,7 +85,6 @@ __all__ = [
     "qfi_upper_bound",
     "run_experiment",
     "separability_threshold",
-    "sld_2x2",
     "stationary_polarizations",
     "tensor",
 ]

@@ -106,19 +106,6 @@ def _class_weight(j, n: int, r):
     return (1.0 + r) ** j * (1.0 - r) ** (n - j) / 2**n
 
 
-def bitstring_weight(x, n: int, r):
-    """Probability weight (1+r)**j (1-r)**(n-j) / 2**n, j = zero bits of x.
-
-    x and r broadcast against each other (a float comes back for scalars).
-    """
-    x = np.asarray(x)
-    bad_x = (x < 0) | (x > 2**n - 1)
-    if bad_x.any():
-        raise ValueError(f"x={x[bad_x].flat[0]} out of range for {n} qubits")
-    r = linop.check_unit_interval(r, "polarization", "[0, 1)")
-    return linop.scalar_or_array(_class_weight(n - _popcount(x, n), n, r))
-
-
 def hamming_classes(n: int, r) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """The Hamming classes {j, n-j}, j = 0 .. n//2, of the two-level blocks.
 

@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
-from typing import Iterable, Sequence
+import tempfile
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,10 +28,11 @@ CSV_HEADER = "n,m,r,lambda,H_ind,H_corr,gain,discord,min_pt_eig,separable"
 #: Most rows one sweep may write; larger grids are rejected before allocation.
 MAX_SWEEP_ROWS = 10**7
 
-# Most (lam, r) cells a sweep evaluates per layer call. Larger blocks save
-# under 10 % of sweep_rows' time and raise peak memory: on the 21 000-row
-# n = 2 grid the sweep's peak RSS is 0.1 % above a one-row-per-call sweep at
-# 1024 cells, 0.8 % at 4096, 5.6 % at 16384 and 6.6 % for the whole grid.
+# Most (lam, r) cells a sweep evaluates per layer call and writes per block.
+# A block bounds the sweep's memory: on the 21 000-row n = 2 grid the
+# command peaks at 30.3 MiB RSS with 1024 cells, 31.9 MiB with 4096,
+# 37.7 MiB with 16384 and 40.0 MiB with the whole grid in one block, against
+# 29.5 MiB for the import alone; the times differed by less than their noise.
 _BLOCK_CELLS = 1024
 
 # Trial rows formatted per write, so a large mc run never holds its whole CSV text.
@@ -62,19 +65,22 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 def sweep_rows(
     n: int, m: int, lams: Iterable[float], rs: Iterable[float]
-) -> list[str]:
-    """One CSV row per grid point, channel-strength-major then polarization.
+) -> Iterator[str]:
+    """The CSV text of the grid, one block at a time, channel-strength-major
+    then polarization, one LF-terminated row per grid point.
 
     The (lam, r) mesh is evaluated in blocks of whole strength rows, at most
     1024 cells each (one row if a row alone is larger), with one call per
     layer per block: one j-sum for H_corr and gain, one call each for H_ind
     and the r=0 and r=1 limits, and for n = 2 the closed-form discord and
     partial-transpose eigenvalue. A block bounds the (n+1, cells)
-    temporaries of the j-sum. Polarization endpoints use the closed-form
+    temporaries of the j-sum, and each block's text is yielded before the
+    next block is evaluated. n and m are checked at the call; the grid only
+    as its blocks are evaluated. Polarization endpoints use the closed-form
     limits: at r=0 the gain column holds the vanishing-polarization limit
     (both Fisher informations are zero), at r=1 the pure-state limit with
     the correlation columns left empty. Any cell outside a closed form's
-    domain fails the whole sweep.
+    domain fails the sweep when its block is reached.
     """
     protocol._validate_nm(n, m)
     lams = np.array(list(lams), dtype=float)
@@ -83,20 +89,20 @@ def sweep_rows(
     zero, one, below_one = rs == 0.0, rs == 1.0, rs < 1.0
     diagnosed = n == 2 and below_one.any()
     # One %-template per polarization. With correlation columns every cell
-    # takes seven values; "%.0s" prints the three of an r = 1 cell as empty.
+    # takes six values; "%.0s" prints the three of an r = 1 cell as empty.
     if diagnosed:
         tails = ["%.12g,%.12g,%s" if b else "%.0s,%.0s,%.0s" for b in below_one.tolist()]
     else:
         tails = [",,"] * len(rs)
-    templates = [
-        f"{n},{m},{_fmt(r)},%.12g,%.12g,%.12g,%.12g,{tail}"
-        for r, tail in zip(rs.tolist(), tails)
-    ]
+    # A strength row is every polarization's template joined, split where
+    # the strength goes, so the strength is formatted once per row.
+    pieces = "".join(
+        f"{n},{m},{_fmt(r)},|,%.12g,%.12g,%.12g,{tail}\n" for r, tail in zip(rs.tolist(), tails)
+    ).split("|")
     r_cols = rs[None, :]
     rows_per_block = max(1, _BLOCK_CELLS // max(1, len(rs)))
-    rows = []
-    for start in range(0, len(lams), rows_per_block):
-        lam = lams[start : start + rows_per_block, None]
+
+    def block(lam: np.ndarray) -> str:
         h_ind = qfi.qfi_independent_opt(r_cols, lam, m)
         h_corr = np.zeros(h_ind.shape)
         g = np.empty(h_ind.shape)
@@ -107,18 +113,25 @@ def sweep_rows(
         if one.any():
             g[:, one] = protocol.gain_limit_r1(m, lam)
             h_corr[:, one] = g[:, one] * h_ind[:, one]
-        columns = [np.broadcast_to(lam, h_ind.shape), h_ind, h_corr, g]
         if diagnosed:
-            disc, min_eig = np.zeros(h_ind.shape), np.zeros(h_ind.shape)
-            sep = np.zeros(h_ind.shape, dtype=bool)
+            # an object array, so the separable verdict's text fits beside the floats
+            values = np.zeros(h_ind.shape + (6,), dtype=object)
             r_diag = r_cols[:, below_one]
-            disc[:, below_one] = correlations.discord_protocol(r_diag, lam, m)
-            sep[:, below_one], min_eig[:, below_one] = correlations.ppt_closed_form(r_diag, lam, m)
-            columns += [disc, min_eig, np.where(sep, "true", "false")]
-        # a row at a time, so the Python floats alive at once stay one row's
-        for row in zip(*columns):
-            rows += map(str.__mod__, templates, zip(*(c.tolist() for c in row)))
-    return rows
+            values[:, below_one, 3] = correlations.discord_protocol(r_diag, lam, m)
+            sep, values[:, below_one, 4] = correlations.ppt_closed_form(r_diag, lam, m)
+            values[:, below_one, 5] = np.where(sep, "true", "false")
+        else:
+            values = np.empty(h_ind.shape + (3,))
+        values[..., 0], values[..., 1], values[..., 2] = h_ind, h_corr, g
+        rows = values.reshape(len(lam), -1).tolist()
+        return "".join(
+            _fmt(x).join(pieces) % tuple(row) for x, row in zip(lam[:, 0].tolist(), rows)
+        )
+
+    return (
+        block(lams[start : start + rows_per_block, None])
+        for start in range(0, len(lams), rows_per_block)
+    )
 
 
 def _cmd_qfi(args) -> int:
@@ -134,18 +147,50 @@ def _cmd_qfi(args) -> int:
     return 0
 
 
+def _write_csv(path: str, blocks: Iterable[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for text in blocks:
+            fh.write(text)
+
+
+def _write_replacing(path: str, blocks: Iterable[str]) -> None:
+    """Write the CSV to a new file beside path and move it over path once
+    every block is written, so a sweep that fails leaves path as it was.
+
+    A path that exists and is not a regular file (a device such as
+    /dev/stdout, a pipe, a directory) has nothing to replace and is written
+    in place. A symbolic link to a file keeps the link: its target is
+    replaced. The file is made by open(), in a private directory that is
+    removed on any exit, so it gets the mode open(path, "w") gives.
+    """
+    try:
+        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        # a path with no file name ("", "dir/") gets open()'s own error
+        in_place = not os.path.basename(path)
+    if in_place:
+        _write_csv(path, blocks)
+        return
+    target = os.path.realpath(path)
+    try:
+        staging = tempfile.TemporaryDirectory(dir=os.path.dirname(target), prefix=".paulifish-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    with staging as folder:
+        part = os.path.join(folder, os.path.basename(target))
+        _write_csv(part, blocks)
+        os.replace(part, target)
+
+
 def _cmd_sweep(args) -> int:
     lam_axis = (args.lambda_min, args.lambda_max, args.lambda_step)
     r_axis = (args.r_min, args.r_max, args.r_step)
     size = _grid_size(*lam_axis) * _grid_size(*r_axis)
     if size > MAX_SWEEP_ROWS:
         raise ValueError(f"the grid has {size} rows, more than {MAX_SWEEP_ROWS}")
-    rows = sweep_rows(args.n, args.m, _grid(*lam_axis), _grid(*r_axis))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+    _write_replacing(args.out, sweep_rows(args.n, args.m, _grid(*lam_axis), _grid(*r_axis)))
+    print(f"wrote {size} rows to {args.out}")
     return 0
 
 

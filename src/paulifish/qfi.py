@@ -1,61 +1,20 @@
 """Quantum Fisher information of a differentiable family of states.
 
 The oracle is fisher_eig, from the eigendecomposition of rho (Braunstein
-& Caves, PRL 72, 3439 (1994)). sld_2x2 is a second, eigensolve-free route
-for 2x2 operators that branches on alpha = Tr(A^2) - (Tr A)^2; the tests
-compare the two. The rest are closed forms for the single-qubit channel.
+& Caves, PRL 72, 3439 (1994)). The rest are closed forms for the
+single-qubit channel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linop
 
-#: Branch threshold for alpha = Tr(A^2) - (Tr A)^2 in the 2x2 route.
-ALPHA_TOL = 1e-12
-
 #: Support cutoff on eigenvalue sums in the eigendecomposition route.
 SUPPORT_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SldResult:
-    """A score operator L and the Fisher information H = Tr(drho L)."""
-
-    L: np.ndarray
-    H: float
-
-
-def _real_trace(a: np.ndarray) -> float:
-    return float(np.trace(a).real)
-
-
-def sld_2x2(a: np.ndarray, da: np.ndarray) -> SldResult:
-    """Score operator of a differentiable 2x2 Hermitian family, eigensolve-free.
-
-    ``da`` is the analytic parameter derivative of ``a``. Requires
-    Tr(a) != 0; the alpha = 0 branch arises for pure states.
-    """
-    a, da = linop._as_operators(a), linop._as_operators(da)
-    if a.shape != (2, 2) or da.shape != (2, 2):
-        raise ValueError("sld_2x2 expects 2x2 operators")
-    tr = _real_trace(a)
-    if abs(tr) <= 1e-12:
-        raise ValueError(f"trace {tr:.3e} is too close to zero for the 2x2 route")
-    dtr = _real_trace(da)
-    alpha = _real_trace(a @ a) - tr * tr
-    dalpha = 2.0 * _real_trace(a @ da) - 2.0 * tr * dtr
-    if abs(alpha) < ALPHA_TOL:
-        L = (2.0 * da - (dtr / tr) * a) / tr
-    else:
-        L = (2.0 * da - (dalpha / alpha) * a) / tr + (
-            dalpha / alpha - dtr / tr
-        ) * np.eye(2)
-    return SldResult(L=L, H=_real_trace(da @ L))
 
 
 def fisher_eig(rho: np.ndarray, drho: np.ndarray):

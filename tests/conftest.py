@@ -1,8 +1,64 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from paulifish import channels, qfi
+from paulifish import channels, linop
+
+#: Branch threshold for alpha = Tr(A^2) - (Tr A)^2 in the 2x2 route.
+ALPHA_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class SldResult:
+    """A score operator L and the Fisher information H = Tr(drho L)."""
+
+    L: np.ndarray
+    H: float
+
+
+def _real_trace(a: np.ndarray) -> float:
+    return float(np.trace(a).real)
+
+
+def sld_2x2(a: np.ndarray, da: np.ndarray) -> SldResult:
+    """Score operator of a differentiable 2x2 Hermitian family, eigensolve-free.
+
+    ``da`` is the analytic parameter derivative of ``a``. Requires
+    Tr(a) != 0; the alpha = 0 branch arises for pure states. A second route
+    to the Fisher information that the tests compare qfi.fisher_eig against.
+    """
+    a, da = linop._as_operators(a), linop._as_operators(da)
+    if a.shape != (2, 2) or da.shape != (2, 2):
+        raise ValueError("sld_2x2 expects 2x2 operators")
+    tr = _real_trace(a)
+    if abs(tr) <= 1e-12:
+        raise ValueError(f"trace {tr:.3e} is too close to zero for the 2x2 route")
+    dtr = _real_trace(da)
+    alpha = _real_trace(a @ a) - tr * tr
+    dalpha = 2.0 * _real_trace(a @ da) - 2.0 * tr * dtr
+    if abs(alpha) < ALPHA_TOL:
+        L = (2.0 * da - (dtr / tr) * a) / tr
+    else:
+        L = (2.0 * da - (dalpha / alpha) * a) / tr + (
+            dalpha / alpha - dtr / tr
+        ) * np.eye(2)
+    return SldResult(L=L, H=_real_trace(da @ L))
+
+
+def bitstring_weight(x, n: int, r):
+    """Probability weight (1+r)**j (1-r)**(n-j) / 2**n, j = zero bits of x:
+    the weight of one bitstring, which the tests check the Hamming-class
+    weights of the blocks against.
+
+    x and r broadcast against each other (a float comes back for scalars).
+    """
+    x = np.asarray(x)
+    bad_x = (x < 0) | (x > 2**n - 1)
+    if bad_x.any():
+        raise ValueError(f"x={x[bad_x].flat[0]} out of range for {n} qubits")
+    r = linop.check_unit_interval(r, "polarization", "[0, 1)")
+    return linop.scalar_or_array(channels._class_weight(n - channels._popcount(x, n), n, r))
 
 
 def block_route_sld(n, r, lam, m):
@@ -19,10 +75,10 @@ def block_route_sld(n, r, lam, m):
     big_l, h = np.zeros_like(rho), 0.0
     for x in range(2 ** (n - 1)):
         pair = np.ix_([x, 2**n - 1 - x], [x, 2**n - 1 - x])
-        part = qfi.sld_2x2(rho[pair], drho[pair])
+        part = sld_2x2(rho[pair], drho[pair])
         big_l[pair] = part.L
         h += part.H
-    return qfi.SldResult(L=big_l, H=h)
+    return SldResult(L=big_l, H=h)
 
 
 def swap():

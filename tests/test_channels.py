@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qubit_swap
+from conftest import bitstring_weight, qubit_swap
 from paulifish import channels, linop
 
 
@@ -141,11 +141,11 @@ class TestPreparationUnitary:
 class TestBitstringWeight:
     def test_unpolarized_is_uniform(self):
         for x in range(8):
-            assert abs(channels.bitstring_weight(x, 3, 0.0) - 1 / 8) < 1e-15
+            assert abs(bitstring_weight(x, 3, 0.0) - 1 / 8) < 1e-15
 
     def test_hand_value(self):
         # n=2, r=0.5, x=0: both bits clear, (1.5)**2 / 4
-        assert abs(channels.bitstring_weight(0, 2, 0.5) - 0.5625) < 1e-15
+        assert abs(bitstring_weight(0, 2, 0.5) - 0.5625) < 1e-15
 
     @given(
         st.integers(min_value=2, max_value=8),
@@ -153,12 +153,12 @@ class TestBitstringWeight:
     )
     @settings(max_examples=60)
     def test_normalization(self, n, r):
-        total = sum(channels.bitstring_weight(x, n, r) for x in range(2**n))
+        total = sum(bitstring_weight(x, n, r) for x in range(2**n))
         assert abs(total - 1.0) < 1e-12
 
     def test_pure_polarization_rejected(self):
         with pytest.raises(ValueError):
-            channels.bitstring_weight(0, 2, 1.0)
+            bitstring_weight(0, 2, 1.0)
 
 
 class TestBlocks:
@@ -191,8 +191,8 @@ class TestBlocks:
     @staticmethod
     def _block_matrix(x, n, r):
         big_n = 2**n - 1
-        fx = channels.bitstring_weight(x, n, r)
-        fnx = channels.bitstring_weight(big_n - x, n, r)
+        fx = bitstring_weight(x, n, r)
+        fnx = bitstring_weight(big_n - x, n, r)
         m = np.zeros((2**n, 2**n), dtype=complex)
         m[x, x] = m[big_n - x, big_n - x] = (fx + fnx) / 2
         m[x, big_n - x] = 1j * (fx - fnx) / 2
@@ -269,8 +269,8 @@ class TestBlocks:
                 dscale = -2.0 * m * (1.0 - 2.0 * lam) ** (m - 1)
                 expected, dexpected = np.zeros((2, 16, 16), dtype=complex)
                 for x in range(2 ** (n - 1)):
-                    fx = channels.bitstring_weight(x, n, r)
-                    fnx = channels.bitstring_weight(big_n - x, n, r)
+                    fx = bitstring_weight(x, n, r)
+                    fnx = bitstring_weight(big_n - x, n, r)
                     d, o = (fx + fnx) / 2, (fx - fnx) / 2
                     expected[x, x] = expected[big_n - x, big_n - x] = d
                     expected[x, big_n - x] = 1j * o * scale

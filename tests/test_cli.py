@@ -364,6 +364,121 @@ class TestSweepCommand:
         assert err.startswith("error: ") and "pure state" in err
         assert not out_path.exists()
 
+    def test_blocks_are_written_as_they_are_evaluated(self, tmp_path, capsys, monkeypatch):
+        # 48 strengths of 21 polarizations per block: each block's text is
+        # written, in one write, before the next block is evaluated
+        events = []
+        real_kernel = protocol.qfi_and_gain
+
+        def kernel(*args):
+            events.append(("evaluate", None))
+            return real_kernel(*args)
+
+        class SpyFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, text):
+                events.append(("write", text.count("\n")))
+                return self.fh.write(text)
+
+        monkeypatch.setattr(protocol, "qfi_and_gain", kernel)
+        monkeypatch.setattr(cli, "open", lambda *a, **k: SpyFile(open(*a, **k)), raising=False)
+        out_path = tmp_path / "pair.csv"
+        code, _, err = run_cli(
+            ["sweep", "--n", "2", "--m", "1", *self.BENCH_GRID, "--out", str(out_path)], capsys
+        )
+        assert code == 0, err
+        blocks = [48 * 21] * 20 + [40 * 21]
+        assert events == [("write", 1)] + [
+            event for rows in blocks for event in (("evaluate", None), ("write", rows))
+        ]
+        assert len(out_path.read_text().splitlines()) == 1 + sum(blocks)
+
+    @pytest.mark.parametrize("before", [None, b"kept\n"], ids=["absent", "existing"])
+    @pytest.mark.parametrize("stop", [None, KeyboardInterrupt], ids=["error", "interrupt"])
+    def test_failed_sweep_leaves_the_directory_as_it_was(
+        self, before, stop, tmp_path, capsys, monkeypatch
+    ):
+        # 100 strengths in 3 blocks; only the last meets the pure corner
+        # lam = 1, r = 1, or is interrupted (99 strengths, no corner)
+        out_path = tmp_path / "sweep.csv"
+        if before is not None:
+            out_path.write_bytes(before)
+        calls = []
+        lam_max = "1" if stop is None else "0.99"
+        if stop is not None:
+            real_kernel = protocol.qfi_and_gain
+
+            def kernel(*args):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise stop
+                return real_kernel(*args)
+
+            monkeypatch.setattr(protocol, "qfi_and_gain", kernel)
+        args = ["sweep", "--lambda-min", "0.01", "--lambda-max", lam_max, "--lambda-step", "0.01",
+                "--out", str(out_path)]
+        if stop is None:
+            code, out, err = run_cli(args, capsys)
+            assert (code, out) == (2, "")
+            assert "pure state" in err
+        else:
+            with pytest.raises(stop):
+                cli.main(args)
+            assert len(calls) == 3
+        assert sorted(os.listdir(tmp_path)) == ([] if before is None else ["sweep.csv"])
+        if before is not None:
+            assert out_path.read_bytes() == before
+
+    def test_existing_file_that_is_not_regular_is_written_in_place(self, capsys):
+        code, out, err = run_cli(["sweep", "--out", os.devnull], capsys)
+        assert (code, out, err) == (0, f"wrote 399 rows to {os.devnull}\n", "")
+
+    def test_written_file_gets_the_mode_of_a_plain_open(self, tmp_path, capsys):
+        with open(tmp_path / "plain", "w"):
+            pass
+        out_path = tmp_path / "sweep.csv"
+        code, _, err = run_cli(["sweep", "--out", str(out_path)], capsys)
+        assert code == 0, err
+        assert out_path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+    def test_symlinked_out_keeps_the_link(self, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        code, _, err = run_cli(["sweep", "--out", str(link)], capsys)
+        assert code == 0, err
+        assert link.is_symlink()
+        assert target.read_text().startswith(cli.CSV_HEADER + "\n")
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+    @pytest.mark.parametrize("name", ["", "missing" + os.sep], ids=["empty", "separator"])
+    def test_out_without_a_file_name_exits_1_before_evaluating(
+        self, name, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*_):
+            raise AssertionError("evaluated before the output was opened")
+
+        monkeypatch.setattr(protocol, "qfi_and_gain", refuse)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(["sweep", "--out", name], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and repr(name) in err
+        assert os.listdir(tmp_path) == []
+
+    def test_missing_directory_error_names_the_out_path(self, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(["sweep", "--out", str(out_path)], capsys)
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: '{out_path}'\n"
+
 
 class TestVerifyCommand:
     def test_full_run_passes(self, capsys):

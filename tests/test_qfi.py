@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import sld_2x2
 from paulifish import channels, linop, protocol, qfi, verify
 
 
@@ -34,19 +35,19 @@ class TestSld2x2:
     def test_coin_toss_information(self):
         for lam in (0.1, 0.25, 0.5, 0.9):
             rho, drho = coin_toss_pure_family(lam)
-            res = qfi.sld_2x2(rho, drho)
+            res = sld_2x2(rho, drho)
             assert res.H == pytest.approx(1.0 / (lam * (1 - lam)), rel=1e-12)
 
     def test_zero_derivative_gives_zero_information(self):
         rho = channels.bloch_state((0, 0.5, 0))
-        res = qfi.sld_2x2(rho, np.zeros((2, 2)))
+        res = sld_2x2(rho, np.zeros((2, 2)))
         assert linop.frobenius_max(res.L) == 0.0
         assert res.H == 0.0
 
     def test_mixed_qubit_closed_form(self):
         # 4 r^2 / (1 - (1-2 lam)^2 r^2) at r=0.5, lam=0.25 -> 1/(1-0.0625)
         rho, drho = dephased_qubit_family(0.5, 0.25)
-        res = qfi.sld_2x2(rho, drho)
+        res = sld_2x2(rho, drho)
         assert res.H == pytest.approx(1.0 / 0.9375, rel=1e-12)
 
     def test_defining_relation(self):
@@ -58,14 +59,24 @@ class TestSld2x2:
             drho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             drho = (drho + drho.conj().T) / 2
             drho -= np.trace(drho) / 2 * np.eye(2)  # keep the family trace-flat
-            res = qfi.sld_2x2(rho, drho)
+            res = sld_2x2(rho, drho)
             residual = drho - (res.L @ rho + rho @ res.L) / 2
             assert linop.frobenius_max(residual) < 1e-8
             assert linop.frobenius_max(res.L - linop.dagger(res.L)) < 1e-9
 
     def test_traceless_operator_rejected(self):
         with pytest.raises(ValueError, match="trace"):
-            qfi.sld_2x2(linop.sigma_z(), np.zeros((2, 2)))
+            sld_2x2(linop.sigma_z(), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", [0, 1])
+    @pytest.mark.parametrize("entry", range(4))
+    def test_non_finite_input_rejected(self, bad, arg, entry):
+        args = [np.eye(2) / 2, np.diag([0.5, -0.5])]
+        sld_2x2(*args)
+        args[arg].flat[entry] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sld_2x2(*args)
 
 
 class TestFisherEig:
@@ -84,7 +95,7 @@ class TestFisherEig:
             drho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             drho = (drho + drho.conj().T) / 2
             drho -= np.trace(drho) / 2 * np.eye(2)
-            h_closed = qfi.sld_2x2(rho, drho).H
+            h_closed = sld_2x2(rho, drho).H
             h_eig = qfi.fisher_eig(rho, drho)
             assert h_eig == pytest.approx(h_closed, rel=1e-8)
 
@@ -203,7 +214,7 @@ class TestOrthogonalPiecesAdd:
     def test_product_of_independent_qubits_adds_information(self):
         m, r, lam = 3, 0.5, 0.3
         single_rho, single_drho = dephased_qubit_family(r, lam)
-        single = qfi.sld_2x2(single_rho, single_drho)
+        single = sld_2x2(single_rho, single_drho)
         eye = np.eye(2, dtype=complex)
         rho = linop.tensor([single_rho] * m)
         drho, big_l = np.zeros_like(rho), np.zeros_like(rho)
