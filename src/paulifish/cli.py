@@ -147,16 +147,16 @@ def _cmd_qfi(args) -> int:
     return 0
 
 
-def _write_csv(path: str, blocks: Iterable[str]) -> None:
+def _write_csv(path: str, header: str, blocks: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+        fh.write(header + "\n")
         for text in blocks:
             fh.write(text)
 
 
-def _write_replacing(path: str, blocks: Iterable[str]) -> None:
+def _write_replacing(path: str, header: str, blocks: Iterable[str]) -> None:
     """Write the CSV to a new file beside path and move it over path once
-    every block is written, so a sweep that fails leaves path as it was.
+    every block is written, so a command that fails leaves path as it was.
 
     A path that exists and is not a regular file (a device such as
     /dev/stdout, a pipe, a directory) has nothing to replace and is written
@@ -170,7 +170,7 @@ def _write_replacing(path: str, blocks: Iterable[str]) -> None:
         # a path with no file name ("", "dir/") gets open()'s own error
         in_place = not os.path.basename(path)
     if in_place:
-        _write_csv(path, blocks)
+        _write_csv(path, header, blocks)
         return
     target = os.path.realpath(path)
     try:
@@ -179,7 +179,7 @@ def _write_replacing(path: str, blocks: Iterable[str]) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
     with staging as folder:
         part = os.path.join(folder, os.path.basename(target))
-        _write_csv(part, blocks)
+        _write_csv(part, header, blocks)
         os.replace(part, target)
 
 
@@ -189,7 +189,8 @@ def _cmd_sweep(args) -> int:
     size = _grid_size(*lam_axis) * _grid_size(*r_axis)
     if size > MAX_SWEEP_ROWS:
         raise ValueError(f"the grid has {size} rows, more than {MAX_SWEEP_ROWS}")
-    _write_replacing(args.out, sweep_rows(args.n, args.m, _grid(*lam_axis), _grid(*r_axis)))
+    rows = sweep_rows(args.n, args.m, _grid(*lam_axis), _grid(*r_axis))
+    _write_replacing(args.out, CSV_HEADER, rows)
     print(f"wrote {size} rows to {args.out}")
     return 0
 
@@ -205,6 +206,13 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _trial_rows(estimates: np.ndarray) -> Iterator[str]:
+    """The trial CSV's rows, _MC_ROWS_PER_WRITE at a time."""
+    for start in range(0, estimates.size, _MC_ROWS_PER_WRITE):
+        block = estimates[start : start + _MC_ROWS_PER_WRITE].tolist()
+        yield "".join(map("%d,%.12g\n".__mod__, zip(range(start, estimates.size), block)))
+
+
 def _cmd_mc(args) -> int:
     cfg = mc.ExperimentConfig(
         r=args.r,
@@ -215,13 +223,8 @@ def _cmd_mc(args) -> int:
         seed=args.seed,
     )
     result = mc.run_experiment(cfg)
-    if args.out:
-        est = result.estimates
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("trial,lambda_hat\n")
-            for start in range(0, est.size, _MC_ROWS_PER_WRITE):
-                block = est[start : start + _MC_ROWS_PER_WRITE].tolist()
-                fh.write("".join(map("%d,%.12g\n".__mod__, zip(range(start, est.size), block))))
+    if args.out is not None:
+        _write_replacing(args.out, "trial,lambda_hat", _trial_rows(result.estimates))
     ratio = result.sample_variance / result.crb
     print(
         f"mean={_fmt(result.mean)} variance={_fmt(result.sample_variance)} "

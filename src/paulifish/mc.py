@@ -7,14 +7,15 @@ p_hat, so its variance attains 1/(shots Fisher) exactly.
 
 Trial t's count is numpy's ``Generator(Philox(child)).binomial(shots * m,
 p_plus)`` for ``child = SeedSequence(seed).spawn(trials)[t]``, computed here
-as array passes over a block of trials: the SeedSequence hash, the Philox
-block function and numpy's binomial sampler are published algorithms with
-every integer and rounding step reproduced, so numpy.random is never
-imported.
+as array passes over a block of trials: one mix_entropy pass of the
+SeedSequence hash, the Philox block function and numpy's binomial sampler,
+published algorithms with every integer and rounding step reproduced, so
+numpy.random is never imported.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -143,67 +144,46 @@ def classical_fisher(p: Sequence[float], dp: Sequence[float]) -> float:
     return total
 
 
-def _root_pool(seed: int) -> list[int]:
-    """``SeedSequence(seed).pool``: the seed's uint32 words, least significant
-    first, hashed into four words (mix_entropy in numpy's bit_generator.pyx)."""
-    words = [(seed >> s) & _MASK32 for s in range(0, max(1, seed.bit_length()), 32)]
-    hash_a = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_a
-        value ^= hash_a
-        hash_a = hash_a * _MULT_A & _MASK32
-        value = value * hash_a & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool
-
-
 def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
     """Philox keys of trials start..stop-1, shape (stop - start, 2), uint64.
 
-    Row i equals ``SeedSequence(seed).spawn(trials)[start + i].generate_state(2,
-    np.uint64)`` for any trials >= stop. Every child shares the root's pool before its spawn key
-    is mixed in, so the key word t is mixed into that pool and the output
-    hash applied as uint32 vectors over all t at once. Array arithmetic
-    wraps modulo 2**32 like the C hash; scalar products are taken in Python
-    ints so no numpy scalar overflows.
+    Row i is ``SeedSequence(seed).spawn(trials)[start + i].generate_state(2,
+    np.uint64)`` for any trials >= stop: numpy's mix_entropy (bit_generator.pyx)
+    runs once over the child's entropy, the seed's uint32 words as arrays of
+    one element and then the spawn word t over the block, and generate_state
+    hashes the pool out. Array arithmetic wraps modulo 2**32 like the C hash.
     """
-    words = max(1, -(-int(seed).bit_length() // 32))
-    # The root's hash took 4 + 12 steps over its first four words, 4 per further word.
-    hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 2**32) & _MASK32
-    t = np.arange(start, stop, dtype=np.uint32)
-    keys = np.empty((stop - start, 2), dtype="<u8")
-    state = keys.view("<u4")  # the four output words, low word of each key first
-    hash_b = _INIT_B
-    # Output word i reads only pool word i, so each pool word is mixed,
-    # hashed into the state and dropped before the next one is formed.
-    for i, word in enumerate(_root_pool(seed)):
-        value = t ^ hash_a
-        hash_a = hash_a * _MULT_A & _MASK32
-        value *= hash_a
+    # the seed's words, least significant first, zero-padded to the pool's four
+    words = max(4, -(-seed.bit_length() // 32))
+    entropy = [np.array([seed >> s & _MASK32], np.uint32) for s in range(0, 32 * words, 32)]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))  # the spawn key (t,)
+    hash_const, mult = _INIT_A, _MULT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value *= hash_const
         value ^= value >> 16
-        value *= _MIX_MULT_R
-        np.subtract(_MIX_MULT_L * word & _MASK32, value, out=value)
-        value ^= value >> 16  # pool word i
-        value ^= hash_b
-        hash_b = hash_b * _MULT_B & _MASK32
-        value *= hash_b
-        value ^= value >> 16
-        state[:, i] = value
-    return keys.astype(np.uint64, copy=False)
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        y *= _MIX_MULT_R  # y is hashmix's own array, never smaller than x
+        np.subtract(_MIX_MULT_L * x, y, out=y)
+        y ^= y >> 16
+        return y
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src, dst in itertools.permutations(range(4), 2):  # source-major, as in numpy
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((stop - start, 4), dtype="<u4")  # low word of each key first
+    hash_const, mult = _INIT_B, _MULT_B  # generate_state hashes each pool word the same way
+    for i, word in enumerate(pool):
+        state[:, i] = hashmix(word)
+    return state.view("<u8").astype(np.uint64, copy=False)
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -63,9 +63,13 @@ def _check_lambda(lam):
 
 
 def _reject_pure_corner(r, lam) -> None:
-    """Raise if any (r, lam) pair, broadcast, is a pure state with lam in {0, 1}."""
-    near_pure = np.asarray(r) >= 1.0 - 1e-12
-    if near_pure.any() and (near_pure & ((lam == 0.0) | (lam == 1.0))).any():
+    """Raise if any (r, lam) pair, broadcast, is a pure state with lam in {0, 1}.
+
+    A norm that rounds past 1 counts as pure; any r below 1 is mixed, and
+    neither closed form cancels as r -> 1.
+    """
+    pure = np.asarray(r) >= 1.0
+    if pure.any() and (pure & ((lam == 0.0) | (lam == 1.0))).any():
         raise ValueError(
             "pure state with lam in {0, 1} is outside the closed form's domain"
         )
@@ -117,6 +121,7 @@ def qfi_upper_bound(lam, m: int):
     lam = linop.check_unit_interval(lam, "channel strength")
     if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
-    # lam = 0 or 1 divides by zero and a subnormal lam overflows: both give inf
+    # lam = 0 or 1 divides by zero and a subnormal lam overflows: both give
+    # inf, the + 0.0 making it +inf at lam = -0.0 too (exact everywhere else)
     with np.errstate(divide="ignore", over="ignore"):
-        return linop.scalar_or_array(m / (lam * (1.0 - lam)))
+        return linop.scalar_or_array(m / (lam * (1.0 - lam) + 0.0))

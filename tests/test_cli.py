@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import math
@@ -32,6 +33,23 @@ def run_cli_recording_warnings(args, capsys):
 
 def parse_fields(line):
     return dict(part.split("=", 1) for part in line.split())
+
+
+class SpyFile:
+    """A file opened by the command, whose every write calls on_write(text) first."""
+
+    def __init__(self, fh, on_write):
+        self.fh, self.on_write = fh, on_write
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, text):
+        self.on_write(text)
+        return self.fh.write(text)
 
 
 class TestQfiCommand:
@@ -96,6 +114,16 @@ class TestQfiCommand:
         assert float(fields["H_corr"]) == pytest.approx(float(h_ref), rel=1e-10)
         assert float(fields["gain"]) == pytest.approx(float(g_ref), rel=1e-10)
         assert float(fields["H_ind"]) == pytest.approx(float(h_ref / g_ref), rel=1e-10)
+
+    def test_mixed_state_next_to_the_pure_corner_exits_0(self, capsys):
+        # r = 1 - 5e-13 at lam = 0 is mixed, and the closed forms hold there
+        code, out, err = run_cli(
+            ["qfi", "--n", "2", "--m", "1", "--r", "0.9999999999995", "--lambda", "0"], capsys
+        )
+        assert (code, err) == (0, "")
+        fields = parse_fields(out.strip())
+        assert fields["H_ind"] == cli._fmt(qfi.qfi_independent_opt(0.9999999999995, 0.0, 1))
+        assert fields["bound"] == "inf"
 
     def test_unrepresentable_value_exits_2(self, capsys):
         # the true H_corr and gain are about 1e-462 and 1e-464, below the float64 range
@@ -374,22 +402,13 @@ class TestSweepCommand:
             events.append(("evaluate", None))
             return real_kernel(*args)
 
-        class SpyFile:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return self.fh.__exit__(*exc)
-
-            def write(self, text):
-                events.append(("write", text.count("\n")))
-                return self.fh.write(text)
+        def write(text):
+            events.append(("write", text.count("\n")))
 
         monkeypatch.setattr(protocol, "qfi_and_gain", kernel)
-        monkeypatch.setattr(cli, "open", lambda *a, **k: SpyFile(open(*a, **k)), raising=False)
+        monkeypatch.setattr(
+            cli, "open", lambda *a, **k: SpyFile(open(*a, **k), write), raising=False
+        )
         out_path = tmp_path / "pair.csv"
         code, _, err = run_cli(
             ["sweep", "--n", "2", "--m", "1", *self.BENCH_GRID, "--out", str(out_path)], capsys
@@ -401,51 +420,86 @@ class TestSweepCommand:
         ]
         assert len(out_path.read_text().splitlines()) == 1 + sum(blocks)
 
+    # a small run of each command that writes a CSV to --out
+    OUT_COMMANDS = {
+        "sweep": ["sweep"],
+        "mc": ["mc", "--r", "0.8", "--lambda", "0.3", "--trials", "10", "--seed", "7"],
+    }
+
     @pytest.mark.parametrize("before", [None, b"kept\n"], ids=["absent", "existing"])
     @pytest.mark.parametrize("stop", [None, KeyboardInterrupt], ids=["error", "interrupt"])
+    @pytest.mark.parametrize("command", ["sweep", "mc"])
     def test_failed_sweep_leaves_the_directory_as_it_was(
-        self, before, stop, tmp_path, capsys, monkeypatch
+        self, command, before, stop, tmp_path, capsys, monkeypatch
     ):
-        # 100 strengths in 3 blocks; only the last meets the pure corner
-        # lam = 1, r = 1, or is interrupted (99 strengths, no corner)
-        out_path = tmp_path / "sweep.csv"
+        # sweep: 100 strengths in 3 blocks; only the last meets the pure
+        # corner lam = 1, r = 1, or is interrupted (99 strengths, no corner).
+        # mc: 10 trials in 3 blocks of rows; the third block's write finds
+        # the device full, or is interrupted.
+        out_path = tmp_path / "out.csv"
         if before is not None:
             out_path.write_bytes(before)
         calls = []
-        lam_max = "1" if stop is None else "0.99"
-        if stop is not None:
-            real_kernel = protocol.qfi_and_gain
+        if command == "mc":
+            failure = stop or OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-            def kernel(*args):
+            def write(text):
                 calls.append(1)
-                if len(calls) == 3:
-                    raise stop
-                return real_kernel(*args)
+                if len(calls) == 4:  # the header, then two blocks
+                    raise failure
 
-            monkeypatch.setattr(protocol, "qfi_and_gain", kernel)
-        args = ["sweep", "--lambda-min", "0.01", "--lambda-max", lam_max, "--lambda-step", "0.01",
-                "--out", str(out_path)]
+            monkeypatch.setattr(cli, "_MC_ROWS_PER_WRITE", 4)
+            monkeypatch.setattr(
+                cli, "open", lambda *a, **k: SpyFile(open(*a, **k), write), raising=False
+            )
+            args, calls_at_stop = self.OUT_COMMANDS["mc"], 4
+        else:
+            lam_max = "1" if stop is None else "0.99"
+            if stop is not None:
+                real_kernel = protocol.qfi_and_gain
+
+                def kernel(*args):
+                    calls.append(1)
+                    if len(calls) == 3:
+                        raise stop
+                    return real_kernel(*args)
+
+                monkeypatch.setattr(protocol, "qfi_and_gain", kernel)
+            args = ["sweep", "--lambda-min", "0.01", "--lambda-max", lam_max,
+                    "--lambda-step", "0.01"]
+            calls_at_stop = 3
+        args = [*args, "--out", str(out_path)]
         if stop is None:
             code, out, err = run_cli(args, capsys)
-            assert (code, out) == (2, "")
-            assert "pure state" in err
+            assert out == ""
+            if command == "mc":
+                assert code == 1 and "No space left on device" in err
+            else:
+                assert code == 2 and "pure state" in err
         else:
             with pytest.raises(stop):
                 cli.main(args)
-            assert len(calls) == 3
-        assert sorted(os.listdir(tmp_path)) == ([] if before is None else ["sweep.csv"])
+            assert len(calls) == calls_at_stop
+        assert sorted(os.listdir(tmp_path)) == ([] if before is None else ["out.csv"])
         if before is not None:
             assert out_path.read_bytes() == before
 
-    def test_existing_file_that_is_not_regular_is_written_in_place(self, capsys):
-        code, out, err = run_cli(["sweep", "--out", os.devnull], capsys)
-        assert (code, out, err) == (0, f"wrote 399 rows to {os.devnull}\n", "")
+    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    def test_existing_file_that_is_not_regular_is_written_in_place(self, command, capsys):
+        args = self.OUT_COMMANDS[command]
+        code, out, err = run_cli([*args, "--out", os.devnull], capsys)
+        assert (code, err) == (0, "")
+        if command == "sweep":
+            assert out == f"wrote 399 rows to {os.devnull}\n"
+        else:
+            assert out == run_cli(args, capsys)[1]  # the line mc prints without --out
 
-    def test_written_file_gets_the_mode_of_a_plain_open(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    def test_written_file_gets_the_mode_of_a_plain_open(self, command, tmp_path, capsys):
         with open(tmp_path / "plain", "w"):
             pass
-        out_path = tmp_path / "sweep.csv"
-        code, _, err = run_cli(["sweep", "--out", str(out_path)], capsys)
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli([*self.OUT_COMMANDS[command], "--out", str(out_path)], capsys)
         assert code == 0, err
         assert out_path.stat().st_mode == (tmp_path / "plain").stat().st_mode
 
@@ -473,9 +527,10 @@ class TestSweepCommand:
         assert err.startswith("error: ") and repr(name) in err
         assert os.listdir(tmp_path) == []
 
-    def test_missing_directory_error_names_the_out_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    def test_missing_directory_error_names_the_out_path(self, command, tmp_path, capsys):
         out_path = tmp_path / "missing" / "x.csv"
-        code, _, err = run_cli(["sweep", "--out", str(out_path)], capsys)
+        code, _, err = run_cli([*self.OUT_COMMANDS[command], "--out", str(out_path)], capsys)
         assert code == 1
         assert err == f"error: [Errno 2] No such file or directory: '{out_path}'\n"
 
@@ -584,6 +639,16 @@ class TestMcCommand:
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "9bc1cd39f2bb3ee723f7962dda00d53161d79604096d50d6a8436f6949ecece3"
         )
+
+    @pytest.mark.parametrize("name", ["", "missing" + os.sep], ids=["empty", "separator"])
+    def test_out_without_a_file_name_exits_1(self, name, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            ["mc", "--r", "0.8", "--lambda", "0.3", "--trials", "3", "--out", name], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and repr(name) in err
+        assert os.listdir(tmp_path) == []
 
     def test_symmetric_point_mean(self, capsys):
         code, out, _ = run_cli(
@@ -710,9 +775,14 @@ _STEPS = st.one_of(
 ).map(repr)
 _INTS = st.one_of(st.integers(-3, 70), st.sampled_from([2**62, 2**63, 10**400])).map(str)
 _JUNK = st.sampled_from(["", "x", "1.5", "0x10", "--"])
-# output paths, placed in a fresh directory per run; the second cannot be opened
-_OUT = st.sampled_from(["out.csv", os.path.join("missing", "out.csv")]).map(
-    lambda name: os.path.join("<tmp>", name)
+# output paths: a file in a fresh directory per run, one in a missing
+# directory and the directory itself (neither can be opened), no file name
+# at all, and the null device, written in place
+_OUT = st.one_of(
+    st.sampled_from(["out.csv", os.path.join("missing", "out.csv"), ""]).map(
+        lambda name: os.path.join("<tmp>", name)
+    ),
+    st.sampled_from(["", os.devnull]),
 )
 
 _ARGV = st.one_of(

@@ -288,7 +288,8 @@ class TestSingleUseClosedForms:
         import mpmath
 
         with mpmath.workdps(60):
-            for r in (1.0 - 1e-9, 0.5):
+            # 1 - 5e-13 lies within 1e-12 of the pure corner and is still mixed
+            for r in (1.0 - 5e-13, 1.0 - 1e-9, 0.5):
                 for lam in (0.0, 1e-12, 0.3):
                     for m in (1, 3):
                         r_, lam_ = mpmath.mpf(r), mpmath.mpf(lam)
@@ -301,6 +302,9 @@ class TestSingleUseClosedForms:
         assert qfi.qfi_upper_bound(0.25, 2) == pytest.approx(32.0 / 3.0)
         assert qfi.qfi_upper_bound(0.0, 1) == np.inf
         assert qfi.qfi_upper_bound(1.0, 3) == np.inf
+        # +inf at -0.0 as well, which the unit-interval check accepts
+        assert qfi.qfi_upper_bound(-0.0, 1) == np.inf
+        np.testing.assert_array_equal(qfi.qfi_upper_bound(np.array([-0.0, 0.0]), 1), [np.inf] * 2)
 
     def test_upper_bound_overflow_is_silent(self):
         # m / (lam (1-lam)) overflows to inf below lam of about 5.6e-309 m
