@@ -3,13 +3,7 @@ Pauli-channel parameter estimation, with separability and discord
 diagnostics and Monte Carlo validation of the Cramér-Rao bound."""
 
 from . import channels, correlations, linop, mc, protocol, qfi
-from .channels import (
-    ChannelSpec,
-    apply_pauli_channel,
-    bloch_state,
-    correlated_state,
-    preparation_unitary,
-)
+from .channels import correlated_state, preparation_unitary
 from .correlations import (
     bell_diagonalize,
     discord_prep,
@@ -46,13 +40,10 @@ from .qfi import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelSpec",
     "ExperimentConfig",
     "ExperimentResult",
     "ProtocolPoint",
-    "apply_pauli_channel",
     "bell_diagonalize",
-    "bloch_state",
     "channels",
     "classical_fisher",
     "correlated_state",

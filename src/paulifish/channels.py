@@ -1,73 +1,23 @@
-"""Pauli-channel evolution and the correlated-state preparation.
+"""The correlated protocol's state: its preparation and its evolution under
+the phase-flip channel, rho -> (1-lam) rho + lam Z_k rho Z_k on each qubit
+k it hits.
 
-Covers the channel map rho -> (1-lam) rho + lam s_n rho s_n, the
-preparatory unitary (pairwise controlled-Z then a Hadamard on every qubit),
-and the post-channel state, a direct sum of two-dimensional blocks spanned
-by |x> and |N-x>. The blocks fall into Hamming classes {j, n-j}, whose
-weights hamming_classes states once, up to n = 64; correlated_state writes
-the dense state from them, broadcast over (r, lam) grids.
+Covers the preparatory unitary (pairwise controlled-Z then a Hadamard on
+every qubit) and the post-channel state, a direct sum of two-dimensional
+blocks spanned by |x> and |N-x>. The blocks fall into Hamming classes
+{j, n-j}, whose weights hamming_classes states once, up to n = 64;
+correlated_state writes the dense state from them, broadcast over (r, lam)
+grids. The dense channel map itself is a test oracle (tests/conftest.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import linop, protocol
 from .linop import DIM_CAP, tensor
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """One Pauli channel: axis and strength ``lam``."""
-
-    axis: str
-    lam: float
-
-    def __post_init__(self):
-        if self.axis not in ("x", "y", "z"):
-            raise ValueError(f"axis must be 'x', 'y' or 'z', got {self.axis!r}")
-        linop.check_unit_interval(self.lam, "channel strength")
-
-
-def bloch_state(v) -> np.ndarray:
-    """Single-qubit density operator (I + r.sigma)/2 for a Bloch vector r."""
-    rx, ry, rz = (float(c) for c in v)
-    norm = np.sqrt(rx * rx + ry * ry + rz * rz)
-    if not norm <= 1.0 + 1e-12:  # NaN fails too
-        raise ValueError(f"Bloch vector norm must be <= 1, got {norm}")
-    return 0.5 * (
-        linop.identity()
-        + rx * linop.sigma_x()
-        + ry * linop.sigma_y()
-        + rz * linop.sigma_z()
-    )
-
-
-def apply_pauli_channel(
-    rho: np.ndarray, spec: ChannelSpec, targets: Sequence[int]
-) -> np.ndarray:
-    """Apply the channel once per listed target qubit: ``len(targets)`` is
-    the invocation count."""
-    rho = np.asarray(rho, dtype=complex)
-    n = linop.num_qubits(rho)
-    tgts = [int(t) for t in targets]
-    if len(set(tgts)) != len(tgts):
-        raise ValueError(f"duplicate channel targets in {tgts}")
-    if any(t < 1 or t > n for t in tgts):
-        raise ValueError(f"channel targets {tgts} out of range 1..{n}")
-    s = linop.pauli(spec.axis)
-    out = rho
-    for t in tgts:
-        factors = [np.eye(2, dtype=complex)] * n
-        factors[n - t] = s  # qubit t sits at list position n-t (qubit 1 last)
-        p = tensor(factors)
-        out = (1.0 - spec.lam) * out + spec.lam * (p @ out @ p)
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Preparatory unitary

@@ -206,8 +206,12 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _trial_rows(estimates: np.ndarray) -> Iterator[str]:
-    """The trial CSV's rows, _MC_ROWS_PER_WRITE at a time."""
+def _trial_rows(cfg: mc.ExperimentConfig, results: list) -> Iterator[str]:
+    """Run the experiment, append its result to results, and yield the trial
+    CSV's rows _MC_ROWS_PER_WRITE at a time. The writer runs it, so --out is
+    opened before any trial is drawn."""
+    results.append(mc.run_experiment(cfg))
+    estimates = results[-1].estimates
     for start in range(0, estimates.size, _MC_ROWS_PER_WRITE):
         block = estimates[start : start + _MC_ROWS_PER_WRITE].tolist()
         yield "".join(map("%d,%.12g\n".__mod__, zip(range(start, estimates.size), block)))
@@ -222,9 +226,12 @@ def _cmd_mc(args) -> int:
         shots_per_trial=args.shots,
         seed=args.seed,
     )
-    result = mc.run_experiment(cfg)
-    if args.out is not None:
-        _write_replacing(args.out, "trial,lambda_hat", _trial_rows(result.estimates))
+    results: list[mc.ExperimentResult] = []
+    if args.out is None:
+        results.append(mc.run_experiment(cfg))
+    else:
+        _write_replacing(args.out, "trial,lambda_hat", _trial_rows(cfg, results))
+    (result,) = results
     ratio = result.sample_variance / result.crb
     print(
         f"mean={_fmt(result.mean)} variance={_fmt(result.sample_variance)} "

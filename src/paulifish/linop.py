@@ -79,11 +79,6 @@ def _as_operator(a) -> np.ndarray:
     return a
 
 
-def num_qubits(a: np.ndarray) -> int:
-    """Number of qubits an operator acts on."""
-    return int(_as_operator(a).shape[0]).bit_length() - 1
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of an operator, or of each operator in a stack."""
     return np.conj(np.swapaxes(np.asarray(a), -1, -2))
@@ -124,14 +119,6 @@ def sigma_y() -> np.ndarray:
 
 def sigma_z() -> np.ndarray:
     return np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def pauli(axis: str) -> np.ndarray:
-    """Pauli operator for axis 'x', 'y' or 'z'."""
-    try:
-        return {"x": sigma_x, "y": sigma_y, "z": sigma_z}[axis]()
-    except KeyError:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
 
 
 def hadamard() -> np.ndarray:

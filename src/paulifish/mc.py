@@ -1,9 +1,10 @@
 """Monte Carlo check of the Cramér-Rao bound for the independent protocol.
 
 Each run prepares (I + r sigma_y)/2, applies the phase-flip once, and
-measures along +-y. The estimator inverts the empirical + fraction,
-lambda_hat = (1 - (2 p_hat - 1)/r)/2, clamped to [0, 1]; it is linear in
-p_hat, so its variance attains 1/(shots Fisher) exactly.
+measures along +-y, with outcome probabilities (1 +- r(1-2 lam))/2 in
+closed form: no matrix is built. The estimator inverts the empirical +
+fraction, lambda_hat = (1 - (2 p_hat - 1)/r)/2, clamped to [0, 1]; it is
+linear in p_hat, so its variance attains 1/(shots Fisher) exactly.
 
 Trial t's count is numpy's ``Generator(Philox(child)).binomial(shots * m,
 p_plus)`` for ``child = SeedSequence(seed).spawn(trials)[t]``, computed here
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import channels, linop
+from . import linop
 
 # Trial t's substream is SeedSequence(seed).spawn(trials)[t]. Its spawn key
 # (t,) is one uint32 word while t < 2**32, the only case _trial_keys mixes.
@@ -88,36 +89,39 @@ class ExperimentResult:
         return float(np.mean(self.estimates))
 
 
-def _measurement_ops() -> tuple[np.ndarray, np.ndarray]:
-    # projectors onto (|0> +- i|1>)/sqrt(2)
-    plus = (linop.identity() + linop.sigma_y()) / 2.0
-    return plus, linop.identity() - plus
+def _polarization(r: float) -> float:
+    """r as a float, the y component of a Bloch vector of norm at most 1."""
+    r = float(r)
+    if not abs(r) <= 1.0 + 1e-12:  # NaN fails too
+        raise ValueError(f"Bloch vector norm must be <= 1, got {abs(r)}")
+    return r
 
 
 def outcome_probs(r: float, lam: float) -> tuple[float, float]:
-    """Born-rule probabilities of the +-y measurement after one channel use."""
-    rho = channels.bloch_state((0.0, r, 0.0))
-    out = channels.apply_pauli_channel(rho, channels.ChannelSpec("z", lam), [1])
-    p_plus_op, p_minus_op = _measurement_ops()
-    p_plus = float(np.trace(out @ p_plus_op).real)
-    p_minus = float(np.trace(out @ p_minus_op).real)
-    return p_plus, p_minus
+    """Born-rule probabilities of the +-y measurement after one channel use.
+
+    The post-channel state (1-lam) rho + lam Z rho Z, rho = (I + r sigma_y)/2,
+    has diagonal d and Im rho_01 = a, and p_+- = d -+ a. d and a are the
+    channel map's own sums on those entries, and every other product of the
+    dense trace is by 0, 1/2 or 1, so the bits are the dense Born rule's.
+    """
+    r = _polarization(r)
+    lam = float(linop.check_unit_interval(lam, "channel strength"))
+    d = (1.0 - lam) * 0.5 + lam * 0.5
+    a = (1.0 - lam) * (-0.5 * r) + lam * (0.5 * r)
+    return d - a, d + a
 
 
 def outcome_prob_derivs(r: float, lam: float) -> tuple[float, float]:
     """Derivatives of the +-y outcome probabilities in the channel strength.
 
-    Uses the exact derivative of the channel map, d rho_f = Z rho Z - rho,
-    pushed through the Born rule; no closed-form shortcut.
+    The exact derivative of the channel map, Z rho Z - rho = -r sigma_y,
+    pushed through the Born rule: -+r, with the dense route's bits. It
+    halves r as it forms rho, which rounds a subnormal r, and its trace
+    adds +0.0, which turns r = -0.0 into +0.0.
     """
-    rho = channels.bloch_state((0.0, r, 0.0))
-    z = linop.sigma_z()
-    drho = z @ rho @ z - rho
-    p_plus_op, p_minus_op = _measurement_ops()
-    return (
-        float(np.trace(drho @ p_plus_op).real),
-        float(np.trace(drho @ p_minus_op).real),
-    )
+    twice_half = 2.0 * (0.5 * _polarization(r))
+    return 0.0 - twice_half, 0.0 + twice_half
 
 
 def classical_fisher(p: Sequence[float], dp: Sequence[float]) -> float:

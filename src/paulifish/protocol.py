@@ -177,6 +177,13 @@ def gain_limit_r0(n: int, m: int, lam):
     return linop._elementwise(lambda x: m * n * ((1.0 - 2.0 * x) ** 2) ** (m - 1), lam)
 
 
+def _one_minus_nu_pow(k: int, lam: float) -> float:
+    """1 - nu^k = -expm1(2k log1p(-2 min(lam, 1-lam))), without cancellation
+    as lam -> 0 or 1; 1 at lam = 1/2."""
+    a = min(lam, 1.0 - lam)
+    return -math.expm1(2.0 * k * math.log1p(-2.0 * a)) if a < 0.5 else 1.0
+
+
 def gain_limit_r1(m: int, lam):
     """Pure-state limit of the gain, m nu^(m-1) (1-nu) / (1-nu^m);
     identically 1 for one invocation. lam may be an array (a float comes
@@ -197,8 +204,7 @@ def gain_limit_r1(m: int, lam):
 
     def limit(x: float) -> float:
         a = min(x, 1.0 - x)
-        one_minus_nu_m = -math.expm1(2.0 * m * math.log1p(-2.0 * a)) if a < 0.5 else 1.0
-        return m * (1.0 - 2.0 * a) ** (2 * m - 2) * 4.0 * x * (1.0 - x) / one_minus_nu_m
+        return m * (1.0 - 2.0 * a) ** (2 * m - 2) * 4.0 * x * (1.0 - x) / _one_minus_nu_pow(m, x)
 
     return linop._elementwise(limit, lam)
 
@@ -238,25 +244,27 @@ def stationary_polarizations(m: int, lam: float) -> list[float]:
         [(1+nu) - 4 nu^(m+1)] u^2 + 2 (1+nu) u + (1+nu) - 4 nu^m = 0.
 
     Real roots with u in (0, 1) are returned as r = sqrt(u), ascending.
+
+    At lam = 0 the quadratic is -2 (u-1)^2, so b^2 - 4ac formed from nu
+    cancels near lam in {0, 1}. It is taken as 16 [(2+e)(d_m + d_(m+1)) -
+    2e - 4 d_m d_(m+1)], with e = 1-nu = 4 lam(1-lam) and d_k = 1-nu^k,
+    which does not cancel there, and the roots as q/a and c/q with
+    q = -(b + sqrt(b^2 - 4ac))/2.
     """
     _validate_nm(2, m)
     lam = float(linop.check_unit_interval(lam, "channel strength"))
     if lam == 0.5:
         raise ValueError("stationarity is degenerate at lam = 1/2")
-    nu = (1.0 - 2.0 * lam) ** 2
-    a = (1.0 + nu) - 4.0 * nu ** (m + 1)
-    b = 2.0 * (1.0 + nu)
-    c = (1.0 + nu) - 4.0 * nu**m
-    if abs(a) < 1e-14:
-        candidates = [-c / b]
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return []
-        sq = math.sqrt(disc)
-        candidates = [(-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a)]
+    e = 4.0 * lam * (1.0 - lam)
+    d_m, d_next = _one_minus_nu_pow(m, lam), _one_minus_nu_pow(m + 1, lam)
+    disc = (2.0 + e) * (d_m + d_next) - 2.0 * e - 4.0 * d_m * d_next  # b^2 - 4ac over 16
+    if disc < 0.0:
+        return []
+    a = 4.0 * d_next - 2.0 - e
+    c = 4.0 * d_m - 2.0 - e
+    q = -(2.0 - e) - 2.0 * math.sqrt(disc)
     roots: list[float] = []
-    for u in candidates:
+    for u in [c / q] if a == 0.0 else [q / a, c / q]:
         if 0.0 < u < 1.0:
             r = math.sqrt(u)
             if all(abs(r - other) > 1e-9 for other in roots):

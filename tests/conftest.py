@@ -1,5 +1,6 @@
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,6 +45,69 @@ def sld_2x2(a: np.ndarray, da: np.ndarray) -> SldResult:
             dalpha / alpha - dtr / tr
         ) * np.eye(2)
     return SldResult(L=L, H=_real_trace(da @ L))
+
+
+def num_qubits(a: np.ndarray) -> int:
+    """Number of qubits an operator acts on."""
+    return int(linop._as_operator(a).shape[0]).bit_length() - 1
+
+
+def pauli(axis: str) -> np.ndarray:
+    """Pauli operator for axis 'x', 'y' or 'z'."""
+    try:
+        return {"x": linop.sigma_x, "y": linop.sigma_y, "z": linop.sigma_z}[axis]()
+    except KeyError:
+        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
+
+
+@dataclass(frozen=True)
+class ChannelSpec:
+    """One Pauli channel: axis and strength ``lam``."""
+
+    axis: str
+    lam: float
+
+    def __post_init__(self):
+        if self.axis not in ("x", "y", "z"):
+            raise ValueError(f"axis must be 'x', 'y' or 'z', got {self.axis!r}")
+        linop.check_unit_interval(self.lam, "channel strength")
+
+
+def bloch_state(v) -> np.ndarray:
+    """Single-qubit density operator (I + r.sigma)/2 for a Bloch vector r."""
+    rx, ry, rz = (float(c) for c in v)
+    norm = np.sqrt(rx * rx + ry * ry + rz * rz)
+    if not norm <= 1.0 + 1e-12:  # NaN fails too
+        raise ValueError(f"Bloch vector norm must be <= 1, got {norm}")
+    return 0.5 * (
+        linop.identity()
+        + rx * linop.sigma_x()
+        + ry * linop.sigma_y()
+        + rz * linop.sigma_z()
+    )
+
+
+def apply_pauli_channel(
+    rho: np.ndarray, spec: ChannelSpec, targets: Sequence[int]
+) -> np.ndarray:
+    """Apply the channel once per listed target qubit: ``len(targets)`` is
+    the invocation count. The dense channel map, which the tests check the
+    closed-form states and outcome probabilities against."""
+    rho = np.asarray(rho, dtype=complex)
+    n = num_qubits(rho)
+    tgts = [int(t) for t in targets]
+    if len(set(tgts)) != len(tgts):
+        raise ValueError(f"duplicate channel targets in {tgts}")
+    if any(t < 1 or t > n for t in tgts):
+        raise ValueError(f"channel targets {tgts} out of range 1..{n}")
+    s = pauli(spec.axis)
+    out = rho
+    for t in tgts:
+        factors = [np.eye(2, dtype=complex)] * n
+        factors[n - t] = s  # qubit t sits at list position n-t (qubit 1 last)
+        p = linop.tensor(factors)
+        out = (1.0 - spec.lam) * out + spec.lam * (p @ out @ p)
+    return out
 
 
 def bitstring_weight(x, n: int, r):

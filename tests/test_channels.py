@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bitstring_weight, qubit_swap
+from conftest import (
+    ChannelSpec,
+    apply_pauli_channel,
+    bitstring_weight,
+    bloch_state,
+    qubit_swap,
+)
 from paulifish import channels, linop
 
 
@@ -27,49 +33,49 @@ def y_basis_string(x, n):
 
 class TestBlochState:
     def test_origin_is_maximally_mixed(self):
-        np.testing.assert_allclose(channels.bloch_state((0, 0, 0)), np.eye(2) / 2)
+        np.testing.assert_allclose(bloch_state((0, 0, 0)), np.eye(2) / 2)
 
     def test_pure_y_state(self):
-        rho = channels.bloch_state((0, 1, 0))
+        rho = bloch_state((0, 1, 0))
         np.testing.assert_allclose(rho, (np.eye(2) + linop.sigma_y()) / 2, atol=1e-15)
         evals = np.linalg.eigvalsh(rho)
         np.testing.assert_allclose(evals, [0.0, 1.0], atol=1e-12)
 
     def test_half_polarized_spectrum(self):
-        evals = np.linalg.eigvalsh(channels.bloch_state((0, 0.5, 0)))
+        evals = np.linalg.eigvalsh(bloch_state((0, 0.5, 0)))
         np.testing.assert_allclose(evals, [0.25, 0.75], atol=1e-12)
 
     @pytest.mark.parametrize("v", [(1.0, 0.2, 0.0), (math.nan, 0.0, 0.0)])
     def test_overlong_vector_rejected(self, v):
         with pytest.raises(ValueError, match="Bloch vector norm"):
-            channels.bloch_state(v)
+            bloch_state(v)
 
 
 class TestPauliChannel:
     def test_zero_strength_is_identity(self):
         rng = np.random.default_rng(0)
-        rho = channels.bloch_state(random_bloch(rng))
-        out = channels.apply_pauli_channel(rho, channels.ChannelSpec("z", 0.0), [1])
+        rho = bloch_state(random_bloch(rng))
+        out = apply_pauli_channel(rho, ChannelSpec("z", 0.0), [1])
         np.testing.assert_allclose(out, rho, atol=1e-15)
 
     def test_phase_flip_shrinks_transverse_bloch_component(self):
         r, lam = 0.7, 0.2
-        rho = channels.bloch_state((0, r, 0))
-        out = channels.apply_pauli_channel(rho, channels.ChannelSpec("z", lam), [1])
+        rho = bloch_state((0, r, 0))
+        out = apply_pauli_channel(rho, ChannelSpec("z", lam), [1])
         np.testing.assert_allclose(
-            out, channels.bloch_state((0, r * (1 - 2 * lam), 0)), atol=1e-14
+            out, bloch_state((0, r * (1 - 2 * lam), 0)), atol=1e-14
         )
 
     def test_half_strength_fully_dephases(self):
-        rho = channels.bloch_state((0, 0.8, 0))
-        out = channels.apply_pauli_channel(rho, channels.ChannelSpec("z", 0.5), [1])
+        rho = bloch_state((0, 0.8, 0))
+        out = apply_pauli_channel(rho, ChannelSpec("z", 0.5), [1])
         np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-14)
 
     def test_z_channel_preserves_diagonal(self):
         rng = np.random.default_rng(1)
-        rho = channels.bloch_state(random_bloch(rng))
+        rho = bloch_state(random_bloch(rng))
         joint = linop.tensor([rho, rho])
-        out = channels.apply_pauli_channel(joint, channels.ChannelSpec("z", 0.3), [2])
+        out = apply_pauli_channel(joint, ChannelSpec("z", 0.3), [2])
         np.testing.assert_allclose(np.diag(out), np.diag(joint), atol=1e-14)
         assert abs(np.trace(out) - 1) < 1e-12
         assert linop.frobenius_max(out - linop.dagger(out)) < 1e-14
@@ -77,14 +83,14 @@ class TestPauliChannel:
     def test_duplicate_targets_rejected(self):
         rho = np.eye(4) / 4
         with pytest.raises(ValueError, match="duplicate"):
-            channels.apply_pauli_channel(rho, channels.ChannelSpec("z", 0.1), [1, 1])
+            apply_pauli_channel(rho, ChannelSpec("z", 0.1), [1, 1])
 
     def test_x_axis_channel_acts_in_rotated_frame(self):
         r, lam = 0.6, 0.3
-        rho = channels.bloch_state((0, 0, r))
-        out = channels.apply_pauli_channel(rho, channels.ChannelSpec("x", lam), [1])
+        rho = bloch_state((0, 0, r))
+        out = apply_pauli_channel(rho, ChannelSpec("x", lam), [1])
         np.testing.assert_allclose(
-            out, channels.bloch_state((0, 0, r * (1 - 2 * lam))), atol=1e-14
+            out, bloch_state((0, 0, r * (1 - 2 * lam))), atol=1e-14
         )
 
 
@@ -182,7 +188,7 @@ class TestBlocks:
         rng = np.random.default_rng(n)
         r = rng.uniform(0.05, 0.95)
         u = channels.preparation_unitary(n)
-        rho_i = linop.tensor([channels.bloch_state((0, r, 0))] * n)
+        rho_i = linop.tensor([bloch_state((0, r, 0))] * n)
         direct = u @ rho_i @ linop.dagger(u)
         for m in range(1, n + 1):
             dense, _ = channels.correlated_state(n, r, 0.0, m)
@@ -237,10 +243,10 @@ class TestBlocks:
     def test_post_channel_dense_matches_direct_channel(self):
         n, m, lam, r = 3, 2, 0.2, 0.4
         u = channels.preparation_unitary(n)
-        rho_i = linop.tensor([channels.bloch_state((0, r, 0))] * n)
+        rho_i = linop.tensor([bloch_state((0, r, 0))] * n)
         prep = u @ rho_i @ linop.dagger(u)
-        direct = channels.apply_pauli_channel(
-            prep, channels.ChannelSpec("z", lam), list(range(1, m + 1))
+        direct = apply_pauli_channel(
+            prep, ChannelSpec("z", lam), list(range(1, m + 1))
         )
         dense, _ = channels.correlated_state(n, r, lam, m)
         assert linop.frobenius_max(dense - direct) < 1e-10

@@ -513,16 +513,25 @@ class TestSweepCommand:
         assert target.read_text().startswith(cli.CSV_HEADER + "\n")
         assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
 
-    @pytest.mark.parametrize("name", ["", "missing" + os.sep], ids=["empty", "separator"])
-    def test_out_without_a_file_name_exits_1_before_evaluating(
-        self, name, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "name",
+        ["", "missing" + os.sep, os.path.join("missing", "x.csv")],
+        ids=["empty", "separator", "missing-directory"],
+    )
+    @pytest.mark.parametrize(
+        "command, module, work",
+        [("sweep", protocol, "qfi_and_gain"), ("mc", cli.mc, "run_experiment")],
+        ids=["sweep", "mc"],
+    )
+    def test_unopenable_out_exits_1_before_evaluating(
+        self, command, module, work, name, tmp_path, capsys, monkeypatch
     ):
         def refuse(*_):
             raise AssertionError("evaluated before the output was opened")
 
-        monkeypatch.setattr(protocol, "qfi_and_gain", refuse)
+        monkeypatch.setattr(module, work, refuse)
         monkeypatch.chdir(tmp_path)
-        code, out, err = run_cli(["sweep", "--out", name], capsys)
+        code, out, err = run_cli([*self.OUT_COMMANDS[command], "--out", name], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and repr(name) in err
         assert os.listdir(tmp_path) == []
@@ -639,16 +648,6 @@ class TestMcCommand:
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
             "9bc1cd39f2bb3ee723f7962dda00d53161d79604096d50d6a8436f6949ecece3"
         )
-
-    @pytest.mark.parametrize("name", ["", "missing" + os.sep], ids=["empty", "separator"])
-    def test_out_without_a_file_name_exits_1(self, name, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run_cli(
-            ["mc", "--r", "0.8", "--lambda", "0.3", "--trials", "3", "--out", name], capsys
-        )
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and repr(name) in err
-        assert os.listdir(tmp_path) == []
 
     def test_symmetric_point_mean(self, capsys):
         code, out, _ = run_cli(

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bloch_state
 from paulifish import channels, correlations, linop, protocol
 
 
@@ -34,7 +35,7 @@ class TestFinalState:
     def test_zero_strength_equals_prepared_state(self):
         r = 0.6
         u = channels.preparation_unitary(2)
-        prep = u @ linop.tensor([channels.bloch_state((0, r, 0))] * 2) @ linop.dagger(u)
+        prep = u @ linop.tensor([bloch_state((0, r, 0))] * 2) @ linop.dagger(u)
         np.testing.assert_allclose(final_state(r, 0.0, 2), prep, atol=1e-14)
 
     def test_unpolarized_is_maximally_mixed(self):
@@ -48,7 +49,7 @@ class TestFinalState:
 class TestSeparability:
     def test_product_state_is_separable(self):
         rho = linop.tensor(
-            [channels.bloch_state((0, 0.5, 0)), channels.bloch_state((0.3, 0, 0))]
+            [bloch_state((0, 0.5, 0)), bloch_state((0.3, 0, 0))]
         )
         sep, min_eig = correlations.is_separable_ppt(rho)
         assert sep
@@ -63,7 +64,7 @@ class TestSeparability:
 
     def test_product_state_eigenvalue_is_the_factors_product(self):
         # the transpose of one factor keeps its spectrum
-        a, b = channels.bloch_state((0, 0.5, 0)), channels.bloch_state((0.3, 0.4, 0))
+        a, b = bloch_state((0, 0.5, 0)), bloch_state((0.3, 0.4, 0))
         sep, min_eig = correlations.is_separable_ppt(linop.tensor([a, b]))
         assert sep
         assert min_eig == pytest.approx(0.25 * 0.25, abs=1e-15)

@@ -7,7 +7,44 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paulifish import mc, qfi
+from conftest import ChannelSpec, apply_pauli_channel, bloch_state
+from paulifish import linop, mc, qfi
+
+# the projectors of the +-y measurement, onto (|0> +- i|1>)/sqrt(2)
+PLUS = (linop.identity() + linop.sigma_y()) / 2.0
+MINUS = linop.identity() - PLUS
+
+
+def dense_born_rule(r, lam):
+    """(p_+, p_-, dp_+, dp_-) through the dense matrices of tests/conftest.py:
+    the channel map on (I + r sigma_y)/2 and its derivative Z rho Z - rho,
+    each traced against the projectors."""
+    rho = bloch_state((0.0, r, 0.0))
+    out = apply_pauli_channel(rho, ChannelSpec("z", lam), [1])
+    z = linop.sigma_z()
+    drho = z @ rho @ z - rho
+    return tuple(float(np.trace(a @ p).real) for a in (out, drho) for p in (PLUS, MINUS))
+
+
+def stacked_born_rule(rs, lams):
+    """dense_born_rule at every (r, lam) pair at once, on stacks of the same
+    2x2 matrices built by the same entrywise sums and products."""
+    r, lam = (np.asarray(v, dtype=float)[:, None, None] for v in (rs, lams))
+    zero, z = np.zeros_like(r), linop.sigma_z()
+    rho = 0.5 * (linop.identity() + zero * linop.sigma_x() + r * linop.sigma_y() + zero * z)
+    out = (1.0 - lam) * rho + lam * (z @ rho @ z)
+    drho = z @ rho @ z - rho
+    cols = [np.trace(a @ p, axis1=-2, axis2=-1).real for a in (out, drho) for p in (PLUS, MINUS)]
+    return list(zip(*(c.tolist() for c in cols)))
+
+
+# signed zeros, subnormals, the pure state and r just past 1 (accepted up to
+# 1 + 1e-12), against the ends of [0, 1] and strengths 10**-k from each end
+EDGE_R = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-300, 0.5, -0.5, 1.0, -1.0,
+          1.0 + 1e-13, -(1.0 + 1e-13)]
+EDGE_LAM = [0.0, 5e-324, 1e-310, 0.5, 1.0, *(10.0**-k for k in range(1, 17)),
+            *(1.0 - 10.0**-k for k in range(1, 17))]
+EDGE = [(r, lam) for r in EDGE_R for lam in EDGE_LAM]
 
 
 class TestOutcomeProbs:
@@ -40,6 +77,45 @@ class TestOutcomeProbs:
         pp1, _ = mc.outcome_probs(r, lam + h)
         pp0, _ = mc.outcome_probs(r, lam - h)
         assert dp == pytest.approx((pp1 - pp0) / (2 * h), abs=1e-8)
+
+
+class TestDenseBornRule:
+    """The closed outcome model against the dense Born rule it replaced, bit
+    for bit, signed zeros included."""
+
+    def test_stacked_route_is_the_dense_route(self):
+        rng = np.random.default_rng(19)
+        pts = EDGE + list(zip(rng.uniform(-1.0, 1.0, 2000).tolist(), rng.random(2000).tolist()))
+        stacked = stacked_born_rule(*zip(*pts))
+        for (r, lam), want in zip(pts, stacked):
+            assert str(dense_born_rule(r, lam)) == str(want), (r, lam)
+
+    def test_closed_form_is_the_dense_route(self):
+        rng = np.random.default_rng(20)
+        n = 10**5
+        pts = EDGE + list(zip(rng.uniform(-1.0, 1.0, n).tolist(), rng.random(n).tolist()))
+        pts += [(r, lam) for r in rng.random(200).tolist() for lam in EDGE_LAM]
+        pts += [(r, lam) for r in EDGE_R for lam in rng.random(200).tolist()]
+        want = np.array(stacked_born_rule(*zip(*pts)))
+        got = np.array([(*mc.outcome_probs(*p), *mc.outcome_prob_derivs(*p)) for p in pts])
+        # the bit patterns, which tell signed zeros apart as str() does
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "r, lam",
+        [(1.0 + 1e-11, 0.3), (-1.5, 0.3), (math.nan, 0.3), (math.inf, 0.3),
+         (0.5, -1e-300), (0.5, 1.5), (0.5, math.nan), (2.0, math.nan)],
+    )
+    def test_rejects_what_the_dense_route_rejects(self, r, lam):
+        with pytest.raises(ValueError) as want:
+            dense_born_rule(r, lam)
+        with pytest.raises(ValueError) as got:
+            mc.outcome_probs(r, lam)
+        assert str(got.value) == str(want.value)
+        if "Bloch" in str(want.value):
+            with pytest.raises(ValueError) as got:
+                mc.outcome_prob_derivs(r, lam)
+            assert str(got.value) == str(want.value)
 
 
 class TestClassicalFisher:

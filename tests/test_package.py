@@ -49,6 +49,12 @@ RETIRED = {
     "ALPHA_TOL": qfi,
     "_real_trace": qfi,
     "bitstring_weight": channels,
+    "ChannelSpec": channels,
+    "bloch_state": channels,
+    "apply_pauli_channel": channels,
+    "pauli": linop,
+    "num_qubits": linop,
+    "_measurement_ops": mc,
 }
 
 
@@ -147,6 +153,40 @@ def test_cross_module_private_reads_are_the_listed_ones():
             if private:
                 found.setdefault(module, set()).update(private)
     assert found == PRIVATE_READS
+
+
+#: The paulifish modules that each src/paulifish module imports. A new
+#: dependency between modules has to be listed here. mc reads only linop:
+#: its outcome model is in closed form and builds no state.
+IMPORTS = {
+    "__init__": {"channels", "correlations", "linop", "mc", "protocol", "qfi"},
+    "channels": {"linop", "protocol"},
+    "cli": {"correlations", "mc", "protocol", "qfi", "verify"},
+    "correlations": {"linop", "protocol"},
+    "linop": set(),
+    "mc": {"linop"},
+    "protocol": {"linop"},
+    "qfi": {"linop"},
+    "verify": {"channels", "correlations", "linop", "protocol", "qfi"},
+}
+
+
+def test_module_imports_are_the_listed_ones():
+    src = pathlib.Path(paulifish.__file__).parent
+    found = {}
+    for path in src.glob("*.py"):
+        imported = found.setdefault(path.stem, set())
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.ImportFrom):
+                base = ".".join(["paulifish"] * sub.level + [sub.module or ""]).strip(".")
+                # "from paulifish import x" names modules, "from paulifish.x import f" one
+                names = [f"{base}.{a.name}" for a in sub.names] if base == "paulifish" else [base]
+            elif isinstance(sub, ast.Import):
+                names = [alias.name for alias in sub.names]
+            else:
+                continue
+            imported |= {n.split(".")[1] for n in names if n.startswith("paulifish.")}
+    assert found == IMPORTS
 
 
 #: Functions that reject a non-finite entry in any argument, each with finite

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import sld_2x2
+from conftest import bloch_state, sld_2x2
 from paulifish import channels, linop, protocol, qfi, verify
 
 
@@ -26,7 +26,7 @@ def coin_toss_pure_family(lam):
 
 def dephased_qubit_family(r, lam):
     """Phase-flipped y-polarized qubit and its analytic derivative."""
-    rho = channels.bloch_state((0, r * (1 - 2 * lam), 0))
+    rho = bloch_state((0, r * (1 - 2 * lam), 0))
     drho = -r * linop.sigma_y()
     return rho, drho
 
@@ -39,7 +39,7 @@ class TestSld2x2:
             assert res.H == pytest.approx(1.0 / (lam * (1 - lam)), rel=1e-12)
 
     def test_zero_derivative_gives_zero_information(self):
-        rho = channels.bloch_state((0, 0.5, 0))
+        rho = bloch_state((0, 0.5, 0))
         res = sld_2x2(rho, np.zeros((2, 2)))
         assert linop.frobenius_max(res.L) == 0.0
         assert res.H == 0.0
@@ -55,7 +55,7 @@ class TestSld2x2:
         for _ in range(20):
             v = rng.normal(size=3)
             v *= rng.uniform(0, 0.95) / np.linalg.norm(v)
-            rho = channels.bloch_state(v)
+            rho = bloch_state(v)
             drho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             drho = (drho + drho.conj().T) / 2
             drho -= np.trace(drho) / 2 * np.eye(2)  # keep the family trace-flat
@@ -91,7 +91,7 @@ class TestFisherEig:
         for _ in range(20):
             v = rng.normal(size=3)
             v *= rng.uniform(0.05, 0.95) / np.linalg.norm(v)
-            rho = channels.bloch_state(v)
+            rho = bloch_state(v)
             drho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             drho = (drho + drho.conj().T) / 2
             drho -= np.trace(drho) / 2 * np.eye(2)

@@ -103,8 +103,9 @@ def test_strength_threshold_for_an_n_fold_gain():
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_stationary_polarizations(m):
-    # 3.1e-11 measured, at m = 2, lam = 1e-12
-    for lam in LAMS:
+    # 1.7e-16 measured, at m = 2, lam = 1e-9; with b^2 - 4ac formed from nu
+    # it was 3.1e-11 at lam = 1e-12 and 1.5e-9 at lam = 1e-16
+    for lam in [*LAMS, 1e-16]:
         if lam == 0.5:  # degenerate, rejected
             continue
         nu = _mu(lam, 2)
@@ -115,7 +116,7 @@ def test_stationary_polarizations(m):
         got = protocol.stationary_polarizations(m, lam)
         assert len(got) == len(ref), lam
         for g, want in zip(got, ref):
-            assert _rel_err(g, want) <= 1e-10, lam
+            assert _rel_err(g, want) <= 5e-16, lam
 
 
 def test_single_use_fisher_information_in_the_equatorial_plane():
