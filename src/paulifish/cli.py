@@ -73,7 +73,7 @@ def sweep_rows(
     1024 cells each (one row if a row alone is larger), with one call per
     layer per block: one j-sum for H_corr and gain, one call each for H_ind
     and the r=0 and r=1 limits, and for n = 2 the closed-form discord and
-    partial-transpose eigenvalue. A block bounds the (n+1, cells)
+    partial-transpose eigenvalue. A block bounds the (ceil(n/2), cells)
     temporaries of the j-sum, and each block's text is yielded before the
     next block is evaluated. n and m are checked at the call; the grid only
     as its blocks are evaluated. Polarization endpoints use the closed-form

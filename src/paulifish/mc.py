@@ -52,10 +52,10 @@ _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 class ExperimentConfig:
     r: float
     lambda_true: float
-    m: int = 1
-    trials: int = 200
-    shots_per_trial: int = 100_000
-    seed: int = 0
+    m: int
+    trials: int
+    shots_per_trial: int
+    seed: int
 
     def __post_init__(self):
         if not 0.0 < self.r <= 1.0:

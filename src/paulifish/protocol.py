@@ -9,13 +9,13 @@ map from dephasing time to channel strength.
 The lam dependence enters only through nu = (1-2 lam)**2. By convention
 nu**(m-1) is 1 when m = 1 even at lam = 1/2 (continuity).
 
-The Fisher information and the gain share one j-sum over bit-complement
-weight pairs. It is evaluated once, in the log domain and broadcast over
-(j, r, lam), by ``_log_qfi_gain``; ``qfi_correlated``, ``gain``,
-``gain_min``, ``gain_max`` and the grid form ``qfi_and_gain`` wrap it. In
-the scalar wrappers a true value that is nonzero but outside the normal
-float64 range raises ValueError; the grid form returns it as the plain
-exponential (a subnormal or 0).
+The Fisher information and the gain share one j-sum over the weight pairs,
+one term per Hamming class {j, n-j}, j < n/2. It is evaluated once, in the
+log domain and broadcast over (j, r, lam), by ``_log_qfi_gain``;
+``qfi_correlated``, ``gain``, ``gain_min``, ``gain_max`` and the grid form
+``qfi_and_gain`` wrap it. In the scalar wrappers a true value that is
+nonzero but outside the normal float64 range raises ValueError; the grid
+form returns it as the plain exponential (a subnormal or 0).
 """
 
 from __future__ import annotations
@@ -65,32 +65,32 @@ def _log_qfi_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
     """Natural logs of the correlated Fisher information and of the gain,
     broadcast over r and lam, from one log-domain j-sum; -inf is an exact 0.
 
-    With t = atanh r, the larger weight of pair j is
-    M = (1-r^2)^min(j,n-j) (1+r)^|n-2j| and the pair's ratio is
-    e = exp(-2 |n-2j| t), so diff = M (1-e) and total = M (1+e). The
-    j-term diff^2 total / (total^2 - nu^m diff^2) becomes
-    M (1-e)^2 (1+e) / [(1+e)^2 (1-nu^m) + 4 e nu^m], a sum of
-    nonnegative pieces. 1-e, 1-nu^m and 1-nu r^2 are formed without
-    cancellation (expm1, log1p, and (1-r)(1+r) + 4 lam(1-lam) r^2).
+    j and n-j give equal terms and j = n/2 gives 0, so one term per Hamming
+    class j < n/2 is summed and doubled. With t = atanh r, class j's larger
+    weight is M = (1-r^2)^j (1+r)^(n-2j) and its ratio e = exp(-2 (n-2j) t),
+    so diff = M (1-e), total = M (1+e), and the j-term diff^2 total /
+    (total^2 - nu^m diff^2) is M (1-e)^2 (1+e) / [(1+e)^2 (1-nu^m) +
+    4 e nu^m], a sum of nonnegative pieces. 1-e, 1-nu^m and 1-nu r^2 are
+    formed without cancellation (expm1, log1p, (1-r)(1+r) + 4 lam(1-lam) r^2).
     """
     r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
-    # per-index columns |n-2j|, min(j, n-j) and log C(n, j), broadcast against (r, lam)
-    j = np.arange(n + 1).reshape((n + 1,) + (1,) * max(r.ndim, lam.ndim))
-    k, lo = np.abs(n - 2 * j), np.minimum(j, n - j)
+    # per-class columns j < n/2, n-2j and log C(n, j), broadcast against (r, lam)
+    j = np.arange((n + 1) // 2).reshape((-1,) + (1,) * max(r.ndim, lam.ndim))
+    k = n - 2 * j
     log_choose = np.array(
-        [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1)]
+        [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(j.size)]
     ).reshape(j.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         log1p_r, log1m_r = np.log1p(r), np.log1p(-r)
         log_pure = log1m_r + log1p_r  # log(1 - r^2)
-        two_kt = k * (log1p_r - log1m_r)  # 2 |n-2j| atanh(r)
+        two_kt = k * (log1p_r - log1m_r)  # 2 (n-2j) atanh(r)
         log_nu = 2.0 * np.log1p(-2.0 * np.minimum(lam, 1.0 - lam))  # -inf at lam = 1/2
         log_q = np.log(-np.expm1(m * log_nu))  # log(1 - nu^m)
         log_t = np.log1p(np.exp(-two_kt))  # log(total / M)
         log_den = np.logaddexp(2.0 * log_t + log_q, _LOG4 + m * log_nu - two_kt)
         terms = (
             log_choose
-            + lo * log_pure
+            + j * log_pure
             + k * log1p_r
             + 2.0 * np.log(-np.expm1(-two_kt))
             + log_t
@@ -98,7 +98,7 @@ def _log_qfi_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
         )
         top = terms.max(axis=0)
         top = np.where(np.isfinite(top), top, 0.0)
-        log_s = top + np.log(np.exp(terms - top).sum(axis=0))
+        log_s = top + np.log(2.0 * np.exp(terms - top).sum(axis=0))
         # nu^(m-1) is 1 at m = 1, even at lam = 1/2
         log_pre = math.log(m) + ((m - 1) * log_nu if m > 1 else 0.0) + log_s
         log_h = log_pre + math.log(m) - (n - 1) * _LOG2

@@ -336,22 +336,18 @@ def suite_preparation() -> SuiteResult:
     """Column structure of the preparation unitary on the rotated basis:
     exactly two amplitudes, (1+i)/2 and (1-i)/2, plus unitarity."""
     worst = 0.0
-    # the rotated basis is the sigma_y eigenbasis: bit 0 -> (|0>+i|1>)/sqrt2
-    plus = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
-    minus = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
+    # the rotated basis is the sigma_y eigenbasis: bit 0 -> (|0>+i|1>)/sqrt2,
+    # bit 1 -> (|0>-i|1>)/sqrt2; column x of its n-fold tensor product holds
+    # the bits of x, qubit n first
+    basis = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / np.sqrt(2.0)
     for n in (2, 3, 4):
         u = channels.preparation_unitary(n)
         worst = _worst(worst, np.abs(u @ u.conj().T - np.eye(2**n)))
-        big_n = 2**n - 1
-        for x in range(2**n):
-            vec = np.array([1.0], dtype=complex)
-            for bit_pos in reversed(range(n)):  # qubit n first, qubit 1 last
-                vec = np.kron(vec, minus if (x >> bit_pos) & 1 else plus)
-            out = u @ vec
-            expected = np.zeros(2**n, dtype=complex)
-            expected[x] = (1.0 + 1.0j) / 2.0
-            expected[big_n - x] = (1.0 - 1.0j) / 2.0
-            worst = _worst(worst, np.abs(out - expected))
+        x = np.arange(2**n)
+        expected = np.zeros((2**n, 2**n), dtype=complex)
+        expected[x, x] = (1.0 + 1.0j) / 2.0
+        expected[2**n - 1 - x, x] = (1.0 - 1.0j) / 2.0
+        worst = _worst(worst, np.abs(u @ linop.tensor([basis] * n) - expected))
     return SuiteResult("preparation", worst < 1e-12, worst, "n in {2,3,4}, tol 1e-12")
 
 

@@ -67,7 +67,7 @@ def test_criterion_07_discord():
 
 def test_criterion_08_monte_carlo_cramer_rao():
     cfg = mc.ExperimentConfig(
-        r=0.8, lambda_true=0.3, trials=200, shots_per_trial=100_000, seed=7
+        r=0.8, lambda_true=0.3, m=1, trials=200, shots_per_trial=100_000, seed=7
     )
     result = mc.run_experiment(cfg)
     ratio = result.sample_variance * cfg.shots_per_trial * result.fisher_classical

@@ -614,7 +614,7 @@ class TestMcCommand:
         ests = np.array([float(r["lambda_hat"]) for r in rows])
         res = mc.run_experiment(
             mc.ExperimentConfig(
-                r=0.8, lambda_true=0.3, trials=200, shots_per_trial=100_000, seed=7
+                r=0.8, lambda_true=0.3, m=1, trials=200, shots_per_trial=100_000, seed=7
             )
         )
         np.testing.assert_allclose(ests, res.estimates, atol=1e-11)

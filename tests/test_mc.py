@@ -156,20 +156,22 @@ class TestClassicalFisher:
 
 class TestRunExperiment:
     def test_deterministic_given_seed(self):
-        cfg = mc.ExperimentConfig(r=0.8, lambda_true=0.3, trials=50, shots_per_trial=1000, seed=11)
+        cfg = mc.ExperimentConfig(
+            r=0.8, lambda_true=0.3, m=1, trials=50, shots_per_trial=1000, seed=11
+        )
         a, b = mc.run_experiment(cfg), mc.run_experiment(cfg)
         np.testing.assert_array_equal(a.estimates, b.estimates)
         assert a.sample_variance == b.sample_variance
 
     def test_different_seed_changes_draws(self):
-        base = dict(r=0.8, lambda_true=0.3, trials=50, shots_per_trial=1000)
+        base = dict(r=0.8, lambda_true=0.3, m=1, trials=50, shots_per_trial=1000)
         a = mc.run_experiment(mc.ExperimentConfig(seed=1, **base))
         b = mc.run_experiment(mc.ExperimentConfig(seed=2, **base))
         assert not np.array_equal(a.estimates, b.estimates)
 
     def test_variance_tracks_cramer_rao(self):
         cfg = mc.ExperimentConfig(
-            r=0.8, lambda_true=0.3, trials=200, shots_per_trial=100_000, seed=7
+            r=0.8, lambda_true=0.3, m=1, trials=200, shots_per_trial=100_000, seed=7
         )
         res = mc.run_experiment(cfg)
         assert 0.9 <= res.sample_variance / res.crb <= 1.1
@@ -177,14 +179,14 @@ class TestRunExperiment:
 
     def test_estimator_is_unbiased_in_the_interior(self):
         cfg = mc.ExperimentConfig(
-            r=0.8, lambda_true=0.3, trials=200, shots_per_trial=100_000, seed=7
+            r=0.8, lambda_true=0.3, m=1, trials=200, shots_per_trial=100_000, seed=7
         )
         res = mc.run_experiment(cfg)
         assert abs(res.mean - 0.3) < 4.0 * math.sqrt(res.crb / cfg.trials)
 
     def test_symmetric_point_estimates_center(self):
         cfg = mc.ExperimentConfig(
-            r=0.5, lambda_true=0.5, trials=100, shots_per_trial=10_000, seed=3
+            r=0.5, lambda_true=0.5, m=1, trials=100, shots_per_trial=10_000, seed=3
         )
         res = mc.run_experiment(cfg)
         assert abs(res.mean - 0.5) < 3.0 * math.sqrt(res.crb / cfg.trials)
@@ -199,14 +201,16 @@ class TestRunExperiment:
         )
 
     def test_fisher_comes_from_born_rule(self):
-        cfg = mc.ExperimentConfig(r=0.8, lambda_true=0.3, trials=2, shots_per_trial=10, seed=0)
+        cfg = mc.ExperimentConfig(
+            r=0.8, lambda_true=0.3, m=1, trials=2, shots_per_trial=10, seed=0
+        )
         res = mc.run_experiment(cfg)
         expected = 4 * 0.64 / (1 - 0.16 * 0.64)
         assert res.fisher_classical == pytest.approx(expected, abs=1e-10)
 
     def test_tiny_polarization_clamps_are_recorded(self):
         cfg = mc.ExperimentConfig(
-            r=0.01, lambda_true=0.5, trials=100, shots_per_trial=10, seed=5
+            r=0.01, lambda_true=0.5, m=1, trials=100, shots_per_trial=10, seed=5
         )
         res = mc.run_experiment(cfg)
         assert res.n_clamped > 0
@@ -214,17 +218,18 @@ class TestRunExperiment:
         assert np.all(res.estimates <= 1.0)
 
     def test_config_validation(self):
+        valid = dict(r=0.5, lambda_true=0.3, m=1, trials=200, shots_per_trial=100_000, seed=0)
         with pytest.raises(ValueError):
-            mc.ExperimentConfig(r=0.0, lambda_true=0.3)
+            mc.ExperimentConfig(**valid | dict(r=0.0))
         with pytest.raises(ValueError):
-            mc.ExperimentConfig(r=0.5, lambda_true=0.0)
+            mc.ExperimentConfig(**valid | dict(lambda_true=0.0))
         with pytest.raises(ValueError):
-            mc.ExperimentConfig(r=0.5, lambda_true=0.3, trials=0)
+            mc.ExperimentConfig(**valid | dict(trials=0))
         with pytest.raises(ValueError, match="seed"):
-            mc.ExperimentConfig(r=0.5, lambda_true=0.3, seed=-1)
+            mc.ExperimentConfig(**valid | dict(seed=-1))
         with pytest.raises(ValueError, match="trials"):
-            mc.ExperimentConfig(r=0.5, lambda_true=0.3, trials=10**7 + 1)
-        mc.ExperimentConfig(r=0.5, lambda_true=0.3, trials=10**7)
+            mc.ExperimentConfig(**valid | dict(trials=10**7 + 1))
+        mc.ExperimentConfig(**valid | dict(trials=10**7))
 
 
 def reference_run(cfg):
@@ -275,7 +280,7 @@ class TestTrialSubstreams:
     def test_clamped_draws_match_one_generator_per_spawned_child(self):
         # four shots at r = 1/2 put estimates exactly on 0 and 1 as well as past them
         cfg = mc.ExperimentConfig(
-            r=0.5, lambda_true=0.5, trials=300, shots_per_trial=4, seed=5
+            r=0.5, lambda_true=0.5, m=1, trials=300, shots_per_trial=4, seed=5
         )
         estimates, n_clamped = reference_run(cfg)
         res = mc.run_experiment(cfg)
@@ -285,7 +290,7 @@ class TestTrialSubstreams:
     def test_blocks_of_trials_match_one_generator_per_spawned_child(self, monkeypatch):
         monkeypatch.setattr(mc, "_BLOCK_TRIALS", 7)  # 8 blocks, the last one partial
         cfg = mc.ExperimentConfig(
-            r=0.8, lambda_true=0.3, trials=50, shots_per_trial=500, seed=3
+            r=0.8, lambda_true=0.3, m=1, trials=50, shots_per_trial=500, seed=3
         )
         estimates, n_clamped = reference_run(cfg)
         res = mc.run_experiment(cfg)
@@ -326,7 +331,9 @@ class TestTrialSubstreams:
         monkeypatch.setattr(np.random, "Generator", Generator)
         monkeypatch.setattr(np.random, "SeedSequence", SeedSequence)
         mc.run_experiment(
-            mc.ExperimentConfig(r=0.8, lambda_true=0.3, trials=50, shots_per_trial=100)
+            mc.ExperimentConfig(
+                r=0.8, lambda_true=0.3, m=1, trials=50, shots_per_trial=100, seed=0
+            )
         )
         assert built == {"Philox": 0, "Generator": 0, "SeedSequence": 0}
 

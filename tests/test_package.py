@@ -70,10 +70,6 @@ def test_retired_block_records_are_gone(name):
 OPTIONS = {
     "cli.main(argv)",
     "linop.check_unit_interval(interval)",
-    "mc.ExperimentConfig(m)",
-    "mc.ExperimentConfig(trials)",
-    "mc.ExperimentConfig(shots_per_trial)",
-    "mc.ExperimentConfig(seed)",
 }
 
 

@@ -354,3 +354,10 @@ def test_suite_fails_on_a_slightly_wrong_input(case, monkeypatch):
     result = _run(suite)
     assert result.name == suite
     assert result.passed is False
+
+
+def test_oracle_suite_passes_at_every_qubit_count():
+    # the class-oracle eigensolve against the j-sum kernel for every n the
+    # closed form accepts, 2..64
+    (result,) = verify.run_suites(["oracle"], n_max=protocol.ANALYTIC_N_CAP)
+    assert result.passed, result
