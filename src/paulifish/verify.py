@@ -379,10 +379,14 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 
 def run_suites(names: list[str] | None, n_max: int) -> list[SuiteResult]:
-    """Run the named suites, or all of them for None; n_max, checked before
-    any suite runs, caps the qubit count of the oracle and bounds suites."""
-    _qubit_counts(n_max)
+    """Run the named suites, or all of them for None. The names and n_max are
+    checked before any suite runs; n_max caps the qubit count of the oracle
+    and bounds suites."""
     selected = names or list(SUITES)
+    for name in selected:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
+    _qubit_counts(n_max)
     out = []
     for name in selected:
         fn = SUITES[name]

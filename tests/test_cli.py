@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paulifish import channels, cli, correlations, mc, protocol, qfi
+from paulifish import channels, cli, correlations, mc, protocol, qfi, verify
 
 
 def run_cli(args, capsys):
@@ -520,7 +520,7 @@ class TestSweepCommand:
     )
     @pytest.mark.parametrize(
         "command, module, work",
-        [("sweep", protocol, "qfi_and_gain"), ("mc", cli.mc, "run_experiment")],
+        [("sweep", protocol, "qfi_and_gain"), ("mc", mc, "run_experiment")],
         ids=["sweep", "mc"],
     )
     def test_unopenable_out_exits_1_before_evaluating(
@@ -549,7 +549,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify"], capsys)
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) == len(cli.verify.SUITES)
+        assert len(lines) == len(verify.SUITES)
         assert all(l.startswith("PASS") for l in lines)
         assert all("max_err=" in l for l in lines)
 
@@ -572,9 +572,18 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", *suite, "--n-max", "8"], capsys)
         assert code == 0
         lines = out.splitlines()
-        assert len(lines) == (1 if suite else len(cli.verify.SUITES))
+        assert len(lines) == (1 if suite else len(verify.SUITES))
         assert all(l.startswith("PASS") for l in lines)
         assert "PASS oracle" in out and "(n<= 8, tol 1e-8)" in out
+
+    @pytest.mark.parametrize("suite", ["nope", "", "Oracle"])
+    def test_unknown_suite_exits_2_naming_the_suites(self, suite, capsys):
+        code, out, err = run_cli(["verify", "--suite", suite], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: unknown suite {suite!r}; choose from bounds, discord, oracle, preparation, "
+            "separability, stationary, threshold-gain, weight-inequalities\n"
+        )
 
     @pytest.mark.parametrize("n_max", ["1", "0", "-3", "65"])
     def test_n_max_outside_range_exits_2_before_any_suite(self, n_max, capsys):
@@ -804,7 +813,7 @@ _ARGV = st.one_of(
     # a drawn --n-max follows the default 4 and wins
     _options(
         {
-            "suite": st.sampled_from(sorted(cli.verify.SUITES) + ["nope"]),
+            "suite": st.sampled_from(sorted(verify.SUITES) + ["nope"]),
             "n-max": st.sampled_from(["-1", "0", "2", "3", "4", "65", "x"]),
         }
     ).map(lambda a: ["verify", "--n-max", "4", *a]),

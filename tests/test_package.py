@@ -3,8 +3,11 @@ import dataclasses
 import importlib
 import inspect
 import math
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,9 +19,52 @@ from paulifish import channels, correlations, linop, mc, protocol, qfi
 
 
 def test_every_export_resolves_once():
+    # to its home module's object: paulifish.gain is paulifish.protocol.gain
     assert len(paulifish.__all__) == len(set(paulifish.__all__))
+    assert set(paulifish.__all__) <= set(dir(paulifish))
     for name in paulifish.__all__:
-        assert getattr(paulifish, name) is not None, name
+        obj = getattr(paulifish, name)
+        if inspect.ismodule(obj):
+            assert obj is sys.modules[f"paulifish.{name}"], name
+        else:
+            assert obj.__module__.startswith("paulifish."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+#: The paulifish modules, besides paulifish and paulifish.cli, that importing
+#: the CLI and running each command loads: a command loads only what it runs.
+COMMAND_MODULES = {
+    "import": ([], set()),
+    "mc": (["mc", "--r", "0.8", "--lambda", "0.3", "--trials", "3"], {"linop", "mc"}),
+    "sweep": (["sweep", "--out", os.devnull], {"correlations", "linop", "protocol", "qfi"}),
+    "qfi": (
+        ["qfi", "--n", "3", "--m", "2", "--r", "0.5", "--lambda", "0.1"],
+        {"linop", "protocol", "qfi"},
+    ),
+    "verify": (
+        ["verify", "--n-max", "2"],
+        {"channels", "correlations", "linop", "protocol", "qfi", "verify"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(command):
+    argv, loaded = COMMAND_MODULES[command]
+    script = (
+        "import sys\n"
+        "from paulifish import cli\n"
+        f"assert not {argv!r} or cli.main({argv!r}) == 0\n"
+        "print(*sorted(k for k in sys.modules if k.split('.')[0] == 'paulifish'))\n"
+    )
+    src = str(pathlib.Path(paulifish.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    expected = {"paulifish", "paulifish.cli"} | {f"paulifish.{m}" for m in loaded}
+    assert set(done.stdout.splitlines()[-1].split()) == expected
 
 
 #: Each retired name, with the module that held it; none is on the package either.
@@ -153,9 +199,10 @@ def test_cross_module_private_reads_are_the_listed_ones():
 
 #: The paulifish modules that each src/paulifish module imports. A new
 #: dependency between modules has to be listed here. mc reads only linop:
-#: its outcome model is in closed form and builds no state.
+#: its outcome model is in closed form and builds no state. The package
+#: itself imports none: it loads each module on first access.
 IMPORTS = {
-    "__init__": {"channels", "correlations", "linop", "mc", "protocol", "qfi"},
+    "__init__": set(),
     "channels": {"linop", "protocol"},
     "cli": {"correlations", "mc", "protocol", "qfi", "verify"},
     "correlations": {"linop", "protocol"},

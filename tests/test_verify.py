@@ -4,6 +4,8 @@ passed=False. Each comparison a suite makes has a fault of its own, keyed
 "suite/what breaks"; the case keyed by the bare suite name is the first
 fault of that suite."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -361,3 +363,13 @@ def test_oracle_suite_passes_at_every_qubit_count():
     # closed form accepts, 2..64
     (result,) = verify.run_suites(["oracle"], n_max=protocol.ANALYTIC_N_CAP)
     assert result.passed, result
+
+
+def test_unknown_suite_is_rejected_before_any_suite_runs(monkeypatch):
+    def refuse(**_):
+        raise AssertionError("a suite ran before the names were checked")
+
+    monkeypatch.setitem(verify.SUITES, "preparation", refuse)
+    listed = ", ".join(sorted(verify.SUITES))
+    with pytest.raises(ValueError, match=re.escape(f"unknown suite 'nope'; choose from {listed}")):
+        verify.run_suites(["preparation", "nope"], n_max=4)
