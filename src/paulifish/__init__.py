@@ -12,8 +12,8 @@ import importlib as _importlib
 _EXPORTS = {
     "channels": ("correlated_state", "preparation_unitary"),
     "correlations": (
-        "bell_diagonalize", "discord_prep", "discord_protocol", "discord_rmu", "discord_xstate",
-        "is_separable_ppt", "ppt_closed_form", "separability_threshold",
+        "discord_prep", "discord_protocol", "discord_rmu", "is_separable_ppt", "ppt_closed_form",
+        "separability_threshold",
     ),
     "linop": ("tensor",),
     "mc": (

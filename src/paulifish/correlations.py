@@ -1,12 +1,13 @@
 """Two-qubit correlation diagnostics for the protocol's pre-measurement state.
 
 Separability via the positive-partial-transpose test with its closed-form
-polarization threshold, and quantum discord Q in bits through the
-Bell-diagonal (X-state) closed form. The closed forms of the post-channel
-state take the two-qubit protocol's invocation counts, m in {1, 2}. The
-dense routes (is_separable_ppt, and bell_diagonalize, whose (c1, c2, c3)
-discord_xstate takes) take any two-qubit state, such as
-channels.correlated_state(2, r, lam, m)[0], and serve as their oracles.
+polarization threshold, and quantum discord Q in bits through its X-state
+closed form. The closed forms of the post-channel state take the two-qubit
+protocol's invocation counts, m in {1, 2}. The dense PPT route,
+is_separable_ppt, takes any two-qubit state, such as
+channels.correlated_state(2, r, lam, m)[0], and serves as its closed
+form's oracle; the discord closed form is checked against discord from its
+definition, in verify.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from . import linop, protocol
 
 #: Tolerance on the minimum partial-transpose eigenvalue.
 PPT_TOL = 1e-10
-
-#: Residual allowed when forcing the state into Bell-diagonal form.
-BELL_RESIDUAL_TOL = 1e-10
 
 
 def _xlog2(v) -> np.ndarray:
@@ -81,81 +79,6 @@ def ppt_closed_form(r, lam, m: int):
     return linop.scalar_or_array(min_eig >= -PPT_TOL), linop.scalar_or_array(min_eig)
 
 
-def _bell_frame() -> np.ndarray:
-    """The 16 two-qubit Pauli products s_a x s_b (s_0 = I), each conjugated
-    back through the local rotation that makes the post-channel state
-    Bell-diagonal: frame[a, b] = U† (s_a x s_b) U = (u† s_a u) x (u† s_b u),
-    with u the antidiagonal phases exp(+-i pi/8). Plain einsum loops, so
-    building it at import costs no BLAS start-up."""
-    u = np.array(
-        [[0.0, np.exp(1j * np.pi / 8)], [np.exp(-1j * np.pi / 8), 0.0]], dtype=complex
-    )
-    paulis = np.array([linop.identity(), linop.sigma_x(), linop.sigma_y(), linop.sigma_z()])
-    rotated = np.einsum("ji,ajk,kl->ail", u.conj(), paulis, u)
-    return np.einsum("aij,bkl->abikjl", rotated, rotated).reshape(4, 4, 4, 4)
-
-
-#: Rotated two-qubit Pauli products, built once; see _bell_frame.
-_BELL_FRAME = _bell_frame()
-
-
-def bell_diagonalize(rho: np.ndarray) -> tuple:
-    """Rotate the post-channel state into Bell-diagonal form and read off
-    (c1, c2, c3), the coefficients of (1/4)(I + c1 XX + c2 YY + c3 ZZ).
-
-    Applies the local unitary with antidiagonal phases exp(+-i pi/8) to each
-    qubit and extracts every two-qubit Pauli coefficient
-    Tr[U rho U† (s_a x s_b)]/4 = Tr[rho frame[a, b]]/4 in one contraction.
-    Raises if any coefficient outside the XX/YY/ZZ diagonal survives above
-    tolerance. rho may be a stack (..., 4, 4); the coefficients are then
-    arrays over its leading axes.
-    """
-    rho = linop._as_operators(rho)
-    if rho.shape[-2:] != (4, 4):
-        raise ValueError("Bell diagonalization takes a two-qubit state")
-    coeffs = np.einsum("...ij,abji->...ab", rho, _BELL_FRAME) / 4.0
-    diag = np.diagonal(coeffs, axis1=-2, axis2=-1)
-    residual = max(
-        float(np.max(np.abs(coeffs[..., ~np.eye(4, dtype=bool)]))),
-        float(np.max(np.abs(diag[..., 1:].imag))),
-        float(np.max(np.abs(diag[..., 0] - 0.25))),
-    )
-    if residual > BELL_RESIDUAL_TOL:
-        raise ValueError(
-            f"state is not Bell-diagonal after rotation (residual {residual:.3e})"
-        )
-    # state = (1/4)(I + sum c_j s_j x s_j), so c_j = Tr[rho (s_j x s_j)]
-    c = 4.0 * diag.real
-    return tuple(linop.scalar_or_array(c[..., j]) for j in (1, 2, 3))
-
-
-def _discord(lambdas: list, c: np.ndarray):
-    """Discord in bits, Q = (1/4) sum xlog2(lambda) - (1/2) xlog2(1-c)
-    - (1/2) xlog2(1+c), from the four spectral combinations
-    1 -+ c1 -+ c2 -+ c3 (each with an odd number of minuses) and the
-    dominant |c_j| = c; raises if a combination is negative."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if (lambdas < -1e-10).any():
-        raise ValueError(f"spectral combination {lambdas.min()} is negative: invalid state")
-    q = 0.25 * _xlog2(lambdas).sum(axis=0)
-    q -= 0.5 * _xlog2(1.0 - c)
-    q -= 0.5 * (1.0 + c) * np.log2(1.0 + c)
-    if (q < -1e-9).any():
-        raise ValueError(f"discord came out negative ({q.min()}): invalid coefficients")
-    return linop.scalar_or_array(np.maximum(q, 0.0))
-
-
-def discord_xstate(c1, c2, c3):
-    """Discord of the Bell-diagonal state with coefficients (c1, c2, c3), as
-    bell_diagonalize returns them, from its generic closed form; the
-    coefficients may be arrays, which broadcast."""
-    c1, c2, c3 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (c1, c2, c3)))
-    return _discord(
-        [1.0 - c1 - c2 - c3, 1.0 - c1 + c2 + c3, 1.0 + c1 - c2 + c3, 1.0 + c1 + c2 - c3],
-        np.maximum(np.maximum(np.abs(c1), np.abs(c2)), np.abs(c3)),
-    )
-
-
 def discord_rmu(r, mu):
     """Discord of the protocol state with off-diagonal scale mu.
 
@@ -171,8 +94,13 @@ def discord_rmu(r, mu):
     if bad_mu.any():
         raise ValueError(f"off-diagonal scale must lie in [-1, 1], got {am[bad_mu].flat[0]}")
     r2, cross = r * r, 2.0 * r * am
-    lambdas = [1.0 - r2, 1.0 + cross + r2, 1.0 - cross + r2, 1.0 - r2]
-    return _discord(lambdas, np.maximum(r2, r * am))
+    c = np.maximum(r2, r * am)
+    q = 0.25 * _xlog2([1.0 - r2, 1.0 + cross + r2, 1.0 - cross + r2, 1.0 - r2]).sum(axis=0)
+    q -= 0.5 * _xlog2(1.0 - c)
+    q -= 0.5 * (1.0 + c) * np.log2(1.0 + c)
+    if (q < -1e-9).any():
+        raise ValueError(f"discord came out negative ({q.min()}): invalid (r, mu)")
+    return linop.scalar_or_array(np.maximum(q, 0.0))
 
 
 def discord_protocol(r, lam, m: int):

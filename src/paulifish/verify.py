@@ -2,9 +2,9 @@
 
 Each suite exercises one family of invariants (oracle equivalence of the
 closed-form Fisher information, analytic bounds, the weight-pair and gain
-inequalities, discord monotonicity, stationary polarizations, separability
-thresholds, preparation-unitary structure) and reports its worst observed
-error against a fixed tolerance.
+inequalities, discord against its definition, stationary polarizations,
+separability thresholds, preparation-unitary structure) and reports its
+worst observed error against a fixed tolerance.
 
 The suites are the single statement of these invariants: each grid,
 tolerance and comparison is written here and nowhere else. The acceptance
@@ -12,10 +12,10 @@ tests run the suites through ``run_suites`` and assert that they pass.
 
 The suites evaluate their grids in vectorised calls, not point by point:
 the closed forms and the dense oracle routes (``qfi.fisher_eig``,
-``channels.correlated_state``, ``correlations.is_separable_ppt``,
-``bell_diagonalize``, ``discord_xstate``) take whole stacks, so each suite
-makes one call per grid, per (n, m) or per m. The worst error over a grid
-is the same number the point-by-point loop would find.
+``channels.correlated_state``, ``correlations.is_separable_ppt``, discord
+from its definition) take whole stacks, so each suite makes one call per
+grid, per (n, m) or per m. The worst error over a grid is the same number
+the point-by-point loop would find.
 
 The oracle suite's eigensolve runs one 2x2 block per Hamming class
 (``channels.hamming_classes``), not one per block of the state: floor(n/2)+1
@@ -202,10 +202,61 @@ def suite_weight_inequalities() -> SuiteResult:
     )
 
 
+def _xlog2(v: np.ndarray) -> np.ndarray:
+    logs = np.log2(v, out=np.zeros_like(v), where=v > 0.0)  # 0 log2 0 := 0
+    return np.multiply(v, logs, out=logs)
+
+
+def _discord_from_definition(rho) -> np.ndarray:
+    """Discord in bits of each two-qubit state of a stack (..., 4, 4) from
+    its definition (Ollivier & Zurek, PRL 88, 017901 (2001)), measuring
+    qubit 1: Q = S(rho_B) - S(rho) + min_n sum_+- p_+- S(rho_A|+-n).
+
+    Outcome +- leaves qubit 2 in (R_0 +- n.R)/2, R_k = Tr_B[(I x sigma_k)
+    rho], of trace u_0/2 and spectrum (u_0 +- |u_1..3|)/4, u = corr[0] +-
+    n.corr[1:], corr[k, j] = Tr[R_k sigma_j]. Search: a 7 x 12 (theta, phi)
+    grid on half the sphere (n and -n are one measurement), then 24 halvings
+    of a 3 x 3 grid in a chart tangent at the best axis. discord_protocol
+    solves the same minimum (Luo, PRA 77, 042303 (2008)) and shares no code.
+    """
+    paulis = np.array([linop.identity(), linop.sigma_x(), linop.sigma_y(), linop.sigma_z()])
+    # blocks[s, a, b, c, d] = <ab| rho_s |cd>: qubit 2 in a, c and qubit 1 in b, d
+    blocks = np.asarray(rho, dtype=complex).reshape((-1, 2, 2, 2, 2))
+    parts = np.einsum("kdb,sabcd->skac", paulis, blocks)  # R_k of each state
+    corr = np.einsum("skac,jca->skj", parts, paulis).real
+    base = np.sum(_xlog2(np.linalg.eigvalsh(blocks.reshape(-1, 4, 4))), axis=-1)  # -S(rho)
+    base -= np.sum(_xlog2(np.linalg.eigvalsh(np.einsum("sabad->sbd", blocks))), axis=-1)
+
+    def measured(coef, basis):  # sum_+- p_+- S(rho_A|+-n), by state and axis n
+        tilt = sum(coef[..., i, None] * basis[:, None, i] for i in range(3))  # n.corr[1:]
+        u = corr[:, None, 0] + np.array([1.0, -1.0])[:, None, None, None] * tilt
+        u0, bloch = u[..., 0], np.sqrt(np.einsum("...i,...i->...", u[..., 1:], u[..., 1:]))
+        x = _xlog2(np.stack([u0 / 2.0, (u0 + bloch) / 4.0, (u0 - bloch) / 4.0]))
+        return np.sum(x[0] - x[1] - x[2], axis=0)
+
+    grid = np.meshgrid(np.arange(7) * np.pi / 6, np.arange(12) * np.pi / 12, indexing="ij")
+    (ct, cp), (st, sp) = np.cos(grid).reshape(2, -1), np.sin(grid).reshape(2, -1)
+    # each coarse axis e_0, then its unit tangents e_1, e_2 along theta and phi
+    frames = np.array([[st * cp, st * sp, ct], [ct * cp, ct * sp, -st], [-sp, cp, 0.0 * sp]])
+    # one theta row per call keeps the temporaries, and a run's peak memory, small
+    cost = [measured(e_0, corr[:, 1:]) for e_0 in np.split(frames[0].T, 7)]
+    best = np.argmin(np.concatenate(cost, axis=-1), axis=-1)
+    # n = (e_0 + a e_1 + b e_2) / sqrt(1 + a^2 + b^2) about the best axis, at = (1, a, b)
+    proj = np.einsum("iks,skj->sij", frames[..., best], corr[:, 1:])  # e_i.corr[1:]
+    rows, at = np.arange(best.size), np.tile([1.0, 0.0, 0.0], (best.size, 1))
+    offsets = np.array([(0.0, a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
+    for halving in range(1, 25):
+        cand = at[:, None] + np.pi / 6 / 2**halving * offsets
+        cost = measured(cand / np.sqrt(np.sum(cand * cand, axis=-1, keepdims=True)), proj)
+        k = np.argmin(cost, axis=-1)
+        at, low = cand[rows, k], cost[rows, k]
+    return (base + low).reshape(np.shape(rho)[:-2])
+
+
 def suite_discord() -> SuiteResult:
-    """Strict monotonicity of discord in both arguments, sign symmetry, route
-    equivalence between the generic and protocol closed forms, the prepared
-    state's discord at lam = 0, and no discord at half strength where the
+    """Strict monotonicity of discord in both arguments, sign symmetry, the
+    closed form against discord from its definition, the prepared state's
+    discord at lam = 0, and no discord at half strength where the
     single-use gain still exceeds 1."""
     grid = [round(0.05 * k, 10) for k in range(1, 20)]
     r_col, mu_row = np.array(grid)[:, None], np.array(grid)
@@ -215,9 +266,13 @@ def suite_discord() -> SuiteResult:
         up = correlations.discord_rmu(r_col + dr, mu_row + dmu)
         down = correlations.discord_rmu(r_col - dr, mu_row - dmu)
         worst_mono = _worst(worst_mono, down - up)
-    worst_sym = 0.0
-    worst_route = 0.0
-    worst_half = 0.0
+    # both branches of c = max(r^2, r|mu|), lam = 1/2 (Q = 0) and lam = 0
+    route_rs = np.array([0.05, 0.3, 0.6, 0.9, 0.99])
+    route_lams = np.array([0.0, 0.1, 0.3, 0.45, 0.5, 0.7, 0.95])[:, None]
+    rho = np.stack([channels.correlated_state(2, route_rs, route_lams, m)[0] for m in (1, 2)])
+    q_closed = np.stack([correlations.discord_protocol(route_rs, route_lams, m) for m in (1, 2)])
+    worst_route = _worst(np.abs(_discord_from_definition(rho) - q_closed))
+    worst_sym = worst_half = 0.0
     worst_prep = worst_prep_rel = 0.0
     rs = np.array(grid)
     q_prep = correlations.discord_prep(rs)
@@ -228,9 +283,6 @@ def suite_discord() -> SuiteResult:
         sym = correlations.discord_rmu(rs, mu) - correlations.discord_rmu(rs, -mu)
         worst_sym = _worst(worst_sym, np.abs(sym))
         q_closed = correlations.discord_protocol(rs, lam_col, m)
-        rho = channels.correlated_state(2, rs, lam_col, m)[0]
-        q_dense = correlations.discord_xstate(*correlations.bell_diagonalize(rho))
-        worst_route = _worst(worst_route, np.abs(q_dense - q_closed))
         worst_half = _worst(worst_half, np.abs(q_closed[lams.index(0.5)]))
         q_zero = q_closed[lams.index(0.0)]
         worst_prep = _worst(worst_prep, np.abs(q_zero - q_prep))

@@ -62,7 +62,7 @@ def test_criterion_06_separability_threshold_and_gainful_separable_points():
 
 def test_criterion_07_discord():
     passing_suite("discord")
-    print("criterion 7 (discord: zero at half strength, routes, monotone): PASS")
+    print("criterion 7 (discord: zero at half strength, definition route, monotone): PASS")
 
 
 def test_criterion_08_monte_carlo_cramer_rao():

@@ -221,8 +221,7 @@ class TestSweepCommand:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense route used in a sweep")
 
-        for name in ("is_separable_ppt", "bell_diagonalize"):
-            monkeypatch.setattr(correlations, name, forbidden)
+        monkeypatch.setattr(correlations, "is_separable_ppt", forbidden)
         monkeypatch.setattr(channels, "correlated_state", forbidden)
         for name in ("eigh", "eigvalsh", "eig", "eigvals"):
             monkeypatch.setattr(np.linalg, name, forbidden)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import bloch_state
-from paulifish import channels, correlations, linop, protocol
+from paulifish import channels, correlations, linop, protocol, verify
 
 
 def reference_final_state(r, lam, m):
@@ -157,56 +157,7 @@ class TestClosedFormPpt:
             diagnostic(3)
 
 
-class TestBellDiagonalization:
-    def test_unpolarized_gives_zero_coefficients(self):
-        coeffs = correlations.bell_diagonalize(np.eye(4) / 4)
-        assert all(abs(c) < 1e-12 for c in coeffs)
-
-    @pytest.mark.parametrize("r,lam,m", [(0.4, 0.2, 1), (0.7, 0.8, 1), (0.5, 0.3, 2)])
-    def test_dominant_coefficient(self, r, lam, m):
-        mu = (1.0 - 2.0 * lam) ** m
-        coeffs = correlations.bell_diagonalize(final_state(r, lam, m))
-        biggest = max(abs(c) for c in coeffs)
-        assert biggest == pytest.approx(max(r * r, r * abs(mu)), rel=1e-10)
-
-    def test_rotation_preserves_discord(self):
-        r, lam, m = 0.6, 0.25, 1
-        coeffs = correlations.bell_diagonalize(final_state(r, lam, m))
-        assert correlations.discord_xstate(*coeffs) == pytest.approx(
-            correlations.discord_protocol(r, lam, m), abs=1e-10
-        )
-
-    def test_unrotatable_state_rejected(self):
-        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
-        with pytest.raises(ValueError, match="Bell-diagonal"):
-            correlations.bell_diagonalize(rho)
-
-    @pytest.mark.parametrize(
-        "perturbation",
-        [
-            np.kron(np.diag([1.0, -1.0]), np.eye(2)) * 1e-3,  # a local Z term
-            np.kron(linop.sigma_x(), linop.sigma_z()) * 1e-3,  # an XZ correlation
-            np.eye(4) * 1e-3,  # the trace
-        ],
-    )
-    def test_each_residual_term_is_checked(self, perturbation):
-        rho = final_state(0.5, 0.2, 1)
-        correlations.bell_diagonalize(rho)
-        with pytest.raises(ValueError, match="Bell-diagonal"):
-            correlations.bell_diagonalize(rho + perturbation)
-
-
 class TestDiscordClosedForms:
-    def test_zero_coefficients_give_zero(self):
-        assert correlations.discord_xstate(0, 0, 0) == 0.0
-
-    def test_singlet_has_one_bit(self):
-        assert correlations.discord_xstate(-1, -1, -1) == pytest.approx(1.0, abs=1e-12)
-
-    def test_invalid_coefficients_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            correlations.discord_xstate(2.0, 1.0, 1.0)
-
     def test_protocol_discord_vanishes_at_half_strength(self):
         for r in (0.1, 0.5, 0.9):
             for m in (1, 2):
@@ -221,15 +172,6 @@ class TestDiscordClosedForms:
                 q_plus = correlations.discord_rmu(r, mu)
                 q_minus = correlations.discord_rmu(r, -mu)
                 assert q_plus == q_minus
-
-    def test_route_equivalence_on_grid(self):
-        for r in np.arange(0.05, 1.0, 0.1):
-            for lam in (0.0, 0.15, 0.5, 0.85, 1.0):
-                for m in (1, 2):
-                    coeffs = correlations.bell_diagonalize(final_state(r, lam, m))
-                    q_generic = correlations.discord_xstate(*coeffs)
-                    q_closed = correlations.discord_protocol(r, lam, m)
-                    assert q_generic == pytest.approx(q_closed, abs=1e-10)
 
     def test_prepared_value_at_half_polarization(self):
         # 0.75 log2(1.5) + 0.25 log2(0.5)
@@ -267,22 +209,8 @@ class TestBroadcastDiscord:
                 q = correlations.discord_protocol(rs, lam, m)
                 assert q.tolist() == [correlations.discord_protocol(r, lam, m) for r in self.GRID]
 
-    def test_generic_form_broadcasts_in_each_coefficient(self):
-        c = np.array([-0.3, -0.1, 0.0, 0.2, 0.3])  # every combination >= 0.1
-        q = correlations.discord_xstate(c[:, None, None], c[:, None], c * 0.5)
-        assert q.shape == (5, 5, 5)
-        for idx in np.ndindex(q.shape):
-            one = correlations.discord_xstate(c[idx[0]], c[idx[1]], c[idx[2]] * 0.5)
-            assert type(one) is float and q[idx] == one
-
     def test_negative_combination_still_raises(self):
-        with pytest.raises(ValueError, match="negative"):
-            correlations.discord_xstate(0.9, 0.9, 0.9)
-        # for valid (r, mu) every combination is >= 0, so the array check is
-        # exercised through the generic form: one bad element rejects the whole
-        # call, where 1 - c1 - c2 - c3 = -0.0625
-        with pytest.raises(ValueError, match="-0.0625 is negative"):
-            correlations.discord_xstate(np.array([[0.1, 0.2], [0.5625, 0.0]]), 0.25, 0.25)
+        # one bad element rejects the whole call
         with pytest.raises(ValueError, match="polarization"):
             correlations.discord_rmu(np.array([0.5, 1.5]), 0.3)
         with pytest.raises(ValueError, match="off-diagonal"):
@@ -303,15 +231,11 @@ class TestStackedDenseRoutes:
                 yield (i, j), r, lam
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_bell_coefficients_and_discord(self, m):
-        coeffs = correlations.bell_diagonalize(final_state(self.RS, self.LAMS, m))
-        q = correlations.discord_xstate(*coeffs)
-        assert len(coeffs) == 3 and q.shape == coeffs[0].shape == (5, 5)
+    def test_discord_from_definition(self, m):
+        q = verify._discord_from_definition(final_state(self.RS, self.LAMS, m))
+        assert q.shape == (5, 5)
         for idx, r, lam in self.points():
-            one = correlations.bell_diagonalize(final_state(r, lam, m))
-            assert all(type(c) is float for c in one)
-            assert tuple(float(c[idx]) for c in coeffs) == one
-            assert q[idx] == correlations.discord_xstate(*one)
+            assert abs(q[idx] - verify._discord_from_definition(final_state(r, lam, m))) <= 1e-15
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_ppt_verdict_and_eigenvalue(self, m):
@@ -363,13 +287,60 @@ class TestStackedDenseRoutes:
         not_a_state[2] *= 2.0
         with pytest.raises(ValueError, match="not a two-qubit density operator"):
             correlations.is_separable_ppt(not_a_state)
-        rotated = rho.copy()
-        rotated[3, 0, 1] = rotated[3, 1, 0] = 0.1
-        with pytest.raises(ValueError, match="not Bell-diagonal"):
-            correlations.bell_diagonalize(rotated)
-        for fn in (correlations.is_separable_ppt, correlations.bell_diagonalize):
-            with pytest.raises(ValueError, match="two-qubit state"):
-                fn(np.eye(8)[None] / 8)
+        with pytest.raises(ValueError, match="two-qubit state"):
+            correlations.is_separable_ppt(np.eye(8)[None] / 8)
+
+
+class TestDiscordDefinition:
+    """verify's discord from its definition, a search over the measurements
+    of qubit 1 that shares no code with the closed form it checks."""
+
+    RS = np.array([round(0.05 * k, 10) for k in range(1, 20)])
+    # the tenths 0..1 and 0.95: lam = 0, 1/2 and 1 are on it
+    LAMS = np.array(sorted([round(0.1 * k, 10) for k in range(0, 11)] + [0.95]))[:, None]
+
+    def states(self):
+        """The post-channel states on the grid, shape (2, 12, 19, 4, 4) for m = 1, 2."""
+        return np.stack([final_state(self.RS, self.LAMS, m) for m in (1, 2)])
+
+    def closed_form(self):
+        return np.stack([correlations.discord_protocol(self.RS, self.LAMS, m) for m in (1, 2)])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_matches_closed_form_on_grid(self, m):
+        q = verify._discord_from_definition(final_state(self.RS, self.LAMS, m))
+        assert q.shape == (12, 19)
+        expected = correlations.discord_protocol(self.RS, self.LAMS, m)
+        np.testing.assert_allclose(q, expected, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("qubit", [1, 2])
+    def test_local_unitary_leaves_discord_unchanged(self, qubit):
+        # a unitary on qubit 1 moves the best measurement off the search's
+        # coarse grid
+        rho = self.states()
+        g = np.random.default_rng(qubit).normal(size=rho.shape[:-2] + (2, 2, 2))
+        u = np.linalg.qr(g[..., 0] + 1j * g[..., 1])[0]
+        eye = np.broadcast_to(np.eye(2), u.shape)
+        local = np.einsum("...ab,...cd->...acbd", *((eye, u) if qubit == 1 else (u, eye)))
+        local = local.reshape(rho.shape)
+        rotated = local @ rho @ linop.dagger(local)
+        np.testing.assert_allclose(
+            verify._discord_from_definition(rotated), self.closed_form(), rtol=0.0, atol=1e-14
+        )
+
+    @pytest.mark.parametrize(
+        "state, bits",
+        [
+            (np.outer([0.0, 1.0, -1.0, 0.0], [0.0, 1.0, -1.0, 0.0]) / 2.0, 1.0),
+            (linop.tensor([bloch_state((0.3, -0.2, 0.5)), bloch_state((0.1, 0.6, -0.4))]), 0.0),
+            (np.eye(4) / 4, 0.0),
+        ],
+        ids=["singlet", "product", "maximally-mixed"],
+    )
+    def test_known_values(self, state, bits):
+        q = verify._discord_from_definition(state)
+        assert q.shape == ()
+        assert float(q) == pytest.approx(bits, abs=1e-14)
 
 
 class TestDiscordGainInterplay:

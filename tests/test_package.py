@@ -101,6 +101,12 @@ RETIRED = {
     "pauli": linop,
     "num_qubits": linop,
     "_measurement_ops": mc,
+    "bell_diagonalize": correlations,
+    "discord_xstate": correlations,
+    "_bell_frame": correlations,
+    "_BELL_FRAME": correlations,
+    "BELL_RESIDUAL_TOL": correlations,
+    "_discord": correlations,
 }
 
 
@@ -172,7 +178,7 @@ def test_every_public_name_has_a_reader_in_src():
 #: correlated_state writes from the Hamming classes, stays inside channels.
 PRIVATE_READS = {
     "cli": {"protocol._validate_nm"},
-    "correlations": {"linop._as_operators", "linop._elementwise", "protocol._validate_nm"},
+    "correlations": {"linop._elementwise", "protocol._validate_nm"},
     "protocol": {"linop._elementwise"},
     "qfi": {"linop._as_operators", "linop._elementwise"},
     "verify": {"correlations._off_diagonal_scale", "linop._elementwise"},
@@ -236,7 +242,6 @@ def test_module_imports_are_the_listed_ones():
 #: arguments that it accepts.
 FINITE_INPUTS = {
     "qfi.fisher_eig": (qfi.fisher_eig, [np.eye(2) / 2, np.diag([0.5, -0.5])]),
-    "correlations.bell_diagonalize": (correlations.bell_diagonalize, [np.eye(4) / 4]),
     "correlations.is_separable_ppt": (correlations.is_separable_ppt, [np.eye(4) / 4]),
     "mc.classical_fisher": (mc.classical_fisher, [np.array([0.5, 0.5]), np.array([0.25, -0.25])]),
 }

@@ -4,6 +4,7 @@ passed=False. Each comparison a suite makes has a fault of its own, keyed
 "suite/what breaks"; the case keyed by the bare suite name is the first
 fault of that suite."""
 
+import inspect
 import re
 
 import numpy as np
@@ -105,6 +106,18 @@ def _half_strength_discord(real):
     # inside its 1e-10 between the routes
     def wrong(r, lam, m):
         return real(r, lam, m) + np.where(np.asarray(lam) == 0.5, 2e-12, 0.0)
+
+    return wrong
+
+
+def _coherence_scaled(real):
+    # the state's off-diagonals scaled by 1 - 1e-6: its discord moves by up
+    # to 3.8e-6, past the suite's 1e-10 between the routes, and no other
+    # comparison of the discord suite reads the dense state
+    def wrong(*args):
+        rho, drho = real(*args)
+        diagonal = np.eye(rho.shape[-1], dtype=bool)
+        return np.where(diagonal, rho, rho * (1.0 - 1e-6)), drho
 
     return wrong
 
@@ -284,8 +297,7 @@ FAULTS = {
     "discord/monotone-in-r": (correlations, "discord_rmu", _discord_rounded("r")),
     "discord/monotone-in-mu": (correlations, "discord_rmu", _discord_rounded("mu")),
     "discord/sign-symmetry": (correlations, "discord_rmu", _discord_odd_in_mu),
-    # 2e-10, past the suite's 1e-10 between the dense and closed-form routes
-    "discord/dense-route": (correlations, "discord_xstate", _shifted(2e-10)),
+    "discord/dense-route": (channels, "correlated_state", _coherence_scaled),
     "discord/half-strength-discord": (correlations, "discord_protocol", _half_strength_discord),
     # the minimum gain excess at lam = 1/2 is 5.1e-2
     "discord/half-strength-gain": (protocol, "qfi_and_gain", _gain_scaled(0.95)),
@@ -356,6 +368,26 @@ def test_suite_fails_on_a_slightly_wrong_input(case, monkeypatch):
     result = _run(suite)
     assert result.name == suite
     assert result.passed is False
+
+
+def test_discord_definition_shares_no_code_with_the_closed_form(monkeypatch):
+    rs, lams = np.array([0.05, 0.3, 0.6, 0.9, 0.99]), np.array([0.0, 0.1, 0.45, 0.5, 0.95])[:, None]
+    rho = np.stack([channels.correlated_state(2, rs, lams, m)[0] for m in (1, 2)])
+    expected = np.stack([correlations.discord_protocol(rs, lams, m) for m in (1, 2)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the definition route called into correlations")
+
+    patched = [
+        name
+        for name, fn in vars(correlations).items()
+        if inspect.isfunction(fn) and fn.__module__ == correlations.__name__
+    ]
+    assert {"_xlog2", "discord_rmu", "discord_protocol"} <= set(patched)
+    for name in patched:
+        monkeypatch.setattr(correlations, name, refuse)
+    q = verify._discord_from_definition(rho)
+    np.testing.assert_allclose(q, expected, rtol=0.0, atol=1e-14)
 
 
 def test_oracle_suite_passes_at_every_qubit_count():
