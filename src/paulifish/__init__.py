@@ -15,7 +15,7 @@ _EXPORTS = {
         "discord_prep", "discord_protocol", "discord_rmu", "is_separable_ppt", "ppt_closed_form",
         "separability_threshold",
     ),
-    "linop": ("tensor",),
+    "linop": (),
     "mc": (
         "ExperimentConfig", "ExperimentResult", "classical_fisher", "outcome_probs", "run_experiment",
     ),

@@ -12,12 +12,13 @@ grids. The dense channel map itself is a test oracle (tests/conftest.py).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import linop, protocol
-from .linop import DIM_CAP, tensor
+from .linop import DIM_CAP
 
 # ---------------------------------------------------------------------------
 # Preparatory unitary
@@ -39,10 +40,10 @@ def preparation_unitary(n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"preparation needs at least 2 qubits, got {n}")
     if 2**n > DIM_CAP:
-        raise linop.DimensionError(f"2**{n} exceeds the dense cap {DIM_CAP}")
+        raise ValueError(f"2**{n} exceeds the dense cap {DIM_CAP}")
     # the controlled-Z layer is diagonal: one -1 per pair of set bits
     cz_layer = np.diag(_pair_phases(n)).astype(complex)
-    h_layer = tensor([linop.hadamard()] * n)
+    h_layer = functools.reduce(np.kron, [linop.hadamard()] * n)
     return h_layer @ cz_layer
 
 
@@ -97,7 +98,7 @@ def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise ValueError(f"preparation needs at least 2 qubits, got {n}")
     if 2**n > DIM_CAP:
-        raise linop.DimensionError(f"2**{n} exceeds the dense cap {DIM_CAP}")
+        raise ValueError(f"2**{n} exceeds the dense cap {DIM_CAP}")
     if not 1 <= m <= n:
         raise ValueError(f"invocation count m={m} must lie in 1..{n}")
     lam = linop.check_unit_interval(lam, "channel strength")

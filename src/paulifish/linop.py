@@ -4,12 +4,10 @@ Operators are plain ``numpy`` arrays of shape ``(d, d)`` with ``d = 2**k``;
 ``dagger`` and ``is_density_operator`` also take stacks of shape
 ``(..., d, d)``.
 Qubits are numbered 1..n with qubit 1 the least significant bit of the
-basis index, so ``tensor([a, b])`` places ``b`` on qubit 1.
+basis index, so ``np.kron(a, b)`` places ``b`` on qubit 1.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -18,10 +16,6 @@ DIM_CAP = 2**12
 
 #: Hermiticity tolerance on the operators that qfi.fisher_eig takes.
 HERMITICITY_TOL = 1e-9
-
-
-class DimensionError(ValueError):
-    """Operator shape is not a power-of-two square within the dense cap."""
 
 
 def scalar_or_array(v: np.ndarray):
@@ -59,23 +53,16 @@ def _as_operators(a) -> np.ndarray:
     the cap and every entry finite."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"expected square matrices, got shape {a.shape}")
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
     d = a.shape[-1]
     if d < 2 or d & (d - 1):
-        raise DimensionError(f"dimension {d} is not a power of two >= 2")
+        raise ValueError(f"dimension {d} is not a power of two >= 2")
     if d > DIM_CAP:
-        raise DimensionError(
+        raise ValueError(
             f"dimension {d} exceeds the dense cap {DIM_CAP}; use the analytic path"
         )
     if not np.isfinite(a).all():
         raise ValueError("operator has a non-finite entry")
-    return a
-
-
-def _as_operator(a) -> np.ndarray:
-    a = _as_operators(a)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
@@ -124,22 +111,3 @@ def sigma_z() -> np.ndarray:
 def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
-
-# ---------------------------------------------------------------------------
-# Composition
-
-
-def tensor(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product; the last factor lands on qubit 1 (least significant)."""
-    if len(factors) == 0:
-        raise ValueError("tensor requires at least one factor")
-    ops = [_as_operator(f) for f in factors]
-    total = 1
-    for op in ops:
-        total *= op.shape[0]
-    if total > DIM_CAP:
-        raise DimensionError(f"tensor dimension {total} exceeds cap {DIM_CAP}")
-    out = ops[0]
-    for f in ops[1:]:
-        out = np.kron(out, f)
-    return out

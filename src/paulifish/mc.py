@@ -365,8 +365,6 @@ def _btpe(keys: np.ndarray, n: int, r: float) -> np.ndarray:
 
 def _binomial(keys: np.ndarray, n: int, p: float) -> np.ndarray:
     """``Generator(Philox(key=k)).binomial(n, p)`` for each key row k, int64."""
-    if n == 0 or p == 0.0:
-        return np.zeros(len(keys), np.int64)
     r = p if p <= 0.5 else 1.0 - p
     x = (_inversion if r * n <= 30.0 else _btpe)(keys, n, r)
     return x if p <= 0.5 else n - x

@@ -26,6 +26,7 @@ any compared cell fails its suite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -399,7 +400,7 @@ def suite_preparation() -> SuiteResult:
         expected = np.zeros((2**n, 2**n), dtype=complex)
         expected[x, x] = (1.0 + 1.0j) / 2.0
         expected[2**n - 1 - x, x] = (1.0 - 1.0j) / 2.0
-        worst = _worst(worst, np.abs(u @ linop.tensor([basis] * n) - expected))
+        worst = _worst(worst, np.abs(u @ functools.reduce(np.kron, [basis] * n) - expected))
     return SuiteResult("preparation", worst < 1e-12, worst, "n in {2,3,4}, tol 1e-12")
 
 

@@ -1,8 +1,11 @@
+import functools
 import math
+import tracemalloc
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import pytest
 
 from paulifish import channels, linop
 
@@ -49,7 +52,25 @@ def sld_2x2(a: np.ndarray, da: np.ndarray) -> SldResult:
 
 def num_qubits(a: np.ndarray) -> int:
     """Number of qubits an operator acts on."""
-    return int(linop._as_operator(a).shape[0]).bit_length() - 1
+    return int(linop._as_operators(a).shape[-1]).bit_length() - 1
+
+
+def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product in list order: the last factor lands on qubit 1."""
+    return functools.reduce(np.kron, factors)
+
+
+def raise_peak(match: str, call, *args) -> int:
+    """Peak bytes that tracemalloc traces while call(*args) raises a
+    ValueError matching ``match``: small for a check made before any
+    allocation."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -105,7 +126,7 @@ def apply_pauli_channel(
     for t in tgts:
         factors = [np.eye(2, dtype=complex)] * n
         factors[n - t] = s  # qubit t sits at list position n-t (qubit 1 last)
-        p = linop.tensor(factors)
+        p = kron_all(factors)
         out = (1.0 - spec.lam) * out + spec.lam * (p @ out @ p)
     return out
 

@@ -5,8 +5,11 @@ import hashlib
 import io
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -721,6 +724,25 @@ class TestRejectedArguments:
         assert err.startswith("error: ") and hint in err
         assert "Traceback" not in err
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "args, code, out",
+    [
+        (["qfi", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "0.5"], 0,
+         "n=2 m=1 r=0.5 lambda=0.5 H_ind=1 H_corr=1.6 gain=1.6 bound=4\n"),
+        (["verify", "--suite", "nope"], 2, ""),
+    ],
+)
+def test_module_entry_exits_with_the_command_status(args, code, out):
+    # python -m paulifish.cli, the way benchmarks/run.py runs each command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-m", "paulifish.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (code, out), done.stderr
 
 
 class TestClosedStdout:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import bloch_state
+from conftest import bloch_state, kron_all
 from paulifish import channels, correlations, linop, protocol, verify
 
 
@@ -35,7 +35,7 @@ class TestFinalState:
     def test_zero_strength_equals_prepared_state(self):
         r = 0.6
         u = channels.preparation_unitary(2)
-        prep = u @ linop.tensor([bloch_state((0, r, 0))] * 2) @ linop.dagger(u)
+        prep = u @ kron_all([bloch_state((0, r, 0))] * 2) @ linop.dagger(u)
         np.testing.assert_allclose(final_state(r, 0.0, 2), prep, atol=1e-14)
 
     def test_unpolarized_is_maximally_mixed(self):
@@ -48,7 +48,7 @@ class TestFinalState:
 
 class TestSeparability:
     def test_product_state_is_separable(self):
-        rho = linop.tensor(
+        rho = kron_all(
             [bloch_state((0, 0.5, 0)), bloch_state((0.3, 0, 0))]
         )
         sep, min_eig = correlations.is_separable_ppt(rho)
@@ -65,7 +65,7 @@ class TestSeparability:
     def test_product_state_eigenvalue_is_the_factors_product(self):
         # the transpose of one factor keeps its spectrum
         a, b = bloch_state((0, 0.5, 0)), bloch_state((0.3, 0.4, 0))
-        sep, min_eig = correlations.is_separable_ppt(linop.tensor([a, b]))
+        sep, min_eig = correlations.is_separable_ppt(kron_all([a, b]))
         assert sep
         assert min_eig == pytest.approx(0.25 * 0.25, abs=1e-15)
 
@@ -332,7 +332,7 @@ class TestDiscordDefinition:
         "state, bits",
         [
             (np.outer([0.0, 1.0, -1.0, 0.0], [0.0, 1.0, -1.0, 0.0]) / 2.0, 1.0),
-            (linop.tensor([bloch_state((0.3, -0.2, 0.5)), bloch_state((0.1, 0.6, -0.4))]), 0.0),
+            (kron_all([bloch_state((0.3, -0.2, 0.5)), bloch_state((0.1, 0.6, -0.4))]), 0.0),
             (np.eye(4) / 4, 0.0),
         ],
         ids=["singlet", "product", "maximally-mixed"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import qubit_swap, swap
+from conftest import kron_all, qubit_swap, swap
 from paulifish import linop
 
 
@@ -30,53 +30,13 @@ class TestGates:
         np.testing.assert_allclose(s @ e2, e1, atol=1e-15)
 
 
-class TestTensor:
-    def test_identity_times_identity(self):
-        np.testing.assert_array_equal(
-            linop.tensor([np.eye(2), np.eye(2)]), np.eye(4)
-        )
-
-    def test_zz_sign_on_single_flipped_bit(self):
-        zz = linop.tensor([linop.sigma_z(), linop.sigma_z()])
-        e = np.zeros(4)
-        e[1] = 1.0  # qubit 1 set, qubit 2 clear
-        np.testing.assert_allclose(zz @ e, -e, atol=1e-15)
-
-    def test_last_factor_acts_on_least_significant_bit(self):
-        zi = linop.tensor([linop.sigma_z(), np.eye(2)])
-        iz = linop.tensor([np.eye(2), linop.sigma_z()])
-        np.testing.assert_allclose(np.diag(zi), [1, 1, -1, -1])
-        np.testing.assert_allclose(np.diag(iz), [1, -1, 1, -1])
-
-    def test_trace_multiplicativity_of_states(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            v = rng.normal(size=3)
-            v *= rng.uniform(0, 1) / np.linalg.norm(v)
-            rho = 0.5 * (
-                np.eye(2)
-                + v[0] * linop.sigma_x()
-                + v[1] * linop.sigma_y()
-                + v[2] * linop.sigma_z()
-            )
-            assert abs(np.trace(linop.tensor([rho, rho])) - 1.0) < 1e-12
-
-    def test_empty_factor_list_rejected(self):
-        with pytest.raises(ValueError):
-            linop.tensor([])
-
-    def test_dimension_cap(self):
-        with pytest.raises(linop.DimensionError):
-            linop.tensor([np.eye(2)] * 13)
-
-
 class TestHelpers:
     def test_qubit_swap_commutes_qubits(self):
         rng = np.random.default_rng(11)
         a, b, c = (random_hermitian(rng, 2) for _ in range(3))
         s13 = qubit_swap(3, 1, 3)
-        swapped = s13 @ linop.tensor([a, b, c]) @ linop.dagger(s13)
-        np.testing.assert_allclose(swapped, linop.tensor([c, b, a]), atol=1e-12)
+        swapped = s13 @ kron_all([a, b, c]) @ linop.dagger(s13)
+        np.testing.assert_allclose(swapped, kron_all([c, b, a]), atol=1e-12)
 
     def test_density_operator_predicate(self):
         assert linop.is_density_operator(np.eye(2) / 2)

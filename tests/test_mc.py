@@ -79,6 +79,23 @@ class TestOutcomeProbs:
         assert dp == pytest.approx((pp1 - pp0) / (2 * h), abs=1e-8)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_one_bloch_norm_rule(sign):
+    # the outcome model, the single-use closed form and the dense state all
+    # accept a norm up to 1 + 1e-12, and reject one past it alike
+    inside, outside = sign * (1.0 + 8e-13), sign * (1.0 + 2e-12)
+    checks = [
+        lambda r: mc.outcome_probs(r, 0.3),
+        lambda r: qfi.qfi_single_use((0.0, r, 0.0), 0.3),
+        lambda r: bloch_state((0.0, r, 0.0)),
+    ]
+    for check in checks:
+        check(inside)
+        with pytest.raises(ValueError) as err:
+            check(outside)
+        assert str(err.value) == f"Bloch vector norm must be <= 1, got {abs(outside)}"
+
+
 class TestDenseBornRule:
     """The closed outcome model against the dense Born rule it replaced, bit
     for bit, signed zeros included."""
@@ -147,11 +164,16 @@ class TestClassicalFisher:
     def test_zero_probability_with_information_signals_infinity(self):
         assert mc.classical_fisher([1.0, 0.0], [-0.5, 0.5]) == math.inf
 
+    def test_zero_probability_without_information_adds_nothing(self):
+        assert mc.classical_fisher([1.0, 0.0], [0.0, 0.0]) == 0.0
+
     def test_inconsistent_inputs_rejected(self):
         with pytest.raises(ValueError):
             mc.classical_fisher([0.6, 0.6], [0.5, -0.5])
         with pytest.raises(ValueError):
             mc.classical_fisher([0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="differ in length"):
+            mc.classical_fisher([0.5, 0.5], [0.0, 0.0, 0.0])
 
 
 class TestRunExperiment:
@@ -225,6 +247,8 @@ class TestRunExperiment:
             mc.ExperimentConfig(**valid | dict(lambda_true=0.0))
         with pytest.raises(ValueError):
             mc.ExperimentConfig(**valid | dict(trials=0))
+        with pytest.raises(ValueError, match="invocations"):
+            mc.ExperimentConfig(**valid | dict(m=0))
         with pytest.raises(ValueError, match="seed"):
             mc.ExperimentConfig(**valid | dict(seed=-1))
         with pytest.raises(ValueError, match="trials"):

@@ -107,6 +107,9 @@ RETIRED = {
     "_BELL_FRAME": correlations,
     "BELL_RESIDUAL_TOL": correlations,
     "_discord": correlations,
+    "tensor": linop,
+    "_as_operator": linop,
+    "DimensionError": linop,
 }
 
 

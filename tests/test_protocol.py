@@ -355,6 +355,11 @@ class TestStrengthBroadcast:
             with pytest.raises(ValueError, match=r"channel strength must lie in \[0, 1\]"):
                 self.FUNCTIONS[name](np.array([0.5]), lam[:, None], 2)
 
+    @pytest.mark.parametrize("name", ["gain_limit_r1", "qfi_independent_opt", "qfi_upper_bound"])
+    def test_no_invocation_raises(self, name):
+        with pytest.raises(ValueError, match="invocation count must be >= 1, got 0"):
+            self.FUNCTIONS[name](0.5, 0.3, 0)
+
     def test_pure_corner_anywhere_in_the_mesh_raises(self):
         lam = np.array([0.3, 0.0, 0.6])[:, None]
         with pytest.raises(ValueError, match="pure state"):

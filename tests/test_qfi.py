@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import bloch_state, sld_2x2
+from conftest import bloch_state, kron_all, raise_peak, sld_2x2
 from paulifish import channels, linop, protocol, qfi, verify
 
 
@@ -178,11 +178,17 @@ class TestFisherEig:
                 "^drho is not Hermitian",
             ),
             (np.zeros((2, 3, 3)), np.zeros((2, 3, 3)), "not a power of two"),
+            (np.zeros((2, 4)), np.zeros((2, 4)), "expected square matrices"),
         ],
     )
     def test_ill_posed_input_rejected(self, rho, drho, match):
         with pytest.raises(ValueError, match=match):
             qfi.fisher_eig(rho, drho)
+
+    def test_dimension_cap_checked_before_copying(self):
+        # a broadcast view, which as a dense array would take 1 GiB
+        big = np.broadcast_to(np.zeros(1, complex), (8192, 8192))
+        assert raise_peak("dense cap", qfi.fisher_eig, big, big) < 2**14
 
     def test_ill_defined_member_of_a_stack_rejected(self):
         good_rho, good_drho = np.eye(4) / 4, np.diag([0.1, -0.1, 0.0, 0.0])
@@ -216,13 +222,13 @@ class TestOrthogonalPiecesAdd:
         single_rho, single_drho = dephased_qubit_family(r, lam)
         single = sld_2x2(single_rho, single_drho)
         eye = np.eye(2, dtype=complex)
-        rho = linop.tensor([single_rho] * m)
+        rho = kron_all([single_rho] * m)
         drho, big_l = np.zeros_like(rho), np.zeros_like(rho)
         for k in range(m):
             factors, l_factors = [single_rho] * m, [eye] * m
             factors[k], l_factors[k] = single_drho, single.L
-            drho += linop.tensor(factors)
-            big_l += linop.tensor(l_factors)
+            drho += kron_all(factors)
+            big_l += kron_all(l_factors)
         # the summed score operator satisfies the defining relation and
         # carries m times the single-qubit information
         residual = drho - (big_l @ rho + rho @ big_l) / 2

@@ -230,6 +230,16 @@ def _dense_ppt_eigenvalue_shifted(real):
     return wrong
 
 
+def _closed_verdict_flipped(real):
+    # the closed form's verdict negated and its eigenvalue kept: the routes'
+    # eigenvalues still agree, and only their verdicts differ
+    def wrong(*args):
+        sep, min_eig = real(*args)
+        return np.logical_not(sep), min_eig
+
+    return wrong
+
+
 def _column_phase(real):
     # a phase of 1.6e-11 on column 0 keeps the unitary unitary; at n = 2 the
     # column's entries and each image's weight on it are 1/2, so every image
@@ -308,6 +318,7 @@ FAULTS = {
     # where the threshold is 1)
     "separability/threshold": (correlations, "separability_threshold", _shifted(-2e-6)),
     "separability/dense-route": (correlations, "is_separable_ppt", _dense_ppt_eigenvalue_shifted),
+    "separability/closed-verdict": (correlations, "ppt_closed_form", _closed_verdict_flipped),
     "separability/nan-gain": (protocol, "qfi_and_gain", _nan_cell(1)),
     "oracle": (protocol, "qfi_and_gain", _qfi_scaled),
     "oracle/nan-cell": (protocol, "qfi_and_gain", _nan_cell(0)),
