@@ -14,17 +14,15 @@ Exit codes: 0 success, 1 I/O or verification failure, 2 domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import stat
 import sys
 import tempfile
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from . import mc
 
 CSV_HEADER = "n,m,r,lambda,H_ind,H_corr,gain,discord,min_pt_eig,separable"
 
@@ -154,19 +152,14 @@ def _cmd_qfi(args) -> int:
     return 0
 
 
-def _write_csv(path: str, header: str, blocks: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for text in blocks:
-            fh.write(text)
-
-
-def _write_replacing(path: str, header: str, blocks: Iterable[str]) -> None:
-    """Write the CSV to a new file beside path and move it over path once
-    every block is written, so a command that fails leaves path as it was.
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """The CSV file for path, open for writing. It is a new file beside
+    path, moved over path when the with block ends without an error, so a
+    command that fails or is interrupted leaves path as it was.
 
     A path that exists and is not a regular file (a device such as
-    /dev/stdout, a pipe, a directory) has nothing to replace and is written
+    /dev/stdout, a pipe, a directory) has nothing to replace and is opened
     in place. A symbolic link to a file keeps the link: its target is
     replaced. The file is made by open(), in a private directory that is
     removed on any exit, so it gets the mode open(path, "w") gives.
@@ -177,7 +170,8 @@ def _write_replacing(path: str, header: str, blocks: Iterable[str]) -> None:
         # a path with no file name ("", "dir/") gets open()'s own error
         in_place = not os.path.basename(path)
     if in_place:
-        _write_csv(path, header, blocks)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
         return
     target = os.path.realpath(path)
     try:
@@ -186,7 +180,8 @@ def _write_replacing(path: str, header: str, blocks: Iterable[str]) -> None:
         raise OSError(exc.errno, exc.strerror, path) from None
     with staging as folder:
         part = os.path.join(folder, os.path.basename(target))
-        _write_csv(part, header, blocks)
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
         os.replace(part, target)
 
 
@@ -196,8 +191,12 @@ def _cmd_sweep(args) -> int:
     size = _grid_size(*lam_axis) * _grid_size(*r_axis)
     if size > MAX_SWEEP_ROWS:
         raise ValueError(f"the grid has {size} rows, more than {MAX_SWEEP_ROWS}")
+    # evaluated lazily, but its arguments are checked here, before --out is opened
     rows = sweep_rows(args.n, args.m, _grid(*lam_axis), _grid(*r_axis))
-    _write_replacing(args.out, CSV_HEADER, rows)
+    with _replacing(args.out) as fh:
+        fh.write(CSV_HEADER + "\n")
+        for text in rows:
+            fh.write(text)
     print(f"wrote {size} rows to {args.out}")
     return 0
 
@@ -215,19 +214,6 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _trial_rows(cfg: mc.ExperimentConfig, results: list) -> Iterator[str]:
-    """Run the experiment, append its result to results, and yield the trial
-    CSV's rows _MC_ROWS_PER_WRITE at a time. The writer runs it, so --out is
-    opened before any trial is drawn."""
-    from . import mc
-
-    results.append(mc.run_experiment(cfg))
-    estimates = results[-1].estimates
-    for start in range(0, estimates.size, _MC_ROWS_PER_WRITE):
-        block = estimates[start : start + _MC_ROWS_PER_WRITE].tolist()
-        yield "".join(map("%d,%.12g\n".__mod__, zip(range(start, estimates.size), block)))
-
-
 def _cmd_mc(args) -> int:
     from . import mc
 
@@ -239,12 +225,15 @@ def _cmd_mc(args) -> int:
         shots_per_trial=args.shots,
         seed=args.seed,
     )
-    results: list[mc.ExperimentResult] = []
-    if args.out is None:
-        results.append(mc.run_experiment(cfg))
-    else:
-        _write_replacing(args.out, "trial,lambda_hat", _trial_rows(cfg, results))
-    (result,) = results
+    # --out is opened before any trial is drawn
+    with contextlib.nullcontext() if args.out is None else _replacing(args.out) as fh:
+        result = mc.run_experiment(cfg)
+        if fh is not None:
+            fh.write("trial,lambda_hat\n")
+            estimates = result.estimates
+            for start in range(0, estimates.size, _MC_ROWS_PER_WRITE):
+                block = estimates[start : start + _MC_ROWS_PER_WRITE].tolist()
+                fh.write("".join(map("%d,%.12g\n".__mod__, enumerate(block, start))))
     ratio = result.sample_variance / result.crb
     print(
         f"mean={_fmt(result.mean)} variance={_fmt(result.sample_variance)} "

@@ -26,7 +26,7 @@ def scalar_or_array(v: np.ndarray):
 
 def check_unit_interval(v, what: str, interval: str = "[0, 1]") -> np.ndarray:
     """v as a float array, every element inside the unit interval with the
-    ends that ``interval`` writes out: "[0, 1]", "[0, 1)" or "(0, 1)".
+    ends that ``interval`` writes out: "[0, 1]", "[0, 1)", "(0, 1]" or "(0, 1)".
     Otherwise raises, naming ``what`` and the first element outside it."""
     v = np.asarray(v, dtype=float)
     ok = (v >= 0.0 if interval[0] == "[" else v > 0.0) & (
@@ -35,6 +35,14 @@ def check_unit_interval(v, what: str, interval: str = "[0, 1]") -> np.ndarray:
     if not ok.all():
         raise ValueError(f"{what} must lie in {interval}, got {v[~ok].flat[0]}")
     return v
+
+
+def check_bloch_norm(norm: float) -> float:
+    """norm, if it is at most 1 + 1e-12: a qubit's Bloch vector, with room
+    for rounding. Otherwise (NaN too) raises."""
+    if not norm <= 1.0 + 1e-12:
+        raise ValueError(f"Bloch vector norm must be <= 1, got {norm}")
+    return norm
 
 
 def _elementwise(f, v):

@@ -58,12 +58,8 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.r <= 1.0:
-            raise ValueError(f"polarization must lie in (0, 1], got {self.r}")
-        if not 0.0 < self.lambda_true < 1.0:
-            raise ValueError(
-                f"true channel strength must lie in (0, 1), got {self.lambda_true}"
-            )
+        linop.check_unit_interval(self.r, "polarization", "(0, 1]")
+        linop.check_unit_interval(self.lambda_true, "true channel strength", "(0, 1)")
         if self.m < 1:
             raise ValueError(f"invocations per run must be >= 1, got {self.m}")
         if self.trials < 1 or self.shots_per_trial < 1:
@@ -92,8 +88,7 @@ class ExperimentResult:
 def _polarization(r: float) -> float:
     """r as a float, the y component of a Bloch vector of norm at most 1."""
     r = float(r)
-    if not abs(r) <= 1.0 + 1e-12:  # NaN fails too
-        raise ValueError(f"Bloch vector norm must be <= 1, got {abs(r)}")
+    linop.check_bloch_norm(abs(r))
     return r
 
 

@@ -86,9 +86,7 @@ def qfi_single_use(v, lam):
     """
     lam = _check_lambda(lam)
     rx, ry, rz = (float(c) for c in v)
-    r = math.hypot(rx, ry, rz)
-    if not r <= 1.0 + 1e-12:  # NaN fails too
-        raise ValueError(f"Bloch vector norm must be <= 1, got {r}")
+    r = linop.check_bloch_norm(math.hypot(rx, ry, rz))
     _reject_pure_corner(r, lam)
     num = 4.0 * (1.0 - rz * rz) * (rx * rx + ry * ry)
     if num <= 0.0:

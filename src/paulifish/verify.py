@@ -167,7 +167,7 @@ def suite_bounds(n_max: int) -> SuiteResult:
         h = qfi.qfi_independent_opt(1.0 - 1e-8, lam_grid, m)
         pure_err = _worst(pure_err, _rel_err(h, qfi.qfi_upper_bound(lam_grid, m)))
     ok = worst <= 1e-8 and pure_err < 1e-4 and single_err < 1e-12
-    err = max(max(worst, 0.0) + pure_err, single_err)
+    err = max(worst, pure_err, single_err)
     return SuiteResult(
         "bounds", ok, err, f"max excess {worst:.2e}, pure-limit rel {pure_err:.2e}"
     )

@@ -430,7 +430,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("before", [None, b"kept\n"], ids=["absent", "existing"])
     @pytest.mark.parametrize("stop", [None, KeyboardInterrupt], ids=["error", "interrupt"])
-    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    @pytest.mark.parametrize("command", ["sweep", "mc", "mc-experiment"])
     def test_failed_sweep_leaves_the_directory_as_it_was(
         self, command, before, stop, tmp_path, capsys, monkeypatch
     ):
@@ -438,6 +438,9 @@ class TestSweepCommand:
         # corner lam = 1, r = 1, or is interrupted (99 strengths, no corner).
         # mc: 10 trials in 3 blocks of rows; the third block's write finds
         # the device full, or is interrupted.
+        # mc-experiment: the experiment fails (at r = 1, lam = 1e-17 the
+        # Fisher information is infinite), or is interrupted, before any row
+        # is written.
         out_path = tmp_path / "out.csv"
         if before is not None:
             out_path.write_bytes(before)
@@ -455,6 +458,18 @@ class TestSweepCommand:
                 cli, "open", lambda *a, **k: SpyFile(open(*a, **k), write), raising=False
             )
             args, calls_at_stop = self.OUT_COMMANDS["mc"], 4
+            failed = (1, "No space left on device")
+        elif command == "mc-experiment":
+            if stop is None:
+                args = ["mc", "--r", "1", "--lambda", "1e-17", "--trials", "3"]
+            else:
+                def experiment(cfg):
+                    calls.append(1)
+                    raise stop
+
+                monkeypatch.setattr(mc, "run_experiment", experiment)
+                args = self.OUT_COMMANDS["mc"]
+            calls_at_stop, failed = 1, (2, "Fisher information is infinite")
         else:
             lam_max = "1" if stop is None else "0.99"
             if stop is not None:
@@ -469,15 +484,12 @@ class TestSweepCommand:
                 monkeypatch.setattr(protocol, "qfi_and_gain", kernel)
             args = ["sweep", "--lambda-min", "0.01", "--lambda-max", lam_max,
                     "--lambda-step", "0.01"]
-            calls_at_stop = 3
+            calls_at_stop, failed = 3, (2, "pure state")
         args = [*args, "--out", str(out_path)]
         if stop is None:
             code, out, err = run_cli(args, capsys)
             assert out == ""
-            if command == "mc":
-                assert code == 1 and "No space left on device" in err
-            else:
-                assert code == 2 and "pure state" in err
+            assert code == failed[0] and failed[1] in err
         else:
             with pytest.raises(stop):
                 cli.main(args)
@@ -536,6 +548,20 @@ class TestSweepCommand:
         code, out, err = run_cli([*self.OUT_COMMANDS[command], "--out", name], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and repr(name) in err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["sweep", "--n", "1"], "n=1 must lie in 2..64"),
+            (["mc", "--r", "1.5", "--lambda", "0.3"], "polarization must lie in (0, 1], got 1.5"),
+        ],
+        ids=["sweep", "mc"],
+    )
+    def test_domain_error_is_raised_before_out_is_opened(self, args, message, tmp_path, capsys):
+        # opening --out in a missing directory would exit 1 instead
+        code, out, err = run_cli([*args, "--out", str(tmp_path / "missing" / "x.csv")], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["sweep", "mc"])

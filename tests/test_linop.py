@@ -59,6 +59,7 @@ class TestHelpers:
         [
             ("[0, 1]", [0.0, 0.5, 1.0], [-1e-300, 1.5, np.nan]),
             ("[0, 1)", [0.0, 0.5], [1.0, -0.1, np.inf]),
+            ("(0, 1]", [5e-324, 1.0], [0.0, 1.5, np.nan]),
             ("(0, 1)", [5e-324, 0.5], [0.0, 1.0, np.nan]),
         ],
     )

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -241,10 +242,19 @@ class TestRunExperiment:
 
     def test_config_validation(self):
         valid = dict(r=0.5, lambda_true=0.3, m=1, trials=200, shots_per_trial=100_000, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("polarization must lie in (0, 1], got 0.0")):
             mc.ExperimentConfig(**valid | dict(r=0.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("polarization must lie in (0, 1], got 1.5")):
+            mc.ExperimentConfig(**valid | dict(r=1.5))
+        with pytest.raises(
+            ValueError, match=re.escape("true channel strength must lie in (0, 1), got 0.0")
+        ):
             mc.ExperimentConfig(**valid | dict(lambda_true=0.0))
+        with pytest.raises(
+            ValueError, match=re.escape("true channel strength must lie in (0, 1), got nan")
+        ):
+            mc.ExperimentConfig(**valid | dict(lambda_true=math.nan))
+        mc.ExperimentConfig(**valid | dict(r=1.0))
         with pytest.raises(ValueError):
             mc.ExperimentConfig(**valid | dict(trials=0))
         with pytest.raises(ValueError, match="invocations"):

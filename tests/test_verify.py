@@ -381,6 +381,15 @@ def test_suite_fails_on_a_slightly_wrong_input(case, monkeypatch):
     assert result.passed is False
 
 
+def test_bounds_error_is_the_largest_excess_alone(monkeypatch):
+    # the closed form 1e-6 above the bound m/(lam(1-lam)) exceeds it most at
+    # m = 4, lam = 0.1; the pure-limit error (5.6e-8, relative) adds nothing
+    monkeypatch.setattr(protocol, "qfi_and_gain", _closed_above_bound(protocol.qfi_and_gain))
+    result = _run("bounds")
+    assert result.passed is False
+    assert result.max_error == pytest.approx(4 / (0.1 * 0.9) * 1e-6, rel=1e-9)
+
+
 def test_discord_definition_shares_no_code_with_the_closed_form(monkeypatch):
     rs, lams = np.array([0.05, 0.3, 0.6, 0.9, 0.99]), np.array([0.0, 0.1, 0.45, 0.5, 0.95])[:, None]
     rho = np.stack([channels.correlated_state(2, rs, lams, m)[0] for m in (1, 2)])
