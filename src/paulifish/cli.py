@@ -36,9 +36,6 @@ MAX_SWEEP_ROWS = 10**7
 # 29.5 MiB for the import alone; the times differed by less than their noise.
 _BLOCK_CELLS = 1024
 
-# Trial rows formatted per write, so a large mc run never holds its whole CSV text.
-_MC_ROWS_PER_WRITE = 2**16
-
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
@@ -231,8 +228,8 @@ def _cmd_mc(args) -> int:
         if fh is not None:
             fh.write("trial,lambda_hat\n")
             estimates = result.estimates
-            for start in range(0, estimates.size, _MC_ROWS_PER_WRITE):
-                block = estimates[start : start + _MC_ROWS_PER_WRITE].tolist()
+            for start in range(0, estimates.size, mc._BLOCK_TRIALS):
+                block = estimates[start : start + mc._BLOCK_TRIALS].tolist()
                 fh.write("".join(map("%d,%.12g\n".__mod__, enumerate(block, start))))
     ratio = result.sample_variance / result.crb
     print(

@@ -11,7 +11,11 @@ p_plus)`` for ``child = SeedSequence(seed).spawn(trials)[t]``, computed here
 as array passes over a block of trials: one mix_entropy pass of the
 SeedSequence hash, the Philox block function and numpy's binomial sampler,
 published algorithms with every integer and rounding step reproduced, so
-numpy.random is never imported.
+numpy.random is never imported. BTPE's few trials that a block's first two
+attempts reject are carried to a tail shared by all blocks, finished a
+block at a time. Every trial reads only its own stream, so neither the
+block size nor the tail's order changes a draw, and the run's working set,
+the estimates aside, is a few blocks.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ from . import linop
 # Trial t's substream is SeedSequence(seed).spawn(trials)[t]. Its spawn key
 # (t,) is one uint32 word while t < 2**32, the only case _trial_keys mixes.
 # The bound itself is set by memory: trials are drawn in blocks, but every
-# trial keeps its float64 estimate and np.var takes a temporary of the same
-# size, so 10**7 trials peak at 190 MiB RSS (numpy's import included).
+# trial keeps its float64 estimate, so 10**7 trials peak at 108 MiB RSS
+# (numpy's import included).
 MAX_TRIALS = 10**7
 
-# Trials drawn per pass; bounds the temporaries of the keys and the sampler.
-_BLOCK_TRIALS = 2**16
+# Trials drawn, and CSV rows written, per pass; bounds every temporary of
+# the keys, the sampler, the variance and the trial CSV.
+_BLOCK_TRIALS = 2**12
 
 # SeedSequence hash constants (numpy/random/bit_generator.pyx; NEP 19 keeps
 # this hash stable across numpy releases).
@@ -148,29 +153,27 @@ def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
 
     Row i is ``SeedSequence(seed).spawn(trials)[start + i].generate_state(2,
     np.uint64)`` for any trials >= stop: numpy's mix_entropy (bit_generator.pyx)
-    runs once over the child's entropy, the seed's uint32 words as arrays of
-    one element and then the spawn word t over the block, and generate_state
-    hashes the pool out. Array arithmetic wraps modulo 2**32 like the C hash.
+    runs once over the child's entropy, the seed's uint32 words as Python
+    ints and then the spawn word t as an array over the block, and
+    generate_state hashes the pool out. Each step is taken modulo 2**32, as
+    in the C hash, for ints and uint32 arrays alike.
     """
     # the seed's words, least significant first, zero-padded to the pool's four
     words = max(4, -(-seed.bit_length() // 32))
-    entropy = [np.array([seed >> s & _MASK32], np.uint32) for s in range(0, 32 * words, 32)]
+    entropy = [seed >> s & _MASK32 for s in range(0, 32 * words, 32)]
     entropy.append(np.arange(start, stop, dtype=np.uint32))  # the spawn key (t,)
     hash_const, mult = _INIT_A, _MULT_A
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value):
         nonlocal hash_const
         value = value ^ hash_const
         hash_const = hash_const * mult & _MASK32
-        value *= hash_const
-        value ^= value >> 16
-        return value
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
 
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        y *= _MIX_MULT_R  # y is hashmix's own array, never smaller than x
-        np.subtract(_MIX_MULT_L * x, y, out=y)
-        y ^= y >> 16
-        return y
+    def mix(x, y):
+        y = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+        return y ^ y >> 16
 
     pool = [hashmix(word) for word in entropy[:4]]
     for src, dst in itertools.permutations(range(4), 2):  # source-major, as in numpy
@@ -186,12 +189,13 @@ def _trial_keys(seed: int, start: int, stop: int) -> np.ndarray:
 
 
 def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low uint64 words of the 128-bit products a * b, from 32-bit halves."""
+    """High and low uint64 words of the 128-bit products a * b, from 32-bit
+    halves; each partial sum stays below 2**64."""
     a_lo, a_hi = a & _MASK32, a >> 32
     b_lo, b_hi = b & _MASK32, b >> 32
-    lh, hl = b_hi * a_lo, b_lo * a_hi
-    mid = (b_lo * a_lo >> 32) + (lh & _MASK32) + (hl & _MASK32)
-    return b_hi * a_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), b * a
+    t = b_hi * a_lo + (b_lo * a_lo >> 32)
+    w = b_lo * a_hi + (t & _MASK32)
+    return b_hi * a_hi + (t >> 32) + (w >> 32), b * a
 
 
 def _philox_block(keys: np.ndarray, counter) -> np.ndarray:
@@ -257,13 +261,20 @@ def _stirling(a, a2):
     return (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / a2) / a2) / a2) / a2) / a / 166320.0
 
 
-def _btpe(keys: np.ndarray, n: int, r: float) -> np.ndarray:
+def _btpe(
+    keys: np.ndarray, n: int, r: float, first: int = 0, stop: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """numpy's random_binomial_btpe on each key row's stream (r <= 1/2, n r > 30).
 
     Kachitvichyanukul & Schmeiser, CACM 31(2), 1988. Attempt j of a trial
     takes draws 2j and 2j + 1 of its stream; each pass makes one attempt for
     every trial still pending and keeps the ones that were rejected. Integer
     steps wrap like the C int64 arithmetic they copy.
+
+    The passes run from attempt first (even) up to, not including, attempt
+    stop, or until every row is accepted. Returns (out, pending): the rows
+    in pending were rejected at every attempt made, and out holds the draw
+    of every other row.
     """
     q = 1.0 - r
     fm = n * r + r
@@ -287,8 +298,8 @@ def _btpe(keys: np.ndarray, n: int, r: float) -> np.ndarray:
 
     out = np.empty(len(keys), np.int64)
     pending = np.arange(len(keys))
-    attempt = 0
-    while pending.size:
+    attempt = first
+    while pending.size and attempt != stop:
         if attempt % 2 == 0:  # attempts 2j and 2j + 1 read the four words of block j + 1
             words = _philox_block(keys[pending], attempt // 2 + 1)
         else:
@@ -355,14 +366,41 @@ def _btpe(keys: np.ndarray, n: int, r: float) -> np.ndarray:
 
         out[pending[accept]] = y[accept]
         pending = pending[~accept]
-    return out
+    return out, pending
 
 
 def _binomial(keys: np.ndarray, n: int, p: float) -> np.ndarray:
-    """``Generator(Philox(key=k)).binomial(n, p)`` for each key row k, int64."""
+    """``Generator(Philox(key=k)).binomial(n, p)`` for each key row k, int64.
+
+    The whole draw of each key, which the tests hold against numpy;
+    run_experiment makes the same sampler calls a block at a time."""
     r = p if p <= 0.5 else 1.0 - p
-    x = (_inversion if r * n <= 30.0 else _btpe)(keys, n, r)
+    x = _inversion(keys, n, r) if r * n <= 30.0 else _btpe(keys, n, r)[0]
     return x if p <= 0.5 else n - x
+
+
+def _sample_variance(x: np.ndarray) -> float:
+    """float(np.var(x, ddof=1)) for len(x) >= 2, bit for bit, with no
+    temporary longer than a block.
+
+    np.var divides np.add.reduce(x) by n, then sums the squared deviations
+    with numpy's pairwise sum: a range of more than 128 values is halved,
+    the first half rounded down to a multiple of 8, and the halves' sums
+    added. This follows those splits until a range fits in a block and
+    hands each such range to np.add.reduce.
+    """
+    n = x.size
+    mean = np.add.reduce(x) / n
+
+    def squares(lo: int, hi: int):
+        if hi - lo <= max(_BLOCK_TRIALS, 128):
+            d = x[lo:hi] - mean
+            return np.add.reduce(np.multiply(d, d, out=d))
+        half = (hi - lo) // 2
+        half -= half % 8
+        return squares(lo, lo + half) + squares(lo + half, hi)
+
+    return float(squares(0, n) / (n - 1))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -371,6 +409,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     Trial t draws from the Philox substream SeedSequence(seed).spawn(trials)[t]
     from its initial state, so the trial order (or any parallel schedule)
     cannot change the result. Trials are drawn in blocks of _BLOCK_TRIALS.
+    BTPE makes attempts 0 and 1 of a block, the two that read Philox block 1;
+    the trials they reject join one shared tail, which BTPE finishes from
+    attempt 2 whenever it holds a block of trials, and once more at the end.
+    A trial's estimate is formed as soon as its count is final.
     """
     probs = outcome_probs(cfg.r, cfg.lambda_true)
     fisher = classical_fisher(probs, outcome_prob_derivs(cfg.r, cfg.lambda_true))
@@ -381,19 +423,40 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             "the Fisher information is infinite and the Cramér-Rao bound 0"
         )
     draws = cfg.shots_per_trial * cfg.m
+    p = probs[0]
+    r = p if p <= 0.5 else 1.0 - p  # _binomial's split: draw the rarer outcome
     estimates = np.empty(cfg.trials)
     n_clamped = 0
-    for start in range(0, cfg.trials, _BLOCK_TRIALS):
-        stop = min(start + _BLOCK_TRIALS, cfg.trials)
-        counts = _binomial(_trial_keys(cfg.seed, start, stop), draws, probs[0])
+
+    def settle(trials, x: np.ndarray) -> None:
+        """Store the estimates of trials from their final draws x."""
+        nonlocal n_clamped
+        counts = x if p <= 0.5 else draws - x
         # Python's int division rounds once, also past 2**53 draws
         p_hat = np.array([c / draws for c in counts.tolist()])
         # a subnormal r overflows the quotient to +-inf, which the clamp handles
         with np.errstate(over="ignore"):
             raw = 0.5 * (1.0 - (2.0 * p_hat - 1.0) / cfg.r)
         n_clamped += int(np.count_nonzero((raw < 0.0) | (raw > 1.0)))
-        np.clip(raw, 0.0, 1.0, out=estimates[start:stop])
-    var = float(np.var(estimates, ddof=1)) if cfg.trials > 1 else 0.0
+        estimates[trials] = np.clip(raw, 0.0, 1.0)
+
+    tail = []  # (trials, keys) that BTPE rejected at attempts 0 and 1
+    for start in range(0, cfg.trials, _BLOCK_TRIALS):
+        stop = min(start + _BLOCK_TRIALS, cfg.trials)
+        keys = _trial_keys(cfg.seed, start, stop)
+        if r * draws <= 30.0:
+            settle(slice(start, stop), _inversion(keys, draws, r))
+            continue
+        x, pending = _btpe(keys, draws, r, stop=2)
+        done = np.delete(np.arange(stop - start), pending)
+        settle(start + done, x[done])
+        if pending.size:
+            tail.append((start + pending, keys[pending]))
+        if tail and (sum(len(t) for t, _ in tail) >= _BLOCK_TRIALS or stop == cfg.trials):
+            trials, tail_keys = map(np.concatenate, zip(*tail))
+            tail.clear()
+            settle(trials, _btpe(tail_keys, draws, r, first=2)[0])
+    var = _sample_variance(estimates) if cfg.trials > 1 else 0.0
     crb = math.inf if fisher == 0.0 else 1.0 / (draws * fisher)
     return ExperimentResult(
         estimates=estimates,

@@ -453,7 +453,7 @@ class TestSweepCommand:
                 if len(calls) == 4:  # the header, then two blocks
                     raise failure
 
-            monkeypatch.setattr(cli, "_MC_ROWS_PER_WRITE", 4)
+            monkeypatch.setattr(mc, "_BLOCK_TRIALS", 4)
             monkeypatch.setattr(
                 cli, "open", lambda *a, **k: SpyFile(open(*a, **k), write), raising=False
             )

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,20 @@ class TestRunExperiment:
         assert np.all(res.estimates >= 0.0)
         assert np.all(res.estimates <= 1.0)
 
+    def test_working_set_is_one_block(self):
+        # besides the estimates, BTPE's temporaries, the shared tail and the
+        # variance stay within a few blocks of trials
+        cfg = mc.ExperimentConfig(
+            r=0.8, lambda_true=0.3, m=1, trials=200_000, shots_per_trial=100_000, seed=1
+        )
+        tracemalloc.start()
+        try:
+            res = mc.run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < res.estimates.nbytes + 4 * 2**20
+
     def test_config_validation(self):
         valid = dict(r=0.5, lambda_true=0.3, m=1, trials=200, shots_per_trial=100_000, seed=0)
         with pytest.raises(ValueError, match=re.escape("polarization must lie in (0, 1], got 0.0")):
@@ -264,6 +279,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="trials"):
             mc.ExperimentConfig(**valid | dict(trials=10**7 + 1))
         mc.ExperimentConfig(**valid | dict(trials=10**7))
+
+
+# numpy's pairwise sum adds ranges of up to 128 values whole and halves
+# longer ones, the first half a multiple of 8; sizes on each side of those
+# splits and of a 4096-value block
+VARIANCE_SIZES = [2, 3, 7, 8, 9, 127, 128, 129, 4095, 4096, 4097, 8193,
+                  2**16 - 1, 2**16, 2**16 + 1, 2**17 + 1, 10**6]
+
+
+@pytest.mark.parametrize("block", [7, 2**12])
+@pytest.mark.parametrize("n", VARIANCE_SIZES)
+def test_sample_variance_is_np_var(n, block, monkeypatch):
+    # fails loudly if numpy changes how np.var sums
+    monkeypatch.setattr(mc, "_BLOCK_TRIALS", block)
+    rng = np.random.default_rng(n)
+    for x in (rng.random(n), 1e3 + rng.standard_normal(n), np.round(20.0 * rng.random(n)) / 20.0):
+        assert mc._sample_variance(x) == float(np.var(x, ddof=1))
 
 
 def reference_run(cfg):
@@ -330,6 +362,38 @@ class TestTrialSubstreams:
         res = mc.run_experiment(cfg)
         np.testing.assert_array_equal(res.estimates, estimates)
         assert res.n_clamped == n_clamped
+
+    @pytest.mark.parametrize("shots, deepest_block", [(200, 2), (100, 3)])
+    def test_btpe_tail_matches_one_generator_per_spawned_child(
+        self, shots, deepest_block, monkeypatch
+    ):
+        # 25 blocks of 4 trials at n p near 30-70: the trials BTPE rejects at
+        # attempts 0 and 1 fill the shared tail mid-run, and at 100 shots
+        # some trial needs attempt 4 or 5, which read Philox block 3
+        monkeypatch.setattr(mc, "_BLOCK_TRIALS", 4)
+        firsts, counters = [], []
+        btpe, philox_block = mc._btpe, mc._philox_block
+
+        def spy_btpe(keys, n, r, first=0, stop=None):
+            firsts.append(first)
+            return btpe(keys, n, r, first, stop)
+
+        def spy_block(keys, counter):
+            counters.append(int(np.max(counter)))
+            return philox_block(keys, counter)
+
+        monkeypatch.setattr(mc, "_btpe", spy_btpe)
+        monkeypatch.setattr(mc, "_philox_block", spy_block)
+        cfg = mc.ExperimentConfig(
+            r=0.8, lambda_true=0.3, m=1, trials=100, shots_per_trial=shots, seed=0
+        )
+        estimates, n_clamped = reference_run(cfg)
+        res = mc.run_experiment(cfg)
+        np.testing.assert_array_equal(res.estimates, estimates)
+        assert res.n_clamped == n_clamped
+        # the tail ran before the last block was drawn: it filled a block mid-run
+        assert 2 in firsts[: max(i for i, first in enumerate(firsts) if first == 0)]
+        assert max(counters) == deepest_block
 
     def test_draw_fraction_rounds_once_past_two_to_the_53(self):
         # 9e18 draws: float(count) / float(draws) rounds twice and differs
