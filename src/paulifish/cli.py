@@ -8,6 +8,11 @@ are expected to be made externally from the CSV. Each command imports
 its modules when it runs, so ``mc`` loads neither the sweep's layers nor
 the suites.
 
+Commands run numpy's OpenBLAS on one thread. No command gives BLAS work
+large enough to split (the largest matrix is verify's 16x16), and a second
+thread only spins on start-up, about 0.1 s of CPU per command. A
+user's own ``OPENBLAS_NUM_THREADS`` is kept.
+
 Exit codes: 0 success, 1 I/O or verification failure, 2 domain error.
 """
 
@@ -21,6 +26,11 @@ import stat
 import sys
 import tempfile
 from typing import Iterable, Iterator, Sequence, TextIO
+
+# Set before numpy loads OpenBLAS, which reads it once (see the module
+# docstring). Only cli sets it: a command owns its process, while a host
+# program that imports the package keeps its own environment.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -369,16 +369,6 @@ def _btpe(
     return out, pending
 
 
-def _binomial(keys: np.ndarray, n: int, p: float) -> np.ndarray:
-    """``Generator(Philox(key=k)).binomial(n, p)`` for each key row k, int64.
-
-    The whole draw of each key, which the tests hold against numpy;
-    run_experiment makes the same sampler calls a block at a time."""
-    r = p if p <= 0.5 else 1.0 - p
-    x = _inversion(keys, n, r) if r * n <= 30.0 else _btpe(keys, n, r)[0]
-    return x if p <= 0.5 else n - x
-
-
 def _sample_variance(x: np.ndarray) -> float:
     """float(np.var(x, ddof=1)) for len(x) >= 2, bit for bit, with no
     temporary longer than a block.
@@ -424,7 +414,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         )
     draws = cfg.shots_per_trial * cfg.m
     p = probs[0]
-    r = p if p <= 0.5 else 1.0 - p  # _binomial's split: draw the rarer outcome
+    r = p if p <= 0.5 else 1.0 - p  # numpy's split: draw the rarer outcome
     estimates = np.empty(cfg.trials)
     n_clamped = 0
 

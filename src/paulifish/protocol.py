@@ -123,15 +123,17 @@ def qfi_and_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
     """Correlated Fisher information and gain on a grid: r in (0, 1) and lam
     in [0, 1] broadcast against each other, one j-sum for both.
 
-    Unlike the scalar wrappers, a value below the normal float64 range comes
-    back as a subnormal or 0 instead of raising, so one such cell does not
-    discard a whole grid.
+    Unlike the scalar wrappers, a value outside the normal float64 range
+    comes back as a subnormal or 0 below it and as inf above it (at n = 64,
+    m = 1, r = 0.999999, lam = 0, where H is about 1e403), without raising
+    or warning, so one such cell does not discard a whole grid.
     """
     _validate_nm(n, m)
     r = linop.check_unit_interval(r, "polarization", "(0, 1)")
     lam = linop.check_unit_interval(lam, "channel strength")
     log_h, log_g = _log_qfi_gain(n, m, r, lam)
-    return np.exp(log_h), np.exp(log_g)
+    with np.errstate(over="ignore"):
+        return np.exp(log_h), np.exp(log_g)
 
 
 def qfi_correlated(p: ProtocolPoint) -> float:

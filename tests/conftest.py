@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from paulifish import channels, linop
+from paulifish import channels, linop, mc
 
 #: Branch threshold for alpha = Tr(A^2) - (Tr A)^2 in the 2x2 route.
 ALPHA_TOL = 1e-12
@@ -216,3 +216,12 @@ def mp_correlated_reference(n, r, ms, lams, dps=80):
                 g = pre * (1 - nu * r_**2) * s / (mpmath.mpf(2) ** (n + 1) * r_**2)
                 out[m, lam] = (+h, +g)
     return out
+
+
+def binomial(keys: np.ndarray, n: int, p: float) -> np.ndarray:
+    """``Generator(Philox(key=k)).binomial(n, p)`` for each key row k, int64,
+    through mc's samplers: the whole draw of each key, which
+    mc.run_experiment makes a block at a time."""
+    r = p if p <= 0.5 else 1.0 - p
+    x = mc._inversion(keys, n, r) if r * n <= 30.0 else mc._btpe(keys, n, r)[0]
+    return x if p <= 0.5 else n - x

@@ -38,6 +38,23 @@ def parse_fields(line):
     return dict(part.split("=", 1) for part in line.split())
 
 
+def child_env(**overrides):
+    """The environment of a child interpreter that imports paulifish from
+    this tree: ours with src on PYTHONPATH and without OPENBLAS_NUM_THREADS,
+    which importing cli set here, then the overrides."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    return {**env, **overrides}
+
+
+def run_child(args, **overrides):
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=child_env(**overrides), timeout=120,
+    )
+
+
 class SpyFile:
     """A file opened by the command, whose every write calls on_write(text) first."""
 
@@ -279,6 +296,18 @@ class TestSweepCommand:
                 else:
                     assert got == pytest.approx(float(want), rel=1e-10), (col, r, lam)
         assert below > 0
+
+    def test_sweep_writes_cells_above_float64_range_as_inf_silently(self, tmp_path):
+        # H is about 1e403 here; numpy's overflow warning would print its
+        # source line on the user's stderr
+        out_path = tmp_path / "huge.csv"
+        done = run_child(
+            ["-m", "paulifish.cli", "sweep", "--n", "64", "--m", "1", "--r-min", "0.999999",
+             "--r-max", "0.999999", "--lambda-min", "0", "--lambda-max", "0",
+             "--out", str(out_path)]
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert out_path.read_text() == f"{cli.CSV_HEADER}\n64,1,0.999999,0,1999996.99994,inf,inf,,,\n"
 
     def test_degenerate_range_writes_header_only(self, tmp_path, capsys):
         out_path = tmp_path / "empty.csv"
@@ -762,13 +791,41 @@ class TestRejectedArguments:
 )
 def test_module_entry_exits_with_the_command_status(args, code, out):
     # python -m paulifish.cli, the way benchmarks/run.py runs each command
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run(
-        [sys.executable, "-m", "paulifish.cli", *args],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = run_child(["-m", "paulifish.cli", *args])
     assert (done.returncode, done.stdout) == (code, out), done.stderr
+
+
+# Imports cli, then prints the thread count of the OpenBLAS bundled with
+# numpy, asked as benchmarks/run.py's blas_threads asks it, or "none".
+BLAS_THREADS = """
+import ctypes, pathlib
+import paulifish.cli
+import numpy
+
+libs = pathlib.Path(numpy.__file__).parent.parent / "numpy.libs"
+threads = "none"
+for path in sorted(libs.glob("lib*openblas*.so*")):
+    lib = ctypes.CDLL(str(path))
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        fn = getattr(lib, name, None)
+        if fn is not None and threads == "none":
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            threads = fn()
+print(threads)
+"""
+
+
+@pytest.mark.parametrize("user", [None, "2"])
+def test_cli_runs_openblas_on_one_thread_unless_the_user_sets_it(user):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if user is not None and cpus < int(user):
+        pytest.skip("OpenBLAS starts no more threads than there are CPUs")
+    done = run_child(["-c", BLAS_THREADS], **({} if user is None else {"OPENBLAS_NUM_THREADS": user}))
+    assert done.returncode == 0, done.stderr
+    if done.stdout == "none\n":
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert done.stdout == f"{user or 1}\n"
 
 
 class TestClosedStdout:

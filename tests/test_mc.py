@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import ChannelSpec, apply_pauli_channel, bloch_state
+from conftest import ChannelSpec, apply_pauli_channel, binomial, bloch_state
 from paulifish import linop, mc, qfi
 
 # the projectors of the +-y measurement, onto (|0> +- i|1>)/sqrt(2)
@@ -478,16 +478,28 @@ BINOMIAL_CASES = [
 
 @pytest.fixture(scope="module")
 def spawned():
-    """Trial keys and spawned children of a seed, BINOMIAL_TRIALS of each, cached."""
+    """Trial keys of a seed and a fresh Generator on each spawned child's
+    Philox, BINOMIAL_TRIALS of each.
+
+    Each child's Philox is seeded once per seed, which is most of the cost,
+    and its initial state kept; every call restores that state and wraps
+    each bit generator in a new Generator."""
     cache = {}
 
     def get(seed):
         if seed not in cache:
+            bitgens = [
+                np.random.Philox(c) for c in np.random.SeedSequence(seed).spawn(BINOMIAL_TRIALS)
+            ]
             cache[seed] = (
                 mc._trial_keys(seed, 0, BINOMIAL_TRIALS),
-                np.random.SeedSequence(seed).spawn(BINOMIAL_TRIALS),
+                bitgens,
+                [b.state for b in bitgens],
             )
-        return cache[seed]
+        keys, bitgens, states = cache[seed]
+        for bitgen, state in zip(bitgens, states):
+            bitgen.state = state
+        return keys, [np.random.Generator(b) for b in bitgens]
 
     return get
 
@@ -516,9 +528,9 @@ class TestBinomialMatchesNumpy:
         "n, p, seed", [(n, p, 1 + i % 2) for i, (n, p) in enumerate(BINOMIAL_CASES)]
     )
     def test_every_spawned_child(self, n, p, seed, spawned):
-        keys, children = spawned(seed)
-        want = [np.random.Generator(np.random.Philox(c)).binomial(n, p) for c in children]
-        np.testing.assert_array_equal(mc._binomial(keys, n, p), want)
+        keys, generators = spawned(seed)
+        want = [g.binomial(n, p) for g in generators]
+        np.testing.assert_array_equal(binomial(keys, n, p), want)
 
     # Branches no seed reaches in practice, taken by putting chosen words in
     # the first block of every stream, in numpy's Philox buffer and in the
@@ -549,7 +561,7 @@ class TestBinomialMatchesNumpy:
             return block
 
         monkeypatch.setattr(mc, "_philox_block", crafted)
-        got = mc._binomial(keys, n, p)
+        got = binomial(keys, n, p)
         # the restart reads a second block; a BTPE retry reads words 2 and 3
         # of the first, which put it in the triangle
         assert len(blocks) == block_calls

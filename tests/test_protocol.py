@@ -132,6 +132,17 @@ class TestHighPrecisionReference:
             with pytest.raises(ValueError, match="float64 range"):
                 fn(point)
 
+    def test_grid_form_gives_inf_above_the_range_without_warning(self):
+        # true H ~ 1e403; the scalar wrapper raises, the grid form returns inf,
+        # and numpy's overflow warning would be an error under this suite
+        from conftest import mp_correlated_reference
+
+        h_ref, g_ref = mp_correlated_reference(64, 0.999999, [1], [0.0])[1, 0.0]
+        assert h_ref > g_ref > self.HUGE
+        assert protocol.qfi_and_gain(64, 1, 0.999999, 0.0) == (math.inf, math.inf)
+        with pytest.raises(ValueError, match="float64 range"):
+            protocol.qfi_correlated(protocol.ProtocolPoint(64, 1, 0.999999, 0.0))
+
     def test_exact_zeros_stay_zero(self):
         for n in (2, 5, 64):
             assert protocol.qfi_correlated(protocol.ProtocolPoint(n, 1, 0.0, 0.3)) == 0.0
