@@ -5,7 +5,7 @@ k it hits.
 Covers the preparatory unitary (pairwise controlled-Z then a Hadamard on
 every qubit) and the post-channel state, a direct sum of two-dimensional
 blocks spanned by |x> and |N-x>. The blocks fall into Hamming classes
-{j, n-j}, whose weights hamming_classes states once, up to n = 64;
+{j, n-j}, whose (p_j, t_j) hamming_classes states once, up to n = 64;
 correlated_state writes the dense state from them, broadcast over (r, lam)
 grids. The dense channel map itself is a test oracle (tests/conftest.py).
 """
@@ -51,32 +51,36 @@ def preparation_unitary(n: int) -> np.ndarray:
 # Block decomposition of the prepared and post-channel states
 
 
-def _class_weight(j, n: int, r):
-    """(1+r)**j (1-r)**(n-j) / 2**n, the weight of a bitstring with j zero
-    bits, for j and r that broadcast against each other."""
-    return (1.0 + r) ** j * (1.0 - r) ** (n - j) / 2**n
-
-
 def hamming_classes(n: int, r) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """The Hamming classes {j, n-j}, j = 0 .. n//2, of the two-level blocks.
 
     Block x of the state depends on x only through the number j of zero
-    bits of x or of N-x, whichever is smaller. Returns (mult, diag, off):
-    mult[j] is the number of blocks in class j, C(n, j) halved at j = n/2,
-    as Python ints, which add up to 2^(n-1) (past int64 at n = 64); diag
-    and off hold the weights d_j, o_j = (w_j +- w_(n-j))/2 on a trailing
-    axis after the shape of r, with w_j = (1+r)**j (1-r)**(n-j) / 2**n.
-    2^(n+1) (o_j, d_j) is the paper's weight pair (diff_j, total_j). They
-    are computed from j, not from the blocks, so n may reach
-    protocol.ANALYTIC_N_CAP.
+    bits of x or of N-x, whichever is smaller. Returns (mult, p, t): mult[j]
+    is the number of blocks in class j, C(n, j) halved at j = n/2, as Python
+    ints, which add up to 2^(n-1) (past int64 at n = 64); p[..., j] is the
+    class's probability mult_j (w_j + w_(n-j)), w_j = (1+r)^j (1-r)^(n-j) /
+    2^n, and t[..., j] = tanh((n-2j) atanh r) = (w_(n-j) - w_j) / (w_(n-j) +
+    w_j) its blocks' polarization, after the shape of r. Each block is
+    p_j/(2 mult_j) (I +- t_j sigma_y) before the channel. Neither is formed
+    by a subtraction that cancels: both lie within 3 ulps of their exact
+    values where those are normal floats. They are computed from j, not
+    from the blocks, so n may reach protocol.ANALYTIC_N_CAP.
     """
     if not 2 <= n <= protocol.ANALYTIC_N_CAP:
         raise ValueError(f"n={n} must lie in 2..{protocol.ANALYTIC_N_CAP}")
     r = linop.check_unit_interval(r, "polarization", "[0, 1)")[..., None]
     j = np.arange(n // 2 + 1)
     mult = tuple(math.comb(n, k) // (2 if 2 * k == n else 1) for k in j.tolist())
-    w, w_complement = _class_weight(j, n, r), _class_weight(n - j, n, r)
-    return mult, (w + w_complement) / 2, (w - w_complement) / 2
+    two_ka = 2.0 * (n - 2 * j) * np.arctanh(r)
+    ratio = np.exp(-two_ka)  # w_j / w_(n-j)
+    # up, down are 1 +- r rounded, and (1 + r)^i = up^i exp(i e / up) with e
+    # the exact rounding error, likewise for down; down^j, which may
+    # underflow where p_j does not, is taken as f^j 2^(j b), down = f 2^b
+    up, down = 1.0 + r, 1.0 - r
+    fix = np.exp((n - j) * (r - (up - 1.0)) / up + j * ((1.0 - down) - r) / down)
+    f, b = np.frexp(down)
+    p = np.array(mult, dtype=float) * up ** (n - j) * f**j * (1.0 + ratio) * fix
+    return mult, np.ldexp(p, j * b - n), -np.expm1(-two_ka) / (1.0 + ratio)
 
 
 def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +94,7 @@ def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
         rho_x  = [[d, i o s], [-i o s, d]],    s  = (1-2 lam)**m
         drho_x = [[0, i o s'], [-i o s', 0]],  s' = -2m (1-2 lam)**(m-1)
 
-    with d, o the weights d_k, o_k of the Hamming class k of x
+    with d = p_k/(2 mult_k) and o = -d t_k for the Hamming class k of x
     (hamming_classes), o negated where x has more than n/2 zero bits. Only
     the off-diagonals depend on lam: |x> and |N-x> differ in every bit, so
     each channel use scales them by (1-2 lam). 2**n may not exceed DIM_CAP.
@@ -103,17 +107,18 @@ def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"invocation count m={m} must lie in 1..{n}")
     lam = linop.check_unit_interval(lam, "channel strength")
     r, lam = np.broadcast_arrays(np.asarray(r, dtype=float), lam)
-    _, diag, off = hamming_classes(n, r)
+    mult, p, t = hamming_classes(n, r)
     x = np.arange(2 ** (n - 1))
     y = 2**n - 1 - x
     j = n - _popcount(x, n)
     k = np.minimum(j, n - j)
-    # 0.0 - o, not -o: a zero weight stays +0.0, as f(x) - f(N-x) gives it
-    o = np.where(2 * j > n, 0.0 - off[..., k], off[..., k])
+    d = (p / (2.0 * np.array(mult, dtype=float)))[..., k]
+    # o = -d t, +d t past n/2; 0.0 - x, not -x: a zero weight stays +0.0
+    o = np.where(2 * j > n, d * t[..., k], 0.0 - d * t[..., k])
     c = 1.0 - 2.0 * lam[..., None]
     rho = np.zeros(r.shape + (2**n, 2**n), dtype=complex)
     drho = np.zeros_like(rho)
-    rho[..., x, x] = rho[..., y, y] = diag[..., k]
+    rho[..., x, x] = rho[..., y, y] = d
     for out, scale in ((rho, c**m), (drho, -2.0 * m * c ** (m - 1))):
         out[..., x, y] = 1j * o * scale
         # -(x, y), not 1j * (-o), which flips signed zeros that eigh reads

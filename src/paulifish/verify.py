@@ -1,8 +1,8 @@
 """Cross-module verification suites behind the ``verify`` CLI command.
 
 Each suite exercises one family of invariants (oracle equivalence of the
-closed-form Fisher information, analytic bounds, the weight-pair and gain
-inequalities, discord against its definition, stationary polarizations,
+closed-form Fisher information, analytic bounds, the class-polarization and
+gain inequalities, discord against its definition, stationary polarizations,
 separability thresholds, preparation-unitary structure) and reports its
 worst observed error against a fixed tolerance.
 
@@ -18,10 +18,11 @@ grid, per (n, m) or per m. The worst error over a grid is the same number
 the point-by-point loop would find.
 
 The oracle suite's eigensolve runs one 2x2 block per Hamming class
-(``channels.hamming_classes``), not one per block of the state: floor(n/2)+1
-blocks per grid cell instead of 2^(n-1), which takes it to every n the
-closed form accepts. Every reduction goes through ``_worst``, so a NaN in
-any compared cell fails its suite.
+(``channels.hamming_classes``), at unit trace and weighted by the class's
+probability, not one per block of the state: floor(n/2)+1 blocks per grid
+cell instead of 2^(n-1), which takes it to every n the closed form accepts,
+and r to 1e-12 from either end of (0, 1). Every reduction goes through
+``_worst``, so a NaN in any compared cell fails its suite.
 """
 
 from __future__ import annotations
@@ -78,8 +79,11 @@ def _rel_err(a, b) -> float:
 DENSE_BRIDGE_N_MAX = 4
 
 
-#: The lam and r values 0.1..0.9 of the oracle and bounds grids.
+#: The lam and r values 0.1..0.9 of the bounds grid.
 _TENTHS = [round(0.1 * k, 10) for k in range(1, 10)]
+#: The oracle grid: r out to 1e-12 from each end of (0, 1), lam to 1e-3.
+_EDGE_RS = [1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9]
+_EDGE_LAMS = [1e-3, 0.1, 0.3, 0.5 - 1e-6, 0.5, 0.5 + 1e-3, 0.7, 0.9, 1 - 1e-3]
 
 
 def _qubit_counts(n_max: int) -> range:
@@ -101,20 +105,15 @@ def _class_route(n: int, m: int, r, lam) -> np.ndarray:
     """Fisher information of the post-channel state from one eigensolve per
     Hamming class (channels.hamming_classes), broadcast over r and lam.
 
-    Class j's block is d_j I - o_j s sigma_y with derivative
-    -o_j s' sigma_y, s = (1-2 lam)^m. It is solved at unit trace and its
-    Fisher information scaled back by the trace 2 d_j: at large n every
-    d_j may lie below qfi.SUPPORT_TOL, under which fisher_eig drops a
-    direction. H = sum_j mult_j 2 d_j H_j, one batched fisher_eig call.
+    Class j's blocks are, at unit trace, (I - t_j s sigma_y)/2 with
+    derivative m t_j (1-2 lam)^(m-1) sigma_y, s = (1-2 lam)^m, and
+    H = sum_j p_j H_j, one batched fisher_eig call.
     """
-    mult, diag, off = channels.hamming_classes(n, r)
+    _, p, t = channels.hamming_classes(n, r)
     c = 1.0 - 2.0 * np.asarray(lam, dtype=float)[..., None, None, None]
-    ratio = (off / (2.0 * diag))[..., None, None]
-    sigma_y = linop.sigma_y()
-    rho = 0.5 * linop.identity() - ratio * c**m * sigma_y
-    drho = ratio * 2.0 * m * c ** (m - 1) * sigma_y
-    h_unit = qfi.fisher_eig(rho, drho)
-    return np.sum(h_unit * (np.array(mult, dtype=float) * 2.0 * diag), axis=-1)
+    t, sigma_y = t[..., None, None], linop.sigma_y()
+    rho = 0.5 * (linop.identity() - t * c**m * sigma_y)
+    return np.sum(qfi.fisher_eig(rho, m * t * c ** (m - 1) * sigma_y) * p, axis=-1)
 
 
 def suite_oracle(n_max: int) -> SuiteResult:
@@ -122,16 +121,15 @@ def suite_oracle(n_max: int) -> SuiteResult:
 
     For every n <= n_max the route solves one two-level block per Hamming
     class, the whole lams x rs grid in one batched call per (n, m), and
-    adds the classes' Fisher informations weighted by their multiplicities;
-    the classes' traces, so weighted, must add up to 1. Up to
-    DENSE_BRIDGE_N_MAX it also eigendecomposes the dense states, one
-    batched call per lam row, and checks them against the classes.
+    adds the classes' Fisher informations weighted by their probabilities,
+    which must add up to 1. Up to DENSE_BRIDGE_N_MAX it also
+    eigendecomposes the dense states, one batched call per lam row, and
+    checks them against the classes.
     """
     worst = 0.0
-    r_grid, lam_grid = np.array(_TENTHS), np.array(_TENTHS)[:, None]
+    r_grid, lam_grid = np.array(_EDGE_RS), np.array(_EDGE_LAMS)[:, None]
     for n in _qubit_counts(n_max):
-        mult, diag, _ = channels.hamming_classes(n, r_grid)
-        worst = _worst(worst, np.abs(2.0 * diag @ np.array(mult, dtype=float) - 1.0))
+        worst = _worst(worst, np.abs(channels.hamming_classes(n, r_grid)[1].sum(-1) - 1.0))
         for m in _invocation_counts(n):
             h_closed = protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0]
             h_oracle = _class_route(n, m, r_grid, lam_grid)
@@ -167,31 +165,25 @@ def suite_bounds(n_max: int) -> SuiteResult:
         h = qfi.qfi_independent_opt(1.0 - 1e-8, lam_grid, m)
         pure_err = _worst(pure_err, _rel_err(h, qfi.qfi_upper_bound(lam_grid, m)))
     ok = worst <= 1e-8 and pure_err < 1e-4 and single_err < 1e-12
-    err = max(worst, pure_err, single_err)
-    return SuiteResult(
-        "bounds", ok, err, f"max excess {worst:.2e}, pure-limit rel {pure_err:.2e}"
-    )
+    errs = f"max excess {worst:.2e}, pure-limit rel {pure_err:.2e}, single-use rel {single_err:.2e}"
+    return SuiteResult("bounds", ok, max(worst, pure_err, single_err), errs)
 
 
 def suite_weight_inequalities() -> SuiteResult:
-    """diff^2/total^2 >= r^2 off the middle index, total >= 2(1-r^2)^(n-1),
-    the weighted sum >= 2^(n+1) r^2, and gain > 1 for single invocations,
-    for n = 2..8."""
+    """t_j^2 >= r^2 off the middle class, sum_j p_j t_j^2 >= r^2, each block's
+    p_j/mult_j >= ((1-r^2)/2)^(n-1) relative to that floor (the paper's total
+    >= 2(1-r^2)^(n-1)), and gain > 1 for single invocations, for n = 2..8."""
     worst = 0.0  # most negative margin observed, as a positive number
     rs = np.array([round(0.02 * k, 10) for k in range(1, 50)])
     r2 = rs * rs
     lams = np.array([round(0.01 * k, 10) for k in range(0, 101)])[:, None]
     floor_margin = math.inf
     for n in range(2, 9):
-        floor = linop._elementwise(lambda x: 2.0 * (1.0 - x * x) ** (n - 1), rs)
-        # the weight pairs j <= n/2; j and n-j have the same total and |diff|
-        mult, diag, off = channels.hamming_classes(n, rs)
-        diff, total = 2.0 ** (n + 1) * off, 2.0 ** (n + 1) * diag
-        ratio = (diff / total)[:, : (n + 1) // 2] ** 2  # without the middle class
-        worst = _worst(worst, r2[:, None] - ratio, floor[:, None] - total)
-        # j and n-j add equal terms, and the middle class, diff = 0, adds 0
-        weighted = 2.0 * (diff**2 / total) @ np.array(mult, dtype=float)
-        worst = _worst(worst, 2.0 ** (n + 1) * r2 - weighted)
+        floor = linop._elementwise(lambda x: (0.5 * (1.0 - x * x)) ** (n - 1), rs)[:, None]
+        mult, p, t = channels.hamming_classes(n, rs)
+        floor_gap = 1.0 - p / (floor * np.array(mult, dtype=float))
+        t_gap = r2[:, None] - t[:, : (n + 1) // 2] ** 2  # the middle class has t = 0
+        worst = _worst(worst, t_gap, floor_gap, r2 - np.sum(p * t * t, axis=-1))
         gain = protocol.qfi_and_gain(n, 1, rs, lams)[1]
         floor_margin = min(floor_margin, -_worst(1.0 - gain))
     ok = worst <= 1e-12 and floor_margin > 0.0

@@ -143,7 +143,8 @@ def bitstring_weight(x, n: int, r):
     if bad_x.any():
         raise ValueError(f"x={x[bad_x].flat[0]} out of range for {n} qubits")
     r = linop.check_unit_interval(r, "polarization", "[0, 1)")
-    return linop.scalar_or_array(channels._class_weight(n - channels._popcount(x, n), n, r))
+    j = n - channels._popcount(x, n)
+    return linop.scalar_or_array((1.0 + r) ** j * (1.0 - r) ** (n - j) / 2**n)
 
 
 def block_route_sld(n, r, lam, m):

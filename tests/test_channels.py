@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,21 @@ from conftest import (
     raise_peak,
 )
 from paulifish import channels, linop
+
+
+def exact_weight(zeros, n, r):
+    """(1+r)^zeros (1-r)^(n-zeros) / 2^n, the weight of a bitstring with that
+    many zero bits, in exact arithmetic: the float r is a dyadic rational."""
+    r = Fraction(r)
+    return (1 + r) ** zeros * (1 - r) ** (n - zeros) / 2**n
+
+
+def ulps(got, exact):
+    """Relative error of the float got from the Fraction exact, in units of
+    eps; 0 only where both are 0."""
+    if exact == 0:
+        return 0.0 if got == 0.0 else math.inf
+    return float(abs(Fraction(float(got)) - exact) / abs(exact)) / sys.float_info.epsilon
 
 
 def random_bloch(rng):
@@ -268,41 +285,52 @@ class TestBlocks:
         minus, _ = channels.correlated_state(n, r, lam - h, m)
         assert linop.frobenius_max(drho - (plus - minus) / (2 * h)) < 1e-6
 
-    def test_correlated_state_matches_bitstring_weights(self):
+    @pytest.mark.parametrize("r", [0.0, 1e-12, 0.3, 0.8])
+    def test_correlated_state_matches_exact_weights(self, r):
+        # every entry of rho and drho within 4 ulps of its exact value from
+        # the bitstring weights f(x), f(N-x) and the float lam (2.1 measured).
+        # Formed in floats as (f(x) -+ f(N-x))/2, the weights were 3.3e-5 off
+        # at r = 1e-12
         n, m = 4, 3
         big_n = 2**n - 1
-        rs, lams = np.array([0.0, 0.3, 0.8]), np.array([0.0, 0.2, 0.5, 1.0])[:, None]
-        rho, drho = channels.correlated_state(n, rs, lams, m)
-        assert rho.shape == drho.shape == (4, 3, 16, 16)
-        for i, lam in enumerate(lams.ravel().tolist()):
-            for k, r in enumerate(rs.tolist()):
-                scale = (1.0 - 2.0 * lam) ** m
-                dscale = -2.0 * m * (1.0 - 2.0 * lam) ** (m - 1)
-                expected, dexpected = np.zeros((2, 16, 16), dtype=complex)
-                for x in range(2 ** (n - 1)):
-                    fx = bitstring_weight(x, n, r)
-                    fnx = bitstring_weight(big_n - x, n, r)
-                    d, o = (fx + fnx) / 2, (fx - fnx) / 2
-                    expected[x, x] = expected[big_n - x, big_n - x] = d
-                    expected[x, big_n - x] = 1j * o * scale
-                    expected[big_n - x, x] = -1j * o * scale
-                    dexpected[x, big_n - x] = 1j * o * dscale
-                    dexpected[big_n - x, x] = -1j * o * dscale
-                np.testing.assert_array_equal(rho[i, k], expected)
-                np.testing.assert_array_equal(drho[i, k], dexpected)
+        lams = [0.0, 0.2, 0.5, 1.0]
+        rho, drho = channels.correlated_state(n, r, np.array(lams), m)
+        assert rho.shape == drho.shape == (4, 16, 16)
+        x = np.arange(2 ** (n - 1))
+        block = np.zeros((16, 16), dtype=bool)
+        block[x, x] = block[big_n - x, big_n - x] = block[x, big_n - x] = block[big_n - x, x] = True
+        assert not np.any(rho[:, ~block]) and not np.any(drho[:, ~block])
+        for i, lam in enumerate(lams):
+            c = 1 - 2 * Fraction(lam)
+            for x in range(2 ** (n - 1)):
+                zeros = n - bin(x).count("1")
+                fx, fnx = exact_weight(zeros, n, r), exact_weight(n - zeros, n, r)
+                d, o = (fx + fnx) / 2, (fx - fnx) / 2
+                y = big_n - x
+                expected = [  # entry, its exact real and imaginary parts
+                    (rho[i, x, x], d, 0),
+                    (rho[i, y, y], d, 0),
+                    (rho[i, x, y], 0, o * c**m),
+                    (drho[i, x, y], 0, -2 * m * o * c ** (m - 1)),
+                ]
+                for got, re, im in expected:
+                    assert ulps(got.real, re) <= 4 and ulps(got.imag, im) <= 4, (lam, x)
+                assert rho[i, y, x] == -rho[i, x, y] and drho[i, y, x] == -drho[i, x, y]
+                assert drho[i, x, x] == drho[i, y, y] == 0.0
 
     def test_class_weights_are_those_of_their_blocks(self):
         # class j holds the blocks whose x, or N-x, has j zero bits
         n, r = 5, 0.35
-        mult, diag, off = channels.hamming_classes(n, r)
+        mult, p, t = channels.hamming_classes(n, r)
+        d = p / (2.0 * np.array(mult, dtype=float))
         rho, _ = channels.correlated_state(n, r, 0.0, 1)
         zero_bits = [n - bin(x).count("1") for x in range(2 ** (n - 1))]
         for j, count in enumerate(mult):
             members = [x for x, z in enumerate(zero_bits) if min(z, n - z) == j]
             assert len(members) == count
             for x in members:
-                sign = -1.0 if zero_bits[x] > n - zero_bits[x] else 1.0
-                assert rho[x, x].real == diag[j] and rho[x, 2**n - 1 - x].imag == sign * off[j]
+                sign = 1.0 if zero_bits[x] > n - zero_bits[x] else -1.0
+                assert rho[x, x].real == d[j] and rho[x, 2**n - 1 - x].imag == sign * d[j] * t[j]
 
     def test_correlated_state_grid_matches_points(self):
         rs, lams = np.array([0.1, 0.6]), np.array([0.3, 0.7])[:, None]
@@ -334,49 +362,62 @@ class TestBlocks:
 
 
 class TestHammingClasses:
-    """The class weights d_j, o_j, j <= n/2: 2^(n+1) (o_j, d_j) is the
-    paper's weight pair (diff_j, total_j)."""
+    """The class probabilities p_j and block polarizations t_j, j <= n/2."""
 
     @pytest.mark.parametrize("n", range(2, 65))
     def test_class_multiplicities_count_every_block(self, n):
         # Python ints: 2^63 overflows int64 and C(64, 32) is not exact in float64
-        mult, diag, off = channels.hamming_classes(n, np.array([0.0, 0.5]))
+        mult, p, t = channels.hamming_classes(n, np.array([0.0, 0.5]))
         assert all(isinstance(k, int) for k in mult)
         assert sum(mult) == 2 ** (n - 1)
-        assert len(mult) == n // 2 + 1 and diag.shape == off.shape == (2, n // 2 + 1)
+        assert len(mult) == n // 2 + 1 and p.shape == t.shape == (2, n // 2 + 1)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_unpolarized(self, n):
-        # no weight difference without polarization: every total is 2
-        _, diag, off = channels.hamming_classes(n, 0.0)
-        np.testing.assert_array_equal(off, 0.0)
-        np.testing.assert_array_equal(2.0 ** (n + 1) * diag, 2.0)
+        # no polarization, and every block weighs 2/2^n
+        mult, p, t = channels.hamming_classes(n, 0.0)
+        np.testing.assert_array_equal(t, 0.0)
+        np.testing.assert_array_equal(p, np.array(mult, dtype=float) * 2.0 ** (1 - n))
 
-    def test_middle_class_has_no_difference(self):
-        _, _, off = channels.hamming_classes(4, np.array([0.3, 0.7, 0.999]))
-        np.testing.assert_array_equal(off[:, 2], 0.0)
-        assert np.all(off[:, :2] != 0.0)
+    def test_middle_class_has_no_polarization(self):
+        _, _, t = channels.hamming_classes(4, np.array([0.3, 0.7, 0.999]))
+        np.testing.assert_array_equal(t[:, 2], 0.0)
+        assert np.all(t[:, :2] != 0.0)
 
     def test_hand_values(self):
         # n = 2, r = 0.5: w_0 = 0.25**2, w_2 = 0.75**2, w_1 = 0.75 * 0.25
-        _, diag, off = channels.hamming_classes(2, 0.5)
-        np.testing.assert_array_equal(8.0 * diag, [2.5, 1.5])
-        np.testing.assert_array_equal(8.0 * off, [-2.0, 0.0])
+        _, p, t = channels.hamming_classes(2, 0.5)
+        np.testing.assert_allclose(p, [0.625, 0.375], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(t, [0.8, 0.0], rtol=1e-15, atol=0.0)
 
-    def test_square_identity(self):
-        # d_j^2 - o_j^2 = w_j w_(n-j) = (1-r^2)^n / 4^n, in the weight pair's
-        # scale diff^2 = total^2 - 4 (1-r^2)^n
+    def test_block_eigenvalues_are_the_bitstring_weights(self):
+        # a block of class j, p_j/(2 mult_j) (I +- t_j sigma_y), has the
+        # eigenvalues w_(n-j) and w_j, the weights of its two bitstrings
+        rs = np.array([0.1, 0.5, 0.9])[:, None]
         for n in (2, 4, 7):
-            rs = np.array([0.1, 0.5, 0.9])
-            _, diag, off = channels.hamming_classes(n, rs)
-            diff, total = 2.0 ** (n + 1) * off, 2.0 ** (n + 1) * diag
-            pure = 4.0 * (1.0 - rs * rs)[:, None] ** n
-            np.testing.assert_allclose(diff**2, total**2 - pure, rtol=1e-12, atol=1e-12)
+            mult, p, t = channels.hamming_classes(n, rs[:, 0])
+            d, j = p / (2.0 * np.array(mult, dtype=float)), np.arange(n // 2 + 1)
+            w, w_c = bitstring_weight(2 ** (n - j) - 1, n, rs), bitstring_weight(2**j - 1, n, rs)
+            np.testing.assert_allclose(d * (1.0 + t), w_c, rtol=1e-14, atol=0.0)
+            assert np.all(np.abs(d * (1.0 - t) - w) <= 1e-15 * w_c)  # 1 - t cancels
 
     @pytest.mark.parametrize("n", [2, 3, 8, 64])
-    def test_difference_bounded_by_total(self, n):
-        _, diag, off = channels.hamming_classes(n, np.array([0.0, 0.01, 0.5, 0.9, 0.999]))
-        assert np.all(diag >= np.abs(off))
+    def test_probabilities_and_polarizations(self, n):
+        _, p, t = channels.hamming_classes(n, np.array([0.0, 0.01, 0.5, 0.9, 0.999]))
+        assert np.all(p >= 0.0) and np.all((t >= 0.0) & (t <= 1.0))
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    @pytest.mark.parametrize("r", [1e-12, 1e-6, 0.5, 1 - 1e-9])
+    def test_classes_match_exact_weights(self, n, r):
+        # within 3 ulps of the exact values from (1 +- r)^j: 1.4 measured for
+        # p and 1.0 for t on this grid. The weights' difference formed in
+        # floats, (w_j - w_(n-j))/2, was 3.3e-5 off at r = 1e-12
+        mult, p, t = channels.hamming_classes(n, r)
+        for j, count in enumerate(mult):
+            w, w_c = exact_weight(j, n, r), exact_weight(n - j, n, r)
+            assert ulps(p[j], count * (w + w_c)) <= 3, j
+            assert ulps(t[j], (w_c - w) / (w_c + w)) <= 3, j
 
     def test_hamming_classes_reject_bad_arguments(self):
         for n in (1, 65):

@@ -110,6 +110,7 @@ RETIRED = {
     "tensor": linop,
     "_as_operator": linop,
     "DimensionError": linop,
+    "_class_weight": channels,
 }
 
 

@@ -340,12 +340,14 @@ class TestRouteEquivalence:
 
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_class_route_matches_closed_form_at_large_n(self, n):
-        # at n = 64 and r = 0.1 every class weight lies below SUPPORT_TOL, so
-        # the route holds only because it solves each class at unit trace
+        # at n = 64 and r = 0.1 every block's trace p_j/mult_j lies below
+        # SUPPORT_TOL, so the route holds only because it solves each class
+        # at unit trace, weighted by p_j
         rs = np.array([0.1, 0.5, 0.9])
         lams = np.array([0.05, 0.3, 0.5, 0.8])[:, None]
         if n == 64:
-            assert np.all(2.0 * channels.hamming_classes(n, 0.1)[1] < qfi.SUPPORT_TOL)
+            mult, p, _ = channels.hamming_classes(n, 0.1)
+            assert np.all(p / np.array(mult, dtype=float) < qfi.SUPPORT_TOL)
         for m in (1, 2, n // 2, n - 1, n):
             h_classes = verify._class_route(n, m, rs, lams)
             h_closed = protocol.qfi_and_gain(n, m, rs, lams)[0]

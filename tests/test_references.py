@@ -3,13 +3,14 @@ r from 0 to 1 - 1e-9, and lam at 0, 1/2 and 1 and from 1e-12 to 1e-3 away
 from each. Each tolerance sits just above the largest error measured on its
 grid."""
 
+import math
 import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from paulifish import correlations, protocol, qfi
+from paulifish import correlations, protocol, qfi, verify
 
 EDGE = (1e-12, 1e-9, 1e-6, 1e-3)
 LAMS = sorted(
@@ -128,3 +129,26 @@ def test_single_use_fisher_information_in_the_equatorial_plane():
             r_, lam_ = mpmath.mpf(r), mpmath.mpf(lam)
             ref = 4 * r_**2 / (_mu(lam, 2) * (1 - r_**2) + 4 * lam_ * (1 - lam_))
             assert _rel_err(g, ref) <= 5e-16, (r, lam)
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (5, 3), (16, 8), (33, 2), (64, 64)])
+def test_class_route_on_the_oracle_grid(n, m):
+    # the oracle suite's reference, one 2x2 eigensolve per Hamming class, on
+    # that suite's grid: 3.8e-14 measured, at n = 2. Read from the class
+    # weights' difference formed in floats, it was 6.7e-5 off at r = 1e-12
+    rs, lams = verify._EDGE_RS, verify._EDGE_LAMS
+    got = verify._class_route(n, m, np.array(rs), np.array(lams)[:, None])
+    for i, lam in enumerate(lams):
+        c = 1 - 2 * mpmath.mpf(lam)
+        s, ds = c**m, -2 * m * c ** (m - 1)
+        for k, r in enumerate(rs):
+            r_, ref = mpmath.mpf(r), 0
+            for j in range(n // 2 + 1):
+                w, w_c = ((1 + r_) ** a * (1 - r_) ** (n - a) for a in (j, n - j))
+                p = math.comb(n, j) // (2 if 2 * j == n else 1) * (w + w_c) / 2**n
+                t = (w_c - w) / (w_c + w)
+                ref += p * (t * ds) ** 2 / (1 - (t * s) ** 2)  # Fisher information of a block
+            if ref >= sys.float_info.min:
+                assert _rel_err(got[i, k], ref) <= 1e-13, (r, lam)
+            else:  # 0 at lam = 1/2, and below the normal range next to it at m = 64
+                assert got[i, k] == 0.0, (r, lam)

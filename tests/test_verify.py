@@ -39,13 +39,13 @@ def _independent_above_bound(real):
     return wrong
 
 
-def _total_weight_shrunk(real):
-    # the floor 2 (1-r^2)^(n-1) is met with equality at the middle index, so
-    # taking 2e-12 off the total, 2^(n+1) d_j, puts it 4e-12 below, past the
-    # suite's 1e-12
+def _probability_shrunk(real):
+    # a block's probability meets its floor ((1-r^2)/2)^(n-1) at n = 2 in the
+    # middle class, so taking 2e-12 off every p_j puts it 2e-12 below,
+    # relative to the floor, past the suite's 1e-12
     def wrong(n, r):
-        mult, diag, off = real(n, r)
-        return mult, diag * (1.0 - 2e-12), off
+        mult, p, t = real(n, r)
+        return mult, p * (1.0 - 2e-12), t
 
     return wrong
 
@@ -185,12 +185,12 @@ def _point_gain_tilted(real):
     return wrong
 
 
-def _diff_shrunk(real):
-    # |diff|/total = |o_j|/d_j = r exactly at j = (n-1)/2, so taking 1e-11
-    # off diff puts the squared ratio 2e-11 r^2 below r^2, past the 1e-12
+def _polarization_shrunk(real):
+    # t_j = tanh((n-2j) atanh r) = r at j = (n-1)/2, so taking 1e-11 off t
+    # puts t_j^2 2e-11 r^2 below r^2, past the suite's 1e-12
     def wrong(n, r):
-        mult, diag, off = real(n, r)
-        return mult, diag, off * (1.0 - 1e-11)
+        mult, p, t = real(n, r)
+        return mult, p, t * (1.0 - 1e-11)
 
     return wrong
 
@@ -290,14 +290,28 @@ def _drho_scaled(real):
 
 def _middle_class_unhalved(real):
     # at even n the class j = n/2 pairs x with N-x inside itself, so its
-    # C(n, n/2) bitstrings make C(n, n/2)/2 blocks; counted twice, its trace
-    # is added twice. Its Fisher information is 0 (o = 0), so only the
-    # trace check sees it
+    # C(n, n/2) bitstrings make C(n, n/2)/2 blocks; counted twice, its
+    # probability is doubled. Its polarization and Fisher information are 0
+    # and its blocks keep their weight p_j/(2 mult_j), so only the check
+    # that the p_j add up to 1 sees it
     def wrong(n, r):
-        mult, diag, off = real(n, r)
+        mult, p, t = real(n, r)
         if n % 2 == 0:
-            mult = (*mult[:-1], 2 * mult[-1])
-        return mult, diag, off
+            mult, p = (*mult[:-1], 2 * mult[-1]), np.concatenate([p[..., :-1], 2 * p[..., -1:]], -1)
+        return mult, p, t
+
+    return wrong
+
+
+def _polarization_by_subtraction(real):
+    # t_j as (w_(n-j) - w_j)/(w_(n-j) + w_j) in floats, which cancels as r
+    # -> 0: 3.3e-5 off at r = 1e-12, which only the edge of the suite's r
+    # grid reaches. The class route and the dense states read the same t
+    def wrong(n, r):
+        mult, p, _ = real(n, r)
+        r, j = np.asarray(r, dtype=float)[..., None], np.arange(n // 2 + 1)
+        w, w_c = (1 + r) ** j * (1 - r) ** (n - j), (1 + r) ** (n - j) * (1 - r) ** j
+        return mult, p, (w_c - w) / (w_c + w)
 
     return wrong
 
@@ -324,6 +338,7 @@ FAULTS = {
     "oracle/nan-cell": (protocol, "qfi_and_gain", _nan_cell(0)),
     "oracle/dense-bridge": (channels, "correlated_state", _drho_scaled),
     "oracle/class-multiplicity": (channels, "hamming_classes", _middle_class_unhalved),
+    "oracle/edge-polarization": (channels, "hamming_classes", _polarization_by_subtraction),
     "bounds": (qfi, "qfi_independent_opt", _independent_above_bound),
     "bounds/nan-cell": (qfi, "qfi_independent_opt", _nan_cell()),
     "bounds/closed-form": (protocol, "qfi_and_gain", _closed_above_bound),
@@ -333,8 +348,8 @@ FAULTS = {
     # independent optimum, and far inside the bound
     "bounds/single-use": (qfi, "qfi_single_use", _scaled(1.0 + 1e-11)),
     "bounds/single-use-bound": (qfi, "qfi_single_use", _single_use_above_bound_off_tenths),
-    "weight-inequalities": (channels, "hamming_classes", _total_weight_shrunk),
-    "weight-inequalities/ratio": (channels, "hamming_classes", _diff_shrunk),
+    "weight-inequalities": (channels, "hamming_classes", _probability_shrunk),
+    "weight-inequalities/ratio": (channels, "hamming_classes", _polarization_shrunk),
     # the minimum single-use gain excess is 2.02e-2
     "weight-inequalities/gain-floor": (protocol, "qfi_and_gain", _gain_scaled(0.98)),
     "stationary": (protocol, "stationary_polarizations", _roots_shifted),
