@@ -24,11 +24,13 @@ def fisher_eig(rho: np.ndarray, drho: np.ndarray):
     eigenbasis l_ij = 2 <i|drho|j> / (p_i + p_j) on pairs with
     p_i + p_j > SUPPORT_TOL and 0 elsewhere. Derivative weight above
     sqrt(SUPPORT_TOL) between two such null directions makes the Fisher
-    information ill-defined, and this raises.
+    information ill-defined, and this raises; the scan for it runs only
+    where some pair falls below SUPPORT_TOL.
 
     rho and drho may be stacks (..., d, d): one batched eigensolve covers
-    them. Returns a float for a single operator and an array over the
-    leading axes of a stack.
+    them, and each operator of a stack gets the bits it gets alone, so a
+    caller may slice its stacks as it likes. Returns a float for a single
+    operator and an array over the leading axes of a stack.
     """
     rho, drho = linop._as_operators(rho), linop._as_operators(drho)
     if rho.shape != drho.shape:
@@ -41,15 +43,15 @@ def fisher_eig(rho: np.ndarray, drho: np.ndarray):
     m = linop.dagger(v) @ drho @ v
     psum = p[..., :, None] + p[..., None, :]
     included = psum > SUPPORT_TOL
-    bad = ~included & (np.abs(m) > math.sqrt(SUPPORT_TOL))
-    if np.any(bad):
-        worst = float(np.max(np.abs(m[bad])))
-        raise ValueError(
-            "Fisher information ill-defined: derivative weight "
-            f"{worst:.3e} between null directions of rho"
-        )
-    l_eig = np.zeros_like(m)
-    l_eig[included] = 2.0 * m[included] / psum[included]
+    if not included.all():
+        weight = np.abs(m)
+        bad = ~included & (weight > math.sqrt(SUPPORT_TOL))
+        if np.any(bad):
+            raise ValueError(
+                "Fisher information ill-defined: derivative weight "
+                f"{float(np.max(weight[bad])):.3e} between null directions of rho"
+            )
+    l_eig = np.divide(2.0 * m, psum, out=np.zeros_like(m), where=included)
     return linop.scalar_or_array(np.sum((l_eig * m.conj()).real, axis=(-2, -1)))
 
 

@@ -14,8 +14,8 @@ The suites evaluate their grids in vectorised calls, not point by point:
 the closed forms and the dense oracle routes (``qfi.fisher_eig``,
 ``channels.correlated_state``, ``correlations.is_separable_ppt``, discord
 from its definition) take whole stacks, so each suite makes one call per
-grid, per (n, m) or per m. The worst error over a grid is the same number
-the point-by-point loop would find.
+grid or per budgeted slice of one. The worst error over a grid is the same
+number the point-by-point loop would find.
 
 The oracle suite's eigensolve runs one 2x2 block per Hamming class
 (``channels.hamming_classes``), at unit trace and weighted by the class's
@@ -101,45 +101,71 @@ def _invocation_counts(n: int) -> list[int]:
     return [1, 2, (n + 1) // 2, n - 1, n]
 
 
-def _class_route(n: int, m: int, r, lam) -> np.ndarray:
+def _class_route(n: int, m, r, lam, classes=None) -> np.ndarray:
     """Fisher information of the post-channel state from one eigensolve per
     Hamming class (channels.hamming_classes), broadcast over r and lam.
 
     Class j's blocks are, at unit trace, (I - t_j s sigma_y)/2 with
     derivative m t_j (1-2 lam)^(m-1) sigma_y, s = (1-2 lam)^m, and
-    H = sum_j p_j H_j, one batched fisher_eig call.
+    H = sum_j p_j H_j, one batched fisher_eig call. m is an int or a
+    sequence of them, which then leads the result's axes; classes, if
+    given, is hamming_classes(n, r).
     """
-    _, p, t = channels.hamming_classes(n, r)
+    _, p, t = classes or channels.hamming_classes(n, r)
     c = 1.0 - 2.0 * np.asarray(lam, dtype=float)[..., None, None, None]
-    t, sigma_y = t[..., None, None], linop.sigma_y()
-    rho = 0.5 * (linop.identity() - t * c**m * sigma_y)
-    return np.sum(qfi.fisher_eig(rho, m * t * c ** (m - 1) * sigma_y) * p, axis=-1)
+    t, sigma_y, ms = t[..., None, None], linop.sigma_y(), np.ravel(m).tolist()
+    # one int power at a time: numpy squares c for the exponent 2 but runs
+    # its pow loop for an array of exponents, which may round differently,
+    # and the value must not depend on how m is sliced
+    rho = np.stack([0.5 * (linop.identity() - t * c**k * sigma_y) for k in ms])
+    drho = np.stack([k * t * c ** (k - 1) * sigma_y for k in ms])
+    h = np.sum(qfi.fisher_eig(rho, drho) * p, axis=-1)
+    return h.reshape(np.shape(m) + h.shape[1:])
+
+
+#: Complex entries (72 KiB) of the operator stack of one oracle fisher_eig
+#: call, which only a slice of one item may exceed. It bounds the size of
+#: fisher_eig's temporaries: with no budget, verify --n-max 64 peaks at
+#: 37.4 MiB RSS instead of 32.5, and twice it doubles the traced peak of
+#: suite_oracle(6), 0.59 MiB.
+_ORACLE_ENTRIES = 4608
+
+
+def _slices(count: int, entries: int) -> list[slice]:
+    """Consecutive slices of count items of the given entries each, every
+    slice within _ORACLE_ENTRIES or else of one item."""
+    step = max(1, _ORACLE_ENTRIES // entries)
+    return [slice(i, i + step) for i in range(0, count, step)]
 
 
 def suite_oracle(n_max: int) -> SuiteResult:
     """Closed-form Fisher information vs the eigendecomposition route.
 
     For every n <= n_max the route solves one two-level block per Hamming
-    class, the whole lams x rs grid in one batched call per (n, m), and
-    adds the classes' Fisher informations weighted by their probabilities,
-    which must add up to 1. Up to DENSE_BRIDGE_N_MAX it also
-    eigendecomposes the dense states, one batched call per lam row, and
-    checks them against the classes.
+    class over the whole lams x rs grid, for as many m at once as
+    _ORACLE_ENTRIES allows, and adds the classes' Fisher informations
+    weighted by their probabilities, which must add up to 1. Up to
+    DENSE_BRIDGE_N_MAX it also eigendecomposes the dense states, as many
+    lam rows per call as the budget allows, and checks them against the
+    classes.
     """
     worst = 0.0
     r_grid, lam_grid = np.array(_EDGE_RS), np.array(_EDGE_LAMS)[:, None]
     for n in _qubit_counts(n_max):
-        worst = _worst(worst, np.abs(channels.hamming_classes(n, r_grid)[1].sum(-1) - 1.0))
-        for m in _invocation_counts(n):
+        classes = channels.hamming_classes(n, r_grid)
+        worst = _worst(worst, np.abs(classes[1].sum(-1) - 1.0))
+        ms = _invocation_counts(n)
+        per_m = 4 * lam_grid.size * classes[1].size  # 2x2 blocks of every class and cell
+        h_oracle = np.concatenate(
+            [_class_route(n, ms[s], r_grid, lam_grid, classes) for s in _slices(len(ms), per_m)]
+        )
+        for m, h_classes in zip(ms, h_oracle, strict=True):
             h_closed = protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0]
-            h_oracle = _class_route(n, m, r_grid, lam_grid)
-            worst = _worst(worst, _rel_err(h_oracle, h_closed))
+            worst = _worst(worst, _rel_err(h_classes, h_closed))
             if n <= DENSE_BRIDGE_N_MAX:
-                # one lam row of dense states at a time: the whole grid's
-                # stack would raise the peak memory of a run by about 3 MiB
-                for lam, h_row in zip(lam_grid, h_oracle):
-                    h_dense = qfi.fisher_eig(*channels.correlated_state(n, r_grid, lam, m))
-                    worst = _worst(worst, _rel_err(h_dense, h_row))
+                for s in _slices(lam_grid.size, 4**n * r_grid.size):
+                    h_dense = qfi.fisher_eig(*channels.correlated_state(n, r_grid, lam_grid[s], m))
+                    worst = _worst(worst, _rel_err(h_dense, h_classes[s]))
     return SuiteResult("oracle", worst < 1e-8, worst, f"n<= {n_max}, tol 1e-8")
 
 

@@ -110,8 +110,22 @@ class TestFisherEig:
         rho, drho = channels.correlated_state(3, np.array([0.2, 0.5, 0.9]), 0.3, 2)
         h = qfi.fisher_eig(rho, drho)
         assert h.shape == (3,)
-        for k in range(3):
-            assert h[k] == pytest.approx(qfi.fisher_eig(rho[k], drho[k]), rel=1e-14)
+        assert h.tolist() == [qfi.fisher_eig(rho[k], drho[k]) for k in range(3)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_oracle_bridge_stacks_match_one_solve_per_operator(self, n):
+        # the verify oracle's dense stacks give the same bits as the whole
+        # grid, one lam row and one operator per call, so however the suite
+        # slices them it reads the same numbers
+        rs, lams = np.array(verify._EDGE_RS), np.array(verify._EDGE_LAMS)[:, None]
+        for m in range(1, n + 1):
+            rho, drho = channels.correlated_state(n, rs, lams, m)
+            grid = qfi.fisher_eig(rho, drho).tolist()
+            assert grid == [qfi.fisher_eig(rho[i], drho[i]).tolist() for i in range(lams.size)]
+            assert grid == [
+                [qfi.fisher_eig(rho[i, k], drho[i, k]) for k in range(rs.size)]
+                for i in range(lams.size)
+            ]
 
     def test_polarized_qubit(self):
         # (I + 0.6 sigma_y)/2 has eigenvalues 0.2 and 0.8: a derivative along
