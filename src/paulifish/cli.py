@@ -13,6 +13,18 @@ large enough to split (the largest matrix is verify's 16x16), and a second
 thread only spins on start-up, about 0.1 s of CPU per command. A
 user's own ``OPENBLAS_NUM_THREADS`` is kept.
 
+Commands skip the interpreter's exit-time garbage collection: ``run``, the
+entry point of ``paulifish`` and ``python -m paulifish.cli``, calls
+``gc.freeze()`` once ``main`` returns or raises. At shutdown CPython runs a
+full cyclic collection over about 21 000 tracked objects, most of them from
+numpy's import, which took 24-45 ms from the end of ``main`` to the
+process being reaped (2 cores, Python 3.11); frozen, they are out of its
+reach, and it takes 6-11 ms. Nothing is left to it: ``--out`` and its
+staging directory are closed by ``with`` blocks, ``main`` flushes stdout,
+and ``atexit`` handlers and the interpreter's stdio flushes still run.
+``main`` itself freezes nothing, so a host program or test that calls it
+keeps its collector.
+
 Exit codes: 0 success, 1 I/O or verification failure, 2 domain error.
 """
 
@@ -20,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import math
 import os
 import stat
@@ -240,7 +253,10 @@ def _cmd_mc(args) -> int:
             estimates = result.estimates
             for start in range(0, estimates.size, mc._BLOCK_TRIALS):
                 block = estimates[start : start + mc._BLOCK_TRIALS].tolist()
-                fh.write("".join(map("%d,%.12g\n".__mod__, enumerate(block, start))))
+                # one % per block, on the trial numbers and estimates interleaved
+                cells = block * 2
+                cells[0::2], cells[1::2] = range(start, start + len(block)), block
+                fh.write("%d,%.12g\n" * len(block) % tuple(cells))
     ratio = result.sample_variance / result.crb
     print(
         f"mean={_fmt(result.mean)} variance={_fmt(result.sample_variance)} "
@@ -337,5 +353,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """main() on the process's own arguments, for a process that ends with
+    it: the collector is frozen once main is done (see the module
+    docstring), on any exit, argparse's SystemExit included."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -36,8 +36,9 @@ from . import linop
 # (numpy's import included).
 MAX_TRIALS = 10**7
 
-# Trials drawn, and CSV rows written, per pass; bounds every temporary of
-# the keys, the sampler, the variance and the trial CSV.
+# Trials drawn, and CSV rows written (formatted with one % per block), per
+# pass; bounds every temporary of the keys, the sampler, the variance and the
+# trial CSV.
 _BLOCK_TRIALS = 2**12
 
 # SeedSequence hash constants (numpy/random/bit_generator.pyx; NEP 19 keeps

@@ -21,8 +21,11 @@ The oracle suite's eigensolve runs one 2x2 block per Hamming class
 (``channels.hamming_classes``), at unit trace and weighted by the class's
 probability, not one per block of the state: floor(n/2)+1 blocks per grid
 cell instead of 2^(n-1), which takes it to every n the closed form accepts,
-and r to 1e-12 from either end of (0, 1). Every reduction goes through
-``_worst``, so a NaN in any compared cell fails its suite.
+and r to 1e-12 from either end of (0, 1). A class block depends on n only
+through n - 2j, so each is solved once per m and shared by every n that
+has it: 258 eigensolve calls instead of 322 at n_max = 64. Every
+reduction goes through ``_worst``, so a NaN in any compared cell fails its
+suite.
 """
 
 from __future__ import annotations
@@ -101,32 +104,33 @@ def _invocation_counts(n: int) -> list[int]:
     return [1, 2, (n + 1) // 2, n - 1, n]
 
 
-def _class_route(n: int, m, r, lam, classes=None) -> np.ndarray:
-    """Fisher information of the post-channel state from one eigensolve per
-    Hamming class (channels.hamming_classes), broadcast over r and lam.
-
-    Class j's blocks are, at unit trace, (I - t_j s sigma_y)/2 with
-    derivative m t_j (1-2 lam)^(m-1) sigma_y, s = (1-2 lam)^m, and
-    H = sum_j p_j H_j, one batched fisher_eig call. m is an int or a
-    sequence of them, which then leads the result's axes; classes, if
-    given, is hamming_classes(n, r).
-    """
-    _, p, t = classes or channels.hamming_classes(n, r)
+def _class_fisher(m: int, t, lam) -> np.ndarray:
+    """Fisher information of the unit-trace class blocks of polarization t
+    after m channel uses at strength lam: (I - t s sigma_y)/2 with
+    derivative m t (1-2 lam)^(m-1) sigma_y, s = (1-2 lam)^m, in one batched
+    fisher_eig call, over lam's shape then t's."""
     c = 1.0 - 2.0 * np.asarray(lam, dtype=float)[..., None, None, None]
-    t, sigma_y, ms = t[..., None, None], linop.sigma_y(), np.ravel(m).tolist()
-    # one int power at a time: numpy squares c for the exponent 2 but runs
-    # its pow loop for an array of exponents, which may round differently,
-    # and the value must not depend on how m is sliced
-    rho = np.stack([0.5 * (linop.identity() - t * c**k * sigma_y) for k in ms])
-    drho = np.stack([k * t * c ** (k - 1) * sigma_y for k in ms])
-    h = np.sum(qfi.fisher_eig(rho, drho) * p, axis=-1)
+    t, sigma_y = t[..., None, None], linop.sigma_y()
+    rho = 0.5 * (linop.identity() - t * c**m * sigma_y)
+    return qfi.fisher_eig(rho, m * t * c ** (m - 1) * sigma_y)
+
+
+def _class_route(n: int, m, r, lam) -> np.ndarray:
+    """Fisher information of the post-channel state from one eigensolve per
+    Hamming class (channels.hamming_classes), broadcast over r and lam:
+    H = sum_j p_j H_j, H_j that of class j's block at unit trace
+    (_class_fisher). m is an int or a sequence of them, which then leads
+    the result's axes.
+    """
+    _, p, t = channels.hamming_classes(n, r)
+    h = np.stack([np.sum(_class_fisher(k, t, lam) * p, axis=-1) for k in np.ravel(m).tolist()])
     return h.reshape(np.shape(m) + h.shape[1:])
 
 
 #: Complex entries (72 KiB) of the operator stack of one oracle fisher_eig
 #: call, which only a slice of one item may exceed. It bounds the size of
 #: fisher_eig's temporaries: with no budget, verify --n-max 64 peaks at
-#: 37.4 MiB RSS instead of 32.5, and twice it doubles the traced peak of
+#: 34.3 MiB RSS instead of 32.2, and twice it doubles the traced peak of
 #: suite_oracle(6), 0.59 MiB.
 _ORACLE_ENTRIES = 4608
 
@@ -141,25 +145,32 @@ def _slices(count: int, entries: int) -> list[slice]:
 def suite_oracle(n_max: int) -> SuiteResult:
     """Closed-form Fisher information vs the eigendecomposition route.
 
-    For every n <= n_max the route solves one two-level block per Hamming
-    class over the whole lams x rs grid, for as many m at once as
-    _ORACLE_ENTRIES allows, and adds the classes' Fisher informations
-    weighted by their probabilities, which must add up to 1. Up to
+    Class j's unit-trace block depends on n only through k = n - 2j, its
+    polarization t = tanh(k atanh r). So for each m the route solves every
+    k that some n <= n_max with that m needs once, over the whole lams x rs
+    grid and as many k at once as _ORACLE_ENTRIES allows, and adds each
+    n's classes, H = sum_j p_j H_(n-2j), with p_j adding up to 1. Up to
     DENSE_BRIDGE_N_MAX it also eigendecomposes the dense states, as many
     lam rows per call as the budget allows, and checks them against the
     classes.
     """
     worst = 0.0
     r_grid, lam_grid = np.array(_EDGE_RS), np.array(_EDGE_LAMS)[:, None]
-    for n in _qubit_counts(n_max):
-        classes = channels.hamming_classes(n, r_grid)
-        worst = _worst(worst, np.abs(classes[1].sum(-1) - 1.0))
-        ms = _invocation_counts(n)
-        per_m = 4 * lam_grid.size * classes[1].size  # 2x2 blocks of every class and cell
-        h_oracle = np.concatenate(
-            [_class_route(n, ms[s], r_grid, lam_grid, classes) for s in _slices(len(ms), per_m)]
-        )
-        for m, h_classes in zip(ms, h_oracle, strict=True):
+    ns = _qubit_counts(n_max)
+    probs, t_of_k = {}, np.zeros(r_grid.shape + (n_max + 1,))
+    for n in ns:
+        _, probs[n], t = channels.hamming_classes(n, r_grid)
+        t_of_k[:, n - 2 * np.arange(n // 2 + 1)] = t  # t(n - 2j), the same bits for every n
+        worst = _worst(worst, np.abs(probs[n].sum(-1) - 1.0))
+    per_k = 4 * lam_grid.size * r_grid.size  # the 2x2 block of one k at every cell
+    for m in range(1, n_max + 1):
+        users = [n for n in ns if m in _invocation_counts(n)]
+        ks = np.array(sorted({n - 2 * j for n in users for j in range(n // 2 + 1)}))
+        h_of_k = np.empty(lam_grid.shape[:1] + t_of_k.shape)
+        for s in _slices(ks.size, per_k):
+            h_of_k[..., ks[s]] = _class_fisher(m, t_of_k[:, ks[s]], lam_grid)
+        for n in users:
+            h_classes = np.sum(h_of_k[..., n - 2 * np.arange(n // 2 + 1)] * probs[n], axis=-1)
             h_closed = protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0]
             worst = _worst(worst, _rel_err(h_classes, h_closed))
             if n <= DENSE_BRIDGE_N_MAX:

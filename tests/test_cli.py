@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import errno
+import gc
 import hashlib
 import io
 import math
@@ -793,6 +794,66 @@ def test_module_entry_exits_with_the_command_status(args, code, out):
     # python -m paulifish.cli, the way benchmarks/run.py runs each command
     done = run_child(["-m", "paulifish.cli", *args])
     assert (done.returncode, done.stdout) == (code, out), done.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["qfi", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "0.5"],
+        ["verify", "--suite", "preparation"],
+    ],
+)
+def test_main_leaves_the_collector_alone(args, capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(args, capsys)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+# Runs paulifish.cli as __main__ on the child's arguments, with an atexit
+# hook that reports at shutdown whether the collector was frozen.
+FROZEN_AT_EXIT = """
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0))
+runpy.run_module("paulifish.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "args, code, err",
+    [
+        (["qfi", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "0.5"], 0, ""),
+        (["qfi", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "1.5"], 2, "error: "),
+        (["qfi", "--n", "2"], 2, "usage: "),  # argparse's SystemExit
+    ],
+    ids=["success", "domain-error", "usage-error"],
+)
+def test_module_entry_freezes_the_collector_on_every_exit(args, code, err):
+    done = run_child(["-c", FROZEN_AT_EXIT, *args])
+    assert done.returncode == code, done.stderr
+    assert done.stderr.startswith(err)
+    assert done.stdout.endswith("frozen True\n"), done.stdout
+
+
+def test_installed_script_is_the_freezing_entry_point():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(cli.__file__).resolve().parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"paulifish": "paulifish.cli:run"}
+
+
+@pytest.mark.parametrize("command", ["sweep", "mc"])
+def test_module_entry_closes_its_out_file(command, tmp_path):
+    # with the collector frozen at exit a file left open would no longer be
+    # reported there; -X dev reports it as a ResourceWarning, -W error fails on it
+    args = {
+        "sweep": ["sweep", "--n", "3", "--m", "2"],
+        "mc": ["mc", "--r", "0.8", "--lambda", "0.3", "--trials", "10"],
+    }[command]
+    out_path = tmp_path / "out.csv"
+    done = run_child(["-X", "dev", "-W", "error", "-m", "paulifish.cli", *args, "--out", out_path])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert out_path.read_text().count("\n") > 10
 
 
 # Imports cli, then prints the thread count of the OpenBLAS bundled with

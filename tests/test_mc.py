@@ -566,3 +566,19 @@ class TestBinomialMatchesNumpy:
         # of the first, which put it in the triangle
         assert len(blocks) == block_calls
         np.testing.assert_array_equal(got, _numpy_draws(keys, n, p, first_block))
+
+
+@pytest.mark.parametrize("trials", [1, 4096, 4097, 8193])
+def test_trial_csv_matches_one_row_at_a_time(trials, tmp_path):
+    # the command formats each block of rows with one %; the reference, one
+    # row at a time. 4096 trials fill one block, 4097 and 8193 start another
+    from paulifish import cli
+
+    out_path = tmp_path / "trials.csv"
+    args = ["mc", "--r", "0.8", "--lambda", "0.3", "--shots", "100", "--seed", "3"]
+    assert cli.main([*args, "--trials", str(trials), "--out", str(out_path)]) == 0
+    res = mc.run_experiment(
+        mc.ExperimentConfig(r=0.8, lambda_true=0.3, m=1, trials=trials, shots_per_trial=100, seed=3)
+    )
+    rows = "".join("%d,%.12g\n" % (t, est) for t, est in enumerate(res.estimates.tolist()))
+    assert out_path.read_bytes() == ("trial,lambda_hat\n" + rows).encode()

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from paulifish import channels, correlations, protocol, qfi, verify
+from paulifish import channels, correlations, linop, protocol, qfi, verify
 
 
 def _ppt_eigenvalue_shifted(real):
@@ -443,9 +443,9 @@ def test_discord_definition_shares_no_code_with_the_closed_form(monkeypatch):
 
 def test_oracle_suite_passes_at_every_qubit_count():
     # the class-oracle eigensolve against the j-sum kernel for every n the
-    # closed form accepts, 2..64, within its working set: 1.30 MiB traced
-    # peak measured, 1.54 MiB with one item per call and 5.7 MiB with every
-    # m of one n in one call
+    # closed form accepts, 2..64, within its working set: 0.72 MiB traced
+    # peak measured (1.30 MiB when each n solved its own classes, 5.7 MiB
+    # with every m of one n in one call)
     verify.suite_oracle(2)  # lazy set-up outside the trace
     tracemalloc.start()
     try:
@@ -477,10 +477,46 @@ def test_class_route_over_many_m_matches_one_m_per_call(n):
         assert h_m.tolist() == verify._class_route(n, m, rs, lams).tolist()
 
 
+def _own_class_route(n, m, r, lam):
+    """The class route at one (n, m) from n's own classes: every class
+    block of n solved in one fisher_eig call, then weighted and summed."""
+    _, p, t = channels.hamming_classes(n, r)
+    c = 1.0 - 2.0 * np.asarray(lam, dtype=float)[..., None, None, None]
+    t, sigma_y = t[..., None, None], linop.sigma_y()
+    rho = 0.5 * (linop.identity() - t * c**m * sigma_y)
+    drho = m * t * c ** (m - 1) * sigma_y
+    return np.sum(qfi.fisher_eig(rho, drho) * p, axis=-1)
+
+
+def test_oracle_suite_shares_class_blocks_without_changing_a_bit(monkeypatch):
+    # the suite solves each k = n - 2j once per m and hands it to every n
+    # with that class; each n's sum must be the one its own blocks give
+    real_kernel, real_rel_err = protocol.qfi_and_gain, verify._rel_err
+    closed, seen = {}, {}
+
+    def kernel(n, m, r, lam):
+        closed["at"], closed["h"] = (n, m), real_kernel(n, m, r, lam)
+        return closed["h"]
+
+    def rel_err(a, b):
+        if b is closed["h"][0]:  # the class route against the closed form
+            seen[closed["at"]] = np.array(a)
+        return real_rel_err(a, b)
+
+    monkeypatch.setattr(protocol, "qfi_and_gain", kernel)
+    monkeypatch.setattr(verify, "_rel_err", rel_err)
+    assert verify.suite_oracle(12).passed
+    rs, lams = np.array(verify._EDGE_RS), np.array(verify._EDGE_LAMS)[:, None]
+    expected = [(n, m) for n in range(2, 13) for m in verify._invocation_counts(n)]
+    assert sorted(seen) == expected
+    for (n, m), h in seen.items():
+        assert h.tobytes() == _own_class_route(n, m, rs, lams).tobytes(), (n, m)
+
+
 def test_oracle_suite_solves_in_budgeted_batches(monkeypatch):
     # dense bridge: 1, 2 and 5 calls per (n, m) at n = 2, 3, 4, 28 in all;
-    # class route: 1 call per n up to 4 and 2 at n = 5, 6, 7 in all. One
-    # item per call made 81 + 20 = 101
+    # class route: 1 call per m, each solving the k = n - 2j of every n with
+    # that m, 6 in all. One item per call made 81 + 39 = 120
     real, shapes = qfi.fisher_eig, []
 
     def spy(rho, drho):
@@ -489,8 +525,8 @@ def test_oracle_suite_solves_in_budgeted_batches(monkeypatch):
 
     monkeypatch.setattr(qfi, "fisher_eig", spy)
     assert verify.suite_oracle(6).passed
-    assert len(shapes) == 35
-    for shape in shapes:  # the leading axis holds the slice's lam rows or m values
+    assert len(shapes) == 34
+    for shape in shapes:  # a slice of lam rows, or every lam row for a slice of k
         assert math.prod(shape) <= verify._ORACLE_ENTRIES or shape[0] == 1, shape
 
 
