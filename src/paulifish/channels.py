@@ -35,12 +35,17 @@ def _pair_phases(n: int) -> np.ndarray:
     return np.where((pc * (pc - 1) // 2) % 2, -1.0, 1.0)
 
 
-def preparation_unitary(n: int) -> np.ndarray:
-    """Controlled-Z on each distinct qubit pair, then Hadamard on every qubit."""
+def _check_dense(n: int) -> None:
+    """Raises unless n qubits, at least 2, fit a dense operator within DIM_CAP."""
     if n < 2:
         raise ValueError(f"preparation needs at least 2 qubits, got {n}")
     if 2**n > DIM_CAP:
         raise ValueError(f"2**{n} exceeds the dense cap {DIM_CAP}")
+
+
+def preparation_unitary(n: int) -> np.ndarray:
+    """Controlled-Z on each distinct qubit pair, then Hadamard on every qubit."""
+    _check_dense(n)
     # the controlled-Z layer is diagonal: one -1 per pair of set bits
     cz_layer = np.diag(_pair_phases(n)).astype(complex)
     h_layer = functools.reduce(np.kron, [linop.hadamard()] * n)
@@ -99,10 +104,7 @@ def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
     the off-diagonals depend on lam: |x> and |N-x> differ in every bit, so
     each channel use scales them by (1-2 lam). 2**n may not exceed DIM_CAP.
     """
-    if n < 2:
-        raise ValueError(f"preparation needs at least 2 qubits, got {n}")
-    if 2**n > DIM_CAP:
-        raise ValueError(f"2**{n} exceeds the dense cap {DIM_CAP}")
+    _check_dense(n)
     if not 1 <= m <= n:
         raise ValueError(f"invocation count m={m} must lie in 1..{n}")
     lam = linop.check_unit_interval(lam, "channel strength")

@@ -179,16 +179,29 @@ def _replacing(path: str) -> Iterator[TextIO]:
     command that fails or is interrupted leaves path as it was.
 
     A path that exists and is not a regular file (a device such as
-    /dev/stdout, a pipe, a directory) has nothing to replace and is opened
-    in place. A symbolic link to a file keeps the link: its target is
-    replaced. The file is made by open(), in a private directory that is
+    /dev/null, a pipe, a directory) has nothing to replace and is opened
+    in place. A regular file that is the same file as descriptor 1 (say
+    /dev/stdout, with stdout redirected to a file) is written through
+    sys.stdout, ahead of the command's own line: replacing it would take
+    the shell's file away, and a second open would write over it from an
+    offset of its own. A symbolic link to a file keeps the link: its target
+    is replaced. The file is made by open(), in a private directory that is
     removed on any exit, so it gets the mode open(path, "w") gives.
     """
     try:
-        in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        st = os.stat(path)
     except FileNotFoundError:
         # a path with no file name ("", "dir/") gets open()'s own error
         in_place = not os.path.basename(path)
+    else:
+        in_place = not stat.S_ISREG(st.st_mode)
+        try:
+            own_stdout = not in_place and os.path.samestat(st, os.fstat(1))
+        except OSError:  # descriptor 1 is closed
+            own_stdout = False
+        if own_stdout:
+            yield sys.stdout
+            return
     if in_place:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
@@ -224,8 +237,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
 
-    names = None if args.suite is None else [args.suite]
-    results = verify.run_suites(names, n_max=args.n_max)
+    results = verify.run_suites(args.suite, n_max=args.n_max)
     all_ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"

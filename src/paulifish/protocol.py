@@ -221,9 +221,8 @@ def gain_two_qubit(m: int, r, lam):
     when both are scalars).
 
     The denominator is taken as (1-r^2)^2 + 4 r^2 (1-nu^m) and 1 - nu r^2
-    as (1-r)(1+r) + 4 lam(1-lam) r^2, with
-    1-nu^m = -expm1(m log1p(-4 lam(1-lam))), so neither cancels as r -> 1
-    near lam in {0, 1}.
+    as (1-r)(1+r) + 4 lam(1-lam) r^2, with 1-nu^m from _one_minus_nu_pow,
+    so neither cancels as r -> 1 near lam in {0, 1}.
     """
     _validate_nm(2, m)
     r = linop.check_unit_interval(r, "polarization", "[0, 1)")
@@ -231,8 +230,7 @@ def gain_two_qubit(m: int, r, lam):
     nu = (1.0 - 2.0 * lam) ** 2
     r2, pure = r * r, (1.0 - r) * (1.0 + r)
     decay = 4.0 * lam * (1.0 - lam)  # 1 - nu
-    with np.errstate(divide="ignore"):  # log1p(-1) at lam = 1/2
-        one_minus_nu_m = -np.expm1(m * np.log1p(-decay))
+    one_minus_nu_m = linop._elementwise(lambda x: _one_minus_nu_pow(m, x), lam)
     num = 2.0 * m * nu ** (m - 1) * (1.0 + r2) * (pure + decay * r2)
     return linop.scalar_or_array(num / (pure * pure + 4.0 * r2 * one_minus_nu_m))
 

@@ -23,9 +23,11 @@ probability, not one per block of the state: floor(n/2)+1 blocks per grid
 cell instead of 2^(n-1), which takes it to every n the closed form accepts,
 and r to 1e-12 from either end of (0, 1). A class block depends on n only
 through n - 2j, so each is solved once per m and shared by every n that
-has it: 258 eigensolve calls instead of 322 at n_max = 64. Every
-reduction goes through ``_worst``, so a NaN in any compared cell fails its
-suite.
+has it: 258 eigensolve calls instead of 322 at n_max = 64. The oracle
+and bounds suites walk one (n, m) table, ``_cases``, an m at a time, so
+what depends on m alone (the class blocks, the independent optimum, the
+bound) is formed once per m. Every reduction goes through ``_worst``, so a
+NaN in any compared cell fails its suite.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _rel_err(a, b) -> float:
 
 #: Largest qubit count at which the oracle suite also eigendecomposes the
 #: dense state, whose eigensolve solves every one of its 2^(n-1) blocks,
-#: and checks it against the one-block-per-class route.
+#: and checks it against the class blocks' sum.
 DENSE_BRIDGE_N_MAX = 4
 
 
@@ -89,19 +91,17 @@ _EDGE_RS = [1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9]
 _EDGE_LAMS = [1e-3, 0.1, 0.3, 0.5 - 1e-6, 0.5, 0.5 + 1e-3, 0.7, 0.9, 1 - 1e-3]
 
 
-def _qubit_counts(n_max: int) -> range:
-    """Qubit counts 2..n_max of the oracle and bounds suites."""
+def _cases(n_max: int) -> list[tuple[int, list[int]]]:
+    """The (n, m) table of the oracle and bounds suites, by m: each m in
+    1..n_max with the qubit counts n in 2..n_max that use it. An n uses
+    every m up to n = 12, and m in {1, 2, ceil(n/2), n-1, n} above."""
     if not 2 <= n_max <= protocol.ANALYTIC_N_CAP:
         raise ValueError(f"n_max must lie in 2..{protocol.ANALYTIC_N_CAP}, got {n_max}")
-    return range(2, n_max + 1)
-
-
-def _invocation_counts(n: int) -> list[int]:
-    """Invocation counts of the oracle and bounds suites at n qubits: every
-    m up to n = 12, and m in {1, 2, ceil(n/2), n-1, n} above."""
-    if n <= 12:
-        return list(range(1, n + 1))
-    return [1, 2, (n + 1) // 2, n - 1, n]
+    ns = range(2, n_max + 1)
+    return [
+        (m, [n for n in ns if m <= n and (n <= 12 or m in (1, 2, (n + 1) // 2, n - 1, n))])
+        for m in range(1, n_max + 1)
+    ]
 
 
 def _class_fisher(m: int, t, lam) -> np.ndarray:
@@ -113,18 +113,6 @@ def _class_fisher(m: int, t, lam) -> np.ndarray:
     t, sigma_y = t[..., None, None], linop.sigma_y()
     rho = 0.5 * (linop.identity() - t * c**m * sigma_y)
     return qfi.fisher_eig(rho, m * t * c ** (m - 1) * sigma_y)
-
-
-def _class_route(n: int, m, r, lam) -> np.ndarray:
-    """Fisher information of the post-channel state from one eigensolve per
-    Hamming class (channels.hamming_classes), broadcast over r and lam:
-    H = sum_j p_j H_j, H_j that of class j's block at unit trace
-    (_class_fisher). m is an int or a sequence of them, which then leads
-    the result's axes.
-    """
-    _, p, t = channels.hamming_classes(n, r)
-    h = np.stack([np.sum(_class_fisher(k, t, lam) * p, axis=-1) for k in np.ravel(m).tolist()])
-    return h.reshape(np.shape(m) + h.shape[1:])
 
 
 #: Complex entries (72 KiB) of the operator stack of one oracle fisher_eig
@@ -156,20 +144,19 @@ def suite_oracle(n_max: int) -> SuiteResult:
     """
     worst = 0.0
     r_grid, lam_grid = np.array(_EDGE_RS), np.array(_EDGE_LAMS)[:, None]
-    ns = _qubit_counts(n_max)
+    cases = _cases(n_max)
     probs, t_of_k = {}, np.zeros(r_grid.shape + (n_max + 1,))
-    for n in ns:
+    for n in range(2, n_max + 1):
         _, probs[n], t = channels.hamming_classes(n, r_grid)
         t_of_k[:, n - 2 * np.arange(n // 2 + 1)] = t  # t(n - 2j), the same bits for every n
         worst = _worst(worst, np.abs(probs[n].sum(-1) - 1.0))
     per_k = 4 * lam_grid.size * r_grid.size  # the 2x2 block of one k at every cell
-    for m in range(1, n_max + 1):
-        users = [n for n in ns if m in _invocation_counts(n)]
-        ks = np.array(sorted({n - 2 * j for n in users for j in range(n // 2 + 1)}))
+    for m, ns in cases:
+        ks = np.array(sorted({n - 2 * j for n in ns for j in range(n // 2 + 1)}))
         h_of_k = np.empty(lam_grid.shape[:1] + t_of_k.shape)
         for s in _slices(ks.size, per_k):
             h_of_k[..., ks[s]] = _class_fisher(m, t_of_k[:, ks[s]], lam_grid)
-        for n in users:
+        for n in ns:
             h_classes = np.sum(h_of_k[..., n - 2 * np.arange(n // 2 + 1)] * probs[n], axis=-1)
             h_closed = protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0]
             worst = _worst(worst, _rel_err(h_classes, h_closed))
@@ -190,13 +177,13 @@ def suite_bounds(n_max: int) -> SuiteResult:
     worst = _worst(single - qfi.qfi_upper_bound(lams[:, None], 1))
     single_err = 0.0
     r_grid, lam_grid = np.array(_TENTHS), np.array(_TENTHS)[:, None]
-    for n in _qubit_counts(n_max):
-        for m in _invocation_counts(n):
-            h_closed = protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0]
-            h_ind = qfi.qfi_independent_opt(r_grid, lam_grid, m)
-            bound = qfi.qfi_upper_bound(lam_grid, m)
-            worst = _worst(worst, h_closed - bound, h_ind - bound)
-            single_err = _worst(single_err, _rel_err(m * single[1::2], h_ind))
+    for m, ns in _cases(n_max):
+        h_ind = qfi.qfi_independent_opt(r_grid, lam_grid, m)
+        bound = qfi.qfi_upper_bound(lam_grid, m)
+        single_err = _worst(single_err, _rel_err(m * single[1::2], h_ind))
+        worst = _worst(worst, h_ind - bound)
+        for n in ns:
+            worst = _worst(worst, protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0] - bound)
     pure_err = 0.0
     for m in (1, 2, 3):
         h = qfi.qfi_independent_opt(1.0 - 1e-8, lam_grid, m)
@@ -460,20 +447,14 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 }
 
 
-def run_suites(names: list[str] | None, n_max: int) -> list[SuiteResult]:
-    """Run the named suites, or all of them for None. The names and n_max are
+def run_suites(name: str | None, n_max: int) -> list[SuiteResult]:
+    """Run the named suite, or all of them for None. The name and n_max are
     checked before any suite runs; n_max caps the qubit count of the oracle
     and bounds suites."""
-    selected = names or list(SUITES)
-    for name in selected:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
-    _qubit_counts(n_max)
-    out = []
-    for name in selected:
-        fn = SUITES[name]
-        if name in ("oracle", "bounds"):
-            out.append(fn(n_max=n_max))
-        else:
-            out.append(fn())
-    return out
+    if name is not None and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
+    _cases(n_max)
+    return [
+        SUITES[s](n_max=n_max) if s in ("oracle", "bounds") else SUITES[s]()
+        for s in (SUITES if name is None else [name])
+    ]

@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from paulifish import channels, linop, mc
+from paulifish import channels, linop, mc, qfi
 
 #: Branch threshold for alpha = Tr(A^2) - (Tr A)^2 in the 2x2 route.
 ALPHA_TOL = 1e-12
@@ -165,6 +165,23 @@ def block_route_sld(n, r, lam, m):
         big_l[pair] = part.L
         h += part.H
     return SldResult(L=big_l, H=h)
+
+
+def class_route(n, m, r, lam):
+    """Fisher information of the post-channel state from one eigensolve per
+    Hamming class (channels.hamming_classes), broadcast over r and lam:
+    H = sum_j p_j H_j, H_j that of class j's block at unit trace,
+    (I - t_j s sigma_y)/2 with derivative m t_j (1-2 lam)^(m-1) sigma_y,
+    s = (1-2 lam)^m. Every class block of n is solved in one fisher_eig
+    call: the reference that the oracle suite's shared class blocks are
+    checked against bit for bit.
+    """
+    _, p, t = channels.hamming_classes(n, r)
+    c = 1.0 - 2.0 * np.asarray(lam, dtype=float)[..., None, None, None]
+    t, sigma_y = t[..., None, None], linop.sigma_y()
+    rho = 0.5 * (linop.identity() - t * c**m * sigma_y)
+    drho = m * t * c ** (m - 1) * sigma_y
+    return np.sum(qfi.fisher_eig(rho, drho) * p, axis=-1)
 
 
 def swap():

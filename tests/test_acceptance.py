@@ -24,7 +24,7 @@ from paulifish import mc, protocol, verify
 
 def passing_suite(name):
     """The verify suite `name` at n_max = 5, asserted to pass."""
-    result = verify.run_suites([name], n_max=5)[0]
+    (result,) = verify.run_suites(name, n_max=5)
     assert result.passed, result
     return result
 

@@ -538,6 +538,32 @@ class TestSweepCommand:
         else:
             assert out == run_cli(args, capsys)[1]  # the line mc prints without --out
 
+    @pytest.mark.parametrize("path", ["/dev/stdout", "/dev/fd/1"])
+    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    def test_out_that_is_stdout_follows_what_stdout_holds(self, command, path, tmp_path, capsys):
+        # stdout is a regular file that holds a line, as in the shell's
+        # { echo before; paulifish ... --out /dev/stdout; echo after; } > file:
+        # the CSV, then the command's own line, follow that line, and a line
+        # written after the command follows them. Replacing --out would
+        # leave the file with the CSV alone
+        args = self.OUT_COMMANDS[command]
+        own_csv = tmp_path / "own.csv"
+        code, line, _ = run_cli([*args, "--out", str(own_csv)], capsys)
+        assert code == 0
+        stdout = tmp_path / "stdout.txt"
+        with open(stdout, "w") as fh:
+            fh.write("before\n")
+            fh.flush()
+            done = subprocess.run(
+                [sys.executable, "-m", "paulifish.cli", *args, "--out", path],
+                stdout=fh, stderr=subprocess.PIPE, text=True, env=child_env(), timeout=120,
+            )
+            fh.write("after\n")
+        assert (done.returncode, done.stderr) == (0, "")
+        line = line.replace(str(own_csv), path)
+        assert stdout.read_text() == "before\n" + own_csv.read_text() + line + "after\n"
+        assert sorted(os.listdir(tmp_path)) == ["own.csv", "stdout.txt"]
+
     @pytest.mark.parametrize("command", ["sweep", "mc"])
     def test_written_file_gets_the_mode_of_a_plain_open(self, command, tmp_path, capsys):
         with open(tmp_path / "plain", "w"):

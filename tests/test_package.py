@@ -154,15 +154,16 @@ def _defined(node) -> set[str]:
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
-def test_every_public_name_has_a_reader_in_src():
-    # a reference that only the tests read lives in tests/conftest.py
+def test_every_module_level_name_has_a_reader_in_src():
+    # public or private: a reference that only the tests read lives in
+    # tests/conftest.py
     src = pathlib.Path(paulifish.__file__).parent
     trees = {p.stem: ast.parse(p.read_text()) for p in src.glob("*.py") if p.stem != "__init__"}
-    public, read = set(), set()
+    defined, read = set(), set()
     for module, tree in trees.items():
         for node in tree.body:
             own = {f"{module}.{name}" for name in _defined(node)}
-            public |= {name for name in own if not name.split(".")[1].startswith("_")}
+            defined |= own
             for sub in ast.walk(node):
                 if isinstance(sub, ast.ImportFrom) and sub.level == 1 and sub.module:
                     found = {f"{sub.module}.{alias.name}" for alias in sub.names}
@@ -173,7 +174,7 @@ def test_every_public_name_has_a_reader_in_src():
                 else:
                     continue
                 read |= found - own
-    assert public - read == set()
+    assert defined - read == set()
 
 
 #: Private names of one src/paulifish module that another reads, as

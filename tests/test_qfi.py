@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import bloch_state, kron_all, raise_peak, sld_2x2
+from conftest import bloch_state, class_route, kron_all, raise_peak, sld_2x2
 from paulifish import channels, linop, protocol, qfi, verify
 
 
@@ -363,7 +363,7 @@ class TestRouteEquivalence:
             mult, p, _ = channels.hamming_classes(n, 0.1)
             assert np.all(p / np.array(mult, dtype=float) < qfi.SUPPORT_TOL)
         for m in (1, 2, n // 2, n - 1, n):
-            h_classes = verify._class_route(n, m, rs, lams)
+            h_classes = class_route(n, m, rs, lams)
             h_closed = protocol.qfi_and_gain(n, m, rs, lams)[0]
             np.testing.assert_allclose(h_classes, h_closed, rtol=1e-12, atol=0.0)
 

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import class_route
 from paulifish import correlations, protocol, qfi, verify
 
 EDGE = (1e-12, 1e-9, 1e-6, 1e-3)
@@ -137,7 +138,7 @@ def test_class_route_on_the_oracle_grid(n, m):
     # that suite's grid: 3.8e-14 measured, at n = 2. Read from the class
     # weights' difference formed in floats, it was 6.7e-5 off at r = 1e-12
     rs, lams = verify._EDGE_RS, verify._EDGE_LAMS
-    got = verify._class_route(n, m, np.array(rs), np.array(lams)[:, None])
+    got = class_route(n, m, np.array(rs), np.array(lams)[:, None])
     for i, lam in enumerate(lams):
         c = 1 - 2 * mpmath.mpf(lam)
         s, ds = c**m, -2 * m * c ** (m - 1)

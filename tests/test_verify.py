@@ -12,7 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from paulifish import channels, correlations, linop, protocol, qfi, verify
+from conftest import class_route
+from paulifish import channels, correlations, protocol, qfi, verify
 
 
 def _ppt_eigenvalue_shifted(real):
@@ -393,7 +394,7 @@ FAULTS = {
 
 
 def _run(suite):
-    (result,) = verify.run_suites([suite], n_max=4)
+    (result,) = verify.run_suites(suite, n_max=4)
     return result
 
 
@@ -449,7 +450,7 @@ def test_oracle_suite_passes_at_every_qubit_count():
     verify.suite_oracle(2)  # lazy set-up outside the trace
     tracemalloc.start()
     try:
-        (result,) = verify.run_suites(["oracle"], n_max=protocol.ANALYTIC_N_CAP)
+        (result,) = verify.run_suites("oracle", n_max=protocol.ANALYTIC_N_CAP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -465,27 +466,6 @@ def test_oracle_batching_changes_no_number(monkeypatch):
         monkeypatch.setattr(verify, "_ORACLE_ENTRIES", budget)
         results.append(verify.suite_oracle(6))
     assert results[0] == results[1]
-
-
-@pytest.mark.parametrize("n", [2, 5, 64])
-def test_class_route_over_many_m_matches_one_m_per_call(n):
-    rs, lams = np.array(verify._EDGE_RS), np.array(verify._EDGE_LAMS)[:, None]
-    ms = verify._invocation_counts(n)
-    h = verify._class_route(n, ms, rs, lams)
-    assert h.shape == (len(ms), lams.size, rs.size)
-    for m, h_m in zip(ms, h):
-        assert h_m.tolist() == verify._class_route(n, m, rs, lams).tolist()
-
-
-def _own_class_route(n, m, r, lam):
-    """The class route at one (n, m) from n's own classes: every class
-    block of n solved in one fisher_eig call, then weighted and summed."""
-    _, p, t = channels.hamming_classes(n, r)
-    c = 1.0 - 2.0 * np.asarray(lam, dtype=float)[..., None, None, None]
-    t, sigma_y = t[..., None, None], linop.sigma_y()
-    rho = 0.5 * (linop.identity() - t * c**m * sigma_y)
-    drho = m * t * c ** (m - 1) * sigma_y
-    return np.sum(qfi.fisher_eig(rho, drho) * p, axis=-1)
 
 
 def test_oracle_suite_shares_class_blocks_without_changing_a_bit(monkeypatch):
@@ -507,10 +487,9 @@ def test_oracle_suite_shares_class_blocks_without_changing_a_bit(monkeypatch):
     monkeypatch.setattr(verify, "_rel_err", rel_err)
     assert verify.suite_oracle(12).passed
     rs, lams = np.array(verify._EDGE_RS), np.array(verify._EDGE_LAMS)[:, None]
-    expected = [(n, m) for n in range(2, 13) for m in verify._invocation_counts(n)]
-    assert sorted(seen) == expected
+    assert sorted(seen) == [(n, m) for n in range(2, 13) for m in range(1, n + 1)]
     for (n, m), h in seen.items():
-        assert h.tobytes() == _own_class_route(n, m, rs, lams).tobytes(), (n, m)
+        assert h.tobytes() == class_route(n, m, rs, lams).tobytes(), (n, m)
 
 
 def test_oracle_suite_solves_in_budgeted_batches(monkeypatch):
@@ -532,9 +511,12 @@ def test_oracle_suite_solves_in_budgeted_batches(monkeypatch):
 
 def test_unknown_suite_is_rejected_before_any_suite_runs(monkeypatch):
     def refuse(**_):
-        raise AssertionError("a suite ran before the names were checked")
+        raise AssertionError("a suite ran before its arguments were checked")
 
-    monkeypatch.setitem(verify.SUITES, "preparation", refuse)
+    for name in list(verify.SUITES):
+        monkeypatch.setitem(verify.SUITES, name, refuse)
     listed = ", ".join(sorted(verify.SUITES))
     with pytest.raises(ValueError, match=re.escape(f"unknown suite 'nope'; choose from {listed}")):
-        verify.run_suites(["preparation", "nope"], n_max=4)
+        verify.run_suites("nope", n_max=4)
+    with pytest.raises(ValueError, match="n_max must lie in 2..64, got 65"):
+        verify.run_suites(None, n_max=65)
