@@ -84,32 +84,53 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [min(lo + k * step, hi) for k in range(_grid_size(lo, hi, step))]
 
 
+def _checked_axes(n: int, m: int, rs: Iterable[float], lams: Iterable[float]):
+    """A grid's r and lam axes as arrays, once n, m and both axes are checked: r
+    and lam in [0, 1], and no r = 1 with lam in {0, 1}, where the gain has no limit."""
+    from . import linop, protocol, qfi
+
+    protocol._validate_nm(n, m)
+    rs = linop.check_unit_interval(list(rs), "polarization")
+    lams = linop.check_unit_interval(list(lams), "channel strength")
+    qfi._reject_pure_corner(rs.max(initial=0.0), lams)  # the largest r, not an r-lam mesh
+    return rs, lams
+
+
+def _cells(n: int, m: int, rs: np.ndarray, lam: np.ndarray):
+    """H_ind, H_corr and gain at each (lam, r) of a checked r row and lam column, for
+    qfi and sweep alike: the closed forms for r in (0, 1), their limits at r = 0 and 1."""
+    from . import protocol, qfi
+
+    inner, zero, one = (rs > 0.0) & (rs < 1.0), rs == 0.0, rs == 1.0
+    h_ind = qfi.qfi_independent_opt(rs, lam, m)
+    h_corr, g = np.zeros(h_ind.shape), np.empty(h_ind.shape)
+    if inner.any():
+        h_corr[:, inner], g[:, inner] = protocol.qfi_and_gain(n, m, rs[inner], lam)
+    if zero.any():
+        g[:, zero] = protocol.gain_limit_r0(n, m, lam)
+    if one.any():
+        g[:, one] = protocol.gain_limit_r1(m, lam)
+        h_corr[:, one] = g[:, one] * h_ind[:, one]
+    return h_ind, h_corr, g
+
+
 def sweep_rows(
     n: int, m: int, lams: Iterable[float], rs: Iterable[float]
 ) -> Iterator[str]:
     """The CSV text of the grid, one block at a time, channel-strength-major
     then polarization, one LF-terminated row per grid point.
 
-    The (lam, r) mesh is evaluated in blocks of whole strength rows, at most
-    1024 cells each (one row if a row alone is larger), with one call per
-    layer per block: one j-sum for H_corr and gain, one call each for H_ind
-    and the r=0 and r=1 limits, and for n = 2 the closed-form discord and
-    partial-transpose eigenvalue. A block bounds the (ceil(n/2), cells)
-    temporaries of the j-sum, and each block's text is yielded before the
-    next block is evaluated. n and m are checked at the call; the grid only
-    as its blocks are evaluated. Polarization endpoints use the closed-form
-    limits: at r=0 the gain column holds the vanishing-polarization limit
-    (both Fisher informations are zero), at r=1 the pure-state limit with
-    the correlation columns left empty. Any cell outside a closed form's
-    domain fails the sweep when its block is reached.
+    The whole grid is checked at the call. The (lam, r) mesh is evaluated in
+    blocks of whole strength rows, at most 1024 cells each (one row if a row
+    alone is larger): _cells, and for n = 2 the closed-form discord and
+    partial-transpose eigenvalue (empty at r = 1), once per block. A block
+    bounds the j-sum's (ceil(n/2), cells) temporaries, and each block's text
+    is yielded before the next block is evaluated.
     """
-    from . import correlations, protocol, qfi
+    from . import correlations
 
-    protocol._validate_nm(n, m)
-    lams = np.array(list(lams), dtype=float)
-    rs = np.array(list(rs), dtype=float)
-    inner = (rs > 0.0) & (rs < 1.0)
-    zero, one, below_one = rs == 0.0, rs == 1.0, rs < 1.0
+    rs, lams = _checked_axes(n, m, rs, lams)
+    below_one = rs < 1.0
     diagnosed = n == 2 and below_one.any()
     # One %-template per polarization. With correlation columns every cell
     # takes six values; "%.0s" prints the three of an r = 1 cell as empty.
@@ -122,24 +143,14 @@ def sweep_rows(
     pieces = "".join(
         f"{n},{m},{_fmt(r)},|,%.12g,%.12g,%.12g,{tail}\n" for r, tail in zip(rs.tolist(), tails)
     ).split("|")
-    r_cols = rs[None, :]
     rows_per_block = max(1, _BLOCK_CELLS // max(1, len(rs)))
 
     def block(lam: np.ndarray) -> str:
-        h_ind = qfi.qfi_independent_opt(r_cols, lam, m)
-        h_corr = np.zeros(h_ind.shape)
-        g = np.empty(h_ind.shape)
-        if inner.any():
-            h_corr[:, inner], g[:, inner] = protocol.qfi_and_gain(n, m, r_cols[:, inner], lam)
-        if zero.any():
-            g[:, zero] = protocol.gain_limit_r0(n, m, lam)
-        if one.any():
-            g[:, one] = protocol.gain_limit_r1(m, lam)
-            h_corr[:, one] = g[:, one] * h_ind[:, one]
+        h_ind, h_corr, g = _cells(n, m, rs, lam)
         if diagnosed:
             # an object array, so the separable verdict's text fits beside the floats
             values = np.zeros(h_ind.shape + (6,), dtype=object)
-            r_diag = r_cols[:, below_one]
+            r_diag = rs[below_one]
             values[:, below_one, 3] = correlations.discord_protocol(r_diag, lam, m)
             sep, values[:, below_one, 4] = correlations.ppt_closed_form(r_diag, lam, m)
             values[:, below_one, 5] = np.where(sep, "true", "false")
@@ -160,10 +171,11 @@ def sweep_rows(
 def _cmd_qfi(args) -> int:
     from . import protocol, qfi
 
-    point = protocol.ProtocolPoint(args.n, args.m, args.r, args.lam)
-    h_ind = qfi.qfi_independent_opt(args.r, args.lam, args.m)
-    h_corr = protocol.qfi_correlated(point)
-    g = protocol.gain(point)
+    rs, lams = _checked_axes(args.n, args.m, [args.r], [args.lam])
+    h_ind, h_corr, g = (float(v[0, 0]) for v in _cells(args.n, args.m, rs, lams[:, None]))
+    if 0.0 < args.r < 1.0:  # exit 2 where a value lies outside float64's range
+        point = protocol.ProtocolPoint(args.n, args.m, args.r, args.lam)
+        protocol.qfi_correlated(point), protocol.gain(point)
     bound = qfi.qfi_upper_bound(args.lam, args.m)
     print(
         f"n={args.n} m={args.m} r={_fmt(args.r)} lambda={_fmt(args.lam)} "
@@ -224,7 +236,7 @@ def _cmd_sweep(args) -> int:
     size = _grid_size(*lam_axis) * _grid_size(*r_axis)
     if size > MAX_SWEEP_ROWS:
         raise ValueError(f"the grid has {size} rows, more than {MAX_SWEEP_ROWS}")
-    # evaluated lazily, but its arguments are checked here, before --out is opened
+    # evaluated lazily, but the whole grid is checked here, before --out is opened
     rows = sweep_rows(args.n, args.m, _grid(*lam_axis), _grid(*r_axis))
     with _replacing(args.out) as fh:
         fh.write(CSV_HEADER + "\n")
@@ -291,7 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_qfi = sub.add_parser("qfi", help="evaluate one parameter point")
     p_qfi.add_argument("--n", type=int, required=True, help="number of qubits (>= 2)")
     p_qfi.add_argument("--m", type=int, required=True, help="channel invocations (1..n)")
-    p_qfi.add_argument("--r", type=float, required=True, help="polarization in (0, 1)")
+    p_qfi.add_argument(
+        "--r", type=float, required=True, help="polarization in [0, 1]; 0 and 1 give limits"
+    )
     p_qfi.add_argument(
         "--lambda", dest="lam", type=float, required=True, help="channel strength in [0, 1]"
     )
@@ -305,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
             "then polarization, 12 significant digits, LF endings. "
             "Correlation columns are filled only for n=2 (and left empty at "
             "r=1, where the closed forms do not apply); r=0 and r=1 rows "
-            "report the analytic gain limits."
+            "report the analytic gain limits, except r=1 with lambda 0 or 1, "
+            "where the gain has none: such a grid exits 2 before any row."
         ),
     )
     p_sweep.add_argument("--n", type=int, default=2)

@@ -10,16 +10,16 @@ The lam dependence enters only through nu = (1-2 lam)**2. By convention
 nu**(m-1) is 1 when m = 1 even at lam = 1/2 (continuity).
 
 The Fisher information and the gain share one j-sum over the weight pairs,
-one term per Hamming class {j, n-j}, j < n/2. It is evaluated once, in the
-log domain and broadcast over (j, r, lam), by ``_log_qfi_gain``;
-``qfi_correlated``, ``gain``, ``gain_min``, ``gain_max`` and the grid form
-``qfi_and_gain`` wrap it. In the scalar wrappers a true value that is
-nonzero but outside the normal float64 range raises ValueError; the grid
-form returns it as the plain exponential (a subnormal or 0).
+one term per Hamming class {j, n-j}, j < n/2, added in one fixed order. It
+is evaluated once, in the log domain and broadcast over (j, r, lam), by
+``_log_qfi_gain``; ``qfi_correlated``, ``gain``, ``gain_min``, ``gain_max``
+and the grid form ``qfi_and_gain`` wrap it, a value having the same bits in
+each. Only the scalar wrappers raise on a value outside float64's range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -72,6 +72,8 @@ def _log_qfi_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
     (total^2 - nu^m diff^2) is M (1-e)^2 (1+e) / [(1+e)^2 (1-nu^m) +
     4 e nu^m], a sum of nonnegative pieces. 1-e, 1-nu^m and 1-nu r^2 are
     formed without cancellation (expm1, log1p, (1-r)(1+r) + 4 lam(1-lam) r^2).
+    Classes are added in turn, j = 0, 1, ...: np.sum adds a column pairwise
+    but a grid's rows in turn, and would make a cell's bits depend on its grid.
     """
     r, lam = np.asarray(r, dtype=float), np.asarray(lam, dtype=float)
     # per-class columns j < n/2, n-2j and log C(n, j), broadcast against (r, lam)
@@ -98,7 +100,7 @@ def _log_qfi_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
         )
         top = terms.max(axis=0)
         top = np.where(np.isfinite(top), top, 0.0)
-        log_s = top + np.log(2.0 * np.exp(terms - top).sum(axis=0))
+        log_s = top + np.log(2.0 * functools.reduce(np.add, np.exp(terms - top)))
         # nu^(m-1) is 1 at m = 1, even at lam = 1/2
         log_pre = math.log(m) + ((m - 1) * log_nu if m > 1 else 0.0) + log_s
         log_h = log_pre + math.log(m) - (n - 1) * _LOG2

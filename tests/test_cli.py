@@ -111,13 +111,39 @@ class TestQfiCommand:
         assert code == 0
         fields = parse_fields(out.strip())
         point = protocol.ProtocolPoint(3, 2, 0.3, 0.2)
-        assert float(fields["H_ind"]) == pytest.approx(
-            qfi.qfi_independent_opt(0.3, 0.2, 2), rel=1e-10
+        assert fields["H_ind"] == cli._fmt(qfi.qfi_independent_opt(0.3, 0.2, 2))
+        assert fields["H_corr"] == cli._fmt(protocol.qfi_correlated(point))
+        assert fields["gain"] == cli._fmt(protocol.gain(point))
+
+    @pytest.mark.parametrize(
+        "n, m, r, lam",
+        [
+            (2, 2, "0", "0.3"),
+            (2, 2, "0.5", "0.3"),
+            (2, 2, "1", "0.3"),
+            (64, 64, "0.42174797787009743", "0.3518427835974599"),
+        ],
+    )
+    def test_fields_are_the_sweep_row(self, n, m, r, lam, tmp_path, capsys):
+        # the sweep's r grid runs on past the cell where it can, as a wider grid
+        out_path = tmp_path / "cell.csv"
+        code, _, err = run_cli(
+            ["sweep", "--n", str(n), "--m", str(m), "--r-min", r, "--r-max", "1",
+             "--r-step", "0.4", "--lambda-min", lam, "--lambda-max", lam,
+             "--out", str(out_path)],
+            capsys,
         )
-        assert float(fields["H_corr"]) == pytest.approx(
-            protocol.qfi_correlated(point), rel=1e-10
+        assert code == 0, err
+        with open(out_path) as fh:
+            row = next(csv.DictReader(fh))
+        code, out, err = run_cli(
+            ["qfi", "--n", str(n), "--m", str(m), "--r", r, "--lambda", lam], capsys
         )
-        assert float(fields["gain"]) == pytest.approx(protocol.gain(point), rel=1e-10)
+        assert (code, err) == (0, "")
+        fields = parse_fields(out.strip())
+        assert [fields[k] for k in ("r", "lambda")] == [row["r"], row["lambda"]]
+        for column in ("H_ind", "H_corr", "gain"):
+            assert fields[column] == row[column], column
 
 
     def test_near_pure_many_qubits_matches_reference(self, capsys):
@@ -415,7 +441,8 @@ class TestSweepCommand:
             assert max(seen) <= 1024
 
     def test_one_bad_row_fails_the_whole_sweep(self, tmp_path, capsys):
-        # the lam = 0 row meets r = 1, the pure corner outside the closed forms
+        # the lam = 0 row meets r = 1, the pure corner outside the closed
+        # forms, and the grid is refused before --out is opened
         out_path = tmp_path / "corner.csv"
         code, out, err = run_cli(
             ["sweep", "--lambda-min", "0", "--lambda-max", "1", "--out", str(out_path)], capsys
@@ -423,6 +450,23 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "pure state" in err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["qfi", "--n", "2", "--m", "1", "--r", "1", "--lambda", "0"],
+            ["sweep", "--lambda-min", "0", "--lambda-max", "1", "--out", "/dev/stdout"],
+        ],
+        ids=["qfi", "sweep"],
+    )
+    def test_pure_corner_exits_2_before_any_output(self, args):
+        # the gain has no limit at r = 1, lam = 0: it is 1 along r = 1 and
+        # unbounded along lam = 0. On a pipe --out /dev/stdout is written in
+        # place, so a header written before the check would reach it
+        done = run_child(["-m", "paulifish.cli", *args])
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: pure state with lam in {0, 1} is outside the closed form's domain\n"
+        )
 
     def test_blocks_are_written_as_they_are_evaluated(self, tmp_path, capsys, monkeypatch):
         # 48 strengths of 21 polarizations per block: each block's text is
@@ -464,8 +508,8 @@ class TestSweepCommand:
     def test_failed_sweep_leaves_the_directory_as_it_was(
         self, command, before, stop, tmp_path, capsys, monkeypatch
     ):
-        # sweep: 100 strengths in 3 blocks; only the last meets the pure
-        # corner lam = 1, r = 1, or is interrupted (99 strengths, no corner).
+        # sweep: 99 strengths in 3 blocks; the third block's write finds the
+        # device full, or its evaluation is interrupted.
         # mc: 10 trials in 3 blocks of rows; the third block's write finds
         # the device full, or is interrupted.
         # mc-experiment: the experiment fails (at r = 1, lam = 1e-17 the
@@ -475,7 +519,8 @@ class TestSweepCommand:
         if before is not None:
             out_path.write_bytes(before)
         calls = []
-        if command == "mc":
+        sweep = ["sweep", "--lambda-min", "0.01", "--lambda-max", "0.99", "--lambda-step", "0.01"]
+        if command == "mc" or (command, stop) == ("sweep", None):
             failure = stop or OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
             def write(text):
@@ -483,12 +528,13 @@ class TestSweepCommand:
                 if len(calls) == 4:  # the header, then two blocks
                     raise failure
 
-            monkeypatch.setattr(mc, "_BLOCK_TRIALS", 4)
+            if command == "mc":
+                monkeypatch.setattr(mc, "_BLOCK_TRIALS", 4)
             monkeypatch.setattr(
                 cli, "open", lambda *a, **k: SpyFile(open(*a, **k), write), raising=False
             )
-            args, calls_at_stop = self.OUT_COMMANDS["mc"], 4
-            failed = (1, "No space left on device")
+            args = self.OUT_COMMANDS["mc"] if command == "mc" else sweep
+            calls_at_stop, failed = 4, (1, "No space left on device")
         elif command == "mc-experiment":
             if stop is None:
                 args = ["mc", "--r", "1", "--lambda", "1e-17", "--trials", "3"]
@@ -501,20 +547,16 @@ class TestSweepCommand:
                 args = self.OUT_COMMANDS["mc"]
             calls_at_stop, failed = 1, (2, "Fisher information is infinite")
         else:
-            lam_max = "1" if stop is None else "0.99"
-            if stop is not None:
-                real_kernel = protocol.qfi_and_gain
+            real_kernel = protocol.qfi_and_gain
 
-                def kernel(*args):
-                    calls.append(1)
-                    if len(calls) == 3:
-                        raise stop
-                    return real_kernel(*args)
+            def kernel(*args):
+                calls.append(1)
+                if len(calls) == 3:
+                    raise stop
+                return real_kernel(*args)
 
-                monkeypatch.setattr(protocol, "qfi_and_gain", kernel)
-            args = ["sweep", "--lambda-min", "0.01", "--lambda-max", lam_max,
-                    "--lambda-step", "0.01"]
-            calls_at_stop, failed = 3, (2, "pure state")
+            monkeypatch.setattr(protocol, "qfi_and_gain", kernel)
+            args, calls_at_stop = sweep, 3
         args = [*args, "--out", str(out_path)]
         if stop is None:
             code, out, err = run_cli(args, capsys)

@@ -101,17 +101,22 @@ class TestHighPrecisionReference:
         # only the largest n takes (1-2 lam)^(2m-2) out of range near lam = 1/2
         assert (raised > 0) == (n >= 40)
 
-    def test_grid_form_matches_scalar_wrappers(self):
-        rs = np.array([1e-9, 0.05, 0.5, 0.95, 0.99])
-        lams = np.array([0.0, 0.2, 0.5, 0.8, 1.0])[:, None]
-        for n, m in [(2, 1), (3, 2), (6, 6), (64, 1)]:
-            h, g = protocol.qfi_and_gain(n, m, rs, lams)
-            assert h.shape == g.shape == (5, 5)
+    @pytest.mark.parametrize("columns", [1, 2, 8])
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (6, 6), (17, 4), (33, 2), (64, 1), (64, 64)])
+    def test_grid_form_matches_scalar_wrappers(self, n, m, columns):
+        # The same bits in every grid shape. Summed over an axis, the classes
+        # gave a grid other bits than the scalar wrappers in cells of r = 0.38
+        # or 0.86 with lam = 0.02 or 0.03, and of the r and lam with 17 digits.
+        rs = np.array([1e-9, 0.05, 0.38, 0.42174797787009743, 0.5, 0.86, 0.95, 0.99])
+        lams = np.array([0.0, 0.02, 0.03, 0.2, 0.3518427835974599, 0.5, 0.8, 1.0])[:, None]
+        for start in range(0, rs.size, columns):
+            h, g = protocol.qfi_and_gain(n, m, rs[start : start + columns], lams)
+            assert h.shape == g.shape == (lams.size, min(columns, rs.size - start))
             for a, lam in enumerate(lams[:, 0]):
-                for b, r in enumerate(rs):
+                for b, r in enumerate(rs[start : start + columns]):
                     point = protocol.ProtocolPoint(n, m, float(r), float(lam))
-                    assert h[a, b] == pytest.approx(protocol.qfi_correlated(point), rel=1e-14)
-                    assert g[a, b] == pytest.approx(protocol.gain(point), rel=1e-14)
+                    assert h[a, b] == protocol.qfi_correlated(point)
+                    assert g[a, b] == protocol.gain(point)
 
     def test_grid_form_validates(self):
         with pytest.raises(ValueError, match="polarization"):
