@@ -35,10 +35,9 @@ def _pair_phases(n: int) -> np.ndarray:
     return np.where((pc * (pc - 1) // 2) % 2, -1.0, 1.0)
 
 
-def _check_dense(n: int) -> None:
-    """Raises unless n qubits, at least 2, fit a dense operator within DIM_CAP."""
-    if n < 2:
-        raise ValueError(f"preparation needs at least 2 qubits, got {n}")
+def _check_dense(n: int, m: int = 1) -> None:
+    """Raises unless protocol._validate_nm(n, m) passes and 2**n is within DIM_CAP."""
+    protocol._validate_nm(n, m)
     if 2**n > DIM_CAP:
         raise ValueError(f"2**{n} exceeds the dense cap {DIM_CAP}")
 
@@ -71,8 +70,7 @@ def hamming_classes(n: int, r) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]
     values where those are normal floats. They are computed from j, not
     from the blocks, so n may reach protocol.ANALYTIC_N_CAP.
     """
-    if not 2 <= n <= protocol.ANALYTIC_N_CAP:
-        raise ValueError(f"n={n} must lie in 2..{protocol.ANALYTIC_N_CAP}")
+    protocol._validate_nm(n)
     r = linop.check_unit_interval(r, "polarization", "[0, 1)")[..., None]
     j = np.arange(n // 2 + 1)
     mult = tuple(math.comb(n, k) // (2 if 2 * k == n else 1) for k in j.tolist())
@@ -104,9 +102,7 @@ def correlated_state(n: int, r, lam, m: int) -> tuple[np.ndarray, np.ndarray]:
     the off-diagonals depend on lam: |x> and |N-x> differ in every bit, so
     each channel use scales them by (1-2 lam). 2**n may not exceed DIM_CAP.
     """
-    _check_dense(n)
-    if not 1 <= m <= n:
-        raise ValueError(f"invocation count m={m} must lie in 1..{n}")
+    _check_dense(n, m)
     lam = linop.check_unit_interval(lam, "channel strength")
     r, lam = np.broadcast_arrays(np.asarray(r, dtype=float), lam)
     mult, p, t = hamming_classes(n, r)

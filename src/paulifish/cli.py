@@ -59,9 +59,12 @@ MAX_SWEEP_ROWS = 10**7
 # 29.5 MiB for the import alone; the times differed by less than their noise.
 _BLOCK_CELLS = 1024
 
+#: The format of every number a command writes: 12 significant digits.
+_FLOAT = "%.12g"
+
 
 def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+    return _FLOAT % x
 
 
 def _grid_size(lo: float, hi: float, step: float) -> int:
@@ -87,12 +90,12 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 def _checked_axes(n: int, m: int, rs: Iterable[float], lams: Iterable[float]):
     """A grid's r and lam axes as arrays, once n, m and both axes are checked: r
     and lam in [0, 1], and no r = 1 with lam in {0, 1}, where the gain has no limit."""
-    from . import linop, protocol, qfi
+    from . import linop, protocol
 
     protocol._validate_nm(n, m)
     rs = linop.check_unit_interval(list(rs), "polarization")
     lams = linop.check_unit_interval(list(lams), "channel strength")
-    qfi._reject_pure_corner(rs.max(initial=0.0), lams)  # the largest r, not an r-lam mesh
+    linop.reject_pure_corner(rs.max(initial=0.0), lams)  # the largest r, not an r-lam mesh
     return rs, lams
 
 
@@ -135,13 +138,14 @@ def sweep_rows(
     # One %-template per polarization. With correlation columns every cell
     # takes six values; "%.0s" prints the three of an r = 1 cell as empty.
     if diagnosed:
-        tails = ["%.12g,%.12g,%s" if b else "%.0s,%.0s,%.0s" for b in below_one.tolist()]
+        tails = [f"{_FLOAT},{_FLOAT},%s" if b else "%.0s,%.0s,%.0s" for b in below_one.tolist()]
     else:
         tails = [",,"] * len(rs)
     # A strength row is every polarization's template joined, split where
     # the strength goes, so the strength is formatted once per row.
     pieces = "".join(
-        f"{n},{m},{_fmt(r)},|,%.12g,%.12g,%.12g,{tail}\n" for r, tail in zip(rs.tolist(), tails)
+        f"{n},{m},{_fmt(r)},|,{_FLOAT},{_FLOAT},{_FLOAT},{tail}\n"
+        for r, tail in zip(rs.tolist(), tails)
     ).split("|")
     rows_per_block = max(1, _BLOCK_CELLS // max(1, len(rs)))
 
@@ -173,9 +177,16 @@ def _cmd_qfi(args) -> int:
 
     rs, lams = _checked_axes(args.n, args.m, [args.r], [args.lam])
     h_ind, h_corr, g = (float(v[0, 0]) for v in _cells(args.n, args.m, rs, lams[:, None]))
-    if 0.0 < args.r < 1.0:  # exit 2 where a value lies outside float64's range
+    if 0.0 < args.r < 1.0:  # exit 2 where a value lies outside float64's normal range
         point = protocol.ProtocolPoint(args.n, args.m, args.r, args.lam)
         protocol.qfi_correlated(point), protocol.gain(point)
+    else:  # a limit's float: exit 2 on inf, a subnormal or a 0 that is not exact
+        exact_zero = args.lam == 0.5 and args.m > 1  # nu = 0 to a power m - 1 >= 1
+        # at r = 0 both informations are exact zeros
+        limits = {"gain": g} if args.r == 0.0 else {"H_ind": h_ind, "H_corr": h_corr, "gain": g}
+        for name, v in limits.items():
+            if not (sys.float_info.min <= v < math.inf or v == 0.0 and exact_zero):
+                raise ValueError(f"{name} at r = {args.r:g} lies outside the float64 range")
     bound = qfi.qfi_upper_bound(args.lam, args.m)
     print(
         f"n={args.n} m={args.m} r={_fmt(args.r)} lambda={_fmt(args.lam)} "
@@ -250,12 +261,10 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     results = verify.run_suites(args.suite, n_max=args.n_max)
-    all_ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        all_ok &= res.passed
         print(f"{status} {res.name:<20} max_err={res.max_error:.3e} ({res.detail})")
-    return 0 if all_ok else 1
+    return 0 if all(res.passed for res in results) else 1
 
 
 def _cmd_mc(args) -> int:
@@ -280,7 +289,7 @@ def _cmd_mc(args) -> int:
                 # one % per block, on the trial numbers and estimates interleaved
                 cells = block * 2
                 cells[0::2], cells[1::2] = range(start, start + len(block)), block
-                fh.write("%d,%.12g\n" * len(block) % tuple(cells))
+                fh.write(f"%d,{_FLOAT}\n" * len(block) % tuple(cells))
     ratio = result.sample_variance / result.crb
     print(
         f"mean={_fmt(result.mean)} variance={_fmt(result.sample_variance)} "
@@ -300,7 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_qfi = sub.add_parser("qfi", help="evaluate one parameter point")
+    p_qfi = sub.add_parser(
+        "qfi",
+        help="evaluate one parameter point",
+        description="A value outside float64's range exits 2, at r=0 and r=1 too; "
+        "only the bound prints inf (at lambda 0, 1 or subnormal).",
+    )
     p_qfi.add_argument("--n", type=int, required=True, help="number of qubits (>= 2)")
     p_qfi.add_argument("--m", type=int, required=True, help="channel invocations (1..n)")
     p_qfi.add_argument(

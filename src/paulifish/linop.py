@@ -37,6 +37,20 @@ def check_unit_interval(v, what: str, interval: str = "[0, 1]") -> np.ndarray:
     return v
 
 
+def check_invocations(m: int) -> None:
+    """Raises unless m, a count of channel invocations, is at least 1."""
+    if m < 1:
+        raise ValueError(f"invocation count must be >= 1, got {m}")
+
+
+def reject_pure_corner(r, lam) -> None:
+    """Raises if any (r, lam) pair, broadcast, is a pure state, r >= 1, with
+    lam in {0, 1}, where no closed form holds. Any r below 1 is mixed."""
+    pure = np.asarray(r) >= 1.0
+    if pure.any() and (pure & ((lam == 0.0) | (lam == 1.0))).any():
+        raise ValueError("pure state with lam in {0, 1} is outside the closed form's domain")
+
+
 def check_bloch_norm(norm: float) -> float:
     """norm, if it is at most 1 + 1e-12: a qubit's Bloch vector, with room
     for rounding. Otherwise (NaN too) raises."""

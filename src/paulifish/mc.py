@@ -66,8 +66,7 @@ class ExperimentConfig:
     def __post_init__(self):
         linop.check_unit_interval(self.r, "polarization", "(0, 1]")
         linop.check_unit_interval(self.lambda_true, "true channel strength", "(0, 1)")
-        if self.m < 1:
-            raise ValueError(f"invocations per run must be >= 1, got {self.m}")
+        linop.check_invocations(self.m)
         if self.trials < 1 or self.shots_per_trial < 1:
             raise ValueError("trials and shots_per_trial must be >= 1")
         if self.shots_per_trial * self.m > 2**63 - 1:  # the binomial count is an int64

@@ -54,8 +54,9 @@ class ProtocolPoint:
         linop.check_unit_interval(self.lam, "channel strength")
 
 
-def _validate_nm(n: int, m: int) -> None:
-    if n < 2 or n > ANALYTIC_N_CAP:
+def _validate_nm(n: int, m: int = 1) -> None:
+    """Raises unless 2 <= n <= ANALYTIC_N_CAP and 1 <= m <= n."""
+    if not 2 <= n <= ANALYTIC_N_CAP:
         raise ValueError(f"n={n} must lie in 2..{ANALYTIC_N_CAP}")
     if not 1 <= m <= n:
         raise ValueError(f"invocations m={m} must lie in 1..{n}")
@@ -196,15 +197,11 @@ def gain_limit_r1(m: int, lam):
     1-nu = 4 lam(1-lam) and 1-nu^m = -expm1(2m log1p(-2 min(lam, 1-lam)))
     are formed without cancellation as lam -> 0 or 1.
     """
-    if m < 1:
-        raise ValueError(f"invocation count must be >= 1, got {m}")
+    linop.check_invocations(m)
     lam = linop.check_unit_interval(lam, "channel strength")
     if m == 1:
         return linop.scalar_or_array(np.ones_like(lam))
-    if ((lam == 0.0) | (lam == 1.0)).any():
-        raise ValueError(
-            "pure-state limit with lam in {0, 1} is outside the formula's domain"
-        )
+    linop.reject_pure_corner(1.0, lam)
 
     def limit(x: float) -> float:
         a = min(x, 1.0 - x)

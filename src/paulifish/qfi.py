@@ -59,24 +59,6 @@ def fisher_eig(rho: np.ndarray, drho: np.ndarray):
 # Closed forms for the single-qubit channel
 
 
-def _check_lambda(lam):
-    """lam as a float, or as an array if it is one; every element in [0, 1]."""
-    return linop.scalar_or_array(linop.check_unit_interval(lam, "channel strength"))
-
-
-def _reject_pure_corner(r, lam) -> None:
-    """Raise if any (r, lam) pair, broadcast, is a pure state with lam in {0, 1}.
-
-    A norm that rounds past 1 counts as pure; any r below 1 is mixed, and
-    neither closed form cancels as r -> 1.
-    """
-    pure = np.asarray(r) >= 1.0
-    if pure.any() and (pure & ((lam == 0.0) | (lam == 1.0))).any():
-        raise ValueError(
-            "pure state with lam in {0, 1} is outside the closed form's domain"
-        )
-
-
 def qfi_single_use(v, lam):
     """Fisher information of one phase-flip use on the state (I + r.sigma)/2.
 
@@ -86,17 +68,18 @@ def qfi_single_use(v, lam):
     back for a scalar lam and an array of lam's shape otherwise, zeros for a
     Bloch vector along z.
     """
-    lam = _check_lambda(lam)
+    lam = linop.check_unit_interval(lam, "channel strength")
     rx, ry, rz = (float(c) for c in v)
     r = linop.check_bloch_norm(math.hypot(rx, ry, rz))
-    _reject_pure_corner(r, lam)
+    linop.reject_pure_corner(r, lam)
     num = 4.0 * (1.0 - rz * rz) * (rx * rx + ry * ry)
     if num <= 0.0:
         return linop.scalar_or_array(np.zeros_like(lam))
     # the square through the C library's pow, so an array gives a scalar call's bits
     c2 = linop._elementwise(lambda x: (1.0 - 2.0 * x) ** 2, lam)
     # 1 - r^2 as (1 - r)(1 + r), which does not cancel as r -> 1
-    return num / (c2 * ((1.0 - r) * (1.0 + r)) + 4.0 * lam * (1.0 - lam) * (1.0 - rz * rz))
+    den = c2 * ((1.0 - r) * (1.0 + r)) + 4.0 * lam * (1.0 - lam) * (1.0 - rz * rz)
+    return linop.scalar_or_array(num / den)
 
 
 def qfi_independent_opt(r, lam, m: int):
@@ -106,12 +89,13 @@ def qfi_independent_opt(r, lam, m: int):
     not cancel as r -> 1. r and lam may be arrays that broadcast against
     each other (a float comes back when both are scalars).
     """
-    lam = _check_lambda(lam)
+    lam = linop.check_unit_interval(lam, "channel strength")
     r = linop.check_unit_interval(r, "polarization")
-    if m < 1:
-        raise ValueError(f"invocation count must be >= 1, got {m}")
-    _reject_pure_corner(r, lam)
-    h = 4.0 * r * r * m / ((1.0 - r) * (1.0 + r) + 4.0 * lam * (1.0 - lam) * r * r)
+    linop.check_invocations(m)
+    linop.reject_pure_corner(r, lam)
+    # at r = 1 a subnormal lam overflows to inf, without a warning as in the bound
+    with np.errstate(over="ignore"):
+        h = 4.0 * r * r * m / ((1.0 - r) * (1.0 + r) + 4.0 * lam * (1.0 - lam) * r * r)
     return linop.scalar_or_array(h)
 
 
@@ -119,8 +103,7 @@ def qfi_upper_bound(lam, m: int):
     """Absolute bound m / (lam (1-lam)); infinite at the interval endpoints.
     lam may be an array (a float comes back for a scalar)."""
     lam = linop.check_unit_interval(lam, "channel strength")
-    if m < 1:
-        raise ValueError(f"invocation count must be >= 1, got {m}")
+    linop.check_invocations(m)
     # lam = 0 or 1 divides by zero and a subnormal lam overflows: both give
     # inf, the + 0.0 making it +inf at lam = -0.0 too (exact everywhere else)
     with np.errstate(divide="ignore", over="ignore"):

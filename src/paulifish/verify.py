@@ -17,17 +17,12 @@ from its definition) take whole stacks, so each suite makes one call per
 grid or per budgeted slice of one. The worst error over a grid is the same
 number the point-by-point loop would find.
 
-The oracle suite's eigensolve runs one 2x2 block per Hamming class
-(``channels.hamming_classes``), at unit trace and weighted by the class's
-probability, not one per block of the state: floor(n/2)+1 blocks per grid
-cell instead of 2^(n-1), which takes it to every n the closed form accepts,
-and r to 1e-12 from either end of (0, 1). A class block depends on n only
-through n - 2j, so each is solved once per m and shared by every n that
-has it: 258 eigensolve calls instead of 322 at n_max = 64. The oracle
-and bounds suites walk one (n, m) table, ``_cases``, an m at a time, so
-what depends on m alone (the class blocks, the independent optimum, the
-bound) is formed once per m. Every reduction goes through ``_worst``, so a
-NaN in any compared cell fails its suite.
+The oracle suite solves one 2x2 block per Hamming class, not one per
+block of the state (``suite_oracle``), which takes it to every n the
+closed form accepts. The oracle and bounds suites walk one (n, m) table,
+``_cases``, an m at a time, so what depends on m alone is formed once per
+m. Every reduction goes through ``_worst``, so a NaN in any compared cell
+fails its suite.
 """
 
 from __future__ import annotations

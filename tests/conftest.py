@@ -184,6 +184,11 @@ def class_route(n, m, r, lam):
     return np.sum(qfi.fisher_eig(rho, drho) * p, axis=-1)
 
 
+def random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2
+
+
 def swap():
     """Two-qubit SWAP gate."""
     m = np.zeros((4, 4), dtype=complex)

@@ -273,10 +273,6 @@ class TestBlocks:
         dense, _ = channels.correlated_state(n, r, lam, m)
         assert linop.frobenius_max(dense - direct) < 1e-10
 
-    def test_too_many_invocations_rejected(self):
-        with pytest.raises(ValueError, match="invocation"):
-            channels.correlated_state(2, 0.3, 0.1, 3)
-
     def test_correlated_state_derivative_matches_finite_difference(self):
         n, m, r, lam = 3, 2, 0.35, 0.27
         h = 1e-6
@@ -348,7 +344,7 @@ class TestBlocks:
         assert raise_peak("dense cap", channels.correlated_state, n, 0.5, 0.2, 1) < 2**14
 
     def test_correlated_state_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="qubits"):
+        with pytest.raises(ValueError, match=r"n=1 must lie in 2\.\.64"):
             channels.correlated_state(1, 0.5, 0.2, 1)
         with pytest.raises(ValueError, match="invocation"):
             channels.correlated_state(3, 0.5, 0.2, 4)

@@ -172,15 +172,38 @@ class TestQfiCommand:
         assert fields["H_ind"] == cli._fmt(qfi.qfi_independent_opt(0.9999999999995, 0.0, 1))
         assert fields["bound"] == "inf"
 
-    def test_unrepresentable_value_exits_2(self, capsys):
-        # the true H_corr and gain are about 1e-462 and 1e-464, below the float64 range
-        code, out, err = run_cli(
-            ["qfi", "--n", "64", "--m", "64", "--r", "0.5", "--lambda", "0.4999"], capsys
+    @pytest.mark.parametrize(
+        "n, m, r, lam",
+        [
+            # the true H_corr and gain are about 1e-462 and 1e-464
+            ("64", "64", "0.5", "0.4999"),
+            # the gain limit 4096 (2e-4)^126 is about 3.5e-463
+            ("64", "64", "0", "0.4999"),
+            # the limits of H_corr and the gain lie below the range too
+            ("64", "64", "1", "0.4999"),
+            # H_ind = m / (lam (1-lam)) is about 1e310
+            ("2", "1", "1", "1e-310"),
+        ],
+    )
+    def test_unrepresentable_value_exits_2(self, n, m, r, lam, capsys):
+        code, out, err, caught = run_cli_recording_warnings(
+            ["qfi", "--n", n, "--m", m, "--r", r, "--lambda", lam], capsys
         )
-        assert code == 2
-        assert out == ""
+        assert (code, out, caught) == (2, "", [])
         assert err.startswith("error: ") and "float64 range" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("r", ["0", "0.4", "1"])
+    def test_exact_zeros_exit_0(self, r, capsys):
+        # nu = 0 at lam = 1/2 takes the power m - 1 = 1 in H_corr and the
+        # gain, and H_ind vanishes at r = 0 alone
+        code, out, err = run_cli(
+            ["qfi", "--n", "3", "--m", "2", "--r", r, "--lambda", "0.5"], capsys
+        )
+        assert (code, err) == (0, "")
+        fields = parse_fields(out.strip())
+        assert (fields["H_corr"], fields["gain"]) == ("0", "0")
+        assert (fields["H_ind"] == "0") == (r == "0")
 
 
 class TestSweepCommand:
@@ -324,17 +347,27 @@ class TestSweepCommand:
                     assert got == pytest.approx(float(want), rel=1e-10), (col, r, lam)
         assert below > 0
 
-    def test_sweep_writes_cells_above_float64_range_as_inf_silently(self, tmp_path):
-        # H is about 1e403 here; numpy's overflow warning would print its
-        # source line on the user's stderr
+    @pytest.mark.parametrize(
+        "args, rows",
+        [
+            # H is about 1e403 here
+            (["--n", "64", "--m", "1", "--r-min", "0.999999", "--r-max", "0.999999",
+              "--lambda-min", "0", "--lambda-max", "0"],
+             "64,1,0.999999,0,1999996.99994,inf,inf,,,\n"),
+            # at r = 1, H_ind = m / (lam (1-lam)) is about 1e310
+            (["--n", "2", "--m", "1", "--r-min", "0.95", "--r-max", "1",
+              "--lambda-min", "1e-310", "--lambda-max", "1e-310"],
+             "2,1,0.95,1e-310,37.0256410256,1444.94937541,39.0256410256,0.831339068503,"
+             "-0.450625,false\n2,1,1,1e-310,inf,inf,1,,,\n"),
+        ],
+        ids=["closed-form", "r-1-limit"],
+    )
+    def test_sweep_writes_cells_above_float64_range_as_inf_silently(self, args, rows, tmp_path):
+        # numpy's overflow warning would print its source line on the user's stderr
         out_path = tmp_path / "huge.csv"
-        done = run_child(
-            ["-m", "paulifish.cli", "sweep", "--n", "64", "--m", "1", "--r-min", "0.999999",
-             "--r-max", "0.999999", "--lambda-min", "0", "--lambda-max", "0",
-             "--out", str(out_path)]
-        )
+        done = run_child(["-m", "paulifish.cli", "sweep", *args, "--out", str(out_path)])
         assert (done.returncode, done.stderr) == (0, "")
-        assert out_path.read_text() == f"{cli.CSV_HEADER}\n64,1,0.999999,0,1999996.99994,inf,inf,,,\n"
+        assert out_path.read_text() == f"{cli.CSV_HEADER}\n{rows}"
 
     def test_degenerate_range_writes_header_only(self, tmp_path, capsys):
         out_path = tmp_path / "empty.csv"

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import kron_all, qubit_swap, swap
+from conftest import kron_all, qubit_swap, random_hermitian, swap
 from paulifish import linop
-
-
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2
 
 
 class TestGates:

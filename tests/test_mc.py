@@ -272,7 +272,7 @@ class TestRunExperiment:
         mc.ExperimentConfig(**valid | dict(r=1.0))
         with pytest.raises(ValueError):
             mc.ExperimentConfig(**valid | dict(trials=0))
-        with pytest.raises(ValueError, match="invocations"):
+        with pytest.raises(ValueError, match="invocation count must be >= 1, got 0"):
             mc.ExperimentConfig(**valid | dict(m=0))
         with pytest.raises(ValueError, match="seed"):
             mc.ExperimentConfig(**valid | dict(seed=-1))

@@ -182,7 +182,8 @@ def test_every_module_level_name_has_a_reader_in_src():
 #: has to be listed here; the block layout of the state, which
 #: correlated_state writes from the Hamming classes, stays inside channels.
 PRIVATE_READS = {
-    "cli": {"mc._BLOCK_TRIALS", "protocol._validate_nm", "qfi._reject_pure_corner"},
+    "channels": {"protocol._validate_nm"},
+    "cli": {"mc._BLOCK_TRIALS", "protocol._validate_nm"},
     "correlations": {"linop._elementwise", "protocol._validate_nm"},
     "protocol": {"linop._elementwise"},
     "qfi": {"linop._as_operators", "linop._elementwise"},

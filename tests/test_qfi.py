@@ -4,13 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import bloch_state, class_route, kron_all, raise_peak, sld_2x2
+from conftest import bloch_state, class_route, kron_all, raise_peak, random_hermitian, sld_2x2
 from paulifish import channels, linop, protocol, qfi, verify
-
-
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2
 
 
 def coin_toss_pure_family(lam):
@@ -98,13 +93,6 @@ class TestFisherEig:
             h_closed = sld_2x2(rho, drho).H
             h_eig = qfi.fisher_eig(rho, drho)
             assert h_eig == pytest.approx(h_closed, rel=1e-8)
-
-    def test_matches_protocol_closed_form(self):
-        n, m, r, lam = 3, 1, 0.3, 0.2
-        rho, drho = channels.correlated_state(n, r, lam, m)
-        h_eig = qfi.fisher_eig(rho, drho)
-        h_closed = protocol.qfi_correlated(protocol.ProtocolPoint(n, m, r, lam))
-        assert h_eig == pytest.approx(h_closed, rel=1e-8)
 
     def test_stack_matches_one_solve_per_operator(self):
         rho, drho = channels.correlated_state(3, np.array([0.2, 0.5, 0.9]), 0.3, 2)
