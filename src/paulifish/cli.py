@@ -173,20 +173,19 @@ def sweep_rows(
 
 
 def _cmd_qfi(args) -> int:
-    from . import protocol, qfi
+    from . import qfi
 
     rs, lams = _checked_axes(args.n, args.m, [args.r], [args.lam])
     h_ind, h_corr, g = (float(v[0, 0]) for v in _cells(args.n, args.m, rs, lams[:, None]))
-    if 0.0 < args.r < 1.0:  # exit 2 where a value lies outside float64's normal range
-        point = protocol.ProtocolPoint(args.n, args.m, args.r, args.lam)
-        protocol.qfi_correlated(point), protocol.gain(point)
-    else:  # a limit's float: exit 2 on inf, a subnormal or a 0 that is not exact
-        exact_zero = args.lam == 0.5 and args.m > 1  # nu = 0 to a power m - 1 >= 1
-        # at r = 0 both informations are exact zeros
-        limits = {"gain": g} if args.r == 0.0 else {"H_ind": h_ind, "H_corr": h_corr, "gain": g}
-        for name, v in limits.items():
-            if not (sys.float_info.min <= v < math.inf or v == 0.0 and exact_zero):
-                raise ValueError(f"{name} at r = {args.r:g} lies outside the float64 range")
+    # Each value must be a normal float64, or a zero the closed forms make exact:
+    # both informations at r = 0, and H_corr and the gain where nu = 0 takes the
+    # power m - 1 >= 1. Exit 2 on inf, a subnormal, NaN or any other 0.
+    half = args.lam == 0.5 and args.m > 1
+    fields = (("H_ind", h_ind, args.r == 0.0), ("H_corr", h_corr, args.r == 0.0 or half),
+              ("gain", g, half))
+    for name, v, exact_zero in fields:
+        if not (sys.float_info.min <= v < math.inf or v == 0.0 and exact_zero):
+            raise ValueError(f"{name} at r = {args.r:g} lies outside the float64 range")
     bound = qfi.qfi_upper_bound(args.lam, args.m)
     print(
         f"n={args.n} m={args.m} r={_fmt(args.r)} lambda={_fmt(args.lam)} "
@@ -312,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_qfi = sub.add_parser(
         "qfi",
         help="evaluate one parameter point",
-        description="A value outside float64's range exits 2, at r=0 and r=1 too; "
-        "only the bound prints inf (at lambda 0, 1 or subnormal).",
+        description="Every printed value but the bound must be a normal float64 or an "
+        "exact zero, at every r: otherwise qfi exits 2 with a message naming the field. "
+        "Only the bound prints inf (at lambda 0, 1 or subnormal).",
     )
     p_qfi.add_argument("--n", type=int, required=True, help="number of qubits (>= 2)")
     p_qfi.add_argument("--m", type=int, required=True, help="channel invocations (1..n)")

@@ -79,8 +79,11 @@ def _rel_err(a, b) -> float:
 DENSE_BRIDGE_N_MAX = 4
 
 
-#: The lam and r values 0.1..0.9 of the bounds grid.
+#: The lam and r values 0.1..0.9 of the bounds grid, and 0..1 with the ends.
 _TENTHS = [round(0.1 * k, 10) for k in range(1, 10)]
+_TENTHS_WITH_ENDS = [0.0, *_TENTHS, 1.0]
+#: 0.05..0.95 in steps of 0.05; its odd entries are _TENTHS.
+_TWENTIETHS = [round(0.05 * k, 10) for k in range(1, 20)]
 #: The oracle grid: r out to 1e-12 from each end of (0, 1), lam to 1e-3.
 _EDGE_RS = [1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9]
 _EDGE_LAMS = [1e-3, 0.1, 0.3, 0.5 - 1e-6, 0.5, 0.5 + 1e-3, 0.7, 0.9, 1 - 1e-3]
@@ -164,28 +167,40 @@ def suite_oracle(n_max: int) -> SuiteResult:
 
 def suite_bounds(n_max: int) -> SuiteResult:
     """H <= m/(lam(1-lam)) everywhere; pure limit approaches the bound; m
-    single uses at rz = 0 give the independent optimum."""
+    single uses at rz = 0 give the independent optimum; and the zeros that
+    the closed forms make exact are 0: H at r = 0, through qfi_correlated,
+    the one closed form that takes r = 0, and for m >= 2 H and the gain at
+    lam = 1/2, where nu = 0 takes the power m - 1."""
     # single use at lam = 0.05..0.95 against the bound, and on its odd rows,
     # the lam tenths, against the independent optimum
-    lams = np.array([round(0.05 * k, 10) for k in range(1, 20)])
+    lams = np.array(_TWENTIETHS)
     single = np.stack([qfi.qfi_single_use((0.0, r, 0.0), lams) for r in _TENTHS], axis=-1)
     worst = _worst(single - qfi.qfi_upper_bound(lams[:, None], 1))
-    single_err = 0.0
+    single_err = zero_err = 0.0
     r_grid, lam_grid = np.array(_TENTHS), np.array(_TENTHS)[:, None]
+    half = _TENTHS.index(0.5)
     for m, ns in _cases(n_max):
         h_ind = qfi.qfi_independent_opt(r_grid, lam_grid, m)
         bound = qfi.qfi_upper_bound(lam_grid, m)
         single_err = _worst(single_err, _rel_err(m * single[1::2], h_ind))
         worst = _worst(worst, h_ind - bound)
         for n in ns:
-            worst = _worst(worst, protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0] - bound)
+            h, g = protocol.qfi_and_gain(n, m, r_grid, lam_grid)
+            worst = _worst(worst, h - bound)
+            h_r0 = protocol.qfi_correlated(protocol.ProtocolPoint(n, m, 0.0, 0.1))
+            zero_err = _worst(zero_err, abs(h_r0))
+            if m > 1:
+                zero_err = _worst(zero_err, np.abs(h[half]), np.abs(g[half]))
     pure_err = 0.0
     for m in (1, 2, 3):
         h = qfi.qfi_independent_opt(1.0 - 1e-8, lam_grid, m)
         pure_err = _worst(pure_err, _rel_err(h, qfi.qfi_upper_bound(lam_grid, m)))
-    ok = worst <= 1e-8 and pure_err < 1e-4 and single_err < 1e-12
-    errs = f"max excess {worst:.2e}, pure-limit rel {pure_err:.2e}, single-use rel {single_err:.2e}"
-    return SuiteResult("bounds", ok, max(worst, pure_err, single_err), errs)
+    ok = worst <= 1e-8 and pure_err < 1e-4 and single_err < 1e-12 and zero_err == 0.0
+    errs = (
+        f"max excess {worst:.2e}, pure-limit rel {pure_err:.2e}, "
+        f"single-use rel {single_err:.2e}, exact zeros {zero_err:.2e}"
+    )
+    return SuiteResult("bounds", ok, max(worst, pure_err, single_err, zero_err), errs)
 
 
 def suite_weight_inequalities() -> SuiteResult:
@@ -198,7 +213,7 @@ def suite_weight_inequalities() -> SuiteResult:
     lams = np.array([round(0.01 * k, 10) for k in range(0, 101)])[:, None]
     floor_margin = math.inf
     for n in range(2, 9):
-        floor = linop._elementwise(lambda x: (0.5 * (1.0 - x * x)) ** (n - 1), rs)[:, None]
+        floor = ((0.5 * (1.0 - r2)) ** (n - 1))[:, None]
         mult, p, t = channels.hamming_classes(n, rs)
         floor_gap = 1.0 - p / (floor * np.array(mult, dtype=float))
         t_gap = r2[:, None] - t[:, : (n + 1) // 2] ** 2  # the middle class has t = 0
@@ -270,8 +285,7 @@ def suite_discord() -> SuiteResult:
     closed form against discord from its definition, the prepared state's
     discord at lam = 0, and no discord at half strength where the
     single-use gain still exceeds 1."""
-    grid = [round(0.05 * k, 10) for k in range(1, 20)]
-    r_col, mu_row = np.array(grid)[:, None], np.array(grid)
+    r_col, mu_row = np.array(_TWENTIETHS)[:, None], np.array(_TWENTIETHS)
     worst_mono = -math.inf
     step = 1e-4
     for dr, dmu in ((0.0, step), (step, 0.0)):
@@ -286,12 +300,12 @@ def suite_discord() -> SuiteResult:
     worst_route = _worst(np.abs(_discord_from_definition(rho) - q_closed))
     worst_sym = worst_half = 0.0
     worst_prep = worst_prep_rel = 0.0
-    rs = np.array(grid)
+    rs = np.array(_TWENTIETHS)
     q_prep = correlations.discord_prep(rs)
-    lams = sorted([round(0.1 * k, 10) for k in range(0, 11)] + [0.95])
+    lams = sorted(_TENTHS_WITH_ENDS + [0.95])
     lam_col = np.array(lams)[:, None]
     for m in (1, 2):
-        mu = correlations._off_diagonal_scale(lam_col, m)
+        mu = (1.0 - 2.0 * lam_col) ** m
         sym = correlations.discord_rmu(rs, mu) - correlations.discord_rmu(rs, -mu)
         worst_sym = _worst(worst_sym, np.abs(sym))
         q_closed = correlations.discord_protocol(rs, lam_col, m)
@@ -341,8 +355,8 @@ def suite_stationary() -> SuiteResult:
         for root in roots:
             g_plus, g_minus = _point_gain(2, m, root + h, lam), _point_gain(2, m, root - h, lam)
             worst_grad = _worst(worst_grad, abs(g_plus - g_minus) / (2 * h))
-    rs = np.array([round(0.05 * k, 10) for k in range(1, 20)])
-    lams = np.array([round(0.05 * k, 10) for k in range(0, 21)])[:, None]
+    rs = np.array(_TWENTIETHS)
+    lams = np.array([0.0, *_TWENTIETHS, 1.0])[:, None]
     worst_closed = 0.0
     for m in (1, 2):
         g = protocol.qfi_and_gain(2, m, rs, lams)[1]
@@ -366,7 +380,7 @@ def suite_separability() -> SuiteResult:
     worst = 0.0
     worst_route = 0.0
     found_separable_gain = False
-    lams = np.array([round(0.1 * k, 10) for k in range(0, 11)])
+    lams = np.array(_TENTHS_WITH_ENDS)
     for m in (1, 2):
         thr = correlations.separability_threshold(m, lams)
         below, above = thr - margin > 0.0, thr + margin < 1.0

@@ -1,7 +1,11 @@
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -248,3 +252,21 @@ def binomial(keys: np.ndarray, n: int, p: float) -> np.ndarray:
     r = p if p <= 0.5 else 1.0 - p
     x = mc._inversion(keys, n, r) if r * n <= 30.0 else mc._btpe(keys, n, r)[0]
     return x if p <= 0.5 else n - x
+
+
+def child_env(**overrides):
+    """The environment of a child interpreter that imports paulifish from
+    this tree: ours with src on PYTHONPATH and without OPENBLAS_NUM_THREADS,
+    which importing paulifish.cli sets in this process, then the overrides."""
+    src = str(Path(qfi.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    return {**env, **overrides}
+
+
+def run_child(args, **overrides):
+    """A child interpreter run with args, in child_env(**overrides)."""
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=child_env(**overrides), timeout=120,
+    )

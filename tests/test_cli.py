@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env, run_child
 from paulifish import channels, cli, correlations, mc, protocol, qfi, verify
 
 
@@ -37,23 +38,6 @@ def run_cli_recording_warnings(args, capsys):
 
 def parse_fields(line):
     return dict(part.split("=", 1) for part in line.split())
-
-
-def child_env(**overrides):
-    """The environment of a child interpreter that imports paulifish from
-    this tree: ours with src on PYTHONPATH and without OPENBLAS_NUM_THREADS,
-    which importing cli set here, then the overrides."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
-    return {**env, **overrides}
-
-
-def run_child(args, **overrides):
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True,
-        env=child_env(**overrides), timeout=120,
-    )
 
 
 class SpyFile:
@@ -183,6 +167,12 @@ class TestQfiCommand:
             ("64", "64", "1", "0.4999"),
             # H_ind = m / (lam (1-lam)) is about 1e310
             ("2", "1", "1", "1e-310"),
+            # H_ind = 4 r^2 m / (1 - nu r^2) is about 2.7e-309, a subnormal,
+            # where H_corr and the gain are normal
+            ("64", "27", "5e-156", "5e-324"),
+            # H_ind is about 8e-340 and underflows to 0 beside the exact
+            # zeros of H_corr and the gain at lam = 1/2
+            ("3", "2", "1e-170", "0.5"),
         ],
     )
     def test_unrepresentable_value_exits_2(self, n, m, r, lam, capsys):
@@ -191,7 +181,23 @@ class TestQfiCommand:
         )
         assert (code, out, caught) == (2, "", [])
         assert err.startswith("error: ") and "float64 range" in err
+        assert err.split()[1] in ("H_ind", "H_corr", "gain")  # the message names its field
         assert "Traceback" not in err
+
+    def test_cell_is_evaluated_once(self, monkeypatch, capsys):
+        # the range rule reads the printed values, so the j-sum runs for the
+        # cell alone and not again to raise
+        calls, real = [], protocol._log_qfi_gain
+
+        def spy(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(protocol, "_log_qfi_gain", spy)
+        code, _, err = run_cli(
+            ["qfi", "--n", "3", "--m", "2", "--r", "0.3", "--lambda", "0.2"], capsys
+        )
+        assert (code, err, calls) == (0, "", [(3, 2)])
 
     @pytest.mark.parametrize("r", ["0", "0.4", "1"])
     def test_exact_zeros_exit_0(self, r, capsys):

@@ -1,15 +1,11 @@
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import ChannelSpec, apply_pauli_channel, binomial, bloch_state
+from conftest import ChannelSpec, apply_pauli_channel, binomial, bloch_state, run_child
 from paulifish import linop, mc, qfi
 
 # the projectors of the +-y measurement, onto (|0> +- i|1>)/sqrt(2)
@@ -443,12 +439,8 @@ class TestTrialSubstreams:
             f"'--out', {str(tmp_path / 'trials.csv')!r}])\n"
             "print('numpy.random' in sys.modules)\n"
         )
-        src = str(Path(mc.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True, text=True, env=env, timeout=120, check=True,
-        )
+        done = run_child(["-c", script])
+        assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "False"
         assert (tmp_path / "trials.csv").read_text().count("\n") == 4
 

@@ -6,7 +6,6 @@ import math
 import os
 import pathlib
 import pkgutil
-import subprocess
 import sys
 
 import numpy as np
@@ -15,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paulifish
+from conftest import run_child
 from paulifish import channels, correlations, linop, mc, protocol, qfi
 
 
@@ -57,12 +57,8 @@ def test_each_command_loads_only_the_modules_it_runs(command):
         f"assert not {argv!r} or cli.main({argv!r}) == 0\n"
         "print(*sorted(k for k in sys.modules if k.split('.')[0] == 'paulifish'))\n"
     )
-    src = str(pathlib.Path(paulifish.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
+    done = run_child(["-c", script])
+    assert done.returncode == 0, done.stderr
     expected = {"paulifish", "paulifish.cli"} | {f"paulifish.{m}" for m in loaded}
     assert set(done.stdout.splitlines()[-1].split()) == expected
 
@@ -187,7 +183,6 @@ PRIVATE_READS = {
     "correlations": {"linop._elementwise", "protocol._validate_nm"},
     "protocol": {"linop._elementwise"},
     "qfi": {"linop._as_operators", "linop._elementwise"},
-    "verify": {"correlations._off_diagonal_scale", "linop._elementwise"},
 }
 
 

@@ -199,9 +199,23 @@ def _polarization_shrunk(real):
 
 
 def _closed_above_bound(real):
+    # 1e-6 above the bound wherever H is not an exact zero; the zeros at
+    # lam = 1/2, m >= 2 stay, as the suite checks them on their own
     def wrong(n, m, r, lam):
         h, g = real(n, m, r, lam)
-        return np.broadcast_to(qfi.qfi_upper_bound(lam, m), np.shape(h)) * (1.0 + 1e-6), g
+        above = np.broadcast_to(qfi.qfi_upper_bound(lam, m), np.shape(h)) * (1.0 + 1e-6)
+        return np.where(h == 0.0, h, above), g
+
+    return wrong
+
+
+def _half_strength_shifted(real):
+    # 1e-300 on H and the gain at lam = 1/2, where for m >= 2 both are exact
+    # zeros; far inside the bound, and unchanged wherever they are not zero
+    def wrong(n, m, r, lam):
+        h, g = real(n, m, r, lam)
+        shift = np.where(np.asarray(lam) == 0.5, 1e-300, 0.0)
+        return h + shift, g + shift
 
     return wrong
 
@@ -359,6 +373,9 @@ FAULTS = {
     "bounds": (qfi, "qfi_independent_opt", _independent_above_bound),
     "bounds/nan-cell": (qfi, "qfi_independent_opt", _nan_cell()),
     "bounds/closed-form": (protocol, "qfi_and_gain", _closed_above_bound),
+    # H at r = 0 is an exact zero, and 1e-300 is not
+    "bounds/exact-zero-r0": (protocol, "qfi_correlated", _shifted(1e-300)),
+    "bounds/exact-zero-half-strength": (protocol, "qfi_and_gain", _half_strength_shifted),
     # the pure limit sits 5.6e-8 from the bound; 2e-4 is past the suite's 1e-4
     "bounds/pure-limit": (qfi, "qfi_independent_opt", _scaled(1.0 - 2e-4)),
     # 1e-11 relative, past the suite's 1e-12 between m single uses and the
