@@ -337,14 +337,32 @@ def build_parser() -> argparse.ArgumentParser:
             "where the gain has none: such a grid exits 2 before any row."
         ),
     )
-    p_sweep.add_argument("--n", type=int, default=2)
-    p_sweep.add_argument("--m", type=int, default=1)
-    p_sweep.add_argument("--lambda-min", type=float, default=0.05)
-    p_sweep.add_argument("--lambda-max", type=float, default=0.95)
-    p_sweep.add_argument("--lambda-step", type=float, default=0.05)
-    p_sweep.add_argument("--r-min", type=float, default=0.0)
-    p_sweep.add_argument("--r-max", type=float, default=1.0)
-    p_sweep.add_argument("--r-step", type=float, default=0.05)
+    p_sweep.add_argument("--n", type=int, default=2, help="number of qubits, 2..64")
+    p_sweep.add_argument("--m", type=int, default=1, help="channel invocations, 1..n")
+    p_sweep.add_argument(
+        "--lambda-min", type=float, default=0.05, help="first channel strength, in [0, 1]"
+    )
+    p_sweep.add_argument(
+        "--lambda-max", type=float, default=0.95, help="last channel strength, in [0, 1]"
+    )
+    p_sweep.add_argument(
+        "--lambda-step", type=float, default=0.05, help="channel-strength step, finite and > 0"
+    )
+    p_sweep.add_argument(
+        "--r-min", type=float, default=0.0, help="first polarization, in [0, 1]; 0 gives the limit"
+    )
+    p_sweep.add_argument(
+        "--r-max",
+        type=float,
+        default=1.0,
+        help="last polarization, in [0, 1]; 1 gives the limit, except at lambda 0 or 1",
+    )
+    p_sweep.add_argument(
+        "--r-step",
+        type=float,
+        default=0.05,
+        help="polarization step, finite and > 0; the grid holds at most 10**7 rows",
+    )
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(fn=_cmd_sweep)
 
@@ -361,12 +379,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser(
         "mc", help="Monte Carlo Cramér-Rao experiment for the independent protocol"
     )
-    p_mc.add_argument("--r", type=float, required=True)
-    p_mc.add_argument("--lambda", dest="lam", type=float, required=True)
-    p_mc.add_argument("--m", type=int, default=1)
-    p_mc.add_argument("--shots", type=int, default=100_000)
-    p_mc.add_argument("--trials", type=int, default=200)
-    p_mc.add_argument("--seed", type=int, default=0)
+    p_mc.add_argument("--r", type=float, required=True, help="polarization, in (0, 1]")
+    p_mc.add_argument(
+        "--lambda", dest="lam", type=float, required=True, help="true channel strength, in (0, 1)"
+    )
+    p_mc.add_argument(
+        "--m",
+        type=int,
+        default=1,
+        help="channel uses per shot, >= 1; it multiplies the binomial draws per trial "
+        "(draws = shots * m)",
+    )
+    p_mc.add_argument(
+        "--shots", type=int, default=100_000, help="shots per trial, >= 1; shots * m <= 2**63 - 1"
+    )
+    p_mc.add_argument("--trials", type=int, default=200, help="number of trials, 1..10**7")
+    p_mc.add_argument("--seed", type=int, default=0, help="seed of the trial streams, >= 0")
     p_mc.add_argument("--out", help="per-trial estimates CSV path")
     p_mc.set_defaults(fn=_cmd_mc)
     return parser

@@ -40,7 +40,7 @@ def fisher_eig(rho: np.ndarray, drho: np.ndarray):
         if dev > linop.HERMITICITY_TOL:
             raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e}")
     p, v = np.linalg.eigh((rho + linop.dagger(rho)) / 2)
-    m = linop.dagger(v) @ drho @ v
+    m = np.ascontiguousarray(linop.dagger(v)) @ drho @ v
     psum = p[..., :, None] + p[..., None, :]
     included = psum > SUPPORT_TOL
     if not included.all():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import errno
@@ -887,6 +888,18 @@ class TestRejectedArguments:
         assert err.startswith("error: ") and hint in err
         assert "Traceback" not in err
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["qfi", "sweep", "verify", "mc"])
+def test_help_prints_what_every_option_takes(command, capsys):
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [a for a in sub.choices[command]._actions if a.dest != "help"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    shown = " ".join(capsys.readouterr().out.split())
+    assert exc.value.code == 0 and options
+    for action in options:
+        assert action.help and " ".join(action.help.split()) in shown, action.option_strings
 
 
 @pytest.mark.parametrize(

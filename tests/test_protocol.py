@@ -27,14 +27,6 @@ class TestCorrelatedInformation:
 
 
 class TestGain:
-    def test_two_qubit_minimum_anchor(self):
-        g = protocol.gain(protocol.ProtocolPoint(2, 1, 0.5, 0.5))
-        assert g == pytest.approx(1.6, rel=1e-12)
-
-    def test_two_qubit_maximum_anchor(self):
-        g = protocol.gain(protocol.ProtocolPoint(2, 1, 0.5, 0.0))
-        assert g == pytest.approx(10.0 / 3.0, rel=1e-12)
-
     def test_half_strength_with_repeats_gives_zero(self):
         assert protocol.gain(protocol.ProtocolPoint(4, 2, 0.5, 0.5)) == 0.0
         assert protocol.gain(protocol.ProtocolPoint(5, 3, 0.7, 0.5)) == 0.0
@@ -161,9 +153,6 @@ class TestGainExtremes:
             for lam in np.arange(0.0, 1.005, 0.01)
         ]
         assert protocol.gain_min(n, 1, r) == pytest.approx(min(grid), abs=1e-6)
-        assert protocol.gain_min(n, 1, r) == pytest.approx(
-            protocol.gain(protocol.ProtocolPoint(n, 1, r, 0.5)), rel=1e-12
-        )
 
     def test_maximum_closed_form(self):
         for r in (0.1, 0.5, 0.9):

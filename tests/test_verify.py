@@ -26,14 +26,6 @@ def _ppt_eigenvalue_shifted(real):
     return wrong
 
 
-def _qfi_scaled(real):
-    def wrong(*args):
-        h, g = real(*args)
-        return h * (1.0 + 1e-7), g
-
-    return wrong
-
-
 def _independent_above_bound(real):
     def wrong(r, lam, m):
         shape = np.broadcast(np.asarray(r), np.asarray(lam)).shape
@@ -42,38 +34,10 @@ def _independent_above_bound(real):
     return wrong
 
 
-def _probability_shrunk(real):
-    # a block's probability meets its floor ((1-r^2)/2)^(n-1) at n = 2 in the
-    # middle class, so taking 2e-12 off every p_j puts it 2e-12 below,
-    # relative to the floor, past the suite's 1e-12
-    def wrong(n, r):
-        mult, p, t = real(n, r)
-        return mult, p * (1.0 - 2e-12), t
-
-    return wrong
-
-
 def _roots_shifted(real):
     # 3e-7 off a stationary point, |dG/dr| reaches 6.5e-5, past the suite's 1e-5
     def wrong(m, lam):
         return [root + 3e-7 for root in real(m, lam)]
-
-    return wrong
-
-
-def _unitary_scaled(real):
-    # u u^dagger - 1 is 4e-12, past the suite's 1e-12
-    def wrong(n):
-        return real(n) * (1.0 + 2e-12)
-
-    return wrong
-
-
-def _threshold_raised(real):
-    # 0.2 % stronger than the threshold, the gain falls 2.4e-2 below n, past
-    # the suite's 1e-2
-    def wrong(m):
-        return real(m) * 1.002
 
     return wrong
 
@@ -125,38 +89,40 @@ def _coherence_scaled(real):
     return wrong
 
 
-def _gain_scaled(factor):
-    # the gain of qfi_and_gain times factor; the Fisher information is kept
+def _changed(change, part=None):
+    # change applied to the patched function's value, or to element `part`
+    # of its tuple, the rest of the tuple kept
     def make_wrong(real):
         def wrong(*args):
-            h, g = real(*args)
-            return h, g * factor
+            value = real(*args)
+            if part is None:
+                return change(value)
+            parts = list(value)
+            parts[part] = change(parts[part])
+            return tuple(parts)
 
         return wrong
 
     return make_wrong
 
 
-def _scaled(factor):
-    # the patched function's value times factor
-    def make_wrong(real):
-        def wrong(*args):
-            return real(*args) * factor
-
-        return wrong
-
-    return make_wrong
+def _scaled(factor, part=None):
+    return _changed(lambda value: value * factor, part)
 
 
-def _shifted(delta):
-    # the patched function's value plus delta
-    def make_wrong(real):
-        def wrong(*args):
-            return real(*args) + delta
+def _shifted(delta, part=None):
+    return _changed(lambda value: value + delta, part)
 
-        return wrong
 
-    return make_wrong
+def _nan_cell(part=None):
+    # NaN in the first cell; max(0.0, nan) is 0.0, so a suite that does not
+    # map NaN to a failure passes it
+    def first_cell_nan(value):
+        cell = np.array(value, dtype=float)
+        cell.flat[0] = np.nan
+        return cell
+
+    return _changed(first_cell_nan, part)
 
 
 def _t2_gain_lowered(real):
@@ -184,16 +150,6 @@ def _point_gain_tilted(real):
     # a slope of 2e-5 in r at every root, past the suite's 1e-5
     def wrong(p):
         return real(p) + 2e-5 * p.r
-
-    return wrong
-
-
-def _polarization_shrunk(real):
-    # t_j = tanh((n-2j) atanh r) = r at j = (n-1)/2, so taking 1e-11 off t
-    # puts t_j^2 2e-11 r^2 below r^2, past the suite's 1e-12
-    def wrong(n, r):
-        mult, p, t = real(n, r)
-        return mult, p, t * (1.0 - 1e-11)
 
     return wrong
 
@@ -237,16 +193,6 @@ def _extra_root(real):
     return wrong
 
 
-def _dense_ppt_eigenvalue_shifted(real):
-    # 2e-14 off the dense route's minimum eigenvalue, past the suite's 1e-14
-    # between the routes; every verdict is unchanged
-    def wrong(rho, *args):
-        sep, min_eig = real(rho, *args)
-        return sep, min_eig - 2e-14
-
-    return wrong
-
-
 def _closed_verdict_flipped(real):
     # the closed form's verdict negated and its eigenvalue kept: the routes'
     # eigenvalues still agree, and only their verdicts differ
@@ -269,24 +215,6 @@ def _column_phase(real):
     return wrong
 
 
-def _nan_cell(part=None):
-    # NaN in the first cell of the patched function's value, or of element
-    # `part` of its tuple; max(0.0, nan) is 0.0, so a suite that does not
-    # map NaN to a failure passes it
-    def make_wrong(real):
-        def wrong(*args):
-            value = real(*args)
-            parts = [value] if part is None else list(value)
-            cell = np.array(parts[part or 0], dtype=float)
-            cell.flat[0] = np.nan
-            parts[part or 0] = cell
-            return cell if part is None else tuple(parts)
-
-        return wrong
-
-    return make_wrong
-
-
 def _nan_root(real):
     # a NaN in place of the first stationary root
     def wrong(m, lam):
@@ -295,21 +223,11 @@ def _nan_root(real):
     return wrong
 
 
-def _drho_scaled(real):
-    # the derivative times sqrt(1 + 1e-7): the Fisher information, quadratic
-    # in it, rises 1e-7, past the suite's 1e-8
-    def wrong(*args):
-        rho, drho = real(*args)
-        return rho, drho * np.sqrt(1.0 + 1e-7)
-
-    return wrong
-
-
 def _drho_scaled_in_last_row(real):
-    # as _drho_scaled, in the oracle grid's last lam row (1 - 1e-3) alone
-    # and past n = 2, where the dense bridge solves the grid in more than
-    # one slice: a slice loop that drops the trailing slice, or compares it
-    # with another row, passes this
+    # as "oracle/dense-bridge", in the oracle grid's last lam row (1 - 1e-3)
+    # alone and past n = 2, where the dense bridge solves the grid in more
+    # than one slice: a slice loop that drops the trailing slice, or compares
+    # it with another row, passes this
     def wrong(n, r, lam, m):
         rho, drho = real(n, r, lam, m)
         last = (np.asarray(lam)[..., None, None] == verify._EDGE_LAMS[-1]) & (n > 2)
@@ -354,19 +272,24 @@ FAULTS = {
     "discord/dense-route": (channels, "correlated_state", _coherence_scaled),
     "discord/half-strength-discord": (correlations, "discord_protocol", _half_strength_discord),
     # the minimum gain excess at lam = 1/2 is 5.1e-2
-    "discord/half-strength-gain": (protocol, "qfi_and_gain", _gain_scaled(0.95)),
+    "discord/half-strength-gain": (protocol, "qfi_and_gain", _scaled(0.95, part=1)),
     # 2e-12 relative, past the suite's 1e-12 between discord_prep and lam = 0
     "discord/prepared-state": (correlations, "discord_prep", _scaled(1.0 + 2e-12)),
     "separability": (correlations, "ppt_closed_form", _ppt_eigenvalue_shifted),
     # 2e-6 down, twice the suite's 1e-6 flip margin (up would put r past 1
     # where the threshold is 1)
     "separability/threshold": (correlations, "separability_threshold", _shifted(-2e-6)),
-    "separability/dense-route": (correlations, "is_separable_ppt", _dense_ppt_eigenvalue_shifted),
+    # 2e-14 off the dense route's minimum eigenvalue, past the suite's 1e-14
+    # between the routes; every verdict is unchanged
+    "separability/dense-route": (correlations, "is_separable_ppt", _shifted(-2e-14, part=1)),
     "separability/closed-verdict": (correlations, "ppt_closed_form", _closed_verdict_flipped),
     "separability/nan-gain": (protocol, "qfi_and_gain", _nan_cell(1)),
-    "oracle": (protocol, "qfi_and_gain", _qfi_scaled),
+    # 1e-7 relative on H, past the suite's 1e-8; the gain is kept
+    "oracle": (protocol, "qfi_and_gain", _scaled(1.0 + 1e-7, part=0)),
     "oracle/nan-cell": (protocol, "qfi_and_gain", _nan_cell(0)),
-    "oracle/dense-bridge": (channels, "correlated_state", _drho_scaled),
+    # the derivative times sqrt(1 + 1e-7): the Fisher information, quadratic
+    # in it, rises 1e-7, past the suite's 1e-8
+    "oracle/dense-bridge": (channels, "correlated_state", _scaled(math.sqrt(1.0 + 1e-7), part=1)),
     "oracle/dense-bridge-last-row": (channels, "correlated_state", _drho_scaled_in_last_row),
     "oracle/class-multiplicity": (channels, "hamming_classes", _middle_class_unhalved),
     "oracle/edge-polarization": (channels, "hamming_classes", _polarization_by_subtraction),
@@ -382,10 +305,14 @@ FAULTS = {
     # independent optimum, and far inside the bound
     "bounds/single-use": (qfi, "qfi_single_use", _scaled(1.0 + 1e-11)),
     "bounds/single-use-bound": (qfi, "qfi_single_use", _single_use_above_bound_off_tenths),
-    "weight-inequalities": (channels, "hamming_classes", _probability_shrunk),
-    "weight-inequalities/ratio": (channels, "hamming_classes", _polarization_shrunk),
+    # a block's probability meets its floor ((1-r^2)/2)^(n-1) at n = 2 in the
+    # middle class: 2e-12 off every p_j puts it past the suite's 1e-12
+    "weight-inequalities": (channels, "hamming_classes", _scaled(1.0 - 2e-12, part=1)),
+    # t_j = r at j = (n-1)/2: 1e-11 off t puts t_j^2 2e-11 r^2 below r^2,
+    # past the suite's 1e-12
+    "weight-inequalities/ratio": (channels, "hamming_classes", _scaled(1.0 - 1e-11, part=2)),
     # the minimum single-use gain excess is 2.02e-2
-    "weight-inequalities/gain-floor": (protocol, "qfi_and_gain", _gain_scaled(0.98)),
+    "weight-inequalities/gain-floor": (protocol, "qfi_and_gain", _scaled(0.98, part=1)),
     "stationary": (protocol, "stationary_polarizations", _roots_shifted),
     "stationary/no-root": (protocol, "stationary_polarizations", _no_roots),
     "stationary/extra-root": (protocol, "stationary_polarizations", _extra_root),
@@ -397,9 +324,12 @@ FAULTS = {
     # 1e-10 absolute
     "stationary/gain-min": (protocol, "gain_min", _scaled(1.0 + 2e-10)),
     "stationary/gain-max": (protocol, "gain_max", _scaled(1.0 + 2e-10)),
-    "preparation": (channels, "preparation_unitary", _unitary_scaled),
+    # u u^dagger - 1 is 4e-12, past the suite's 1e-12
+    "preparation": (channels, "preparation_unitary", _scaled(1.0 + 2e-12)),
     "preparation/column-phase": (channels, "preparation_unitary", _column_phase),
-    "threshold-gain": (protocol, "lambda_threshold_gain_n", _threshold_raised),
+    # 0.2 % stronger than the threshold, the gain falls 2.4e-2 below n, past
+    # the suite's 1e-2
+    "threshold-gain": (protocol, "lambda_threshold_gain_n", _scaled(1.002)),
     # 0.3 % low, the gain at m = 6 falls 1.8e-2 below 6, past the suite's 1e-2
     "threshold-gain/gain": (protocol, "gain", _scaled(0.997)),
     # 2e-12 stronger, past the suite's 1e-12 between lam(t*) and the threshold
