@@ -4,9 +4,10 @@ success (pytest shows the captured output and a FAILED marker otherwise).
 Criteria 1-7, 9 and 10 are invariants that the verify suites state: each of
 these tests runs its suite through verify.run_suites and asserts that it
 passes, so every grid, tolerance and comparison is written once, in
-paulifish.verify. Criterion 1 also runs the dense eigendecomposition bridge
-at n = 5. Criterion 8 and the t = 0.22 T2 part of criterion 10 state facts
-that no suite holds.
+paulifish.verify. Criteria 2 and 3 share one run of the stationary suite.
+Criterion 1 also runs the dense eigendecomposition bridge at n = 5.
+Criterion 8 and the t = 0.22 T2 part of criterion 10 state facts that no
+suite holds.
 
 Criterion 10's suite checks the all-qubit (n = m = 5) gain at t = 0.2 T2,
 where lam = 0.0906 and the gain is 5.047. The n-fold gain is promised only
@@ -19,6 +20,8 @@ dense eigendecomposition oracle to 1e-15 (at r = 0.01 and 0.1), with an
 test checks the 0.22 T2 gain against that limit as a fact, not as a target.
 """
 
+import pytest
+
 from paulifish import mc, protocol, verify
 
 
@@ -29,19 +32,26 @@ def passing_suite(name):
     return result
 
 
+@pytest.fixture(scope="module")
+def stationary_suite():
+    """One run of the stationary suite, which criteria 2 and 3 share."""
+    (result,) = verify.run_suites("stationary", n_max=5)
+    return result
+
+
 def test_criterion_01_oracle_equivalence(monkeypatch):
     monkeypatch.setattr(verify, "DENSE_BRIDGE_N_MAX", 5)
     worst = passing_suite("oracle").max_error
     print(f"criterion 1 (oracle equivalence, worst rel {worst:.2e}): PASS")
 
 
-def test_criterion_02_two_qubit_gain_anchors():
-    passing_suite("stationary")
+def test_criterion_02_two_qubit_gain_anchors(stationary_suite):
+    assert stationary_suite.passed, stationary_suite
     print("criterion 2 (closed-form gain anchors at 1e-10): PASS")
 
 
-def test_criterion_03_stationary_polarization_table():
-    passing_suite("stationary")
+def test_criterion_03_stationary_polarization_table(stationary_suite):
+    assert stationary_suite.passed, stationary_suite
     print("criterion 3 (stationary polarizations 0.66/0.83/0.48/0.76): PASS")
 
 

@@ -131,11 +131,6 @@ class TestPreparationUnitary:
         u = channels.preparation_unitary(n)
         assert linop.frobenius_max(u - self.expected_from_bit_algebra(n)) < 1e-12
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_unitary(self, n):
-        u = channels.preparation_unitary(n)
-        assert linop.frobenius_max(u @ linop.dagger(u) - np.eye(2**n)) < 1e-12
-
     def test_two_qubit_plus_plus_splits_between_extremal_states(self):
         u = channels.preparation_unitary(2)
         out = u @ y_basis_string(0, 2)
@@ -273,8 +268,10 @@ class TestBlocks:
         dense, _ = channels.correlated_state(n, r, lam, m)
         assert linop.frobenius_max(dense - direct) < 1e-10
 
-    def test_correlated_state_derivative_matches_finite_difference(self):
-        n, m, r, lam = 3, 2, 0.35, 0.27
+    @pytest.mark.parametrize(
+        "n, m, r, lam", [(2, 1, 0.5, 0.3), (3, 2, 0.35, 0.27), (3, 2, 0.4, 0.6), (4, 3, 0.7, 0.2)]
+    )
+    def test_correlated_state_derivative_matches_finite_difference(self, n, m, r, lam):
         h = 1e-6
         _, drho = channels.correlated_state(n, r, lam, m)
         plus, _ = channels.correlated_state(n, r, lam + h, m)
@@ -352,9 +349,6 @@ class TestBlocks:
             channels.correlated_state(3, 0.5, np.array([0.2, 1.2]), 1)
         with pytest.raises(ValueError, match="polarization"):
             channels.correlated_state(3, np.array([0.5, 1.0]), 0.2, 1)
-        for n in (13, 64):
-            with pytest.raises(ValueError, match="dense cap"):
-                channels.correlated_state(n, 0.5, 0.2, 1)
 
 
 class TestHammingClasses:

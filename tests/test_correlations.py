@@ -41,10 +41,6 @@ class TestFinalState:
     def test_unpolarized_is_maximally_mixed(self):
         np.testing.assert_allclose(final_state(0.0, 0.3, 1), np.eye(4) / 4, atol=1e-15)
 
-    def test_pure_polarization_rejected(self):
-        with pytest.raises(ValueError, match="polarization"):
-            final_state(1.0, 0.3, 1)
-
 
 class TestSeparability:
     def test_product_state_is_separable(self):

@@ -9,12 +9,6 @@ from paulifish import correlations, protocol, qfi
 
 
 class TestCorrelatedInformation:
-    def test_vanishes_at_half_strength_with_repeats(self):
-        assert protocol.qfi_correlated(protocol.ProtocolPoint(3, 2, 0.5, 0.5)) == 0.0
-
-    def test_vanishes_without_polarization(self):
-        assert protocol.qfi_correlated(protocol.ProtocolPoint(3, 2, 0.0, 0.2)) == 0.0
-
     def test_point_validation(self):
         with pytest.raises(ValueError):
             protocol.ProtocolPoint(1, 1, 0.5, 0.5)
@@ -27,10 +21,6 @@ class TestCorrelatedInformation:
 
 
 class TestGain:
-    def test_half_strength_with_repeats_gives_zero(self):
-        assert protocol.gain(protocol.ProtocolPoint(4, 2, 0.5, 0.5)) == 0.0
-        assert protocol.gain(protocol.ProtocolPoint(5, 3, 0.7, 0.5)) == 0.0
-
     def test_zero_polarization_directs_to_limit(self):
         with pytest.raises(ValueError, match="gain_limit_r0"):
             protocol.gain(protocol.ProtocolPoint(3, 1, 0.0, 0.3))

@@ -2,7 +2,10 @@
 wrong, just past the suite's tolerance, and the suite must report
 passed=False. Each comparison a suite makes has a fault of its own, keyed
 "suite/what breaks"; the case keyed by the bare suite name is the first
-fault of that suite."""
+fault of that suite. A fault's footprint is the set of suites it fails: its
+own, plus any other suite that reads the same value past its tolerance.
+Every suite is run under every fault, and must fail exactly when the
+fault's footprint names it."""
 
 import inspect
 import math
@@ -264,79 +267,95 @@ def _polarization_by_subtraction(real):
     return wrong
 
 
+# case: (module, name patched, fault, the suites besides its own that the
+# fault fails at n_max = 4)
 FAULTS = {
-    "discord": (correlations, "discord_protocol", _shifted(1e-9)),
-    "discord/monotone-in-r": (correlations, "discord_rmu", _discord_rounded("r")),
-    "discord/monotone-in-mu": (correlations, "discord_rmu", _discord_rounded("mu")),
-    "discord/sign-symmetry": (correlations, "discord_rmu", _discord_odd_in_mu),
-    "discord/dense-route": (channels, "correlated_state", _coherence_scaled),
-    "discord/half-strength-discord": (correlations, "discord_protocol", _half_strength_discord),
+    "discord": (correlations, "discord_protocol", _shifted(1e-9), ()),
+    "discord/monotone-in-r": (correlations, "discord_rmu", _discord_rounded("r"), ()),
+    "discord/monotone-in-mu": (correlations, "discord_rmu", _discord_rounded("mu"), ()),
+    "discord/sign-symmetry": (correlations, "discord_rmu", _discord_odd_in_mu, ()),
+    "discord/dense-route": (
+        channels, "correlated_state", _coherence_scaled, ("oracle", "separability")
+    ),
+    "discord/half-strength-discord": (correlations, "discord_protocol", _half_strength_discord, ()),
     # the minimum gain excess at lam = 1/2 is 5.1e-2
-    "discord/half-strength-gain": (protocol, "qfi_and_gain", _scaled(0.95, part=1)),
+    "discord/half-strength-gain": (
+        protocol, "qfi_and_gain", _scaled(0.95, part=1), ("stationary", "weight-inequalities")
+    ),
     # 2e-12 relative, past the suite's 1e-12 between discord_prep and lam = 0
-    "discord/prepared-state": (correlations, "discord_prep", _scaled(1.0 + 2e-12)),
-    "separability": (correlations, "ppt_closed_form", _ppt_eigenvalue_shifted),
+    "discord/prepared-state": (correlations, "discord_prep", _scaled(1.0 + 2e-12), ()),
+    "separability": (correlations, "ppt_closed_form", _ppt_eigenvalue_shifted, ()),
     # 2e-6 down, twice the suite's 1e-6 flip margin (up would put r past 1
     # where the threshold is 1)
-    "separability/threshold": (correlations, "separability_threshold", _shifted(-2e-6)),
+    "separability/threshold": (correlations, "separability_threshold", _shifted(-2e-6), ()),
     # 2e-14 off the dense route's minimum eigenvalue, past the suite's 1e-14
     # between the routes; every verdict is unchanged
-    "separability/dense-route": (correlations, "is_separable_ppt", _shifted(-2e-14, part=1)),
-    "separability/closed-verdict": (correlations, "ppt_closed_form", _closed_verdict_flipped),
-    "separability/nan-gain": (protocol, "qfi_and_gain", _nan_cell(1)),
+    "separability/dense-route": (correlations, "is_separable_ppt", _shifted(-2e-14, part=1), ()),
+    "separability/closed-verdict": (correlations, "ppt_closed_form", _closed_verdict_flipped, ()),
+    "separability/nan-gain": (
+        protocol, "qfi_and_gain", _nan_cell(1), ("discord", "stationary", "weight-inequalities")
+    ),
     # 1e-7 relative on H, past the suite's 1e-8; the gain is kept
-    "oracle": (protocol, "qfi_and_gain", _scaled(1.0 + 1e-7, part=0)),
-    "oracle/nan-cell": (protocol, "qfi_and_gain", _nan_cell(0)),
+    "oracle": (protocol, "qfi_and_gain", _scaled(1.0 + 1e-7, part=0), ()),
+    "oracle/nan-cell": (protocol, "qfi_and_gain", _nan_cell(0), ("bounds",)),
     # the derivative times sqrt(1 + 1e-7): the Fisher information, quadratic
     # in it, rises 1e-7, past the suite's 1e-8
-    "oracle/dense-bridge": (channels, "correlated_state", _scaled(math.sqrt(1.0 + 1e-7), part=1)),
-    "oracle/dense-bridge-last-row": (channels, "correlated_state", _drho_scaled_in_last_row),
-    "oracle/class-multiplicity": (channels, "hamming_classes", _middle_class_unhalved),
-    "oracle/edge-polarization": (channels, "hamming_classes", _polarization_by_subtraction),
-    "bounds": (qfi, "qfi_independent_opt", _independent_above_bound),
-    "bounds/nan-cell": (qfi, "qfi_independent_opt", _nan_cell()),
-    "bounds/closed-form": (protocol, "qfi_and_gain", _closed_above_bound),
+    "oracle/dense-bridge": (
+        channels, "correlated_state", _scaled(math.sqrt(1.0 + 1e-7), part=1), ()
+    ),
+    "oracle/dense-bridge-last-row": (channels, "correlated_state", _drho_scaled_in_last_row, ()),
+    "oracle/class-multiplicity": (channels, "hamming_classes", _middle_class_unhalved, ()),
+    "oracle/edge-polarization": (channels, "hamming_classes", _polarization_by_subtraction, ()),
+    "bounds": (qfi, "qfi_independent_opt", _independent_above_bound, ()),
+    "bounds/nan-cell": (qfi, "qfi_independent_opt", _nan_cell(), ()),
+    "bounds/closed-form": (protocol, "qfi_and_gain", _closed_above_bound, ("oracle",)),
     # H at r = 0 is an exact zero, and 1e-300 is not
-    "bounds/exact-zero-r0": (protocol, "qfi_correlated", _shifted(1e-300)),
-    "bounds/exact-zero-half-strength": (protocol, "qfi_and_gain", _half_strength_shifted),
+    "bounds/exact-zero-r0": (protocol, "qfi_correlated", _shifted(1e-300), ()),
+    "bounds/exact-zero-half-strength": (
+        protocol, "qfi_and_gain", _half_strength_shifted, ("oracle", "stationary")
+    ),
     # the pure limit sits 5.6e-8 from the bound; 2e-4 is past the suite's 1e-4
-    "bounds/pure-limit": (qfi, "qfi_independent_opt", _scaled(1.0 - 2e-4)),
+    "bounds/pure-limit": (qfi, "qfi_independent_opt", _scaled(1.0 - 2e-4), ()),
     # 1e-11 relative, past the suite's 1e-12 between m single uses and the
     # independent optimum, and far inside the bound
-    "bounds/single-use": (qfi, "qfi_single_use", _scaled(1.0 + 1e-11)),
-    "bounds/single-use-bound": (qfi, "qfi_single_use", _single_use_above_bound_off_tenths),
+    "bounds/single-use": (qfi, "qfi_single_use", _scaled(1.0 + 1e-11), ()),
+    "bounds/single-use-bound": (qfi, "qfi_single_use", _single_use_above_bound_off_tenths, ()),
     # a block's probability meets its floor ((1-r^2)/2)^(n-1) at n = 2 in the
     # middle class: 2e-12 off every p_j puts it past the suite's 1e-12
-    "weight-inequalities": (channels, "hamming_classes", _scaled(1.0 - 2e-12, part=1)),
+    "weight-inequalities": (channels, "hamming_classes", _scaled(1.0 - 2e-12, part=1), ()),
     # t_j = r at j = (n-1)/2: 1e-11 off t puts t_j^2 2e-11 r^2 below r^2,
     # past the suite's 1e-12
-    "weight-inequalities/ratio": (channels, "hamming_classes", _scaled(1.0 - 1e-11, part=2)),
+    "weight-inequalities/ratio": (
+        channels, "hamming_classes", _scaled(1.0 - 1e-11, part=2), ("separability",)
+    ),
     # the minimum single-use gain excess is 2.02e-2
-    "weight-inequalities/gain-floor": (protocol, "qfi_and_gain", _scaled(0.98, part=1)),
-    "stationary": (protocol, "stationary_polarizations", _roots_shifted),
-    "stationary/no-root": (protocol, "stationary_polarizations", _no_roots),
-    "stationary/extra-root": (protocol, "stationary_polarizations", _extra_root),
-    "stationary/nan-root": (protocol, "stationary_polarizations", _nan_root),
-    "stationary/gain-slope": (protocol, "gain", _point_gain_tilted),
+    "weight-inequalities/gain-floor": (
+        protocol, "qfi_and_gain", _scaled(0.98, part=1), ("stationary",)
+    ),
+    "stationary": (protocol, "stationary_polarizations", _roots_shifted, ()),
+    "stationary/no-root": (protocol, "stationary_polarizations", _no_roots, ()),
+    "stationary/extra-root": (protocol, "stationary_polarizations", _extra_root, ()),
+    "stationary/nan-root": (protocol, "stationary_polarizations", _nan_root, ()),
+    "stationary/gain-slope": (protocol, "gain", _point_gain_tilted, ()),
     # 2e-10 relative, past the suite's 1e-10 against the j-sum
-    "stationary/reduced-gain": (protocol, "gain_two_qubit", _scaled(1.0 + 2e-10)),
+    "stationary/reduced-gain": (protocol, "gain_two_qubit", _scaled(1.0 + 2e-10), ()),
     # the extremes are at least 1.1, so 2e-10 relative is past the suite's
     # 1e-10 absolute
-    "stationary/gain-min": (protocol, "gain_min", _scaled(1.0 + 2e-10)),
-    "stationary/gain-max": (protocol, "gain_max", _scaled(1.0 + 2e-10)),
+    "stationary/gain-min": (protocol, "gain_min", _scaled(1.0 + 2e-10), ()),
+    "stationary/gain-max": (protocol, "gain_max", _scaled(1.0 + 2e-10), ()),
     # u u^dagger - 1 is 4e-12, past the suite's 1e-12
-    "preparation": (channels, "preparation_unitary", _scaled(1.0 + 2e-12)),
-    "preparation/column-phase": (channels, "preparation_unitary", _column_phase),
+    "preparation": (channels, "preparation_unitary", _scaled(1.0 + 2e-12), ()),
+    "preparation/column-phase": (channels, "preparation_unitary", _column_phase, ()),
     # 0.2 % stronger than the threshold, the gain falls 2.4e-2 below n, past
     # the suite's 1e-2
-    "threshold-gain": (protocol, "lambda_threshold_gain_n", _scaled(1.002)),
+    "threshold-gain": (protocol, "lambda_threshold_gain_n", _scaled(1.002), ()),
     # 0.3 % low, the gain at m = 6 falls 1.8e-2 below 6, past the suite's 1e-2
-    "threshold-gain/gain": (protocol, "gain", _scaled(0.997)),
+    "threshold-gain/gain": (protocol, "gain", _scaled(0.997), ("stationary",)),
     # 2e-12 stronger, past the suite's 1e-12 between lam(t*) and the threshold
-    "threshold-gain/t2-map": (protocol, "lambda_from_t2", _shifted(2e-12)),
-    "threshold-gain/t2-gain": (protocol, "gain", _t2_gain_lowered),
-    "threshold-gain/nan-threshold": (protocol, "lambda_threshold_gain_n", _nan_cell()),
-    "threshold-gain/nan-t2-map": (protocol, "lambda_from_t2", _nan_cell()),
+    "threshold-gain/t2-map": (protocol, "lambda_from_t2", _shifted(2e-12), ()),
+    "threshold-gain/t2-gain": (protocol, "gain", _t2_gain_lowered, ()),
+    "threshold-gain/nan-threshold": (protocol, "lambda_threshold_gain_n", _nan_cell(), ()),
+    "threshold-gain/nan-t2-map": (protocol, "lambda_from_t2", _nan_cell(), ()),
 }
 
 
@@ -345,14 +364,14 @@ def _run(suite):
     return result
 
 
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
 @pytest.mark.parametrize("case", sorted(FAULTS))
-def test_suite_fails_on_a_slightly_wrong_input(case, monkeypatch):
-    suite = case.split("/")[0]
-    module, name, make_wrong = FAULTS[case]
+def test_fault_fails_exactly_the_suites_of_its_footprint(case, suite, monkeypatch):
+    module, name, make_wrong, others = FAULTS[case]
     monkeypatch.setattr(module, name, make_wrong(getattr(module, name)))
     result = _run(suite)
     assert result.name == suite
-    assert result.passed is False
+    assert result.passed is (suite not in {case.split("/")[0], *others})
 
 
 def test_bounds_error_is_the_largest_excess_alone(monkeypatch):
