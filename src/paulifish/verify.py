@@ -3,12 +3,14 @@
 Each suite exercises one family of invariants (oracle equivalence of the
 closed-form Fisher information, analytic bounds, the class-polarization and
 gain inequalities, discord against its definition, stationary polarizations,
-separability thresholds, preparation-unitary structure) and reports its
-worst observed error against a fixed tolerance.
+separability thresholds, preparation-unitary structure) as named checks,
+each an observed error and the tolerance it must stay below.
 
 The suites are the single statement of these invariants: each grid,
-tolerance and comparison is written here and nowhere else. The acceptance
-tests run the suites through ``run_suites`` and assert that they pass.
+tolerance and comparison is written here and nowhere else. One rule, in
+``SuiteResult``, turns a suite's checks into its verdict and its worst
+error. The acceptance tests run the suites through ``run_suites`` and assert
+that the checks of their criteria pass.
 
 The suites evaluate their grids in vectorised calls, not point by point:
 the closed forms and the dense oracle routes (``qfi.fisher_eig``,
@@ -22,7 +24,7 @@ block of the state (``suite_oracle``), which takes it to every n the
 closed form accepts. The oracle and bounds suites walk one (n, m) table,
 ``_cases``, an m at a time, so what depends on m alone is formed once per
 m. Every reduction goes through ``_worst``, so a NaN in any compared cell
-fails its suite.
+fails its check.
 """
 
 from __future__ import annotations
@@ -39,10 +41,31 @@ from . import channels, correlations, linop, protocol, qfi
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """A suite's checks by name, each an (error, tolerance) pair, in the
+    order of its detail line. A check fails unless its error is below its
+    tolerance, so a NaN error fails it; the suite passes when no check
+    fails, and its max_error is the worst error of any check."""
+
     name: str
-    passed: bool
-    max_error: float
+    checks: dict[str, tuple[float, float]]
     detail: str
+
+    @property
+    def failed(self) -> list[str]:
+        return [check for check, (error, tol) in self.checks.items() if not error < tol]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
+
+    @property
+    def max_error(self) -> float:
+        return _worst(*(error for error, _ in self.checks.values()))
+
+
+#: The tolerance of a check whose error must be at most 0: an exact zero, a
+#: presence (0 if found, inf if not), or a floor the value may meet.
+_EXACT = math.ulp(0.0)
 
 
 def _worst(*values) -> float:
@@ -140,14 +163,14 @@ def suite_oracle(n_max: int) -> SuiteResult:
     lam rows per call as the budget allows, and checks them against the
     classes.
     """
-    worst = 0.0
+    sums_err = closed_err = bridge_err = 0.0
     r_grid, lam_grid = np.array(_EDGE_RS), np.array(_EDGE_LAMS)[:, None]
     cases = _cases(n_max)
     probs, t_of_k = {}, np.zeros(r_grid.shape + (n_max + 1,))
     for n in range(2, n_max + 1):
         _, probs[n], t = channels.hamming_classes(n, r_grid)
         t_of_k[:, n - 2 * np.arange(n // 2 + 1)] = t  # t(n - 2j), the same bits for every n
-        worst = _worst(worst, np.abs(probs[n].sum(-1) - 1.0))
+        sums_err = _worst(sums_err, np.abs(probs[n].sum(-1) - 1.0))
     per_k = 4 * lam_grid.size * r_grid.size  # the 2x2 block of one k at every cell
     for m, ns in cases:
         ks = np.array(sorted({n - 2 * j for n in ns for j in range(n // 2 + 1)}))
@@ -157,12 +180,13 @@ def suite_oracle(n_max: int) -> SuiteResult:
         for n in ns:
             h_classes = np.sum(h_of_k[..., n - 2 * np.arange(n // 2 + 1)] * probs[n], axis=-1)
             h_closed = protocol.qfi_and_gain(n, m, r_grid, lam_grid)[0]
-            worst = _worst(worst, _rel_err(h_classes, h_closed))
+            closed_err = _worst(closed_err, _rel_err(h_classes, h_closed))
             if n <= DENSE_BRIDGE_N_MAX:
                 for s in _slices(lam_grid.size, 4**n * r_grid.size):
                     h_dense = qfi.fisher_eig(*channels.correlated_state(n, r_grid, lam_grid[s], m))
-                    worst = _worst(worst, _rel_err(h_dense, h_classes[s]))
-    return SuiteResult("oracle", worst < 1e-8, worst, f"n<= {n_max}, tol 1e-8")
+                    bridge_err = _worst(bridge_err, _rel_err(h_dense, h_classes[s]))
+    errs = {"class-sums": sums_err, "closed-form": closed_err, "dense-bridge": bridge_err}
+    return SuiteResult("oracle", {k: (e, 1e-8) for k, e in errs.items()}, f"n<= {n_max}, tol 1e-8")
 
 
 def suite_bounds(n_max: int) -> SuiteResult:
@@ -195,12 +219,17 @@ def suite_bounds(n_max: int) -> SuiteResult:
     for m in (1, 2, 3):
         h = qfi.qfi_independent_opt(1.0 - 1e-8, lam_grid, m)
         pure_err = _worst(pure_err, _rel_err(h, qfi.qfi_upper_bound(lam_grid, m)))
-    ok = worst <= 1e-8 and pure_err < 1e-4 and single_err < 1e-12 and zero_err == 0.0
+    checks = {
+        "excess": (worst, 1e-8),
+        "pure-limit": (pure_err, 1e-4),
+        "single-use": (single_err, 1e-12),
+        "exact-zeros": (zero_err, _EXACT),
+    }
     errs = (
         f"max excess {worst:.2e}, pure-limit rel {pure_err:.2e}, "
         f"single-use rel {single_err:.2e}, exact zeros {zero_err:.2e}"
     )
-    return SuiteResult("bounds", ok, max(worst, pure_err, single_err, zero_err), errs)
+    return SuiteResult("bounds", checks, errs)
 
 
 def suite_weight_inequalities() -> SuiteResult:
@@ -211,7 +240,7 @@ def suite_weight_inequalities() -> SuiteResult:
     rs = np.array([round(0.02 * k, 10) for k in range(1, 50)])
     r2 = rs * rs
     lams = np.array([round(0.01 * k, 10) for k in range(0, 101)])[:, None]
-    floor_margin = math.inf
+    shortfall = -math.inf  # largest 1 - gain, below 0 while every gain exceeds 1
     for n in range(2, 9):
         floor = ((0.5 * (1.0 - r2)) ** (n - 1))[:, None]
         mult, p, t = channels.hamming_classes(n, rs)
@@ -219,13 +248,11 @@ def suite_weight_inequalities() -> SuiteResult:
         t_gap = r2[:, None] - t[:, : (n + 1) // 2] ** 2  # the middle class has t = 0
         worst = _worst(worst, t_gap, floor_gap, r2 - np.sum(p * t * t, axis=-1))
         gain = protocol.qfi_and_gain(n, 1, rs, lams)[1]
-        floor_margin = min(floor_margin, -_worst(1.0 - gain))
-    ok = worst <= 1e-12 and floor_margin > 0.0
+        shortfall = _worst(shortfall, 1.0 - gain)
     return SuiteResult(
         "weight-inequalities",
-        ok,
-        max(worst, 0.0),
-        f"worst margin {worst:.2e}, min single-use gain excess {floor_margin:.2e}",
+        {"ratio": (worst, 1e-12), "gain-floor": (shortfall, 0.0)},
+        f"worst margin {worst:.2e}, min single-use gain excess {-shortfall:.2e}",
     )
 
 
@@ -299,7 +326,7 @@ def suite_discord() -> SuiteResult:
     q_closed = np.stack([correlations.discord_protocol(route_rs, route_lams, m) for m in (1, 2)])
     worst_route = _worst(np.abs(_discord_from_definition(rho) - q_closed))
     worst_sym = worst_half = 0.0
-    worst_prep = worst_prep_rel = 0.0
+    worst_prep = 0.0
     rs = np.array(_TWENTIETHS)
     q_prep = correlations.discord_prep(rs)
     lams = sorted(_TENTHS_WITH_ENDS + [0.95])
@@ -311,23 +338,21 @@ def suite_discord() -> SuiteResult:
         q_closed = correlations.discord_protocol(rs, lam_col, m)
         worst_half = _worst(worst_half, np.abs(q_closed[lams.index(0.5)]))
         q_zero = q_closed[lams.index(0.0)]
-        worst_prep = _worst(worst_prep, np.abs(q_zero - q_prep))
-        worst_prep_rel = _worst(worst_prep_rel, _rel_err(q_zero, q_prep))
-    half_gain_excess = -_worst(1.0 - protocol.qfi_and_gain(2, 1, rs, 0.5)[1])
-    ok = (
-        worst_mono < 0.0
-        and worst_sym < 1e-12
-        and worst_route < 1e-10
-        and worst_half <= 1e-12
-        and half_gain_excess > 0.0
-        and worst_prep_rel < 1e-12
-    )
+        worst_prep = _worst(worst_prep, _rel_err(q_zero, q_prep))
+    half_shortfall = _worst(1.0 - protocol.qfi_and_gain(2, 1, rs, 0.5)[1])
+    checks = {
+        "monotone": (worst_mono, 0.0),
+        "sign-symmetry": (worst_sym, 1e-12),
+        "dense-route": (worst_route, 1e-10),
+        "half-strength-discord": (worst_half, 1e-12),
+        "half-strength-gain": (half_shortfall, 0.0),
+        "prepared-state": (worst_prep, 1e-12),
+    }
     return SuiteResult(
         "discord",
-        ok,
-        max(worst_mono, worst_sym, worst_route, worst_half, worst_prep),
+        checks,
         f"mono {worst_mono:.2e}, sym {worst_sym:.2e}, routes {worst_route:.2e}, "
-        f"half-strength Q {worst_half:.2e} with gain excess {half_gain_excess:.2e}",
+        f"half-strength Q {worst_half:.2e} with gain excess {-half_shortfall:.2e}",
     )
 
 
@@ -348,9 +373,7 @@ def suite_stationary() -> SuiteResult:
     h = 1e-4
     for m, lam, expected in _TABLE_STATIONARY:
         roots = protocol.stationary_polarizations(m, lam)
-        if not roots:
-            return SuiteResult("stationary", False, math.inf, f"no root at m={m}, lam={lam}")
-        best = min(roots, key=lambda r: abs(r - expected))
+        best = min(roots, key=lambda r: abs(r - expected), default=math.inf)
         worst_val = _worst(worst_val, abs(best - expected))
         for root in roots:
             g_plus, g_minus = _point_gain(2, m, root + h, lam), _point_gain(2, m, root - h, lam)
@@ -363,13 +386,14 @@ def suite_stationary() -> SuiteResult:
         worst_closed = _worst(worst_closed, _rel_err(protocol.gain_two_qubit(m, rs, lams), g))
     for r in _TENTHS:
         lo, hi = 2.0 / (1.0 + r * r), 2.0 * (1.0 + r * r) / (1.0 - r * r)
-        lo_err, hi_err = abs(protocol.gain_min(2, 1, r) - lo), abs(protocol.gain_max(2, 1, r) - hi)
-        worst_closed = _worst(worst_closed, lo_err, hi_err)
-    ok = worst_val <= 0.005 and worst_grad < 1e-5 and worst_closed < 1e-10
-    worst = max(worst_val, worst_closed)
-    return SuiteResult(
-        "stationary", ok, worst, f"root dev {worst_val:.4f}, |dG/dr| {worst_grad:.2e}"
-    )
+        extremes = protocol.gain_min(2, 1, r), protocol.gain_max(2, 1, r)
+        worst_closed = _worst(worst_closed, _rel_err(extremes, (lo, hi)))
+    checks = {
+        "root": (worst_val, 0.005),
+        "gain-slope": (worst_grad, 1e-5),
+        "closed-forms": (worst_closed, 1e-12),
+    }
+    return SuiteResult("stationary", checks, f"root dev {worst_val:.4f}, |dG/dr| {worst_grad:.2e}")
 
 
 def suite_separability() -> SuiteResult:
@@ -377,8 +401,7 @@ def suite_separability() -> SuiteResult:
     with gain above 1 exist, and the closed-form partial-transpose
     eigenvalue and verdict match the dense route at every dense point."""
     margin = 1e-6
-    worst = 0.0
-    worst_route = 0.0
+    worst = worst_route = gain_err = 0.0
     found_separable_gain = False
     lams = np.array(_TENTHS_WITH_ENDS)
     for m in (1, 2):
@@ -398,13 +421,16 @@ def suite_separability() -> SuiteResult:
         interior = expected & (lam > 0.0) & (lam < 1.0)
         g = protocol.qfi_and_gain(2, m, r[interior], lam[interior])[1]
         # g > 1 is False for a NaN, which the search for one point would hide
-        worst = _worst(worst, np.where(np.isnan(g), math.inf, 0.0))
+        gain_err = _worst(gain_err, np.where(np.isnan(g), math.inf, 0.0))
         found_separable_gain |= bool((sep[interior] & (g > 1.0)).any())
-    ok = worst == 0.0 and found_separable_gain and worst_route < 1e-14
+    checks = {
+        "threshold": (worst, _EXACT),
+        "separable-gain": (gain_err if found_separable_gain else math.inf, _EXACT),
+        "dense-route": (worst_route, 1e-14),
+    }
     return SuiteResult(
         "separability",
-        ok,
-        max(worst, worst_route),
+        checks,
         f"flip margin 1e-6, separable-with-gain {found_separable_gain}, "
         f"routes {worst_route:.2e}",
     )
@@ -413,20 +439,21 @@ def suite_separability() -> SuiteResult:
 def suite_preparation() -> SuiteResult:
     """Column structure of the preparation unitary on the rotated basis:
     exactly two amplitudes, (1+i)/2 and (1-i)/2, plus unitarity."""
-    worst = 0.0
+    unit_err = col_err = 0.0
     # the rotated basis is the sigma_y eigenbasis: bit 0 -> (|0>+i|1>)/sqrt2,
     # bit 1 -> (|0>-i|1>)/sqrt2; column x of its n-fold tensor product holds
     # the bits of x, qubit n first
     basis = np.array([[1.0, 1.0], [1.0j, -1.0j]]) / np.sqrt(2.0)
     for n in (2, 3, 4):
         u = channels.preparation_unitary(n)
-        worst = _worst(worst, np.abs(u @ u.conj().T - np.eye(2**n)))
+        unit_err = _worst(unit_err, np.abs(u @ u.conj().T - np.eye(2**n)))
         x = np.arange(2**n)
         expected = np.zeros((2**n, 2**n), dtype=complex)
         expected[x, x] = (1.0 + 1.0j) / 2.0
         expected[2**n - 1 - x, x] = (1.0 - 1.0j) / 2.0
-        worst = _worst(worst, np.abs(u @ functools.reduce(np.kron, [basis] * n) - expected))
-    return SuiteResult("preparation", worst < 1e-12, worst, "n in {2,3,4}, tol 1e-12")
+        col_err = _worst(col_err, np.abs(u @ functools.reduce(np.kron, [basis] * n) - expected))
+    checks = {"unitary": (unit_err, 1e-12), "columns": (col_err, 1e-12)}
+    return SuiteResult("preparation", checks, "n in {2,3,4}, tol 1e-12")
 
 
 def suite_threshold_gain() -> SuiteResult:
@@ -439,9 +466,9 @@ def suite_threshold_gain() -> SuiteResult:
         worst = _worst(worst, m - _point_gain(m, m, 1e-6, lam))
         t_star = math.log(m) / (2 * m - 2)
         worst_map = _worst(worst_map, abs(protocol.lambda_from_t2(t_star, 1.0) - lam))
-    g_t2 = _point_gain(5, 5, 1e-4, protocol.lambda_from_t2(0.2, 1.0))  # NaN fails >= 4.9
-    ok = worst < 1e-2 and worst_map <= 1e-12 and g_t2 >= 4.9
-    return SuiteResult("threshold-gain", ok, max(worst, worst_map, 0.0), "m=n in 2..6")
+    t2_err = 4.9 - _point_gain(5, 5, 1e-4, protocol.lambda_from_t2(0.2, 1.0))  # NaN fails
+    checks = {"gain": (worst, 1e-2), "t2-map": (worst_map, 1e-12), "t2-gain": (t2_err, _EXACT)}
+    return SuiteResult("threshold-gain", checks, "m=n in 2..6")
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

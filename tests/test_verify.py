@@ -1,11 +1,11 @@
-"""Every verify suite catches a fault: one input of a suite is made slightly
-wrong, just past the suite's tolerance, and the suite must report
-passed=False. Each comparison a suite makes has a fault of its own, keyed
-"suite/what breaks"; the case keyed by the bare suite name is the first
-fault of that suite. A fault's footprint is the set of suites it fails: its
-own, plus any other suite that reads the same value past its tolerance.
-Every suite is run under every fault, and must fail exactly when the
-fault's footprint names it."""
+"""Every verify check catches a fault: one input of a suite is made slightly
+wrong, just past a check's tolerance, and the check must fail. Each
+comparison a suite makes has a fault of its own, keyed "suite/what breaks";
+the case keyed by the bare suite name is the first fault of that suite. A
+fault's footprint names, as suite/check, every check it fails: those of its
+own suite, plus any check of another suite that reads the same value past
+its tolerance. Every suite is run under every fault, and must fail exactly
+the checks of it that the fault's footprint names."""
 
 import inspect
 import math
@@ -179,6 +179,19 @@ def _half_strength_shifted(real):
     return wrong
 
 
+def _no_gain_at_separable_edge(real):
+    # the two-qubit gain set to 1 where r lies less than 2e-6 below the
+    # separability threshold, as it does at the points (1e-6 below) where
+    # the suite looks for a separable state with gain above 1; no other
+    # suite's grid comes that close to the threshold
+    def wrong(n, m, r, lam):
+        h, g = real(n, m, r, lam)
+        gap = correlations.separability_threshold(m, lam) - r if n == 2 else -1.0
+        return h, np.where((gap >= 0.0) & (gap < 2e-6), 1.0, g)
+
+    return wrong
+
+
 def _no_roots(real):
     def wrong(m, lam):
         return []
@@ -267,95 +280,176 @@ def _polarization_by_subtraction(real):
     return wrong
 
 
-# case: (module, name patched, fault, the suites besides its own that the
-# fault fails at n_max = 4)
+# case: (module, name patched, fault, footprint): the footprint names every
+# check the fault fails at n_max = 4, as space-separated suite/check
 FAULTS = {
-    "discord": (correlations, "discord_protocol", _shifted(1e-9), ()),
-    "discord/monotone-in-r": (correlations, "discord_rmu", _discord_rounded("r"), ()),
-    "discord/monotone-in-mu": (correlations, "discord_rmu", _discord_rounded("mu"), ()),
-    "discord/sign-symmetry": (correlations, "discord_rmu", _discord_odd_in_mu, ()),
-    "discord/dense-route": (
-        channels, "correlated_state", _coherence_scaled, ("oracle", "separability")
+    "discord": (
+        correlations, "discord_protocol", _shifted(1e-9),
+        "discord/dense-route discord/half-strength-discord discord/prepared-state",
     ),
-    "discord/half-strength-discord": (correlations, "discord_protocol", _half_strength_discord, ()),
+    "discord/monotone-in-r": (
+        correlations, "discord_rmu", _discord_rounded("r"), "discord/monotone"
+    ),
+    "discord/monotone-in-mu": (
+        correlations, "discord_rmu", _discord_rounded("mu"), "discord/monotone"
+    ),
+    "discord/sign-symmetry": (
+        correlations, "discord_rmu", _discord_odd_in_mu,
+        "discord/sign-symmetry discord/prepared-state",
+    ),
+    "discord/dense-route": (
+        channels, "correlated_state", _coherence_scaled,
+        "discord/dense-route oracle/dense-bridge separability/dense-route",
+    ),
+    "discord/half-strength-discord": (
+        correlations, "discord_protocol", _half_strength_discord, "discord/half-strength-discord"
+    ),
     # the minimum gain excess at lam = 1/2 is 5.1e-2
     "discord/half-strength-gain": (
-        protocol, "qfi_and_gain", _scaled(0.95, part=1), ("stationary", "weight-inequalities")
+        protocol, "qfi_and_gain", _scaled(0.95, part=1),
+        "discord/half-strength-gain stationary/closed-forms weight-inequalities/gain-floor",
     ),
     # 2e-12 relative, past the suite's 1e-12 between discord_prep and lam = 0
-    "discord/prepared-state": (correlations, "discord_prep", _scaled(1.0 + 2e-12), ()),
-    "separability": (correlations, "ppt_closed_form", _ppt_eigenvalue_shifted, ()),
+    "discord/prepared-state": (
+        correlations, "discord_prep", _scaled(1.0 + 2e-12), "discord/prepared-state"
+    ),
+    "separability": (
+        correlations, "ppt_closed_form", _ppt_eigenvalue_shifted, "separability/dense-route"
+    ),
     # 2e-6 down, twice the suite's 1e-6 flip margin (up would put r past 1
     # where the threshold is 1)
-    "separability/threshold": (correlations, "separability_threshold", _shifted(-2e-6), ()),
+    "separability/threshold": (
+        correlations, "separability_threshold", _shifted(-2e-6), "separability/threshold"
+    ),
     # 2e-14 off the dense route's minimum eigenvalue, past the suite's 1e-14
     # between the routes; every verdict is unchanged
-    "separability/dense-route": (correlations, "is_separable_ppt", _shifted(-2e-14, part=1), ()),
-    "separability/closed-verdict": (correlations, "ppt_closed_form", _closed_verdict_flipped, ()),
+    "separability/dense-route": (
+        correlations, "is_separable_ppt", _shifted(-2e-14, part=1), "separability/dense-route"
+    ),
+    "separability/closed-verdict": (
+        correlations, "ppt_closed_form", _closed_verdict_flipped, "separability/dense-route"
+    ),
+    "separability/separable-gain": (
+        protocol, "qfi_and_gain", _no_gain_at_separable_edge, "separability/separable-gain"
+    ),
     "separability/nan-gain": (
-        protocol, "qfi_and_gain", _nan_cell(1), ("discord", "stationary", "weight-inequalities")
+        protocol, "qfi_and_gain", _nan_cell(1),
+        "separability/separable-gain discord/half-strength-gain stationary/closed-forms "
+        "weight-inequalities/gain-floor",
     ),
     # 1e-7 relative on H, past the suite's 1e-8; the gain is kept
-    "oracle": (protocol, "qfi_and_gain", _scaled(1.0 + 1e-7, part=0), ()),
-    "oracle/nan-cell": (protocol, "qfi_and_gain", _nan_cell(0), ("bounds",)),
+    "oracle": (protocol, "qfi_and_gain", _scaled(1.0 + 1e-7, part=0), "oracle/closed-form"),
+    "oracle/nan-cell": (
+        protocol, "qfi_and_gain", _nan_cell(0), "oracle/closed-form bounds/excess"
+    ),
     # the derivative times sqrt(1 + 1e-7): the Fisher information, quadratic
     # in it, rises 1e-7, past the suite's 1e-8
     "oracle/dense-bridge": (
-        channels, "correlated_state", _scaled(math.sqrt(1.0 + 1e-7), part=1), ()
+        channels, "correlated_state", _scaled(math.sqrt(1.0 + 1e-7), part=1), "oracle/dense-bridge"
     ),
-    "oracle/dense-bridge-last-row": (channels, "correlated_state", _drho_scaled_in_last_row, ()),
-    "oracle/class-multiplicity": (channels, "hamming_classes", _middle_class_unhalved, ()),
-    "oracle/edge-polarization": (channels, "hamming_classes", _polarization_by_subtraction, ()),
-    "bounds": (qfi, "qfi_independent_opt", _independent_above_bound, ()),
-    "bounds/nan-cell": (qfi, "qfi_independent_opt", _nan_cell(), ()),
-    "bounds/closed-form": (protocol, "qfi_and_gain", _closed_above_bound, ("oracle",)),
+    "oracle/dense-bridge-last-row": (
+        channels, "correlated_state", _drho_scaled_in_last_row, "oracle/dense-bridge"
+    ),
+    "oracle/class-multiplicity": (
+        channels, "hamming_classes", _middle_class_unhalved, "oracle/class-sums"
+    ),
+    "oracle/edge-polarization": (
+        channels, "hamming_classes", _polarization_by_subtraction,
+        "oracle/closed-form oracle/dense-bridge",
+    ),
+    "bounds": (
+        qfi, "qfi_independent_opt", _independent_above_bound, "bounds/excess bounds/single-use"
+    ),
+    "bounds/nan-cell": (
+        qfi, "qfi_independent_opt", _nan_cell(),
+        "bounds/excess bounds/pure-limit bounds/single-use",
+    ),
+    "bounds/closed-form": (
+        protocol, "qfi_and_gain", _closed_above_bound, "bounds/excess oracle/closed-form"
+    ),
     # H at r = 0 is an exact zero, and 1e-300 is not
-    "bounds/exact-zero-r0": (protocol, "qfi_correlated", _shifted(1e-300), ()),
+    "bounds/exact-zero-r0": (protocol, "qfi_correlated", _shifted(1e-300), "bounds/exact-zeros"),
     "bounds/exact-zero-half-strength": (
-        protocol, "qfi_and_gain", _half_strength_shifted, ("oracle", "stationary")
+        protocol, "qfi_and_gain", _half_strength_shifted,
+        "bounds/exact-zeros oracle/closed-form stationary/closed-forms",
     ),
-    # the pure limit sits 5.6e-8 from the bound; 2e-4 is past the suite's 1e-4
-    "bounds/pure-limit": (qfi, "qfi_independent_opt", _scaled(1.0 - 2e-4), ()),
+    # the pure limit sits 5.6e-8 from the bound; 2e-4 is past the suite's
+    # 1e-4, and m single uses move off the optimum with it
+    "bounds/pure-limit": (
+        qfi, "qfi_independent_opt", _scaled(1.0 - 2e-4), "bounds/pure-limit bounds/single-use"
+    ),
     # 1e-11 relative, past the suite's 1e-12 between m single uses and the
     # independent optimum, and far inside the bound
-    "bounds/single-use": (qfi, "qfi_single_use", _scaled(1.0 + 1e-11), ()),
-    "bounds/single-use-bound": (qfi, "qfi_single_use", _single_use_above_bound_off_tenths, ()),
+    "bounds/single-use": (qfi, "qfi_single_use", _scaled(1.0 + 1e-11), "bounds/single-use"),
+    "bounds/single-use-bound": (
+        qfi, "qfi_single_use", _single_use_above_bound_off_tenths, "bounds/excess"
+    ),
     # a block's probability meets its floor ((1-r^2)/2)^(n-1) at n = 2 in the
     # middle class: 2e-12 off every p_j puts it past the suite's 1e-12
-    "weight-inequalities": (channels, "hamming_classes", _scaled(1.0 - 2e-12, part=1), ()),
+    "weight-inequalities": (
+        channels, "hamming_classes", _scaled(1.0 - 2e-12, part=1), "weight-inequalities/ratio"
+    ),
     # t_j = r at j = (n-1)/2: 1e-11 off t puts t_j^2 2e-11 r^2 below r^2,
     # past the suite's 1e-12
     "weight-inequalities/ratio": (
-        channels, "hamming_classes", _scaled(1.0 - 1e-11, part=2), ("separability",)
+        channels, "hamming_classes", _scaled(1.0 - 1e-11, part=2),
+        "weight-inequalities/ratio separability/dense-route",
     ),
     # the minimum single-use gain excess is 2.02e-2
     "weight-inequalities/gain-floor": (
-        protocol, "qfi_and_gain", _scaled(0.98, part=1), ("stationary",)
+        protocol, "qfi_and_gain", _scaled(0.98, part=1),
+        "weight-inequalities/gain-floor stationary/closed-forms",
     ),
-    "stationary": (protocol, "stationary_polarizations", _roots_shifted, ()),
-    "stationary/no-root": (protocol, "stationary_polarizations", _no_roots, ()),
-    "stationary/extra-root": (protocol, "stationary_polarizations", _extra_root, ()),
-    "stationary/nan-root": (protocol, "stationary_polarizations", _nan_root, ()),
-    "stationary/gain-slope": (protocol, "gain", _point_gain_tilted, ()),
-    # 2e-10 relative, past the suite's 1e-10 against the j-sum
-    "stationary/reduced-gain": (protocol, "gain_two_qubit", _scaled(1.0 + 2e-10), ()),
-    # the extremes are at least 1.1, so 2e-10 relative is past the suite's
-    # 1e-10 absolute
-    "stationary/gain-min": (protocol, "gain_min", _scaled(1.0 + 2e-10), ()),
-    "stationary/gain-max": (protocol, "gain_max", _scaled(1.0 + 2e-10), ()),
+    "stationary": (
+        protocol, "stationary_polarizations", _roots_shifted, "stationary/gain-slope"
+    ),
+    "stationary/no-root": (protocol, "stationary_polarizations", _no_roots, "stationary/root"),
+    "stationary/extra-root": (
+        protocol, "stationary_polarizations", _extra_root, "stationary/gain-slope"
+    ),
+    "stationary/nan-root": (
+        protocol, "stationary_polarizations", _nan_root, "stationary/root stationary/gain-slope"
+    ),
+    # the extremes read protocol.gain too
+    "stationary/gain-slope": (
+        protocol, "gain", _point_gain_tilted, "stationary/gain-slope stationary/closed-forms"
+    ),
+    # 2e-12 relative, past the suite's 1e-12 between the closed forms
+    "stationary/reduced-gain": (
+        protocol, "gain_two_qubit", _scaled(1.0 + 2e-12), "stationary/closed-forms"
+    ),
+    "stationary/gain-min": (protocol, "gain_min", _scaled(1.0 + 2e-12), "stationary/closed-forms"),
+    "stationary/gain-max": (protocol, "gain_max", _scaled(1.0 + 2e-12), "stationary/closed-forms"),
     # u u^dagger - 1 is 4e-12, past the suite's 1e-12
-    "preparation": (channels, "preparation_unitary", _scaled(1.0 + 2e-12), ()),
-    "preparation/column-phase": (channels, "preparation_unitary", _column_phase, ()),
+    "preparation": (
+        channels, "preparation_unitary", _scaled(1.0 + 2e-12),
+        "preparation/unitary preparation/columns",
+    ),
+    "preparation/column-phase": (
+        channels, "preparation_unitary", _column_phase, "preparation/columns"
+    ),
     # 0.2 % stronger than the threshold, the gain falls 2.4e-2 below n, past
-    # the suite's 1e-2
-    "threshold-gain": (protocol, "lambda_threshold_gain_n", _scaled(1.002), ()),
+    # the suite's 1e-2, and the threshold moves off lam(t*)
+    "threshold-gain": (
+        protocol, "lambda_threshold_gain_n", _scaled(1.002),
+        "threshold-gain/gain threshold-gain/t2-map",
+    ),
     # 0.3 % low, the gain at m = 6 falls 1.8e-2 below 6, past the suite's 1e-2
-    "threshold-gain/gain": (protocol, "gain", _scaled(0.997), ("stationary",)),
+    "threshold-gain/gain": (
+        protocol, "gain", _scaled(0.997), "threshold-gain/gain stationary/closed-forms"
+    ),
     # 2e-12 stronger, past the suite's 1e-12 between lam(t*) and the threshold
-    "threshold-gain/t2-map": (protocol, "lambda_from_t2", _shifted(2e-12), ()),
-    "threshold-gain/t2-gain": (protocol, "gain", _t2_gain_lowered, ()),
-    "threshold-gain/nan-threshold": (protocol, "lambda_threshold_gain_n", _nan_cell(), ()),
-    "threshold-gain/nan-t2-map": (protocol, "lambda_from_t2", _nan_cell(), ()),
+    "threshold-gain/t2-map": (
+        protocol, "lambda_from_t2", _shifted(2e-12), "threshold-gain/t2-map"
+    ),
+    "threshold-gain/t2-gain": (protocol, "gain", _t2_gain_lowered, "threshold-gain/t2-gain"),
+    "threshold-gain/nan-threshold": (
+        protocol, "lambda_threshold_gain_n", _nan_cell(),
+        "threshold-gain/gain threshold-gain/t2-map",
+    ),
+    "threshold-gain/nan-t2-map": (
+        protocol, "lambda_from_t2", _nan_cell(), "threshold-gain/t2-map threshold-gain/t2-gain"
+    ),
 }
 
 
@@ -366,21 +460,33 @@ def _run(suite):
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
 @pytest.mark.parametrize("case", sorted(FAULTS))
-def test_fault_fails_exactly_the_suites_of_its_footprint(case, suite, monkeypatch):
-    module, name, make_wrong, others = FAULTS[case]
+def test_fault_fails_exactly_the_checks_of_its_footprint(case, suite, monkeypatch):
+    module, name, make_wrong, footprint = FAULTS[case]
     monkeypatch.setattr(module, name, make_wrong(getattr(module, name)))
     result = _run(suite)
     assert result.name == suite
-    assert result.passed is (suite not in {case.split("/")[0], *others})
+    expected = {check for s, check in (f.split("/") for f in footprint.split()) if s == suite}
+    assert set(result.failed) == expected
+
+
+def test_every_check_has_a_fault_and_every_fault_its_own_suite():
+    # a check that no fault trips could fail to compare anything and pass
+    results = verify.run_suites(None, n_max=4)
+    assert all(result.passed for result in results), results
+    reported = {f"{result.name}/{check}" for result in results for check in result.checks}
+    named = {check for *_, footprint in FAULTS.values() for check in footprint.split()}
+    assert named == reported
+    for case, (*_, footprint) in FAULTS.items():
+        assert any(f.startswith(case.split("/")[0] + "/") for f in footprint.split()), case
 
 
 def test_bounds_error_is_the_largest_excess_alone(monkeypatch):
     # the closed form 1e-6 above the bound m/(lam(1-lam)) exceeds it most at
-    # m = 4, lam = 0.1; the pure-limit error (5.6e-8, relative) adds nothing
+    # m = 4, lam = 0.1
     monkeypatch.setattr(protocol, "qfi_and_gain", _closed_above_bound(protocol.qfi_and_gain))
     result = _run("bounds")
     assert result.passed is False
-    assert result.max_error == pytest.approx(4 / (0.1 * 0.9) * 1e-6, rel=1e-9)
+    assert result.checks["excess"][0] == pytest.approx(4 / (0.1 * 0.9) * 1e-6, rel=1e-9)
 
 
 def test_discord_definition_shares_no_code_with_the_closed_form(monkeypatch):
