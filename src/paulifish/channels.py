@@ -36,8 +36,9 @@ def _pair_phases(n: int) -> np.ndarray:
 
 
 def _check_dense(n: int, m: int = 1) -> None:
-    """Raises unless protocol._validate_nm(n, m) passes and 2**n is within DIM_CAP."""
-    protocol._validate_nm(n, m)
+    """Raises unless protocol._validate_nm(n, m) passes and 2**n is within
+    DIM_CAP, taken with n as a Python int, which does not wrap at 2**63."""
+    n, _ = protocol._validate_nm(n, m)
     if 2**n > DIM_CAP:
         raise ValueError(f"2**{n} exceeds the dense cap {DIM_CAP}")
 

@@ -1,4 +1,11 @@
-"""Dense complex operator algebra on registers of qubits.
+"""Dense complex operator algebra on registers of qubits, and the input
+rules that the other modules share.
+
+Each rule is one function: ``check_unit_interval`` for every polarization
+and channel strength, ``check_integer`` for every count and seed,
+``check_invocations`` (``m >= 1``), ``reject_pure_corner`` (``r = 1`` with
+``lam`` in {0, 1}) and ``check_bloch_norm``; ``protocol._validate_nm``
+states the qubit-count rule.
 
 Operators are plain ``numpy`` arrays of shape ``(d, d)`` with ``d = 2**k``;
 ``dagger`` and ``is_density_operator`` also take stacks of shape
@@ -8,6 +15,8 @@ basis index, so ``np.kron(a, b)`` places ``b`` on qubit 1.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -37,9 +46,19 @@ def check_unit_interval(v, what: str, interval: str = "[0, 1]") -> np.ndarray:
     return v
 
 
+def check_integer(v, name: str) -> int:
+    """v as a Python int, if operator.index takes it (an int, a bool or a
+    numpy integer). Anything else, 2.0 included, raises naming ``name``."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {v!r}") from None
+
+
 def check_invocations(m: int) -> None:
-    """Raises unless m, a count of channel invocations, is at least 1."""
-    if m < 1:
+    """Raises unless m, a count of channel invocations, is an integer
+    (check_integer) of at least 1."""
+    if check_integer(m, "m") < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
 
 

@@ -56,6 +56,9 @@ _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings. m, trials, shots_per_trial and seed must be
+    integers (linop.check_integer), and are kept as Python ints."""
+
     r: float
     lambda_true: float
     m: int
@@ -66,6 +69,9 @@ class ExperimentConfig:
     def __post_init__(self):
         linop.check_unit_interval(self.r, "polarization", "(0, 1]")
         linop.check_unit_interval(self.lambda_true, "true channel strength", "(0, 1)")
+        for name in ("m", "trials", "shots_per_trial", "seed"):
+            # as a Python int: a numpy integer seed gives the plain int's run
+            object.__setattr__(self, name, linop.check_integer(getattr(self, name), name))
         linop.check_invocations(self.m)
         if self.trials < 1 or self.shots_per_trial < 1:
             raise ValueError("trials and shots_per_trial must be >= 1")

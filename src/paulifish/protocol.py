@@ -54,12 +54,15 @@ class ProtocolPoint:
         linop.check_unit_interval(self.lam, "channel strength")
 
 
-def _validate_nm(n: int, m: int = 1) -> None:
-    """Raises unless 2 <= n <= ANALYTIC_N_CAP and 1 <= m <= n."""
+def _validate_nm(n: int, m: int = 1) -> tuple[int, int]:
+    """n and m as Python ints (linop.check_integer), if 2 <= n <=
+    ANALYTIC_N_CAP and 1 <= m <= n; otherwise raises."""
+    n, m = linop.check_integer(n, "n"), linop.check_integer(m, "m")
     if not 2 <= n <= ANALYTIC_N_CAP:
         raise ValueError(f"n={n} must lie in 2..{ANALYTIC_N_CAP}")
     if not 1 <= m <= n:
         raise ValueError(f"invocations m={m} must lie in 1..{n}")
+    return n, m
 
 
 def _log_qfi_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +276,9 @@ def stationary_polarizations(m: int, lam: float) -> list[float]:
 
 def lambda_threshold_gain_n(m: int) -> float:
     """Largest channel strength keeping the small-polarization gain >= n when
-    every qubit is hit once (m = n): (1/2)(1 - m**(-1/(2m-2)))."""
-    if m < 2:
+    every qubit is hit once (m = n): (1/2)(1 - m**(-1/(2m-2))). m must be
+    an integer (linop.check_integer)."""
+    if linop.check_integer(m, "m") < 2:
         raise ValueError("threshold needs m >= 2; for m = 1 see gain_limit_r0")
     return 0.5 * (1.0 - m ** (-1.0 / (2.0 * m - 2.0)))
 

@@ -80,6 +80,11 @@ def _worst(*values) -> float:
     return top
 
 
+def _tol_text(tol: float) -> str:
+    """A tolerance as a detail line prints it: 1e-8, not f"{tol:g}"'s 1e-08."""
+    return np.format_float_scientific(tol, trim="-", exp_digits=1)
+
+
 def _point_gain(n: int, m: int, r, lam) -> float:
     """protocol.gain at one point, NaN if r or lam is not finite: a NaN from
     a closed form under test then fails its suite through _worst, where
@@ -115,7 +120,9 @@ _EDGE_LAMS = [1e-3, 0.1, 0.3, 0.5 - 1e-6, 0.5, 0.5 + 1e-3, 0.7, 0.9, 1 - 1e-3]
 def _cases(n_max: int) -> list[tuple[int, list[int]]]:
     """The (n, m) table of the oracle and bounds suites, by m: each m in
     1..n_max with the qubit counts n in 2..n_max that use it. An n uses
-    every m up to n = 12, and m in {1, 2, ceil(n/2), n-1, n} above."""
+    every m up to n = 12, and m in {1, 2, ceil(n/2), n-1, n} above. n_max
+    must be an integer (linop.check_integer)."""
+    n_max = linop.check_integer(n_max, "n_max")
     if not 2 <= n_max <= protocol.ANALYTIC_N_CAP:
         raise ValueError(f"n_max must lie in 2..{protocol.ANALYTIC_N_CAP}, got {n_max}")
     ns = range(2, n_max + 1)
@@ -186,7 +193,9 @@ def suite_oracle(n_max: int) -> SuiteResult:
                     h_dense = qfi.fisher_eig(*channels.correlated_state(n, r_grid, lam_grid[s], m))
                     bridge_err = _worst(bridge_err, _rel_err(h_dense, h_classes[s]))
     errs = {"class-sums": sums_err, "closed-form": closed_err, "dense-bridge": bridge_err}
-    return SuiteResult("oracle", {k: (e, 1e-8) for k, e in errs.items()}, f"n<= {n_max}, tol 1e-8")
+    tol = 1e-8
+    checks = {k: (e, tol) for k, e in errs.items()}
+    return SuiteResult("oracle", checks, f"n<= {n_max}, tol {_tol_text(tol)}")
 
 
 def suite_bounds(n_max: int) -> SuiteResult:
@@ -452,8 +461,9 @@ def suite_preparation() -> SuiteResult:
         expected[x, x] = (1.0 + 1.0j) / 2.0
         expected[2**n - 1 - x, x] = (1.0 - 1.0j) / 2.0
         col_err = _worst(col_err, np.abs(u @ functools.reduce(np.kron, [basis] * n) - expected))
-    checks = {"unitary": (unit_err, 1e-12), "columns": (col_err, 1e-12)}
-    return SuiteResult("preparation", checks, "n in {2,3,4}, tol 1e-12")
+    tol = 1e-12
+    checks = {"unitary": (unit_err, tol), "columns": (col_err, tol)}
+    return SuiteResult("preparation", checks, f"n in {{2,3,4}}, tol {_tol_text(tol)}")
 
 
 def suite_threshold_gain() -> SuiteResult:

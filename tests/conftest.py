@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -62,6 +63,11 @@ def num_qubits(a: np.ndarray) -> int:
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product in list order: the last factor lands on qubit 1."""
     return functools.reduce(np.kron, factors)
+
+
+def rejects(message: str):
+    """pytest.raises for a ValueError whose message is exactly ``message``."""
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
 
 
 def raise_peak(match: str, call, *args) -> int:

@@ -129,29 +129,6 @@ class TestClosedFormPpt:
             above = correlations.ppt_closed_form(thr + 1e-12, lam, m)[1]
             assert below > 0.0 > above
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="polarization"):
-            correlations.ppt_closed_form(np.array([0.5, 1.0]), 0.2, 1)
-        with pytest.raises(ValueError, match="strength"):
-            correlations.ppt_closed_form(0.5, 1.2, 1)
-        with pytest.raises(ValueError, match="invocation"):
-            correlations.ppt_closed_form(0.5, 0.2, 0)
-
-    @pytest.mark.parametrize(
-        "diagnostic",
-        [
-            lambda m: correlations.ppt_closed_form(0.5, 0.2, m),
-            lambda m: correlations.separability_threshold(m, 0.2),
-            lambda m: correlations.discord_protocol(0.5, 0.2, m),
-        ],
-        ids=["ppt_closed_form", "separability_threshold", "discord_protocol"],
-    )
-    def test_third_channel_use_rejected(self, diagnostic):
-        # the two-qubit protocol has at most two channel uses
-        diagnostic(2)
-        with pytest.raises(ValueError, match=r"m=3 must lie in 1\.\.2"):
-            diagnostic(3)
-
 
 class TestDiscordClosedForms:
     def test_protocol_discord_vanishes_at_half_strength(self):
@@ -204,13 +181,6 @@ class TestBroadcastDiscord:
             for m in (1, 2):
                 q = correlations.discord_protocol(rs, lam, m)
                 assert q.tolist() == [correlations.discord_protocol(r, lam, m) for r in self.GRID]
-
-    def test_negative_combination_still_raises(self):
-        # one bad element rejects the whole call
-        with pytest.raises(ValueError, match="polarization"):
-            correlations.discord_rmu(np.array([0.5, 1.5]), 0.3)
-        with pytest.raises(ValueError, match="off-diagonal"):
-            correlations.discord_rmu(0.5, np.array([0.3, -1.1]))
 
 
 class TestStackedDenseRoutes:

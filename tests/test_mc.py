@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -77,23 +76,6 @@ class TestOutcomeProbs:
         assert dp == pytest.approx((pp1 - pp0) / (2 * h), abs=1e-8)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_one_bloch_norm_rule(sign):
-    # the outcome model, the single-use closed form and the dense state all
-    # accept a norm up to 1 + 1e-12, and reject one past it alike
-    inside, outside = sign * (1.0 + 8e-13), sign * (1.0 + 2e-12)
-    checks = [
-        lambda r: mc.outcome_probs(r, 0.3),
-        lambda r: qfi.qfi_single_use((0.0, r, 0.0), 0.3),
-        lambda r: bloch_state((0.0, r, 0.0)),
-    ]
-    for check in checks:
-        check(inside)
-        with pytest.raises(ValueError) as err:
-            check(outside)
-        assert str(err.value) == f"Bloch vector norm must be <= 1, got {abs(outside)}"
-
-
 class TestDenseBornRule:
     """The closed outcome model against the dense Born rule it replaced, bit
     for bit, signed zeros included."""
@@ -119,7 +101,7 @@ class TestDenseBornRule:
     @pytest.mark.parametrize(
         "r, lam",
         [(1.0 + 1e-11, 0.3), (-1.5, 0.3), (math.nan, 0.3), (math.inf, 0.3),
-         (0.5, -1e-300), (0.5, 1.5), (0.5, math.nan), (2.0, math.nan)],
+         (-(1.0 + 2e-12), 0.3), (0.5, -1e-300), (0.5, 1.5), (0.5, math.nan), (2.0, math.nan)],
     )
     def test_rejects_what_the_dense_route_rejects(self, r, lam):
         with pytest.raises(ValueError) as want:
@@ -251,30 +233,14 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak < res.estimates.nbytes + 4 * 2**20
 
-    def test_config_validation(self):
-        valid = dict(r=0.5, lambda_true=0.3, m=1, trials=200, shots_per_trial=100_000, seed=0)
-        with pytest.raises(ValueError, match=re.escape("polarization must lie in (0, 1], got 0.0")):
-            mc.ExperimentConfig(**valid | dict(r=0.0))
-        with pytest.raises(ValueError, match=re.escape("polarization must lie in (0, 1], got 1.5")):
-            mc.ExperimentConfig(**valid | dict(r=1.5))
-        with pytest.raises(
-            ValueError, match=re.escape("true channel strength must lie in (0, 1), got 0.0")
-        ):
-            mc.ExperimentConfig(**valid | dict(lambda_true=0.0))
-        with pytest.raises(
-            ValueError, match=re.escape("true channel strength must lie in (0, 1), got nan")
-        ):
-            mc.ExperimentConfig(**valid | dict(lambda_true=math.nan))
-        mc.ExperimentConfig(**valid | dict(r=1.0))
-        with pytest.raises(ValueError):
-            mc.ExperimentConfig(**valid | dict(trials=0))
-        with pytest.raises(ValueError, match="invocation count must be >= 1, got 0"):
-            mc.ExperimentConfig(**valid | dict(m=0))
-        with pytest.raises(ValueError, match="seed"):
-            mc.ExperimentConfig(**valid | dict(seed=-1))
-        with pytest.raises(ValueError, match="trials"):
-            mc.ExperimentConfig(**valid | dict(trials=10**7 + 1))
-        mc.ExperimentConfig(**valid | dict(trials=10**7))
+    def test_numpy_integer_counts_give_the_plain_ints_run(self):
+        # BTPE's 2000 draws per trial and the seed's words take Python ints
+        plain = dict(r=0.8, lambda_true=0.3, m=2, trials=50, shots_per_trial=1000, seed=7)
+        as_numpy = {k: np.int64(v) if type(v) is int else v for k, v in plain.items()}
+        cfg = mc.ExperimentConfig(**as_numpy)
+        assert cfg == mc.ExperimentConfig(**plain) and type(cfg.seed) is type(cfg.m) is int
+        got, want = mc.run_experiment(cfg), mc.run_experiment(mc.ExperimentConfig(**plain))
+        assert got.estimates.tobytes() == want.estimates.tobytes()
 
 
 # numpy's pairwise sum adds ranges of up to 128 values whole and halves

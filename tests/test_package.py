@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paulifish
-from conftest import run_child
+from conftest import rejects, run_child
 from paulifish import channels, correlations, linop, mc, protocol, qfi
 
 
@@ -262,3 +262,127 @@ def test_non_finite_input_rejected(name, bad, data):
     arg.flat[data.draw(st.integers(0, arg.size - 1))] = bad
     with pytest.raises(ValueError, match="non-finite|sum to"):
         fn(*args)
+
+
+def _unit(what: str, interval: str, bad: float):
+    return bad, f"{what} must lie in {interval}, got {bad}"
+
+
+def _integer(name: str, bad: float = 2.0):
+    return bad, f"{name} must be an integer, got {bad!r}"
+
+
+# The bad values that several rows share, each with its rule's message
+_N = [(1, "n=1 must lie in 2..64"), (65, "n=65 must lie in 2..64"), _integer("n", 3.0)]
+_M = [(0, "invocation count must be >= 1, got 0"), _integer("m")]
+_M2 = [(3, "invocations m=3 must lie in 1..2"), _integer("m")]
+_M3 = [(4, "invocations m=4 must lie in 1..3"), _integer("m")]
+_LAM = [_unit("channel strength", "[0, 1]", 1.5)]
+_R = [_unit("polarization", "[0, 1)", 1.0)]
+_R_CLOSED = [_unit("polarization", "[0, 1]", 1.5)]
+_PURE = (0.0, "pure state with lam in {0, 1} is outside the closed form's domain")
+_R0 = (0.0, "gain is undefined at r = 0; use gain_limit_r0")
+_CAP = (13, "2**13 exceeds the dense cap 4096")
+_BLOCH = f"Bloch vector norm must be <= 1, got {1.0 + 2e-12}"
+
+#: Every public function that takes an argument of the paper's domain (see
+#: DOMAIN_PARAMETERS), by name: the callable, the arguments of one call it
+#: accepts, at an edge of its domain where it has one, and for each argument
+#: its bad values, each with the exact message of the rule that rejects it.
+#: tests/test_linop.py tests each shared rule at every edge it decides; a row
+#: states which rule guards an argument. A list marks an argument the
+#: function broadcasts: a bad value goes last in it.
+DOMAINS = {
+    "correlated_state": (channels.correlated_state, dict(n=3, r=[0.5], lam=[0.2], m=2),
+                         dict(n=[*_N, _CAP], r=_R, lam=_LAM, m=_M3)),
+    "hamming_classes": (channels.hamming_classes, dict(n=64, r=[0.5]), dict(n=_N, r=_R)),
+    "preparation_unitary": (channels.preparation_unitary, dict(n=2), dict(n=[*_N, _CAP])),
+    "discord_prep": (correlations.discord_prep, dict(r=[1.0]), dict(r=_R_CLOSED)),
+    "discord_protocol": (correlations.discord_protocol, dict(r=[0.5], lam=[0.0], m=2),
+                         dict(r=_R, lam=_LAM, m=_M2)),
+    "discord_rmu": (correlations.discord_rmu, dict(r=[0.5], mu=[-1.0]),
+                    dict(r=_R, mu=[(-1.5, "off-diagonal scale must lie in [-1, 1], got 1.5")])),
+    "ppt_closed_form": (correlations.ppt_closed_form, dict(r=[0.5], lam=[1.0], m=2),
+                        dict(r=_R, lam=_LAM, m=_M2)),
+    "separability_threshold": (correlations.separability_threshold, dict(m=2, lam=[0.2]),
+                               dict(m=_M2, lam=_LAM)),
+    "ExperimentConfig": (
+        mc.ExperimentConfig,
+        dict(r=1.0, lambda_true=0.3, m=1, trials=10**7, shots_per_trial=1, seed=0),
+        dict(r=[_unit("polarization", "(0, 1]", 0.0)],
+             lambda_true=[_unit("true channel strength", "(0, 1)", 0.0)],
+             m=[*_M, (2**63, "shots_per_trial * m must be <= 2**63 - 1")],
+             trials=[(0, "trials and shots_per_trial must be >= 1"), _integer("trials"),
+                     (10**7 + 1, "trials must be <= 10000000, got 10000001")],
+             shots_per_trial=[(0, "trials and shots_per_trial must be >= 1"),
+                              _integer("shots_per_trial")],
+             seed=[(-1, "seed must be >= 0, got -1"), _integer("seed")])),
+    "outcome_probs": (mc.outcome_probs, dict(r=-(1.0 + 8e-13), lam=0.3),
+                      dict(r=[(1.0 + 2e-12, _BLOCH)], lam=_LAM)),
+    # lam has no rule here: the derivative is -+r at every strength
+    "outcome_prob_derivs": (mc.outcome_prob_derivs, dict(r=1.0 + 8e-13, lam=0.3),
+                            dict(r=[(-(1.0 + 2e-12), _BLOCH)], lam=[])),
+    "ProtocolPoint": (protocol.ProtocolPoint, dict(n=3, m=3, r=0.0, lam=1.0),
+                      dict(n=_N, m=_M3, r=_R, lam=_LAM)),
+    "gain": (protocol.gain, dict(p=protocol.ProtocolPoint(3, 1, 0.5, 0.3)),
+             dict(p=[(protocol.ProtocolPoint(3, 1, 0.0, 0.3), _R0[1])])),
+    "gain_limit_r0": (protocol.gain_limit_r0, dict(n=3, m=2, lam=[0.3]),
+                      dict(n=_N, m=_M3, lam=_LAM)),
+    "gain_limit_r1": (protocol.gain_limit_r1, dict(m=2, lam=[0.3]), dict(m=_M, lam=[*_LAM, _PURE])),
+    "gain_max": (protocol.gain_max, dict(n=3, m=2, r=0.5), dict(n=_N, m=_M3, r=[*_R, _R0])),
+    "gain_min": (protocol.gain_min, dict(n=3, m=2, r=0.5), dict(n=_N, m=_M3, r=[*_R, _R0])),
+    "gain_two_qubit": (protocol.gain_two_qubit, dict(m=2, r=[0.0], lam=[0.3]),
+                       dict(m=_M2, r=_R, lam=_LAM)),
+    "lambda_from_t2": (
+        protocol.lambda_from_t2, dict(t=math.inf, t2=1.0),
+        dict(t=[(-1.0, "time must be >= 0, got -1.0"), (math.nan, "time must be >= 0, got nan")],
+             t2=[(0.0, "dephasing time must be > 0, got 0.0"),
+                 (math.nan, "dephasing time must be > 0, got nan"),
+                 (math.inf, "t / T2 is undefined for t = T2 = inf")])),
+    "lambda_threshold_gain_n": (
+        protocol.lambda_threshold_gain_n, dict(m=2),
+        dict(m=[(1, "threshold needs m >= 2; for m = 1 see gain_limit_r0"), _integer("m")])),
+    "qfi_and_gain": (protocol.qfi_and_gain, dict(n=3, m=2, r=[0.5], lam=[0.3]),
+                     dict(n=_N, m=_M3, r=[_unit("polarization", "(0, 1)", 0.0)], lam=_LAM)),
+    "stationary_polarizations": (
+        protocol.stationary_polarizations, dict(m=2, lam=0.3),
+        dict(m=_M2, lam=[*_LAM, (0.5, "stationarity is degenerate at lam = 1/2")])),
+    "qfi_independent_opt": (qfi.qfi_independent_opt, dict(r=[1.0], lam=[0.3], m=2),
+                            dict(r=_R_CLOSED, lam=[*_LAM, _PURE], m=_M)),
+    "qfi_single_use": (
+        qfi.qfi_single_use, dict(v=(0.0, 1.0 + 8e-13, 0.0), lam=[0.3]),
+        dict(v=[((0.0, 1.0 + 2e-12, 0.0), _BLOCH),
+                ((math.nan, 0.0, 0.0), "Bloch vector norm must be <= 1, got nan")],
+             lam=[*_LAM, _PURE])),
+    "qfi_upper_bound": (qfi.qfi_upper_bound, dict(lam=[0.0], m=2), dict(lam=_LAM, m=_M)),
+}
+
+#: The parameters of the paper's domain, (n, m, r, lam, mu, the Bloch vector
+#: v, the times t and t2), and of a Monte Carlo run.
+DOMAIN_PARAMETERS = {
+    "n", "m", "r", "lam", "mu", "v", "t", "t2", "lambda_true", "trials", "shots_per_trial", "seed"
+}
+DOMAIN_CASES = [(name, arg, *case) for name, (_, _, args) in DOMAINS.items()
+                for arg, cases in args.items() for case in cases]
+
+
+@pytest.mark.parametrize(
+    "name, arg, bad, message", DOMAIN_CASES, ids=[f"{c[0]}-{c[1]}={c[2]!r}" for c in DOMAIN_CASES]
+)
+def test_each_argument_is_guarded_by_its_rule(name, arg, bad, message):
+    fn, valid, _ = DOMAINS[name]
+    fn(**valid)
+    given = valid[arg]
+    with rejects(message):
+        fn(**valid | {arg: np.array([*given, bad]) if isinstance(given, list) else bad})
+
+
+def test_every_public_function_of_the_domain_has_a_row():
+    for name in paulifish.__all__:
+        obj = getattr(paulifish, name)
+        if not inspect.ismodule(obj) and DOMAIN_PARAMETERS & set(inspect.signature(obj).parameters):
+            assert name in DOMAINS, name
+    # a row's accepted call names every parameter, and its bad values each of the domain's
+    for name, (fn, valid, args) in DOMAINS.items():
+        params = set(inspect.signature(fn).parameters)
+        assert set(valid) == params and params & DOMAIN_PARAMETERS <= set(args) <= params, name
