@@ -20,9 +20,9 @@ _EXPORTS = {
         "ExperimentConfig", "ExperimentResult", "classical_fisher", "outcome_probs", "run_experiment",
     ),
     "protocol": (
-        "ProtocolPoint", "gain", "gain_limit_r0", "gain_limit_r1", "gain_max", "gain_min",
-        "gain_two_qubit", "lambda_from_t2", "lambda_threshold_gain_n", "qfi_and_gain",
-        "qfi_correlated", "stationary_polarizations",
+        "gain", "gain_limit_r0", "gain_limit_r1", "gain_max", "gain_min", "gain_two_qubit",
+        "lambda_from_t2", "lambda_threshold_gain_n", "qfi_and_gain", "qfi_correlated",
+        "stationary_polarizations",
     ),
     "qfi": ("fisher_eig", "qfi_independent_opt", "qfi_single_use", "qfi_upper_bound"),
 }

@@ -126,7 +126,9 @@ def outcome_prob_derivs(r: float, lam: float) -> tuple[float, float]:
     halves r as it forms rho, which rounds a subnormal r, and its trace
     adds +0.0, which turns r = -0.0 into +0.0.
     """
-    twice_half = 2.0 * (0.5 * _polarization(r))
+    r = _polarization(r)
+    linop.check_unit_interval(lam, "channel strength")
+    twice_half = 2.0 * (0.5 * r)
     return 0.0 - twice_half, 0.0 + twice_half
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,21 +36,6 @@ _LOG4 = math.log(4.0)
 #: Logs of the smallest normal and the largest finite float64.
 _LOG_TINY = math.log(sys.float_info.min)
 _LOG_HUGE = math.log(sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class ProtocolPoint:
-    """One evaluation point: n qubits, m invocations, polarization, strength."""
-
-    n: int
-    m: int
-    r: float
-    lam: float
-
-    def __post_init__(self):
-        _validate_nm(self.n, self.m)
-        linop.check_unit_interval(self.r, "polarization", "[0, 1)")
-        linop.check_unit_interval(self.lam, "channel strength")
 
 
 def _validate_nm(n: int, m: int = 1) -> tuple[int, int]:
@@ -142,7 +126,15 @@ def qfi_and_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
         return np.exp(log_h), np.exp(log_g)
 
 
-def qfi_correlated(p: ProtocolPoint) -> float:
+def _checked(n: int, m: int, r: float, lam: float) -> tuple:
+    """(n, m, r, lam) with n and m as _validate_nm returns them, if r lies
+    in [0, 1) and lam in [0, 1]; otherwise raises."""
+    n, m = _validate_nm(n, m)
+    r = linop.check_unit_interval(r, "polarization", "[0, 1)")
+    return n, m, r, linop.check_unit_interval(lam, "channel strength")
+
+
+def qfi_correlated(n: int, m: int, r: float, lam: float) -> float:
     """Fisher information of the correlated protocol.
 
         H = m^2 nu^(m-1) / 2^(n-1)
@@ -150,31 +142,32 @@ def qfi_correlated(p: ProtocolPoint) -> float:
 
     Zero at r = 0 and, for m >= 2, at lam = 1/2.
     """
-    log_h, _ = _log_qfi_gain(p.n, p.m, p.r, p.lam)
+    log_h, _ = _log_qfi_gain(*_checked(n, m, r, lam))
     return float(_exp_checked(log_h, "Fisher information"))
 
 
-def gain(p: ProtocolPoint) -> float:
+def gain(n: int, m: int, r: float, lam: float) -> float:
     """Ratio of the correlated-protocol Fisher information to the best
     independent one at equal (n, m, r, lam); undefined at r = 0.
 
         G = m nu^(m-1) (1 - nu r^2) / (2^(n+1) r^2) * (the same j-sum)
     """
-    if p.r == 0.0:
+    n, m, r, lam = _checked(n, m, r, lam)
+    if r == 0.0:
         raise ValueError("gain is undefined at r = 0; use gain_limit_r0")
-    _, log_g = _log_qfi_gain(p.n, p.m, p.r, p.lam)
+    _, log_g = _log_qfi_gain(n, m, r, lam)
     return float(_exp_checked(log_g, "gain"))
 
 
 def gain_min(n: int, m: int, r: float) -> float:
     """Worst-case gain over lam, the gain at lam = 1/2: a closed sum for one
     invocation, zero otherwise."""
-    return gain(ProtocolPoint(n, m, r, 0.5))
+    return gain(n, m, r, 0.5)
 
 
 def gain_max(n: int, m: int, r: float) -> float:
     """Best-case gain over lam, the gain at lam = 0 (equal to lam = 1)."""
-    return gain(ProtocolPoint(n, m, r, 0.0))
+    return gain(n, m, r, 0.0)
 
 
 def gain_limit_r0(n: int, m: int, lam):
@@ -254,7 +247,10 @@ def stationary_polarizations(m: int, lam: float) -> list[float]:
     q = -(b + sqrt(b^2 - 4ac))/2.
     """
     _validate_nm(2, m)
-    lam = float(linop.check_unit_interval(lam, "channel strength"))
+    lam = linop.check_unit_interval(lam, "channel strength")
+    if lam.ndim:
+        raise ValueError(f"channel strength must be a scalar, got shape {lam.shape}")
+    lam = float(lam)
     if lam == 0.5:
         raise ValueError("stationarity is degenerate at lam = 1/2")
     e = 4.0 * lam * (1.0 - lam)

@@ -69,7 +69,10 @@ def qfi_single_use(v, lam):
     Bloch vector along z.
     """
     lam = linop.check_unit_interval(lam, "channel strength")
-    rx, ry, rz = (float(c) for c in v)
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"Bloch vector must have shape (3,), got {v.shape}")
+    rx, ry, rz = v.tolist()
     r = linop.check_bloch_norm(math.hypot(rx, ry, rz))
     linop.reject_pure_corner(r, lam)
     num = 4.0 * (1.0 - rz * rz) * (rx * rx + ry * ry)

@@ -88,10 +88,10 @@ def _tol_text(tol: float) -> str:
 def _point_gain(n: int, m: int, r, lam) -> float:
     """protocol.gain at one point, NaN if r or lam is not finite: a NaN from
     a closed form under test then fails its suite through _worst, where
-    ProtocolPoint would raise and stop verify."""
+    gain would raise and stop verify."""
     if not (math.isfinite(r) and math.isfinite(lam)):
         return math.nan
-    return protocol.gain(protocol.ProtocolPoint(n, m, r, lam))
+    return protocol.gain(n, m, r, lam)
 
 
 def _rel_err(a, b) -> float:
@@ -220,7 +220,7 @@ def suite_bounds(n_max: int) -> SuiteResult:
         for n in ns:
             h, g = protocol.qfi_and_gain(n, m, r_grid, lam_grid)
             worst = _worst(worst, h - bound)
-            h_r0 = protocol.qfi_correlated(protocol.ProtocolPoint(n, m, 0.0, 0.1))
+            h_r0 = protocol.qfi_correlated(n, m, 0.0, 0.1)
             zero_err = _worst(zero_err, abs(h_r0))
             if m > 1:
                 zero_err = _worst(zero_err, np.abs(h[half]), np.abs(g[half]))

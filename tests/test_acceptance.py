@@ -110,7 +110,7 @@ def test_criterion_10_dephasing_time_mapping_and_all_qubit_gain():
     lam_nmr = protocol.lambda_from_t2(0.22, 1.0)
     assert lam_nmr <= 0.10
     # past t* the gain matches its small-r limit m n (1-2 lam)^(2m-2) < n
-    g_nmr = protocol.gain(protocol.ProtocolPoint(5, 5, 1e-4, lam_nmr))
+    g_nmr = protocol.gain(5, 5, 1e-4, lam_nmr)
     limit = 25.0 * (1.0 - 2.0 * lam_nmr) ** 8
     assert abs(g_nmr - limit) <= 5e-7 * limit, f"gain {g_nmr!r} vs limit {limit!r}"
     assert g_nmr < 5, f"gain {g_nmr:.4f} at t=0.22 T2 lies past t*"

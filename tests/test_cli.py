@@ -96,10 +96,9 @@ class TestQfiCommand:
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         fields = parse_fields(out.strip())
-        point = protocol.ProtocolPoint(3, 2, 0.3, 0.2)
         assert fields["H_ind"] == cli._fmt(qfi.qfi_independent_opt(0.3, 0.2, 2))
-        assert fields["H_corr"] == cli._fmt(protocol.qfi_correlated(point))
-        assert fields["gain"] == cli._fmt(protocol.gain(point))
+        assert fields["H_corr"] == cli._fmt(protocol.qfi_correlated(3, 2, 0.3, 0.2))
+        assert fields["gain"] == cli._fmt(protocol.gain(3, 2, 0.3, 0.2))
 
     @pytest.mark.parametrize(
         "n, m, r, lam",
@@ -251,10 +250,9 @@ class TestSweepCommand:
                 g = protocol.gain_limit_r1(m, lam)
                 h_corr = g * h_ind
             else:
-                point = protocol.ProtocolPoint(n, m, r, lam)
                 h_ind = qfi.qfi_independent_opt(r, lam, m)
-                h_corr = protocol.qfi_correlated(point)
-                g = protocol.gain(point)
+                h_corr = protocol.qfi_correlated(n, m, r, lam)
+                g = protocol.gain(n, m, r, lam)
             assert float(row["H_ind"]) == pytest.approx(h_ind, rel=1e-9, abs=1e-12)
             assert float(row["H_corr"]) == pytest.approx(h_corr, rel=1e-9, abs=1e-12)
             assert float(row["gain"]) == pytest.approx(g, rel=1e-9, abs=1e-12)

@@ -313,7 +313,7 @@ class TestDiscordGainInterplay:
     def test_zero_discord_with_gain_above_one(self):
         for r in (0.2, 0.5, 0.8):
             assert correlations.discord_protocol(r, 0.5, 1) == 0.0
-            g = protocol.gain(protocol.ProtocolPoint(2, 1, r, 0.5))
+            g = protocol.gain(2, 1, r, 0.5)
             assert g == pytest.approx(2.0 / (1.0 + r * r), rel=1e-12)
             assert g > 1.0
 
@@ -321,6 +321,6 @@ class TestDiscordGainInterplay:
         lam, m = 0.95, 1
         rs = np.linspace(0.70, 0.90, 21)  # just above the stationary point
         qs = [correlations.discord_protocol(r, lam, m) for r in rs]
-        gs = [protocol.gain(protocol.ProtocolPoint(2, m, r, lam)) for r in rs]
+        gs = [protocol.gain(2, m, r, lam) for r in rs]
         assert all(b > a for a, b in zip(qs, qs[1:]))
         assert all(b < a for a, b in zip(gs, gs[1:]))

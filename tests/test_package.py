@@ -319,13 +319,10 @@ DOMAINS = {
              seed=[(-1, "seed must be >= 0, got -1"), _integer("seed")])),
     "outcome_probs": (mc.outcome_probs, dict(r=-(1.0 + 8e-13), lam=0.3),
                       dict(r=[(1.0 + 2e-12, _BLOCH)], lam=_LAM)),
-    # lam has no rule here: the derivative is -+r at every strength
     "outcome_prob_derivs": (mc.outcome_prob_derivs, dict(r=1.0 + 8e-13, lam=0.3),
-                            dict(r=[(-(1.0 + 2e-12), _BLOCH)], lam=[])),
-    "ProtocolPoint": (protocol.ProtocolPoint, dict(n=3, m=3, r=0.0, lam=1.0),
-                      dict(n=_N, m=_M3, r=_R, lam=_LAM)),
-    "gain": (protocol.gain, dict(p=protocol.ProtocolPoint(3, 1, 0.5, 0.3)),
-             dict(p=[(protocol.ProtocolPoint(3, 1, 0.0, 0.3), _R0[1])])),
+                            dict(r=[(-(1.0 + 2e-12), _BLOCH)], lam=_LAM)),
+    "gain": (protocol.gain, dict(n=3, m=3, r=1e-300, lam=1.0),
+             dict(n=_N, m=_M3, r=[*_R, _R0], lam=_LAM)),
     "gain_limit_r0": (protocol.gain_limit_r0, dict(n=3, m=2, lam=[0.3]),
                       dict(n=_N, m=_M3, lam=_LAM)),
     "gain_limit_r1": (protocol.gain_limit_r1, dict(m=2, lam=[0.3]), dict(m=_M, lam=[*_LAM, _PURE])),
@@ -344,15 +341,23 @@ DOMAINS = {
         dict(m=[(1, "threshold needs m >= 2; for m = 1 see gain_limit_r0"), _integer("m")])),
     "qfi_and_gain": (protocol.qfi_and_gain, dict(n=3, m=2, r=[0.5], lam=[0.3]),
                      dict(n=_N, m=_M3, r=[_unit("polarization", "(0, 1)", 0.0)], lam=_LAM)),
+    "qfi_correlated": (protocol.qfi_correlated, dict(n=3, m=3, r=0.0, lam=1.0),
+                       dict(n=_N, m=_M3, r=_R, lam=_LAM)),
     "stationary_polarizations": (
         protocol.stationary_polarizations, dict(m=2, lam=0.3),
-        dict(m=_M2, lam=[*_LAM, (0.5, "stationarity is degenerate at lam = 1/2")])),
+        dict(m=_M2, lam=[*_LAM, (0.5, "stationarity is degenerate at lam = 1/2"),
+                         (np.array([0.3]), "channel strength must be a scalar, got shape (1,)"),
+                         (np.array([0.1, 0.2]),
+                          "channel strength must be a scalar, got shape (2,)")])),
     "qfi_independent_opt": (qfi.qfi_independent_opt, dict(r=[1.0], lam=[0.3], m=2),
                             dict(r=_R_CLOSED, lam=[*_LAM, _PURE], m=_M)),
     "qfi_single_use": (
         qfi.qfi_single_use, dict(v=(0.0, 1.0 + 8e-13, 0.0), lam=[0.3]),
         dict(v=[((0.0, 1.0 + 2e-12, 0.0), _BLOCH),
-                ((math.nan, 0.0, 0.0), "Bloch vector norm must be <= 1, got nan")],
+                ((math.nan, 0.0, 0.0), "Bloch vector norm must be <= 1, got nan"),
+                ((0.5, 0.5), "Bloch vector must have shape (3,), got (2,)"),
+                ((0.1, 0.2, 0.3, 0.4), "Bloch vector must have shape (3,), got (4,)"),
+                (np.array([[0.0, 0.5, 0.0]]), "Bloch vector must have shape (3,), got (1, 3)")],
              lam=[*_LAM, _PURE])),
     "qfi_upper_bound": (qfi.qfi_upper_bound, dict(lam=[0.0], m=2), dict(lam=_LAM, m=_M)),
 }

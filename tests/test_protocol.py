@@ -11,22 +11,21 @@ from paulifish import correlations, protocol, qfi
 class TestGain:
     def test_gain_is_information_ratio(self):
         for (n, m, r, lam) in [(2, 1, 0.5, 0.3), (4, 2, 0.6, 0.1), (5, 5, 0.3, 0.8)]:
-            point = protocol.ProtocolPoint(n, m, r, lam)
-            ratio = protocol.qfi_correlated(point) / qfi.qfi_independent_opt(r, lam, m)
-            assert protocol.gain(point) == pytest.approx(ratio, rel=1e-12)
+            ratio = protocol.qfi_correlated(n, m, r, lam) / qfi.qfi_independent_opt(r, lam, m)
+            assert protocol.gain(n, m, r, lam) == pytest.approx(ratio, rel=1e-12)
 
     def test_symmetric_in_strength_reflection(self):
         for (n, m, r) in [(2, 1, 0.5), (3, 2, 0.7), (5, 4, 0.2)]:
             for lam in (0.05, 0.2, 0.45):
-                g1 = protocol.gain(protocol.ProtocolPoint(n, m, r, lam))
-                g2 = protocol.gain(protocol.ProtocolPoint(n, m, r, 1.0 - lam))
+                g1 = protocol.gain(n, m, r, lam)
+                g2 = protocol.gain(n, m, r, 1.0 - lam)
                 assert g1 == pytest.approx(g2, rel=1e-12)
 
     def test_monotone_in_squared_contrast(self):
         # fixed polarization: gain grows with (1-2 lam)^2
         for (n, m, r) in [(2, 1, 0.5), (3, 2, 0.4), (6, 3, 0.8)]:
             lams = np.linspace(0.5, 0.0, 51)  # (1-2 lam)^2 increasing
-            gains = [protocol.gain(protocol.ProtocolPoint(n, m, r, lam)) for lam in lams]
+            gains = [protocol.gain(n, m, r, lam) for lam in lams]
             assert all(b >= a - 1e-12 for a, b in zip(gains, gains[1:]))
 
 class TestHighPrecisionReference:
@@ -45,14 +44,13 @@ class TestHighPrecisionReference:
         for r in self.RS:
             ref = mp_correlated_reference(n, r, ms, self.LAMS)
             for (m, lam), (h, g) in ref.items():
-                point = protocol.ProtocolPoint(n, m, r, lam)
                 for fn, want in ((protocol.qfi_correlated, h), (protocol.gain, g)):
                     if want != 0 and not self.TINY <= abs(want) <= self.HUGE:
                         with pytest.raises(ValueError, match="float64 range"):
-                            fn(point)
+                            fn(n, m, r, lam)
                         raised += 1
                         continue
-                    got = fn(point)
+                    got = fn(n, m, r, lam)
                     assert abs(got - want) <= 1e-10 * abs(want), (fn.__name__, m, r, lam, got)
                     checked += 1
         assert checked > 0
@@ -72,18 +70,16 @@ class TestHighPrecisionReference:
             assert h.shape == g.shape == (lams.size, min(columns, rs.size - start))
             for a, lam in enumerate(lams[:, 0]):
                 for b, r in enumerate(rs[start : start + columns]):
-                    point = protocol.ProtocolPoint(n, m, float(r), float(lam))
-                    assert h[a, b] == protocol.qfi_correlated(point)
-                    assert g[a, b] == protocol.gain(point)
+                    assert h[a, b] == protocol.qfi_correlated(n, m, float(r), float(lam))
+                    assert g[a, b] == protocol.gain(n, m, float(r), float(lam))
 
     def test_subnormal_result_raises(self):
         # true H ~ 2e-314 and gain ~ 3e-316: representable only as subnormals
         h, g = mp_correlated_reference(64, 0.5, [64], [0.4985])[64, 0.4985]
         assert 0 < g < h < self.TINY
-        point = protocol.ProtocolPoint(64, 64, 0.5, 0.4985)
         for fn in (protocol.qfi_correlated, protocol.gain):
             with pytest.raises(ValueError, match="float64 range"):
-                fn(point)
+                fn(64, 64, 0.5, 0.4985)
 
     def test_grid_form_gives_inf_above_the_range_without_warning(self):
         # true H ~ 1e403; the scalar wrapper raises, the grid form returns inf,
@@ -92,15 +88,15 @@ class TestHighPrecisionReference:
         assert h_ref > g_ref > self.HUGE
         assert protocol.qfi_and_gain(64, 1, 0.999999, 0.0) == (math.inf, math.inf)
         with pytest.raises(ValueError, match="float64 range"):
-            protocol.qfi_correlated(protocol.ProtocolPoint(64, 1, 0.999999, 0.0))
+            protocol.qfi_correlated(64, 1, 0.999999, 0.0)
 
     def test_exact_zeros_stay_zero(self):
         for n in (2, 5, 64):
-            assert protocol.qfi_correlated(protocol.ProtocolPoint(n, 1, 0.0, 0.3)) == 0.0
-            assert protocol.qfi_correlated(protocol.ProtocolPoint(n, 2, 0.4, 0.5)) == 0.0
-            assert protocol.gain(protocol.ProtocolPoint(n, n, 0.4, 0.5)) == 0.0
+            assert protocol.qfi_correlated(n, 1, 0.0, 0.3) == 0.0
+            assert protocol.qfi_correlated(n, 2, 0.4, 0.5) == 0.0
+            assert protocol.gain(n, n, 0.4, 0.5) == 0.0
             # one invocation keeps nu^(m-1) = 1 at lam = 1/2
-            assert protocol.gain(protocol.ProtocolPoint(n, 1, 0.4, 0.5)) > 1.0
+            assert protocol.gain(n, 1, 0.4, 0.5) > 1.0
 
 
 class TestGainExtremes:
@@ -109,16 +105,13 @@ class TestGainExtremes:
 
     def test_minimum_attained_at_half_strength(self):
         n, r = 3, 0.5
-        grid = [
-            protocol.gain(protocol.ProtocolPoint(n, 1, r, lam))
-            for lam in np.arange(0.0, 1.005, 0.01)
-        ]
+        grid = [protocol.gain(n, 1, r, lam) for lam in np.arange(0.0, 1.005, 0.01)]
         assert protocol.gain_min(n, 1, r) == pytest.approx(min(grid), abs=1e-6)
 
     def test_maximum_scales_with_invocations_and_matches_limit(self):
         assert protocol.gain_max(2, 2, 0.5) == pytest.approx(20.0 / 3.0, rel=1e-12)
         for (n, m, r) in [(2, 2, 0.5), (3, 2, 0.3), (4, 4, 0.7)]:
-            near_zero = protocol.gain(protocol.ProtocolPoint(n, m, r, 1e-10))
+            near_zero = protocol.gain(n, m, r, 1e-10)
             assert protocol.gain_max(n, m, r) == pytest.approx(near_zero, rel=1e-6)
             assert protocol.gain_max(n, m, r) == pytest.approx(
                 m * protocol.gain_max(n, 1, r), rel=1e-12
@@ -136,7 +129,7 @@ class TestGainLimits:
 
     def test_small_polarization_limit_matches_gain(self):
         for (n, m, lam) in [(2, 1, 0.3), (4, 2, 0.1), (5, 3, 0.45)]:
-            g = protocol.gain(protocol.ProtocolPoint(n, m, 1e-6, lam))
+            g = protocol.gain(n, m, 1e-6, lam)
             assert protocol.gain_limit_r0(n, m, lam) == pytest.approx(g, rel=1e-4)
 
     def test_pure_limit_values(self):
@@ -146,7 +139,7 @@ class TestGainLimits:
 
     def test_pure_limit_matches_gain(self):
         for (n, m, lam) in [(2, 1, 0.3), (3, 2, 0.2), (4, 4, 0.6)]:
-            g = protocol.gain(protocol.ProtocolPoint(n, m, 1.0 - 1e-6, lam))
+            g = protocol.gain(n, m, 1.0 - 1e-6, lam)
             assert protocol.gain_limit_r1(m, lam) == pytest.approx(g, rel=1e-4)
 
     def test_pure_limit_against_mpmath(self):

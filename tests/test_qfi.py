@@ -206,7 +206,7 @@ class TestOrthogonalPiecesAdd:
 
         n, m, r, lam = 2, 1, 0.45, 0.3
         combined = block_route_sld(n, r, lam, m)
-        expected = protocol.qfi_correlated(protocol.ProtocolPoint(n, m, r, lam))
+        expected = protocol.qfi_correlated(n, m, r, lam)
         assert combined.H == pytest.approx(expected, rel=1e-10)
         # and the summed score operator satisfies the defining relation
         rho, drho = channels.correlated_state(n, r, lam, m)

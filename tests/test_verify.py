@@ -131,8 +131,8 @@ def _t2_gain_lowered(real):
     # 3 % low at r = 1e-4 only, where the suite takes the n = m = 5 gain at
     # t = 0.2 T2: 5.047 falls to 4.896, below its 4.9. The threshold points
     # are at r = 1e-6.
-    def wrong(p):
-        return real(p) * (0.97 if p.r == 1e-4 else 1.0)
+    def wrong(n, m, r, lam):
+        return real(n, m, r, lam) * (0.97 if r == 1e-4 else 1.0)
 
     return wrong
 
@@ -150,8 +150,8 @@ def _single_use_above_bound_off_tenths(real):
 
 def _point_gain_tilted(real):
     # a slope of 2e-5 in r at every root, past the suite's 1e-5
-    def wrong(p):
-        return real(p) + 2e-5 * p.r
+    def wrong(n, m, r, lam):
+        return real(n, m, r, lam) + 2e-5 * r
 
     return wrong
 
