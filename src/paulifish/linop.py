@@ -4,8 +4,9 @@ rules that the other modules share.
 Each rule is one function: ``check_unit_interval`` for every polarization
 and channel strength, ``check_integer`` for every count and seed,
 ``check_invocations`` (``m >= 1``), ``reject_pure_corner`` (``r = 1`` with
-``lam`` in {0, 1}) and ``check_bloch_norm``; ``protocol._validate_nm``
-states the qubit-count rule.
+``lam`` in {0, 1}), ``check_bloch_norm`` and ``check_scalar`` for every
+argument that must be one number; ``protocol._validate_nm`` states the
+qubit-count rule.
 
 Operators are plain ``numpy`` arrays of shape ``(d, d)`` with ``d = 2**k``;
 ``dagger`` and ``is_density_operator`` also take stacks of shape
@@ -76,6 +77,15 @@ def check_bloch_norm(norm: float) -> float:
     if not norm <= 1.0 + 1e-12:
         raise ValueError(f"Bloch vector norm must be <= 1, got {norm}")
     return norm
+
+
+def check_scalar(v, what: str) -> float:
+    """v as a Python float, if it is one number: a scalar or a 0-d array.
+    Any other shape raises, naming ``what`` and the shape."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim:
+        raise ValueError(f"{what} must be a scalar, got shape {v.shape}")
+    return float(v)
 
 
 def _elementwise(f, v):

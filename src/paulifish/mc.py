@@ -56,8 +56,10 @@ _PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One run's settings. m, trials, shots_per_trial and seed must be
-    integers (linop.check_integer), and are kept as Python ints."""
+    """One run's settings. r and lambda_true must each be one number
+    (linop.check_scalar), and are kept as Python floats; m, trials,
+    shots_per_trial and seed must be integers (linop.check_integer), and are
+    kept as Python ints."""
 
     r: float
     lambda_true: float
@@ -67,8 +69,10 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        linop.check_unit_interval(self.r, "polarization", "(0, 1]")
-        linop.check_unit_interval(self.lambda_true, "true channel strength", "(0, 1)")
+        r = linop.check_unit_interval(self.r, "polarization", "(0, 1]")
+        lam = linop.check_unit_interval(self.lambda_true, "true channel strength", "(0, 1)")
+        object.__setattr__(self, "r", linop.check_scalar(r, "polarization"))
+        object.__setattr__(self, "lambda_true", linop.check_scalar(lam, "true channel strength"))
         for name in ("m", "trials", "shots_per_trial", "seed"):
             # as a Python int: a numpy integer seed gives the plain int's run
             object.__setattr__(self, name, linop.check_integer(getattr(self, name), name))
@@ -96,11 +100,13 @@ class ExperimentResult:
         return float(np.mean(self.estimates))
 
 
-def _polarization(r: float) -> float:
-    """r as a float, the y component of a Bloch vector of norm at most 1."""
-    r = float(r)
+def _checked(r: float, lam: float) -> tuple[float, float]:
+    """(r, lam) as floats (linop.check_scalar), if r is the y component of a
+    Bloch vector of norm at most 1 and lam lies in [0, 1]; otherwise raises."""
+    r = linop.check_scalar(r, "polarization")
     linop.check_bloch_norm(abs(r))
-    return r
+    lam = linop.check_unit_interval(lam, "channel strength")
+    return r, linop.check_scalar(lam, "channel strength")
 
 
 def outcome_probs(r: float, lam: float) -> tuple[float, float]:
@@ -111,8 +117,7 @@ def outcome_probs(r: float, lam: float) -> tuple[float, float]:
     channel map's own sums on those entries, and every other product of the
     dense trace is by 0, 1/2 or 1, so the bits are the dense Born rule's.
     """
-    r = _polarization(r)
-    lam = float(linop.check_unit_interval(lam, "channel strength"))
+    r, lam = _checked(r, lam)
     d = (1.0 - lam) * 0.5 + lam * 0.5
     a = (1.0 - lam) * (-0.5 * r) + lam * (0.5 * r)
     return d - a, d + a
@@ -126,8 +131,7 @@ def outcome_prob_derivs(r: float, lam: float) -> tuple[float, float]:
     halves r as it forms rho, which rounds a subnormal r, and its trace
     adds +0.0, which turns r = -0.0 into +0.0.
     """
-    r = _polarization(r)
-    linop.check_unit_interval(lam, "channel strength")
+    r, _ = _checked(r, lam)
     twice_half = 2.0 * (0.5 * r)
     return 0.0 - twice_half, 0.0 + twice_half
 
@@ -412,6 +416,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     attempt 2 whenever it holds a block of trials, and once more at the end.
     A trial's estimate is formed as soon as its count is final.
     """
+    if not isinstance(cfg, ExperimentConfig):  # only its constructor checks the settings
+        raise TypeError(f"run_experiment takes an ExperimentConfig, got {type(cfg).__name__}")
     probs = outcome_probs(cfg.r, cfg.lambda_true)
     fisher = classical_fisher(probs, outcome_prob_derivs(cfg.r, cfg.lambda_true))
     if math.isinf(fisher):

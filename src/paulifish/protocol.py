@@ -127,11 +127,13 @@ def qfi_and_gain(n: int, m: int, r, lam) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _checked(n: int, m: int, r: float, lam: float) -> tuple:
-    """(n, m, r, lam) with n and m as _validate_nm returns them, if r lies
-    in [0, 1) and lam in [0, 1]; otherwise raises."""
+    """(n, m, r, lam) with n and m as _validate_nm returns them and r and
+    lam as floats (linop.check_scalar), if r lies in [0, 1) and lam in
+    [0, 1]; otherwise raises."""
     n, m = _validate_nm(n, m)
     r = linop.check_unit_interval(r, "polarization", "[0, 1)")
-    return n, m, r, linop.check_unit_interval(lam, "channel strength")
+    lam = linop.check_unit_interval(lam, "channel strength")
+    return n, m, linop.check_scalar(r, "polarization"), linop.check_scalar(lam, "channel strength")
 
 
 def qfi_correlated(n: int, m: int, r: float, lam: float) -> float:
@@ -239,6 +241,7 @@ def stationary_polarizations(m: int, lam: float) -> list[float]:
         [(1+nu) - 4 nu^(m+1)] u^2 + 2 (1+nu) u + (1+nu) - 4 nu^m = 0.
 
     Real roots with u in (0, 1) are returned as r = sqrt(u), ascending.
+    lam must be one number (linop.check_scalar) in [0, 1], other than 1/2.
 
     At lam = 0 the quadratic is -2 (u-1)^2, so b^2 - 4ac formed from nu
     cancels near lam in {0, 1}. It is taken as 16 [(2+e)(d_m + d_(m+1)) -
@@ -248,9 +251,7 @@ def stationary_polarizations(m: int, lam: float) -> list[float]:
     """
     _validate_nm(2, m)
     lam = linop.check_unit_interval(lam, "channel strength")
-    if lam.ndim:
-        raise ValueError(f"channel strength must be a scalar, got shape {lam.shape}")
-    lam = float(lam)
+    lam = linop.check_scalar(lam, "channel strength")
     if lam == 0.5:
         raise ValueError("stationarity is degenerate at lam = 1/2")
     e = 4.0 * lam * (1.0 - lam)
@@ -280,7 +281,9 @@ def lambda_threshold_gain_n(m: int) -> float:
 
 
 def lambda_from_t2(t: float, t2: float) -> float:
-    """Channel strength of dephasing for time t: (1 - exp(-t/T2))/2."""
+    """Channel strength of dephasing for time t: (1 - exp(-t/T2))/2. t and
+    t2 must each be one number (linop.check_scalar)."""
+    t, t2 = linop.check_scalar(t, "time"), linop.check_scalar(t2, "dephasing time")
     if not t >= 0.0:  # NaN fails the negated comparisons
         raise ValueError(f"time must be >= 0, got {t}")
     if not t2 > 0.0:

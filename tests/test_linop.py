@@ -125,6 +125,14 @@ class TestInputRules:
                 with rejects(message):
                     linop.reject_pure_corner(r, lam)
 
+    def test_scalar_check_takes_one_number(self):
+        for v in (3, 0.25, np.float64(0.25), np.float32(0.1), np.array(0.25)):
+            got = linop.check_scalar(v, "channel strength")
+            assert type(got) is float and got == v
+        for shape in ((0,), (1,), (2,), (2, 2)):
+            with rejects(f"channel strength must be a scalar, got shape {shape}"):
+                linop.check_scalar(np.full(shape, 0.25), "channel strength")
+
     def test_bloch_norm_check(self):
         for norm in (0.0, 1.0, 1.0 + 8e-13):
             assert linop.check_bloch_norm(norm) == norm

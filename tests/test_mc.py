@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -236,11 +237,21 @@ class TestRunExperiment:
     def test_numpy_integer_counts_give_the_plain_ints_run(self):
         # BTPE's 2000 draws per trial and the seed's words take Python ints
         plain = dict(r=0.8, lambda_true=0.3, m=2, trials=50, shots_per_trial=1000, seed=7)
-        as_numpy = {k: np.int64(v) if type(v) is int else v for k, v in plain.items()}
+        as_numpy = {k: np.int64(v) if type(v) is int else np.float64(v) for k, v in plain.items()}
         cfg = mc.ExperimentConfig(**as_numpy)
         assert cfg == mc.ExperimentConfig(**plain) and type(cfg.seed) is type(cfg.m) is int
+        assert type(cfg.r) is type(cfg.lambda_true) is float
         got, want = mc.run_experiment(cfg), mc.run_experiment(mc.ExperimentConfig(**plain))
         assert got.estimates.tobytes() == want.estimates.tobytes()
+
+    @pytest.mark.parametrize("field, bad", [("seed", -1), ("m", 0)])
+    def test_runs_only_a_checked_config(self, field, bad, monkeypatch):
+        # unchecked, seed=-1 would hash to seed=2**128-1's entropy words and m=0 divide by 0
+        settings = dict(r=0.8, lambda_true=0.3, m=1, trials=3, shots_per_trial=10, seed=0)
+        monkeypatch.setattr(mc, "_trial_keys", lambda *a: pytest.fail("a trial was drawn"))
+        with pytest.raises(TypeError, match="^run_experiment takes an ExperimentConfig, "
+                                            "got SimpleNamespace$"):
+            mc.run_experiment(types.SimpleNamespace(**settings | {field: bad}))
 
 
 # numpy's pairwise sum adds ranges of up to 128 values whole and halves

@@ -272,6 +272,13 @@ def _integer(name: str, bad: float = 2.0):
     return bad, f"{name} must be an integer, got {bad!r}"
 
 
+def _scalar(what: str):
+    """Arrays of shapes (1,) and (2,) of a value inside every range, which
+    the rule for one number rejects."""
+    return [(np.full(shape, 0.5), f"{what} must be a scalar, got shape {shape}")
+            for shape in ((1,), (2,))]
+
+
 # The bad values that several rows share, each with its rule's message
 _N = [(1, "n=1 must lie in 2..64"), (65, "n=65 must lie in 2..64"), _integer("n", 3.0)]
 _M = [(0, "invocation count must be >= 1, got 0"), _integer("m")]
@@ -280,6 +287,7 @@ _M3 = [(4, "invocations m=4 must lie in 1..3"), _integer("m")]
 _LAM = [_unit("channel strength", "[0, 1]", 1.5)]
 _R = [_unit("polarization", "[0, 1)", 1.0)]
 _R_CLOSED = [_unit("polarization", "[0, 1]", 1.5)]
+_R_ONE, _LAM_ONE = _scalar("polarization"), _scalar("channel strength")
 _PURE = (0.0, "pure state with lam in {0, 1} is outside the closed form's domain")
 _R0 = (0.0, "gain is undefined at r = 0; use gain_limit_r0")
 _CAP = (13, "2**13 exceeds the dense cap 4096")
@@ -309,8 +317,9 @@ DOMAINS = {
     "ExperimentConfig": (
         mc.ExperimentConfig,
         dict(r=1.0, lambda_true=0.3, m=1, trials=10**7, shots_per_trial=1, seed=0),
-        dict(r=[_unit("polarization", "(0, 1]", 0.0)],
-             lambda_true=[_unit("true channel strength", "(0, 1)", 0.0)],
+        dict(r=[_unit("polarization", "(0, 1]", 0.0), *_R_ONE],
+             lambda_true=[_unit("true channel strength", "(0, 1)", 0.0),
+                          *_scalar("true channel strength")],
              m=[*_M, (2**63, "shots_per_trial * m must be <= 2**63 - 1")],
              trials=[(0, "trials and shots_per_trial must be >= 1"), _integer("trials"),
                      (10**7 + 1, "trials must be <= 10000000, got 10000001")],
@@ -318,22 +327,26 @@ DOMAINS = {
                               _integer("shots_per_trial")],
              seed=[(-1, "seed must be >= 0, got -1"), _integer("seed")])),
     "outcome_probs": (mc.outcome_probs, dict(r=-(1.0 + 8e-13), lam=0.3),
-                      dict(r=[(1.0 + 2e-12, _BLOCH)], lam=_LAM)),
+                      dict(r=[(1.0 + 2e-12, _BLOCH), *_R_ONE], lam=[*_LAM, *_LAM_ONE])),
     "outcome_prob_derivs": (mc.outcome_prob_derivs, dict(r=1.0 + 8e-13, lam=0.3),
-                            dict(r=[(-(1.0 + 2e-12), _BLOCH)], lam=_LAM)),
+                            dict(r=[(-(1.0 + 2e-12), _BLOCH), *_R_ONE],
+                                 lam=[*_LAM, *_LAM_ONE])),
     "gain": (protocol.gain, dict(n=3, m=3, r=1e-300, lam=1.0),
-             dict(n=_N, m=_M3, r=[*_R, _R0], lam=_LAM)),
+             dict(n=_N, m=_M3, r=[*_R, _R0, *_R_ONE], lam=[*_LAM, *_LAM_ONE])),
     "gain_limit_r0": (protocol.gain_limit_r0, dict(n=3, m=2, lam=[0.3]),
                       dict(n=_N, m=_M3, lam=_LAM)),
     "gain_limit_r1": (protocol.gain_limit_r1, dict(m=2, lam=[0.3]), dict(m=_M, lam=[*_LAM, _PURE])),
-    "gain_max": (protocol.gain_max, dict(n=3, m=2, r=0.5), dict(n=_N, m=_M3, r=[*_R, _R0])),
-    "gain_min": (protocol.gain_min, dict(n=3, m=2, r=0.5), dict(n=_N, m=_M3, r=[*_R, _R0])),
+    "gain_max": (protocol.gain_max, dict(n=3, m=2, r=0.5),
+                 dict(n=_N, m=_M3, r=[*_R, _R0, *_R_ONE])),
+    "gain_min": (protocol.gain_min, dict(n=3, m=2, r=0.5),
+                 dict(n=_N, m=_M3, r=[*_R, _R0, *_R_ONE])),
     "gain_two_qubit": (protocol.gain_two_qubit, dict(m=2, r=[0.0], lam=[0.3]),
                        dict(m=_M2, r=_R, lam=_LAM)),
     "lambda_from_t2": (
         protocol.lambda_from_t2, dict(t=math.inf, t2=1.0),
-        dict(t=[(-1.0, "time must be >= 0, got -1.0"), (math.nan, "time must be >= 0, got nan")],
-             t2=[(0.0, "dephasing time must be > 0, got 0.0"),
+        dict(t=[(-1.0, "time must be >= 0, got -1.0"), (math.nan, "time must be >= 0, got nan"),
+                *_scalar("time")],
+             t2=[(0.0, "dephasing time must be > 0, got 0.0"), *_scalar("dephasing time"),
                  (math.nan, "dephasing time must be > 0, got nan"),
                  (math.inf, "t / T2 is undefined for t = T2 = inf")])),
     "lambda_threshold_gain_n": (
@@ -342,7 +355,7 @@ DOMAINS = {
     "qfi_and_gain": (protocol.qfi_and_gain, dict(n=3, m=2, r=[0.5], lam=[0.3]),
                      dict(n=_N, m=_M3, r=[_unit("polarization", "(0, 1)", 0.0)], lam=_LAM)),
     "qfi_correlated": (protocol.qfi_correlated, dict(n=3, m=3, r=0.0, lam=1.0),
-                       dict(n=_N, m=_M3, r=_R, lam=_LAM)),
+                       dict(n=_N, m=_M3, r=[*_R, *_R_ONE], lam=[*_LAM, *_LAM_ONE])),
     "stationary_polarizations": (
         protocol.stationary_polarizations, dict(m=2, lam=0.3),
         dict(m=_M2, lam=[*_LAM, (0.5, "stationarity is degenerate at lam = 1/2"),
