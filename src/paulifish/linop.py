@@ -3,10 +3,10 @@ rules that the other modules share.
 
 Each rule is one function: ``check_unit_interval`` for every polarization
 and channel strength, ``check_integer`` for every count and seed,
-``check_invocations`` (``m >= 1``), ``reject_pure_corner`` (``r = 1`` with
-``lam`` in {0, 1}), ``check_bloch_norm`` and ``check_scalar`` for every
-argument that must be one number; ``protocol._validate_nm`` states the
-qubit-count rule.
+``check_invocations`` (``1 <= m <= 2**63 - 1``), ``reject_pure_corner``
+(``r = 1`` with ``lam`` in {0, 1}), ``check_bloch_norm`` and
+``check_scalar`` for every argument that must be one number;
+``protocol._validate_nm`` states the qubit-count rule.
 
 Operators are plain ``numpy`` arrays of shape ``(d, d)`` with ``d = 2**k``;
 ``dagger`` and ``is_density_operator`` also take stacks of shape
@@ -58,9 +58,13 @@ def check_integer(v, name: str) -> int:
 
 def check_invocations(m: int) -> None:
     """Raises unless m, a count of channel invocations, is an integer
-    (check_integer) of at least 1."""
-    if check_integer(m, "m") < 1:
+    (check_integer) in 1..2**63 - 1. The cap is mc's int64 draw count, the
+    largest any command passes; a larger m would not convert to a float."""
+    m = check_integer(m, "m")
+    if m < 1:
         raise ValueError(f"invocation count must be >= 1, got {m}")
+    if m > 2**63 - 1:
+        raise ValueError(f"invocation count must be <= 2**63 - 1, got {m}")
 
 
 def reject_pure_corner(r, lam) -> None:

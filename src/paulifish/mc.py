@@ -77,8 +77,9 @@ class ExperimentConfig:
             # as a Python int: a numpy integer seed gives the plain int's run
             object.__setattr__(self, name, linop.check_integer(getattr(self, name), name))
         linop.check_invocations(self.m)
-        if self.trials < 1 or self.shots_per_trial < 1:
-            raise ValueError("trials and shots_per_trial must be >= 1")
+        for name in ("trials", "shots_per_trial"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.shots_per_trial * self.m > 2**63 - 1:  # the binomial count is an int64
             raise ValueError("shots_per_trial * m must be <= 2**63 - 1")
         if self.trials > MAX_TRIALS:
@@ -137,13 +138,15 @@ def outcome_prob_derivs(r: float, lam: float) -> tuple[float, float]:
 
 
 def classical_fisher(p: Sequence[float], dp: Sequence[float]) -> float:
-    """Discrete Fisher information sum dp_k**2 / p_k.
+    """Discrete Fisher information sum dp_k**2 / p_k over one-dimensional p, dp.
 
     A zero-probability outcome with nonzero derivative carries infinite
     information and returns ``math.inf``.
     """
-    p = [float(v) for v in p]
-    dp = [float(v) for v in dp]
+    p, dp = np.asarray(p, dtype=float), np.asarray(dp, dtype=float)
+    if p.ndim != 1 or dp.ndim != 1:
+        raise ValueError(f"p and dp must be one-dimensional, got shapes {p.shape} and {dp.shape}")
+    p, dp = p.tolist(), dp.tolist()  # Python floats, as float(v) gives them
     if len(p) != len(dp):
         raise ValueError("probability and derivative lists differ in length")
     if not abs(sum(p) - 1.0) <= 1e-9:  # a non-finite entry fails too

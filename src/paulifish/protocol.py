@@ -274,8 +274,9 @@ def stationary_polarizations(m: int, lam: float) -> list[float]:
 def lambda_threshold_gain_n(m: int) -> float:
     """Largest channel strength keeping the small-polarization gain >= n when
     every qubit is hit once (m = n): (1/2)(1 - m**(-1/(2m-2))). m must be
-    an integer (linop.check_integer)."""
-    if linop.check_integer(m, "m") < 2:
+    an invocation count (linop.check_invocations) of at least 2."""
+    linop.check_invocations(m)
+    if m < 2:
         raise ValueError("threshold needs m >= 2; for m = 1 see gain_limit_r0")
     return 0.5 * (1.0 - m ** (-1.0 / (2.0 * m - 2.0)))
 

@@ -69,13 +69,6 @@ class TestQfiCommand:
         assert float(fields["gain"]) == pytest.approx(1.6, rel=1e-10)
         assert float(fields["bound"]) == pytest.approx(4.0, rel=1e-10)
 
-    def test_out_of_range_strength_exits_2(self, capsys):
-        code, _, err = run_cli(
-            ["qfi", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "1.5"], capsys
-        )
-        assert code == 2
-        assert "[0, 1]" in err
-
     def test_subnormal_strength_warns_nothing(self, capsys):
         # m / (lam (1-lam)) overflows to an infinite bound below lam of about 5.6e-309
         code, out, err, caught = run_cli_recording_warnings(
@@ -83,13 +76,6 @@ class TestQfiCommand:
         )
         assert (code, err, caught) == (0, "", [])
         assert parse_fields(out.strip())["bound"] == "inf"
-
-    def test_too_many_invocations_exits_2(self, capsys):
-        code, _, err = run_cli(
-            ["qfi", "--n", "2", "--m", "3", "--r", "0.5", "--lambda", "0.3"], capsys
-        )
-        assert code == 2
-        assert "1..2" in err
 
     def test_wrapper_matches_library(self, capsys):
         args = ["qfi", "--n", "3", "--m", "2", "--r", "0.3", "--lambda", "0.2"]
@@ -156,34 +142,6 @@ class TestQfiCommand:
         fields = parse_fields(out.strip())
         assert fields["H_ind"] == cli._fmt(qfi.qfi_independent_opt(0.9999999999995, 0.0, 1))
         assert fields["bound"] == "inf"
-
-    @pytest.mark.parametrize(
-        "n, m, r, lam",
-        [
-            # the true H_corr and gain are about 1e-462 and 1e-464
-            ("64", "64", "0.5", "0.4999"),
-            # the gain limit 4096 (2e-4)^126 is about 3.5e-463
-            ("64", "64", "0", "0.4999"),
-            # the limits of H_corr and the gain lie below the range too
-            ("64", "64", "1", "0.4999"),
-            # H_ind = m / (lam (1-lam)) is about 1e310
-            ("2", "1", "1", "1e-310"),
-            # H_ind = 4 r^2 m / (1 - nu r^2) is about 2.7e-309, a subnormal,
-            # where H_corr and the gain are normal
-            ("64", "27", "5e-156", "5e-324"),
-            # H_ind is about 8e-340 and underflows to 0 beside the exact
-            # zeros of H_corr and the gain at lam = 1/2
-            ("3", "2", "1e-170", "0.5"),
-        ],
-    )
-    def test_unrepresentable_value_exits_2(self, n, m, r, lam, capsys):
-        code, out, err, caught = run_cli_recording_warnings(
-            ["qfi", "--n", n, "--m", m, "--r", r, "--lambda", lam], capsys
-        )
-        assert (code, out, caught) == (2, "", [])
-        assert err.startswith("error: ") and "float64 range" in err
-        assert err.split()[1] in ("H_ind", "H_corr", "gain")  # the message names its field
-        assert "Traceback" not in err
 
     def test_cell_is_evaluated_once(self, monkeypatch, capsys):
         # the range rule reads the printed values, so the j-sum runs for the
@@ -385,13 +343,6 @@ class TestSweepCommand:
         assert code == 0
         assert out_path.read_text() == cli.CSV_HEADER + "\n"
 
-    def test_unwritable_path_exits_1(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["sweep", "--out", str(tmp_path / "missing" / "x.csv")], capsys
-        )
-        assert code == 1
-        assert err
-
     def test_output_is_byte_stable(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["sweep", "--out", str(a)], capsys)
@@ -414,13 +365,6 @@ class TestSweepCommand:
         with open(out_path) as fh:
             rows = list(csv.DictReader(fh))
         assert rows[-1][axis] == "1"
-
-    def test_bad_step_exits_2(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            ["sweep", "--lambda-step", "0", "--out", str(tmp_path / "x.csv")], capsys
-        )
-        assert code == 2
-        assert "step" in err
 
     BENCH_GRID = ["--lambda-min", "0.0005", "--lambda-max", "0.9995", "--lambda-step", "0.001"]
 
@@ -479,33 +423,16 @@ class TestSweepCommand:
             assert len(seen) == 21
             assert max(seen) <= 1024
 
-    def test_one_bad_row_fails_the_whole_sweep(self, tmp_path, capsys):
-        # the lam = 0 row meets r = 1, the pure corner outside the closed
-        # forms, and the grid is refused before --out is opened
-        out_path = tmp_path / "corner.csv"
-        code, out, err = run_cli(
-            ["sweep", "--lambda-min", "0", "--lambda-max", "1", "--out", str(out_path)], capsys
-        )
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and "pure state" in err
-        assert not out_path.exists()
-
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["qfi", "--n", "2", "--m", "1", "--r", "1", "--lambda", "0"],
-            ["sweep", "--lambda-min", "0", "--lambda-max", "1", "--out", "/dev/stdout"],
-        ],
-        ids=["qfi", "sweep"],
-    )
-    def test_pure_corner_exits_2_before_any_output(self, args):
+    @pytest.mark.parametrize("command", ["qfi", "sweep"])
+    def test_pure_corner_exits_2_before_any_output(self, command):
         # the gain has no limit at r = 1, lam = 0: it is 1 along r = 1 and
         # unbounded along lam = 0. On a pipe --out /dev/stdout is written in
         # place, so a header written before the check would reach it
-        done = run_child(["-m", "paulifish.cli", *args])
-        assert (done.returncode, done.stdout, done.stderr) == (
-            2, "", "error: pure state with lam in {0, 1} is outside the closed form's domain\n"
-        )
+        ((argv, message),) = [(a, m) for _, a, m in REJECTED_ROWS
+                              if a[0] == command and m.startswith("pure state")]
+        out = ["--out", "/dev/stdout"] if command == "sweep" else []
+        done = run_child(["-m", "paulifish.cli", *argv, *out])
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
     def test_blocks_are_written_as_they_are_evaluated(self, tmp_path, capsys, monkeypatch):
         # 48 strengths of 21 polarizations per block: each block's text is
@@ -687,20 +614,6 @@ class TestSweepCommand:
         assert err.startswith("error: ") and repr(name) in err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            (["sweep", "--n", "1"], "n=1 must lie in 2..64"),
-            (["mc", "--r", "1.5", "--lambda", "0.3"], "polarization must lie in (0, 1], got 1.5"),
-        ],
-        ids=["sweep", "mc"],
-    )
-    def test_domain_error_is_raised_before_out_is_opened(self, args, message, tmp_path, capsys):
-        # opening --out in a missing directory would exit 1 instead
-        code, out, err = run_cli([*args, "--out", str(tmp_path / "missing" / "x.csv")], capsys)
-        assert (code, out, err) == (2, "", f"error: {message}\n")
-        assert os.listdir(tmp_path) == []
-
     @pytest.mark.parametrize("command", ["sweep", "mc"])
     def test_missing_directory_error_names_the_out_path(self, command, tmp_path, capsys):
         out_path = tmp_path / "missing" / "x.csv"
@@ -751,22 +664,6 @@ class TestVerifyCommand:
         assert len(lines) == (1 if suite else len(verify.SUITES))
         assert all(l.startswith("PASS") for l in lines)
         assert "PASS oracle" in out and "(n<= 8, tol 1e-8)" in out
-
-    @pytest.mark.parametrize("suite", ["nope", "", "Oracle"])
-    def test_unknown_suite_exits_2_naming_the_suites(self, suite, capsys):
-        code, out, err = run_cli(["verify", "--suite", suite], capsys)
-        assert (code, out) == (2, "")
-        assert err == (
-            f"error: unknown suite {suite!r}; choose from bounds, discord, oracle, preparation, "
-            "separability, stationary, threshold-gain, weight-inequalities\n"
-        )
-
-    @pytest.mark.parametrize("n_max", ["1", "0", "-3", "65"])
-    def test_n_max_outside_range_exits_2_before_any_suite(self, n_max, capsys):
-        code, out, err = run_cli(["verify", "--n-max", n_max], capsys)
-        assert code == 2
-        assert out == ""
-        assert "2..64" in err
 
     def test_oracle_fails_on_a_scaled_route(self, monkeypatch, capsys):
         # scale the dense route by 1 + 1e-7, past the suite's 1e-8 tolerance
@@ -843,10 +740,6 @@ class TestMcCommand:
         assert code == 0
         assert float(parse_fields(out.strip())["mean"]) == pytest.approx(0.5, abs=3e-3)
 
-    def test_domain_error_exits_2(self, capsys):
-        code, _, _ = run_cli(["mc", "--r", "0", "--lambda", "0.3"], capsys)
-        assert code == 2
-
     def test_subnormal_polarization_warns_nothing(self, capsys):
         # the estimator's quotient overflows to +-inf and is clamped; numpy's
         # overflow warning would reach the user's stderr
@@ -856,54 +749,16 @@ class TestMcCommand:
         assert (code, err, caught) == (0, "", [])
         assert out == "mean=0 variance=0 crb=inf ratio=0 fisher=0 clamped=3\n"
 
-    @pytest.mark.parametrize(
-        "option, value", [("--seed", "-1"), ("--trials", str(2**32 + 1))]
-    )
-    def test_out_of_range_stream_argument_exits_2_naming_it(self, option, value, capsys):
-        code, out, err = run_cli(["mc", "--r", "0.5", "--lambda", "0.3", option, value], capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith(f"error: {option[2:]} must be")
 
-
-class TestRejectedArguments:
-    """Arguments outside the supported range exit 2 with a message and no
-    traceback, before any grid or trial key is built."""
-
-    MC = ["mc", "--r", "0.8", "--lambda", "0.3", "--trials", "2"]
-
-    @pytest.mark.parametrize(
-        "args, hint",
-        [
-            (["sweep", "--lambda-max", "inf"], "finite"),
-            (["sweep", "--r-step", "nan"], "finite"),
-            (["sweep", "--lambda-step", "1e-300"], f"more than {cli.MAX_SWEEP_ROWS}"),
-            (["sweep", "--lambda-step", "1e-4", "--r-step", "1e-4"], "90019001 rows"),
-            (MC + ["--shots", "10000000000000000000"], "2**63 - 1"),
-            (MC + ["--shots", str(2**62), "--m", "2"], "2**63 - 1"),
-            (MC + ["--trials", str(10**7 + 1)], "trials must be <= 10000000"),
-            (["mc", "--r", "1", "--lambda", "1e-17"], "Fisher information is infinite"),
-        ],
-    )
-    def test_exits_2_before_allocating(self, args, hint, tmp_path, monkeypatch, capsys):
-        def refuse(*_):
-            raise AssertionError("built before the arguments were checked")
-
-        monkeypatch.setattr(cli, "_grid", refuse)
-        monkeypatch.setattr(mc, "_trial_keys", refuse)
-        out_path = tmp_path / "x.csv"
-        if args[0] == "sweep":
-            args = args + ["--out", str(out_path)]
-        code, out, err = run_cli(args, capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and hint in err
-        assert "Traceback" not in err
-        assert not out_path.exists()
+def command_parsers():
+    """Each command's argparse parser, by name."""
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
 
 
 @pytest.mark.parametrize("command", ["qfi", "sweep", "verify", "mc"])
 def test_help_prints_what_every_option_takes(command, capsys):
-    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    options = [a for a in sub.choices[command]._actions if a.dest != "help"]
+    options = [a for a in command_parsers()[command]._actions if a.dest != "help"]
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--help"])
     shown = " ".join(capsys.readouterr().out.split())
@@ -1058,6 +913,135 @@ class TestClosedStdout:
         assert (code, captured.out, captured.err) == (1, "", "")
 
 
+QFI = ["qfi", "--n", "2", "--m", "1", "--r", "0.5", "--lambda", "0.3"]
+MC = ["mc", "--r", "0.8", "--lambda", "0.3"]
+UNKNOWN_SUITE = ("unknown suite {!r}; choose from bounds, discord, oracle, preparation, "
+                 "separability, stationary, threshold-gain, weight-inequalities")
+RANGE = "{} at r = {} lies outside the float64 range"  # the field, then r
+
+
+def refusing(argv, option, value):
+    """argv with option, moved to the end, set to value."""
+    at = argv.index(option)
+    return [*argv[:at], *argv[at + 2 :], option, value]
+
+
+#: Every refusal of the command line, (argv, message): exit 2, stderr
+#: "error: <message>\n" and nothing on stdout. The option a row refuses
+#: comes last in it. Rows are grouped by how far the command gets first.
+REJECTED = {
+    # the arguments alone: no axis, cell, trial key or suite, and --out unopened
+    "arguments": [
+        (refusing(QFI, "--n", "1"), "n=1 must lie in 2..64"),
+        (refusing(QFI, "--n", "65"), "n=65 must lie in 2..64"),
+        (refusing(QFI, "--m", "3"), "invocations m=3 must lie in 1..2"),
+        (refusing(QFI, "--m", "0"), "invocations m=0 must lie in 1..2"),
+        (refusing(QFI, "--r", "1.5"), "polarization must lie in [0, 1], got 1.5"),
+        (refusing(QFI, "--lambda", "1.5"), "channel strength must lie in [0, 1], got 1.5"),
+        (["qfi", "--n", "2", "--m", "1", "--r", "1", "--lambda", "0"],
+         "pure state with lam in {0, 1} is outside the closed form's domain"),
+        (["sweep", "--lambda-max", "inf"],
+         "grid bounds and step must be finite, got 0.05, inf, 0.05"),
+        (["sweep", "--lambda-step", "0"], "grid step must be > 0, got 0.0"),
+        (["sweep", "--lambda-step", "1e-300"], "grid step 1e-300 gives more than 10000000 points"),
+        (["sweep", "--r-step", "nan"], "grid bounds and step must be finite, got 0.0, 1.0, nan"),
+        (["sweep", "--lambda-step", "1e-4", "--r-step", "1e-4"],
+         "the grid has 90019001 rows, more than 10000000"),
+        *[(["verify", "--suite", name], UNKNOWN_SUITE.format(name))
+          for name in ("nope", "", "Oracle")],
+        *[(["verify", "--n-max", n], f"n_max must lie in 2..64, got {n}")
+          for n in ("1", "0", "-3", "65")],
+        (refusing(MC, "--r", "1.5"), "polarization must lie in (0, 1], got 1.5"),
+        (refusing(MC, "--r", "0"), "polarization must lie in (0, 1], got 0.0"),
+        (refusing(MC, "--lambda", "1"), "true channel strength must lie in (0, 1), got 1.0"),
+        ([*MC, "--m", "0"], "invocation count must be >= 1, got 0"),
+        ([*MC, "--m", str(2**63)], f"invocation count must be <= 2**63 - 1, got {2**63}"),
+        ([*MC, "--shots", str(2**62), "--m", "2"], "shots_per_trial * m must be <= 2**63 - 1"),
+        ([*MC, "--shots", "0"], "shots_per_trial must be >= 1, got 0"),
+        ([*MC, "--shots", str(10**19)], "shots_per_trial * m must be <= 2**63 - 1"),
+        ([*MC, "--trials", "0"], "trials must be >= 1, got 0"),
+        ([*MC, "--trials", str(10**7 + 1)], "trials must be <= 10000000, got 10000001"),
+        ([*MC, "--trials", str(2**32 + 1)], "trials must be <= 10000000, got 4294967297"),
+        ([*MC, "--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+    # a sweep's n, m and grid points, checked on the axes that cli._grid
+    # builds once the row cap has passed: no cell, and --out unopened
+    "axes": [
+        (["sweep", "--n", "1"], "n=1 must lie in 2..64"),
+        (["sweep", "--m", "3"], "invocations m=3 must lie in 1..2"),
+        (["sweep", "--lambda-min", "-0.5"], "channel strength must lie in [0, 1], got -0.5"),
+        (["sweep", "--r-min", "-1"], "polarization must lie in [0, 1], got -1.0"),
+        (["sweep", "--r-max", "1.5"], "polarization must lie in [0, 1], got 1.05"),
+        (["sweep", "--lambda-min", "0", "--lambda-max", "1"],
+         "pure state with lam in {0, 1} is outside the closed form's domain"),
+    ],
+    # values the command computed: qfi's range rule reads the evaluated cell,
+    # and mc finds an infinite Fisher information after opening --out, before
+    # any trial key
+    "values": [
+        # the true H_corr and gain are about 1e-462 and 1e-464
+        (["qfi", "--n", "64", "--m", "64", "--r", "0.5", "--lambda", "0.4999"],
+         RANGE.format("H_corr", "0.5")),
+        # the gain limit 4096 (2e-4)^126 is about 3.5e-463
+        (["qfi", "--n", "64", "--m", "64", "--r", "0", "--lambda", "0.4999"],
+         RANGE.format("gain", "0")),
+        # the limits of H_corr and the gain lie below the range too
+        (["qfi", "--n", "64", "--m", "64", "--r", "1", "--lambda", "0.4999"],
+         RANGE.format("H_corr", "1")),
+        # H_ind = m / (lam (1-lam)) is about 1e310
+        (["qfi", "--n", "2", "--m", "1", "--r", "1", "--lambda", "1e-310"],
+         RANGE.format("H_ind", "1")),
+        # H_ind = 4 r^2 m / (1 - nu r^2) is about 2.7e-309, a subnormal,
+        # where H_corr and the gain are normal
+        (["qfi", "--n", "64", "--m", "27", "--r", "5e-156", "--lambda", "5e-324"],
+         RANGE.format("H_ind", "5e-156")),
+        # H_ind is about 8e-340 and underflows to 0 beside the exact zeros of
+        # H_corr and the gain at lam = 1/2
+        (["qfi", "--n", "3", "--m", "2", "--r", "1e-170", "--lambda", "0.5"],
+         RANGE.format("H_ind", "1e-170")),
+        (["mc", "--r", "1", "--lambda", "1e-17"],
+         "an outcome probability rounds to 0 at r=1.0, lambda=1e-17: "
+         "the Fisher information is infinite and the Cramér-Rao bound 0"),
+    ],
+}
+REJECTED_ROWS = [(stage, *row) for stage, rows in REJECTED.items() for row in rows]
+
+#: What the commands evaluate, by name, in the namespace that holds it:
+#: sweep's axes, the j-sum behind every qfi and sweep cell, the key of
+#: every mc trial and each verify suite. A stage lets at most one of them run.
+EVALUATORS = {"_grid": vars(cli), "_log_qfi_gain": vars(protocol), "_trial_keys": vars(mc),
+              **dict.fromkeys(verify.SUITES, verify.SUITES)}
+STAGE_RUNS = {"arguments": None, "axes": "_grid", "values": "_log_qfi_gain"}
+
+
+@pytest.mark.parametrize(
+    "stage, argv, message", REJECTED_ROWS, ids=[" ".join(argv) for _, argv, _ in REJECTED_ROWS]
+)
+def test_refusal_exits_2_with_its_message_alone(
+    stage, argv, message, tmp_path, monkeypatch, capsys
+):
+    def refuse(*_, **__):
+        raise AssertionError("evaluated before the arguments were checked")
+
+    for name, namespace in EVALUATORS.items():
+        if name != STAGE_RUNS[stage]:
+            monkeypatch.setitem(namespace, name, refuse)
+    if argv[0] in ("sweep", "mc") and stage != "values":
+        argv = [*argv, "--out", str(tmp_path / "missing" / "x.csv")]  # opening it exits 1
+    code, out, err, caught = run_cli_recording_warnings(argv, capsys)
+    assert (code, out, err, caught) == (2, "", f"error: {message}\n", [])
+    assert os.listdir(tmp_path) == []
+
+
+def test_every_option_has_a_refusal_row():
+    # the option a row refuses is its last
+    refused = {(argv[0], [a for a in argv if a[:2] == "--"][-1]) for _, argv, _ in REJECTED_ROWS}
+    for command, parser in command_parsers().items():
+        for action in parser._actions:
+            option = action.option_strings[-1]
+            assert option in ("--out", "--help") or (command, option) in refused, (command, option)
+
+
 def _options(spec):
     """Argument fragments: each option of spec present or absent, with a
     value drawn from its strategy."""
@@ -1143,5 +1127,5 @@ def test_no_argument_vector_ends_in_a_traceback(argv):
                 code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert "error:" in err.getvalue(), argv
+    if code == 2:  # argparse's usage errors too: no result line before a refusal
+        assert out.getvalue() == "" and "error:" in err.getvalue(), argv

@@ -82,11 +82,13 @@ class TestInputRules:
                 linop.check_integer(bad, "seed")
 
     def test_invocation_check(self):
-        for m in (1, 2, np.int64(64)):
+        for m in (1, 2, np.int64(64), 2**63 - 1):
             linop.check_invocations(m)
         for m, message in [
             (0, "invocation count must be >= 1, got 0"),
             (-1, "invocation count must be >= 1, got -1"),
+            (2**63, f"invocation count must be <= 2**63 - 1, got {2**63}"),
+            (10**400, f"invocation count must be <= 2**63 - 1, got {10**400}"),
             (1.5, "m must be an integer, got 1.5"),
             (2.0, "m must be an integer, got 2.0"),
         ]:

@@ -5,7 +5,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import ChannelSpec, apply_pauli_channel, binomial, bloch_state, run_child
+from conftest import ChannelSpec, apply_pauli_channel, binomial, bloch_state, rejects, run_child
 from paulifish import linop, mc, qfi
 
 # the projectors of the +-y measurement, onto (|0> +- i|1>)/sqrt(2)
@@ -155,6 +155,10 @@ class TestClassicalFisher:
             mc.classical_fisher([0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ValueError, match="differ in length"):
             mc.classical_fisher([0.5, 0.5], [0.0, 0.0, 0.0])
+        for p, dp in [(np.array([[0.5, 0.5]]), np.array([[0.1, -0.1]])),
+                      ([[0.5, 0.5]], [[0.1, -0.1]])]:
+            with rejects("p and dp must be one-dimensional, got shapes (1, 2) and (1, 2)"):
+                mc.classical_fisher(p, dp)
 
 
 class TestRunExperiment:

@@ -281,7 +281,8 @@ def _scalar(what: str):
 
 # The bad values that several rows share, each with its rule's message
 _N = [(1, "n=1 must lie in 2..64"), (65, "n=65 must lie in 2..64"), _integer("n", 3.0)]
-_M = [(0, "invocation count must be >= 1, got 0"), _integer("m")]
+_M = [(0, "invocation count must be >= 1, got 0"),
+      (2**63, f"invocation count must be <= 2**63 - 1, got {2**63}"), _integer("m")]
 _M2 = [(3, "invocations m=3 must lie in 1..2"), _integer("m")]
 _M3 = [(4, "invocations m=4 must lie in 1..3"), _integer("m")]
 _LAM = [_unit("channel strength", "[0, 1]", 1.5)]
@@ -320,11 +321,12 @@ DOMAINS = {
         dict(r=[_unit("polarization", "(0, 1]", 0.0), *_R_ONE],
              lambda_true=[_unit("true channel strength", "(0, 1)", 0.0),
                           *_scalar("true channel strength")],
-             m=[*_M, (2**63, "shots_per_trial * m must be <= 2**63 - 1")],
-             trials=[(0, "trials and shots_per_trial must be >= 1"), _integer("trials"),
+             m=_M,
+             trials=[(0, "trials must be >= 1, got 0"), _integer("trials"),
                      (10**7 + 1, "trials must be <= 10000000, got 10000001")],
-             shots_per_trial=[(0, "trials and shots_per_trial must be >= 1"),
-                              _integer("shots_per_trial")],
+             shots_per_trial=[(0, "shots_per_trial must be >= 1, got 0"),
+                              _integer("shots_per_trial"),
+                              (2**63, "shots_per_trial * m must be <= 2**63 - 1")],
              seed=[(-1, "seed must be >= 0, got -1"), _integer("seed")])),
     "outcome_probs": (mc.outcome_probs, dict(r=-(1.0 + 8e-13), lam=0.3),
                       dict(r=[(1.0 + 2e-12, _BLOCH), *_R_ONE], lam=[*_LAM, *_LAM_ONE])),
@@ -351,7 +353,7 @@ DOMAINS = {
                  (math.inf, "t / T2 is undefined for t = T2 = inf")])),
     "lambda_threshold_gain_n": (
         protocol.lambda_threshold_gain_n, dict(m=2),
-        dict(m=[(1, "threshold needs m >= 2; for m = 1 see gain_limit_r0"), _integer("m")])),
+        dict(m=[*_M, (1, "threshold needs m >= 2; for m = 1 see gain_limit_r0")])),
     "qfi_and_gain": (protocol.qfi_and_gain, dict(n=3, m=2, r=[0.5], lam=[0.3]),
                      dict(n=_N, m=_M3, r=[_unit("polarization", "(0, 1)", 0.0)], lam=_LAM)),
     "qfi_correlated": (protocol.qfi_correlated, dict(n=3, m=3, r=0.0, lam=1.0),
